@@ -41,8 +41,8 @@ bench-smoke:
 bench-parallel:
 	dune exec bench/main.exe -- --parallel
 
-# The hash-consed core: O(1) equality/hash/key micros and legacy-vs-interned
-# exploration at 1/2/4 domains; writes BENCH_hashcons.json.
+# The hash-consed core: O(1) equality/hash/key micros and exploration at
+# 1/2/4 domains; writes BENCH_hashcons.json.
 bench-hashcons:
 	dune exec bench/main.exe -- --hashcons
 

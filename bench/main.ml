@@ -410,18 +410,13 @@ let engine_queries =
   [ ("T1K", Paper.t1k_source); ("T2K", Paper.t2k_source);
     ("K4", Paper.k4); ("KG1", Paper.kg1) ]
 
-let run_engine ~indexed q =
-  Rewrite.Engine.run ~indexed ~fuel:40 Rules.Catalog.all q
+let run_engine q = Rewrite.Engine.run ~fuel:40 Rules.Catalog.all q
 
 let engine_tests =
-  let idx = Rewrite.Index.build Rules.Catalog.all in
   [
-    t "step_once naive (KG1, full catalog)" (fun () ->
+    t "step_once (KG1, full catalog)" (fun () ->
         Rewrite.Engine.step_once Rules.Catalog.all Paper.kg1);
-    t "step_once indexed (KG1, full catalog)" (fun () ->
-        Rewrite.Engine.step_once_indexed idx Paper.kg1);
-    t "run naive (T1K to fixpoint)" (fun () -> run_engine ~indexed:false Paper.t1k_source);
-    t "run indexed (T1K to fixpoint)" (fun () -> run_engine ~indexed:true Paper.t1k_source);
+    t "run (T1K to fixpoint)" (fun () -> run_engine Paper.t1k_source);
     t "dedup key: canonical string (KG1)" (fun () ->
         Optimizer.Search.canonical Paper.kg1);
     t "dedup key: hashed canonical (KG1)" (fun () ->
@@ -530,9 +525,7 @@ let parallel_json rows =
 (* ------------------------------------------------------------------ *)
 (* hashcons: the interned term core.  Microbenches time O(1) equality, *)
 (* hash and canonical keys against their plain recursive counterparts  *)
-(* on a deep term; the end-to-end rows time the same exploration with  *)
-(* interning on and off — fresh cost caches each run — at several      *)
-(* domain counts, checking the outcomes stay identical.                *)
+(* on a deep term; the exploration rows are [parallel_scaling_rows].   *)
 
 let deep_n = 200
 
@@ -577,15 +570,6 @@ let hashcons_micro ~repeats () =
     };
   ]
 
-type hc_row = {
-  hrq : string;
-  hrjobs : int;
-  hlegacy_ns : float;
-  hinterned_ns : float;
-  hrspeedup : float;
-  hridentical : bool;  (* legacy and interned outcomes bit-identical *)
-}
-
 (* Minimum over [trials] mean timings: explorations are milliseconds,
    where a single GC major slice or scheduler preemption skews one mean
    badly; the min of a few is the stable signal on a shared host. *)
@@ -594,55 +578,6 @@ let min_time ~trials ~repeats f =
     if n <= 0 then best else go (Float.min best (time_per ~repeats f)) (n - 1)
   in
   go (time_per ~repeats f) (trials - 1)
-
-let hashcons_scaling_rows ~jobs_list ~repeats =
-  List.concat_map
-    (fun (name, q, max_depth, max_states) ->
-      let explore ~interned jobs =
-        Optimizer.Search.explore
-          ~config:
-            {
-              Optimizer.Search.default_config with
-              max_depth;
-              max_states;
-              jobs;
-              interned;
-              cost_cache = Some (Optimizer.Cost.cache ());
-              hc_cost_cache = Some (Optimizer.Cost.hc_cache ());
-            }
-          q
-      in
-      List.map
-        (fun jobs ->
-          let legacy = explore ~interned:false jobs in
-          let interned = explore ~interned:true jobs in
-          let identical =
-            Kola.Term.equal_query
-              legacy.Optimizer.Search.best.Optimizer.Search.query
-              interned.Optimizer.Search.best.Optimizer.Search.query
-            && legacy.Optimizer.Search.best.Optimizer.Search.path
-               = interned.Optimizer.Search.best.Optimizer.Search.path
-            && legacy.Optimizer.Search.explored
-               = interned.Optimizer.Search.explored
-            && legacy.Optimizer.Search.frontier_exhausted
-               = interned.Optimizer.Search.frontier_exhausted
-          in
-          let lns =
-            min_time ~trials:3 ~repeats (fun () -> explore ~interned:false jobs)
-          in
-          let ins =
-            min_time ~trials:3 ~repeats (fun () -> explore ~interned:true jobs)
-          in
-          {
-            hrq = name;
-            hrjobs = jobs;
-            hlegacy_ns = lns;
-            hinterned_ns = ins;
-            hrspeedup = lns /. ins;
-            hridentical = identical;
-          })
-        jobs_list)
-    parallel_workloads
 
 let hashcons_table micros rows =
   let pretty ns =
@@ -659,13 +594,11 @@ let hashcons_table micros rows =
         (pretty m.hhc_ns)
         (m.hplain_ns /. m.hhc_ns))
     micros;
-  Fmt.pr "  %-5s %6s %12s %12s %9s %9s@." "query" "jobs" "legacy" "interned"
-    "speedup" "outcome";
+  Fmt.pr "  %-5s %6s %12s %9s@." "query" "jobs" "explore" "outcome";
   List.iter
     (fun r ->
-      Fmt.pr "  %-5s %6d %12s %12s %8.2fx %9s@." r.hrq r.hrjobs
-        (pretty r.hlegacy_ns) (pretty r.hinterned_ns) r.hrspeedup
-        (if r.hridentical then "identical" else "MISMATCH"))
+      Fmt.pr "  %-5s %6d %12s %9s@." r.pq r.pjobs (pretty r.pns)
+        (if r.pmatches then "identical" else "MISMATCH"))
     rows;
   let s = Term.Hc.intern_stats () in
   Fmt.pr
@@ -697,11 +630,9 @@ let hashcons_json micros rows =
     (fun i r ->
       Buffer.add_string buf
         (Fmt.str
-           "    {\"query\": %S, \"jobs\": %d, \"legacy_ns\": %.0f, \
-            \"interned_ns\": %.0f, \"speedup\": %.2f, \"outcome_identical\": \
-            %b}%s\n"
-           r.hrq r.hrjobs r.hlegacy_ns r.hinterned_ns r.hrspeedup
-           r.hridentical
+           "    {\"query\": %S, \"jobs\": %d, \"ns\": %.0f, \
+            \"outcome_identical\": %b}%s\n"
+           r.pq r.pjobs r.pns r.pmatches
            (if i = List.length rows - 1 then "" else ",")))
     rows;
   Buffer.add_string buf "  ]}";
@@ -757,7 +688,7 @@ let egraph_rows () =
           ~config:
             {
               Optimizer.Search.default_config with
-              hc_cost_cache = Some (Optimizer.Cost.hc_cache ());
+              cost_cache = Some (Optimizer.Cost.cache ());
             }
           q
       in
@@ -766,7 +697,7 @@ let egraph_rows () =
           Optimizer.Search.default_config with
           engine = Optimizer.Search.Egraph;
           egraph_budgets = budgets;
-          hc_cost_cache = Some (Optimizer.Cost.hc_cache ());
+          cost_cache = Some (Optimizer.Cost.cache ());
         }
       in
       let eg, eg_ns = wall (fun () -> Optimizer.Search.explore ~config:eg_config q) in
@@ -779,7 +710,7 @@ let egraph_rows () =
                   rules = symmetric_catalog;
                   max_depth = 5;
                   max_states = states;
-                  hc_cost_cache = Some (Optimizer.Cost.hc_cache ());
+                  cost_cache = Some (Optimizer.Cost.cache ());
                 }
               q)
       in
@@ -862,59 +793,45 @@ let engine_report ?(parallel_rows = []) ?(hashcons_fragment = "")
   let repeats = if !fast then 5 else 50 in
   Fmt.pr
     "@.## engine_internals (head-symbol index, hashed dedup, cost memo)@.";
-  Fmt.pr "  %-5s %9s %9s %7s %8s %12s %12s@." "query" "nv-att" "ix-att"
-    "ratio" "firings" "nv-ns/fire" "ix-ns/fire";
+  Fmt.pr "  %-5s %9s %8s %12s@." "query" "attempts" "firings" "ns/fire";
   let query_rows =
     List.map
       (fun (name, q) ->
-        let naive = run_engine ~indexed:false q in
-        let indexed = run_engine ~indexed:true q in
-        let na = naive.Rewrite.Engine.stats.Rewrite.Engine.attempts in
-        let ia = indexed.Rewrite.Engine.stats.Rewrite.Engine.attempts in
-        let firings = naive.Rewrite.Engine.stats.Rewrite.Engine.firings in
-        let per_firing ns = ns /. float_of_int (max 1 firings) in
-        let nv_ns =
-          per_firing (time_per ~repeats (fun () -> run_engine ~indexed:false q))
+        let o = run_engine q in
+        let attempts = o.Rewrite.Engine.stats.Rewrite.Engine.attempts in
+        let firings = o.Rewrite.Engine.stats.Rewrite.Engine.firings in
+        let ns =
+          time_per ~repeats (fun () -> run_engine q)
+          /. float_of_int (max 1 firings)
         in
-        let ix_ns =
-          per_firing (time_per ~repeats (fun () -> run_engine ~indexed:true q))
-        in
-        let ratio = float_of_int na /. float_of_int (max 1 ia) in
-        Fmt.pr "  %-5s %9d %9d %6.1fx %8d %12.0f %12.0f@." name na ia ratio
-          firings nv_ns ix_ns;
-        (name, na, ia, ratio, firings, nv_ns, ix_ns))
+        Fmt.pr "  %-5s %9d %8d %12.0f@." name attempts firings ns;
+        (name, attempts, firings, ns))
       engine_queries
   in
-  (* exploration throughput: same search, dispatch on/off, cold cache each *)
+  (* exploration throughput, cold cache *)
   let explore_states = if !fast then 40 else 200 in
-  let explore_cfg indexed cache =
+  let explore_cfg cache =
     {
       Optimizer.Search.default_config with
       max_depth = 3;
       max_states = explore_states;
-      indexed;
       cost_cache = Some cache;
     }
   in
-  let timed_explore indexed =
-    let cache = Optimizer.Cost.cache () in
+  let explore_o, ns_state =
+    let config = explore_cfg (Optimizer.Cost.cache ()) in
     let t0 = Kola_telemetry.Telemetry.now () in
-    let o =
-      Optimizer.Search.explore ~config:(explore_cfg indexed cache)
-        Paper.t1k_source
-    in
+    let o = Optimizer.Search.explore ~config Paper.t1k_source in
     let ns = (Kola_telemetry.Telemetry.now () -. t0) *. 1e9 in
     (o, ns /. float_of_int (max 1 o.Optimizer.Search.explored))
   in
-  let naive_o, naive_ns_state = timed_explore false in
-  let _, indexed_ns_state = timed_explore true in
   (* cache behaviour: cold exploration then an identical warm one *)
   let cache = Optimizer.Cost.cache () in
-  let warm_cfg = explore_cfg true cache in
+  let warm_cfg = explore_cfg cache in
   let cold = Optimizer.Search.explore ~config:warm_cfg Paper.t1k_source in
   let warm = Optimizer.Search.explore ~config:warm_cfg Paper.t1k_source in
-  Fmt.pr "  explore T1K: %d states, naive %.0f ns/state, indexed %.0f ns/state@."
-    naive_o.Optimizer.Search.explored naive_ns_state indexed_ns_state;
+  Fmt.pr "  explore T1K: %d states, %.0f ns/state@."
+    explore_o.Optimizer.Search.explored ns_state;
   Fmt.pr "  cost cache:  cold %d misses / %d hits, warm %d misses / %d hits@."
     cold.Optimizer.Search.cache_misses cold.Optimizer.Search.cache_hits
     warm.Optimizer.Search.cache_misses warm.Optimizer.Search.cache_hits;
@@ -945,22 +862,20 @@ let engine_report ?(parallel_rows = []) ?(hashcons_fragment = "")
        (if !smoke then "smoke" else if !fast then "fast" else "full"));
   Buffer.add_string buf "  \"queries\": [\n";
   List.iteri
-    (fun i (name, na, ia, ratio, firings, nv_ns, ix_ns) ->
+    (fun i (name, attempts, firings, ns) ->
       Buffer.add_string buf
         (Fmt.str
-           "    {\"name\": %S, \"naive_attempts\": %d, \
-            \"indexed_attempts\": %d, \"attempts_ratio\": %.2f, \
-            \"firings\": %d, \"naive_ns_per_firing\": %.0f, \
-            \"indexed_ns_per_firing\": %.0f}%s\n"
-           name na ia ratio firings nv_ns ix_ns
+           "    {\"name\": %S, \"attempts\": %d, \"firings\": %d, \
+            \"ns_per_firing\": %.0f}%s\n"
+           name attempts firings ns
            (if i = List.length query_rows - 1 then "" else ",")))
     query_rows;
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf
     (Fmt.str
        "  \"explore\": {\"query\": \"T1K\", \"states\": %d, \
-        \"naive_ns_per_state\": %.0f, \"indexed_ns_per_state\": %.0f},\n"
-       naive_o.Optimizer.Search.explored naive_ns_state indexed_ns_state);
+        \"ns_per_state\": %.0f},\n"
+       explore_o.Optimizer.Search.explored ns_state);
   Buffer.add_string buf
     (Fmt.str
        "  \"cost_cache\": {\"cold_misses\": %d, \"cold_hits\": %d, \
@@ -1506,7 +1421,7 @@ let () =
     Fmt.pr "===============================@.";
     let micros = hashcons_micro ~repeats:(if !fast then 200 else 2_000) () in
     let rows =
-      hashcons_scaling_rows ~jobs_list:[ 1; 2; 4 ]
+      parallel_scaling_rows ~jobs_list:[ 1; 2; 4 ]
         ~repeats:(if !fast then 2 else 5)
     in
     hashcons_table micros rows;
@@ -1615,7 +1530,7 @@ let () =
     parallel_table rows;
     (* sanity slice of the interned core: tiny repeats, 1 and 2 domains *)
     let micros = hashcons_micro ~repeats:100 () in
-    let hc_rows = hashcons_scaling_rows ~jobs_list:[ 1; 2; 4 ] ~repeats:2 in
+    let hc_rows = parallel_scaling_rows ~jobs_list:[ 1; 2; 4 ] ~repeats:2 in
     hashcons_table micros hc_rows;
     (* small-budget slice of the saturation group *)
     let eg_rows = egraph_rows () in
@@ -1656,7 +1571,7 @@ let () =
   parallel_table parallel_rows;
   let micros = hashcons_micro ~repeats:(if !fast then 200 else 2_000) () in
   let hc_rows =
-    hashcons_scaling_rows
+    parallel_scaling_rows
       ~jobs_list:(if !fast then [ 1; 2 ] else [ 1; 2; 4 ])
       ~repeats:(if !fast then 2 else 5)
   in

@@ -311,14 +311,6 @@ let search_cmd =
   let states =
     Arg.(value & opt int 2000 & info [ "states" ] ~doc:"State budget.")
   in
-  let naive =
-    Arg.(
-      value & flag
-      & info [ "naive-engine" ]
-          ~doc:
-            "Disable head-symbol rule dispatch during successor enumeration \
-             (the measured baseline; results are identical, only slower).")
-  in
   let jobs =
     (* Validated at the cmdliner layer: negative counts are a usage error
        rather than being silently resolved like 0 is.  The validator is
@@ -341,15 +333,6 @@ let search_cmd =
           ~doc:
             "Domains exploring each BFS level (1 = sequential; 0 = one per \
              recommended core).  Outcomes are identical at every setting.")
-  in
-  let legacy_terms =
-    Arg.(
-      value & flag
-      & info [ "legacy-terms" ]
-          ~doc:
-            "Explore on plain (non-interned) terms — the measured baseline. \
-             Results are identical; dedup keys and costing are slower, and \
-             no interning stats are reported.")
   in
   let engine =
     (* Validated at the cmdliner layer: an unknown engine is a usage error
@@ -513,8 +496,7 @@ let search_cmd =
              by rule fingerprint and certifier version, so re-admitting an \
              unchanged pack is O(1).")
   in
-  let run src store depth states naive jobs legacy_terms engine trace stats
-      deadline node_budget iter_budget paper rules_pack cert_cache =
+  let run src store depth states jobs engine trace stats deadline node_budget iter_budget paper rules_pack cert_cache =
     handle_errors (fun () ->
         let db = Datagen.Store.db store in
         let q =
@@ -562,8 +544,6 @@ let search_cmd =
             rules;
             max_depth = depth;
             max_states = states;
-            indexed = not naive;
-            interned = not legacy_terms;
             sample_db = db;
             jobs;
             deadline;
@@ -590,11 +570,9 @@ let search_cmd =
           o.Optimizer.Search.cache_hits o.Optimizer.Search.cache_misses
           o.Optimizer.Search.cache_evictions;
         Fmt.pr "dedup: %d distinct states@." o.Optimizer.Search.seen_states;
-        if not legacy_terms then
-          Fmt.pr
-            "interning: %d hits, %d fresh nodes (sharing ratio %.3f)@."
-            o.Optimizer.Search.intern_hits o.Optimizer.Search.intern_misses
-            o.Optimizer.Search.sharing_ratio;
+        Fmt.pr "interning: %d hits, %d fresh nodes (sharing ratio %.3f)@."
+          o.Optimizer.Search.intern_hits o.Optimizer.Search.intern_misses
+          o.Optimizer.Search.sharing_ratio;
         Fmt.pr "derivation: %a@."
           Fmt.(list ~sep:comma string)
           o.Optimizer.Search.best.Optimizer.Search.path;
@@ -634,9 +612,9 @@ let search_cmd =
     (Cmd.info "search"
        ~doc:"Optimize by bounded exploration of the rewrite space.")
     Term.(
-      const run $ query_opt $ store_term $ depth $ states $ naive $ jobs
-      $ legacy_terms $ engine $ trace $ stats $ deadline $ node_budget
-      $ iter_budget $ paper $ rules_pack $ cert_cache)
+      const run $ query_opt $ store_term $ depth $ states $ jobs $ engine
+      $ trace $ stats $ deadline $ node_budget $ iter_budget $ paper
+      $ rules_pack $ cert_cache)
 
 (* [kolaopt certify PACK.coko ...] — the admission gate as a standalone
    command, used by [make certify-packs] to keep every committed pack

@@ -325,8 +325,8 @@ end
 
    Interning is modulo [Value.equal], which compares objects by identity
    ([cls], [oid]) and ignores their fields — the first representative of an
-   object interned wins, exactly matching the equivalence the optimizer's
-   legacy [Canonical] dedup uses.  (A workload holding two same-identity
+   object interned wins, exactly matching the equivalence [Canonical]
+   keys use.  (A workload holding two same-identity
    objects with different field lists would see the second's fields replaced
    by the first's in plain views; the object model never produces that.)
 
@@ -422,9 +422,9 @@ module Hc = struct
   (* Head-constructor bitmask layout: func heads at bits 0-19 (constructor
      declaration order), pred heads at bits 20-31.  Holes carry no bit (they
      are pattern metavariables, not heads), and values contribute nothing —
-     matching {!Rewrite.Index.presence_of_query}, which does not descend
-     into Kf/Cf/Cp constants.  {!Rewrite.Index.head_bit} must agree with
-     this numbering (enforced by test_hashcons). *)
+     rewriting never descends into Kf/Cf/Cp constants.
+     {!Rewrite.Index.head_bit} must agree with this numbering (enforced by
+     test_hashcons). *)
   let fshape_bit = function
     | HId -> 1 lsl 0
     | HPi1 -> 1 lsl 1
@@ -904,7 +904,7 @@ module Hc = struct
   (* Interned queries and their dedup keys: two queries share a key iff they
      are [Canonical.equal] — i.e. equal modulo ∘-associativity with
      [Value.equal] arguments — so id-pair dedup partitions states exactly
-     like the legacy canonical table. *)
+     like a [Canonical] table. *)
   type hquery = { hbody : fnode; harg : vnode }
 
   let of_query q = { hbody = of_func q.body; harg = of_value q.arg }

@@ -254,8 +254,8 @@ module Hc : sig
   (** {1 Head bitmasks}
 
       Func heads occupy bits 0-19 (declaration order), pred heads bits
-      20-31.  Holes carry no bit; values contribute nothing, matching
-      {!Rewrite.Index.presence_of_query}. *)
+      20-31.  Holes carry no bit; values contribute nothing (rewriting
+      never descends into constants). *)
 
   val fshape_bit : fshape -> int
   val pshape_bit : pshape -> int
@@ -346,8 +346,8 @@ module Hc : sig
   val query_key : hquery -> int * int
   (** [((canon hbody).fid, harg.vid)] — two queries share a key iff they
       are {!Canonical.equal} (equal modulo ∘-associativity, [Value.equal]
-      arguments), so id-pair dedup partitions states exactly like the
-      legacy canonical table, at O(1) amortized per state. *)
+      arguments), so id-pair dedup partitions states exactly like a
+      {!Canonical} table, at O(1) amortized per state. *)
 
   module Qtable : Hashtbl.S with type key = int * int
 

@@ -61,9 +61,10 @@ let measure_exec ?(backend = Kola_exec.Exec.Compiled) ?(dedup = Eval.Eager)
    Executed costing is by far the most expensive part of exploring a
    rewrite space, and search re-encounters the same subplans constantly
    (across [explore] calls, across [explore]/[reaches], across pipeline
-   stages).  The cache is keyed by the canonical query key (hash of the
-   reassociated term, structural equality as tiebreak), so two
-   associativity variants of one plan share an entry.  Entries are only
+   stages).  The cache is keyed by [Term.Hc.query_key] — the id of the
+   interned body's memoized canonical form paired with the argument's id
+   — so two associativity variants of one plan share an entry and a probe
+   costs two field reads and an int-pair hash.  Entries are only
    valid for one database: the cache remembers which [db] it was filled
    against (by physical identity — sample databases are built once and
    reused) and flushes itself when costed against a different one.
@@ -93,10 +94,9 @@ type 'v entry = { w : 'v; mutable live : bool }
 (* The memoization machinery — capacity bound, second-chance sweep,
    per-database validity — is independent of how entries are keyed and of
    what they store, so it is written once over any hashtable and
-   instantiated three times: over canonical query keys (the legacy
-   cache), over interned node-id pairs (the hash-consed cache), both
-   storing weighted floats, and over (plan, backend, dedup) triples
-   storing full cost records (the pipeline's plan cache).
+   instantiated twice: over interned query keys storing weighted floats
+   (the search cache), and over (plan, backend, dedup) triples storing
+   full cost records (the pipeline's plan cache).
 
    Concurrency: the daemon (lib/server) shares one cache of each kind
    across worker domains, so every table operation — probe, insert,
@@ -210,21 +210,13 @@ module Memo (T : Hashtbl.S) = struct
     T.replace c.table key { w; live = false }
 end
 
-module CanonMemo = Memo (Term.Canonical.Table)
-module HcMemo = Memo (Term.Hc.Qtable)
+module QueryMemo = Memo (Term.Hc.Qtable)
 
-type cache = float CanonMemo.memo
-type hc_cache = float HcMemo.memo
+type cache = float QueryMemo.memo
 
-let cache ?size () = CanonMemo.create ?size ()
-let cache_stats = CanonMemo.stats
-let cache_clear = CanonMemo.clear
-let prepare = CanonMemo.prepare
-let find_memo = CanonMemo.find_memo
-let insert_memo = CanonMemo.insert_memo
-let hc_cache ?size () = HcMemo.create ?size ()
-let hc_cache_stats = HcMemo.stats
-let hc_cache_clear = HcMemo.clear
+let cache ?size () = QueryMemo.create ?size ()
+let cache_stats = QueryMemo.stats
+let cache_clear = QueryMemo.clear
 
 (* Weighted cost of [q] on [db] under the default backend, with plans that
    fail to evaluate (e.g. ill-typed intermediate states) costed at
@@ -234,69 +226,30 @@ let measure_weighted ~db (q : Term.query) : float =
   | _, t -> t.weighted
   | exception Eval.Error _ -> infinity
 
-let weighted_memo c ~db (q : Term.query) : float =
-  prepare c ~db;
-  let key = Term.Canonical.of_query q in
-  match find_memo c key with
-  | Some w -> w
-  | None ->
-    let w = measure_weighted ~db q in
-    insert_memo c key w;
-    w
-
-(* Batch lookup for the parallel search: probe every key sequentially
-   (counting hits), evaluate the misses through [map] — the only step a
-   caller parallelizes — then insert the results sequentially in item
-   order.  The evaluations themselves never touch the cache, and hit,
-   miss, and eviction accounting is the same as feeding the items to
-   [weighted_memo] one by one. *)
-let weighted_memo_batch c ~db ?(map = Array.map)
-    (items : (Term.Canonical.t * Term.query) array) : float array =
-  prepare c ~db;
-  let n = Array.length items in
-  let out = Array.make n infinity in
-  let missing = ref [] in
-  Array.iteri
-    (fun i (key, q) ->
-      match find_memo c key with
-      | Some w -> out.(i) <- w
-      | None -> missing := (i, key, q) :: !missing)
-    items;
-  let missing = Array.of_list (List.rev !missing) in
-  let ws = map (fun q -> measure_weighted ~db q) (Array.map (fun (_, _, q) -> q) missing) in
-  Array.iteri
-    (fun j (i, key, _) ->
-      insert_memo c key ws.(j);
-      out.(i) <- ws.(j))
-    missing;
-  out
-
-(* Interned counterparts.  Keys are [Term.Hc.query_key] — the id of the
-   memoized canonical form of the body paired with the argument's id — so
-   two interned queries share an entry exactly when their canonical plain
-   forms are equal, i.e. the hc cache partitions queries into the same
-   equivalence classes as the canonical cache.  Probing costs two field
-   reads and an int-pair hash instead of a canonicalizing walk. *)
-
-let weighted_memo_hc c ~db (hq : Term.Hc.hquery) : float =
-  HcMemo.prepare c ~db;
+let weighted_memo c ~db (hq : Term.Hc.hquery) : float =
+  QueryMemo.prepare c ~db;
   let key = Term.Hc.query_key hq in
-  match HcMemo.find_memo c key with
+  match QueryMemo.find_memo c key with
   | Some w -> w
   | None ->
     let w = measure_weighted ~db (Term.Hc.to_query hq) in
-    HcMemo.insert_memo c key w;
+    QueryMemo.insert_memo c key w;
     w
 
-let weighted_memo_hc_batch c ~db ?(map = Array.map)
+(* Batch lookup for the level-synchronous search: probe every key
+   sequentially (counting hits), evaluate the misses through [map] — the
+   only step a caller parallelizes — then insert the results sequentially
+   in item order.  The evaluations themselves never touch the cache, and
+   hit, miss, and eviction accounting is the same as feeding the items to
+   [weighted_memo] one by one. *)
+let weighted_memo_batch c ~db ?(map = Array.map)
     (items : ((int * int) * Term.Hc.hquery) array) : float array =
-  HcMemo.prepare c ~db;
-  let n = Array.length items in
-  let out = Array.make n infinity in
+  QueryMemo.prepare c ~db;
+  let out = Array.make (Array.length items) infinity in
   let missing = ref [] in
   Array.iteri
     (fun i (key, hq) ->
-      match HcMemo.find_memo c key with
+      match QueryMemo.find_memo c key with
       | Some w -> out.(i) <- w
       | None -> missing := (i, key, hq) :: !missing)
     items;
@@ -308,7 +261,7 @@ let weighted_memo_hc_batch c ~db ?(map = Array.map)
   in
   Array.iteri
     (fun j (i, key, _) ->
-      HcMemo.insert_memo c key ws.(j);
+      QueryMemo.insert_memo c key ws.(j);
       out.(i) <- ws.(j))
     missing;
   out
@@ -322,7 +275,7 @@ let weighted_memo_hc_batch c ~db ?(map = Array.map)
    keyed by (interned query, backend, dedup) and store the whole
    {!t}, not just the weighted scalar.  The memoization machinery
    (capacity, second-chance sweep, per-database validity) is the same
-   [Memo] instantiation as the search caches. *)
+   [Memo] instantiation as the search cache. *)
 
 module PlanTbl = Hashtbl.Make (struct
   type t = (int * int) * Eval.backend * Eval.dedup

@@ -40,8 +40,9 @@ val measure_exec :
 
     Executed costing dominates rewrite-space exploration, and the same
     subplans are re-encountered constantly.  The cache is keyed by
-    {!Kola.Term.Canonical} keys, so associativity variants of one plan
-    share an entry.  Entries are valid for a single database: costing
+    {!Kola.Term.Hc.query_key} — the id of an interned query's memoized
+    canonical body paired with its argument's id — so associativity
+    variants of one plan share an entry and a probe is O(1).  Entries are valid for a single database: costing
     against a different database (by physical identity) flushes the
     cache.
 
@@ -60,8 +61,8 @@ val measure_exec :
 
     {2 Concurrency}
 
-    Caches may be shared across domains (the serving daemon shares one of
-    each kind across its workers): every table operation runs under the
+    Caches may be shared across domains (the serving daemon shares one
+    cost cache and one plan cache across its workers): every table operation runs under the
     cache's mutex and the hit/miss/eviction counters are atomic, so
     {!cache_stats} never observes a torn count.  Plan evaluation on a
     miss happens outside the lock; two domains racing on one missing key
@@ -86,56 +87,28 @@ val cache_stats : cache -> stats
 
 val cache_clear : cache -> unit
 
-val weighted_memo : cache -> db:(string * Kola.Value.t) list ->
-  Kola.Term.query -> float
+val weighted_memo :
+  cache -> db:(string * Kola.Value.t) list -> Kola.Term.Hc.hquery -> float
 (** Weighted cost under the default backend; plans that fail to evaluate
-    cost [infinity].  Never re-evaluates a resident canonically-equal
-    query. *)
+    cost [infinity].  Never re-evaluates a resident query with the same
+    {!Kola.Term.Hc.query_key}. *)
 
 val weighted_memo_batch :
   cache ->
   db:(string * Kola.Value.t) list ->
   ?map:((Kola.Term.query -> float) -> Kola.Term.query array -> float array) ->
-  (Kola.Term.Canonical.t * Kola.Term.query) array ->
-  float array
-(** [weighted_memo_batch c ~db ~map items] costs a batch of queries,
-    each paired with its precomputed canonical key: resident keys are
-    served from the cache, the misses are evaluated through [map]
-    (default [Array.map] — pass a parallel map to evaluate them across
-    domains; the evaluations are pure), and the results are inserted
-    sequentially in item order.  The evaluations never touch the cache,
-    and when the item keys are
-    distinct the hit/miss/eviction accounting is identical to calling
-    {!weighted_memo} on each item in order.  Duplicate keys in one batch
-    are evaluated once per occurrence instead of hitting. *)
-
-(** {2 Interned cache}
-
-    The same memoization (capacity, second-chance eviction, per-database
-    validity) keyed by {!Kola.Term.Hc.query_key} — precomputed node-id
-    pairs — instead of canonical keys.  The key of an interned query is
-    the id of its body's memoized canonical form paired with its
-    argument's id, so the hc cache partitions queries into exactly the
-    canonical cache's equivalence classes while probing in O(1). *)
-
-type hc_cache
-
-val hc_cache : ?size:int -> unit -> hc_cache
-val hc_cache_stats : hc_cache -> stats
-val hc_cache_clear : hc_cache -> unit
-
-val weighted_memo_hc :
-  hc_cache -> db:(string * Kola.Value.t) list -> Kola.Term.Hc.hquery -> float
-
-val weighted_memo_hc_batch :
-  hc_cache ->
-  db:(string * Kola.Value.t) list ->
-  ?map:((Kola.Term.query -> float) -> Kola.Term.query array -> float array) ->
   ((int * int) * Kola.Term.Hc.hquery) array ->
   float array
-(** Batch analogue of {!weighted_memo_batch} over interned queries; the
-    misses are converted to plain queries (an O(1) field read per item)
-    before being evaluated through [map]. *)
+(** [weighted_memo_batch c ~db ~map items] costs a batch of interned
+    queries, each paired with its precomputed {!Kola.Term.Hc.query_key}:
+    resident keys are served from the cache, the misses are evaluated
+    through [map] (default [Array.map] — pass a parallel map to evaluate
+    them across domains; the evaluations are pure), and the results are
+    inserted sequentially in item order.  The evaluations never touch the
+    cache, and when the item keys are distinct the hit/miss/eviction
+    accounting is identical to calling {!weighted_memo} on each item in
+    order.  Duplicate keys in one batch are evaluated once per occurrence
+    instead of hitting. *)
 
 (** {2 Plan cache}
 
@@ -145,7 +118,7 @@ val weighted_memo_hc_batch :
     genuinely different counters — so entries are keyed by (interned
     query, backend, dedup) and store the whole {!t}.  Capacity,
     second-chance eviction, and per-database validity are identical to
-    the search caches. *)
+    the search cache. *)
 
 type plan_cache
 

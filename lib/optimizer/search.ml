@@ -9,18 +9,15 @@
    is far beyond any practical frontier — which is precisely the paper's
    motivation for rule blocks.  The ablation bench quantifies this.
 
-   Performance layer (see DESIGN.md, "Engine internals & performance"):
-   successor enumeration prunes rules through the head-symbol index, states
-   are deduplicated with hashed canonical keys instead of pretty-printed
-   strings, and costing is memoized across explorations.
-
-   Parallel layer (DESIGN.md, "Parallel exploration"): with [jobs > 1] the
-   BFS runs level-synchronously on a Kola_parallel.Pool — successor
-   enumeration, canonical-key computation, and cost evaluation fan out
-   across domains, while dedup and best-state selection happen in a
-   sequential merge that walks worker results in stable item order, so
-   [best], [path], [explored], and [frontier_exhausted] are bit-identical
-   to the sequential engine whatever the domain count. *)
+   One BFS engine (see DESIGN.md, "Engine internals & performance" and
+   "Parallel exploration"): states are hash-consed queries, deduplicated
+   by [Term.Hc.query_key]; successor enumeration prunes rules and subtrees
+   through the per-node head bitmasks; costing is memoized across
+   explorations by the id-keyed {!Cost.cache}.  Each level runs in three
+   phases — fan-out, stable-order merge, batch costing — inline at
+   [jobs = 1] and across a Kola_parallel.Pool at [jobs > 1], so [best],
+   [path], [explored] and [frontier_exhausted] are bit-identical whatever
+   the domain count. *)
 
 open Kola
 module Pool = Kola_parallel.Pool
@@ -49,18 +46,11 @@ type config = {
   max_positions : int;
       (** positions per rule enumerated by {!successors}; truncation is
           reported through [frontier_exhausted], never silent *)
-  indexed : bool;      (** prune rules through the head-symbol index *)
-  interned : bool;
-      (** explore on hash-consed nodes: id-keyed dedup, O(1) canonical
-          keys, physical-identity fast paths in matching.  Same outcome as
-          the legacy engine; only the per-state costs change. *)
   cost_cache : Cost.cache option;
       (** [None] uses a cache shared by every exploration *)
-  hc_cost_cache : Cost.hc_cache option;
-      (** cache for the interned engine; [None] shares one likewise *)
   sample_db : (string * Value.t) list;  (** database used for costing *)
   jobs : int;
-      (** domains exploring each BFS level; 1 = the sequential engine,
+      (** domains exploring each BFS level; 1 = inline, no pool,
           0 = [Domain.recommended_domain_count ()] *)
   deadline : float option;
       (** wall-clock budget in seconds on the monotonic clock; when it
@@ -77,10 +67,7 @@ let default_config =
     max_depth = 6;
     max_states = 400;
     max_positions = 64;
-    indexed = true;
-    interned = true;
     cost_cache = None;
-    hc_cost_cache = None;
     sample_db = Datagen.Store.db (Datagen.Store.tiny ());
     jobs = 1;
     deadline = None;
@@ -114,437 +101,29 @@ let pool_for jobs =
     Hashtbl.add pools jobs pool;
     pool
 
+(* [jobs = 1] stays pool-free: the fan-outs are plain inline maps. *)
+let pool_of config =
+  match resolved_jobs config with 1 -> None | jobs -> Some (pool_for jobs)
+
 (* The shared cost cache behind [cost_cache = None]: explorations of the
    same plans (re-runs, pipeline stages, reaches-then-explore) reuse each
    other's measurements.  It flushes itself when the database changes. *)
 let shared_cache = Cost.cache ()
-let shared_hc_cache = Cost.hc_cache ()
-
-(* Enumerate every single-firing successor of [q]: each rule at each
-   position.  Positions are enumerated with a skip counter: the strategy
-   fires only at the k-th matching position, for k = 0, 1, ... until no
-   position is left or [max_positions] is reached — in which case
-   [truncated] is set so callers never mistake a cap for exhaustion.  With
-   [~indexed:true], rules whose pattern head occurs nowhere in the term are
-   skipped without walking it. *)
-let successors_report ?schema ~max_positions ~truncated ~indexed
-    (rules : Rewrite.Rule.t list) (q : Term.query) :
-    (string * Term.query) list =
-  let keep =
-    if indexed then
-      let presence = Rewrite.Index.presence_of_query q in
-      Rewrite.Index.may_fire presence
-    else fun _ -> true
-  in
-  let fun_rules, query_rules =
-    List.partition
-      (fun r ->
-        match r.Rewrite.Rule.body with
-        | Rewrite.Rule.Fun_rule _ | Rewrite.Rule.Pred_rule _ -> true
-        | Rewrite.Rule.Query_rule _ -> false)
-      rules
-  in
-  let from_query_rules =
-    List.filter_map
-      (fun r ->
-        let res =
-          Option.map
-            (fun q' -> (r.Rewrite.Rule.name, q'))
-            (Rewrite.Rule.apply_query ?schema r q)
-        in
-        note_rule_successors r.Rewrite.Rule.name
-          (if res = None then 0 else 1);
-        res)
-      query_rules
-  in
-  let at_kth r k =
-    Telemetry.count "search.positions";
-    let remaining = ref k in
-    let s tgt =
-      match Rewrite.Strategy.of_rule ?schema r tgt with
-      | Some t ->
-        if !remaining = 0 then Some t
-        else begin
-          decr remaining;
-          None
-        end
-      | None -> None
-    in
-    Option.map
-      (fun body -> { q with Term.body })
-      (Rewrite.Strategy.apply_func (Rewrite.Strategy.once_topdown s) q.Term.body)
-  in
-  let from_fun_rules =
-    List.concat_map
-      (fun r ->
-        if not (keep r) then []
-        else
-          let rec collect k acc =
-            if k >= max_positions then begin
-              if Option.is_some (at_kth r k) then begin
-                truncated := true;
-                if Telemetry.enabled () then
-                  Telemetry.instant
-                    ~args:[ ("rule", r.Rewrite.Rule.name) ]
-                    "search.truncated"
-              end;
-              List.rev acc
-            end
-            else
-              match at_kth r k with
-              | Some q' -> collect (k + 1) ((r.Rewrite.Rule.name, q') :: acc)
-              | None -> List.rev acc
-          in
-          let found = collect 0 [] in
-          note_rule_successors r.Rewrite.Rule.name (List.length found);
-          found)
-      fun_rules
-  in
-  from_query_rules @ from_fun_rules
-
-let successors ?schema ?(max_positions = 64) (rules : Rewrite.Rule.t list)
-    (q : Term.query) : (string * Term.query) list =
-  successors_report ?schema ~max_positions ~truncated:(ref false)
-    ~indexed:true rules q
-
-type state = {
-  query : Term.query;
-  path : string list;  (** rules fired, outermost-first *)
-  cost : float;
-}
-
-type outcome = {
-  best : state;
-  explored : int;       (** states expanded *)
-  stop : stop_reason;
-      (** why the search returned: [Exhausted] (whole space within depth
-          covered), [Budget] (state budget or position cap), or
-          [Deadline] (wall-clock deadline expired) *)
-  frontier_exhausted : bool;
-      (** [stop = Exhausted], kept for existing callers: neither the
-          state budget, the position cap, nor a deadline truncated
-          anything *)
-  cache_hits : int;     (** cost-cache hits during this exploration *)
-  cache_misses : int;
-  cache_evictions : int;
-      (** cost-cache entries evicted by capacity sweeps during this
-          exploration *)
-  seen_states : int;    (** distinct states (dedup classes) recorded *)
-  intern_hits : int;    (** intern-table hits during this exploration *)
-  intern_misses : int;  (** nodes freshly interned during this exploration *)
-  sharing_ratio : float;
-      (** [intern_hits / (intern_hits + intern_misses)] — the fraction of
-          node constructions answered by an existing node; [0.] on the
-          legacy engine, which interns nothing *)
-  saturation : Saturate.stats option;
-      (** e-graph statistics when [engine = Egraph]; [None] under BFS *)
-}
-
-(* Pretty-printed canonical form — the legacy dedup key, kept for
-   diagnostics and for the equivalence property tests against
-   [Term.Canonical]. *)
-let canonical q =
-  Pretty.query_to_string
-    { q with Term.body = Term.reassoc_func q.Term.body }
 
 let cache_of config =
   match config.cost_cache with Some c -> c | None -> shared_cache
 
-let cost_of ~cache ~db q = Cost.weighted_memo cache ~db q
-
-(* [deadline_check config] returns a zero-argument predicate that turns
-   true once the configured deadline has expired.  With no deadline the
-   predicate is a constant — the hot loops pay nothing. *)
-let deadline_check config =
-  match config.deadline with
-  | None -> fun () -> false
-  | Some d ->
-    let t1 = Telemetry.now () +. d in
-    fun () -> Telemetry.now () >= t1
-
-(* Fold the three exhaustion signals into the reported stop reason.
-   Deadline wins: a search cut short by the clock may also look
-   budget-truncated, but the actionable cause is the deadline. *)
-let stop_of ~hit_deadline ~exhausted =
-  if hit_deadline then Deadline else if exhausted then Exhausted else Budget
-
-(* Internal search states carry their path cons-reversed (innermost rule
-   first); reversing once at the end avoids the quadratic [path @ [name]]
-   accumulation in the BFS loop. *)
-type istate = { iquery : Term.query; rev_path : string list; icost : float }
-
-let outcome_record ?saturation ~query ~rev_path ~cost ~expanded ~stop
-    ~(cstats0 : Cost.stats) ~(cstats1 : Cost.stats) ~seen_states ~intern_hits
-    ~intern_misses () =
-  let total = intern_hits + intern_misses in
-  {
-    best = { query; path = List.rev rev_path; cost };
-    explored = expanded;
-    stop;
-    frontier_exhausted = stop = Exhausted;
-    cache_hits = cstats1.Cost.hits - cstats0.Cost.hits;
-    cache_misses = cstats1.Cost.misses - cstats0.Cost.misses;
-    cache_evictions = cstats1.Cost.evictions - cstats0.Cost.evictions;
-    seen_states;
-    intern_hits;
-    intern_misses;
-    sharing_ratio =
-      (if total = 0 then 0.
-       else float_of_int intern_hits /. float_of_int total);
-    saturation;
-  }
-
-let outcome_of ~cache ~(stats0 : Cost.stats) ~seen_states ~best ~expanded
-    ~stop =
-  outcome_record ~query:best.iquery ~rev_path:best.rev_path ~cost:best.icost
-    ~expanded ~stop ~cstats0:stats0 ~cstats1:(Cost.cache_stats cache)
-    ~seen_states ~intern_hits:0 ~intern_misses:0 ()
-
-(* Bounded BFS with global dedup; returns the cheapest state seen.  The
-   sequential engine — the measured baseline the parallel engine must
-   reproduce bit-for-bit. *)
-let explore_seq ~config (q : Term.query) : outcome =
-  let seen = Term.Canonical.Table.create 256 in
-  let db = config.sample_db in
-  let cache = cache_of config in
-  let stats0 = Cost.cache_stats cache in
-  let truncated = ref false in
-  let over = deadline_check config in
-  let hit_deadline = ref false in
-  let start = { iquery = q; rev_path = []; icost = cost_of ~cache ~db q } in
-  Term.Canonical.Table.replace seen (Term.Canonical.of_query q) ();
-  let best = ref start in
-  let expanded = ref 0 in
-  let exhausted = ref true in
-  let rec level states depth =
-    if depth >= config.max_depth || states = [] || !hit_deadline then ()
-    else begin
-      if Telemetry.enabled () then
-        Telemetry.instant
-          ~args:
-            [
-              ("depth", string_of_int depth);
-              ("frontier", string_of_int (List.length states));
-            ]
-          "search.level";
-      let next = ref [] in
-      List.iter
-        (fun st ->
-          if !hit_deadline then ()
-          else if over () then hit_deadline := true
-          else if !expanded >= config.max_states then exhausted := false
-          else begin
-            incr expanded;
-            List.iter
-              (fun (rule_name, q') ->
-                let key = Term.Canonical.of_query q' in
-                if Term.Canonical.Table.mem seen key then
-                  Telemetry.count "search.dedup_hit"
-                else begin
-                  Term.Canonical.Table.replace seen key ();
-                  let st' =
-                    {
-                      iquery = q';
-                      rev_path = rule_name :: st.rev_path;
-                      icost = cost_of ~cache ~db q';
-                    }
-                  in
-                  if st'.icost < !best.icost then best := st';
-                  next := st' :: !next
-                end)
-              (successors_report ~max_positions:config.max_positions
-                 ~truncated ~indexed:config.indexed config.rules st.iquery)
-          end)
-        states;
-      level (List.rev !next) (depth + 1)
-    end
-  in
-  level [ start ] 0;
-  if !truncated then exhausted := false;
-  outcome_of ~cache ~stats0
-    ~seen_states:(Term.Canonical.Table.length seen)
-    ~best:!best ~expanded:!expanded
-    ~stop:(stop_of ~hit_deadline:!hit_deadline ~exhausted:!exhausted)
-
-(* ------------------------------------------------------------------ *)
-(* Level-synchronous parallel BFS.
-
-   Each level runs in three phases:
-
-   1. fan-out — successor enumeration plus canonical-key computation for
-      every state of the level, across the pool's domains.  The [seen]
-      table is read-only during this phase (concurrent [mem] probes of an
-      unmutated Hashtbl are safe), so successors already reached at an
-      earlier depth are filtered out in parallel;
-   2. merge — a sequential walk over the worker results in stable item
-      order, deduplicating intra-level collisions exactly as the
-      sequential loop would: the first occurrence in item order wins and
-      records its path.  This is the only place [seen] is mutated;
-   3. costing — [Cost.weighted_memo_batch] probes the cache sequentially,
-      evaluates the misses across the pool, and inserts the results in
-      item order, so the cache too is never mutated concurrently.
-
-   Because every merge walks results in the order their states were
-   enqueued, [best] (ties broken by first discovery), [path], [explored],
-   and [frontier_exhausted] are independent of the domain count and of
-   scheduling.  Cost-cache hit/miss totals also agree with the sequential
-   engine except in one corner: a capacity sweep triggered mid-level can
-   evict a key the sequential interleaving would still have hit (or vice
-   versa).  That changes accounting only, never costs or outcomes. *)
-
-(* Take the first [n] elements (the level's budget slice). *)
-let rec take_n n = function
-  | x :: rest when n > 0 -> x :: take_n (n - 1) rest
-  | _ -> []
-
-(* Fan a map out across the pool, unless the batch is too small for the
-   wake-up latency to pay for itself.  Purely a scheduling choice: the
-   result is [Array.map f arr] either way. *)
-let pool_map pool f arr =
-  if Array.length arr < 2 * Pool.size pool then Array.map f arr
-  else Pool.map pool f arr
-
-let explore_par ~pool ~config (q : Term.query) : outcome =
-  let seen = Term.Canonical.Table.create 256 in
-  let db = config.sample_db in
-  let cache = cache_of config in
-  let stats0 = Cost.cache_stats cache in
-  let truncated = ref false in
-  let over = deadline_check config in
-  let hit_deadline = ref false in
-  let start = { iquery = q; rev_path = []; icost = cost_of ~cache ~db q } in
-  Term.Canonical.Table.replace seen (Term.Canonical.of_query q) ();
-  let best = ref start in
-  let expanded = ref 0 in
-  let exhausted = ref true in
-  let expand st =
-    let tr = ref false in
-    let succs =
-      successors_report ~max_positions:config.max_positions ~truncated:tr
-        ~indexed:config.indexed config.rules st.iquery
-    in
-    let fresh =
-      List.filter_map
-        (fun (rule_name, q') ->
-          let key = Term.Canonical.of_query q' in
-          if Term.Canonical.Table.mem seen key then begin
-            Telemetry.count "search.dedup_hit";
-            None
-          end
-          else Some (rule_name, q', key))
-        succs
-    in
-    (fresh, !tr)
-  in
-  (* The deadline is checked once per level, between the synchronous
-     phases: mid-level interruption would make the merged frontier depend
-     on timing, breaking the bit-identical-outcome contract across jobs
-     counts for everything except the deadline case itself. *)
-  let rec level states depth =
-    if depth >= config.max_depth || states = [] then ()
-    else if over () then hit_deadline := true
-    else begin
-      let n = List.length states in
-      if Telemetry.enabled () then
-        Telemetry.instant
-          ~args:
-            [
-              ("depth", string_of_int depth); ("frontier", string_of_int n);
-            ]
-          "search.level";
-      let take = min (config.max_states - !expanded) n in
-      if take < n then exhausted := false;
-      if take > 0 then begin
-        let batch = Array.of_list (take_n take states) in
-        (* phase 1: fan out enumeration and key computation *)
-        let results = pool_map pool expand batch in
-        expanded := !expanded + take;
-        (* phase 2: stable-order merge; the only writer of [seen] *)
-        let fresh = ref [] in
-        Array.iteri
-          (fun i (succs, tr) ->
-            if tr then truncated := true;
-            let parent = batch.(i) in
-            List.iter
-              (fun (rule_name, q', key) ->
-                if Term.Canonical.Table.mem seen key then
-                  Telemetry.count "search.dedup_hit"
-                else begin
-                  Term.Canonical.Table.replace seen key ();
-                  fresh := (parent, rule_name, q', key) :: !fresh
-                end)
-              succs)
-          results;
-        let fresh = Array.of_list (List.rev !fresh) in
-        (* phase 3: batch costing; misses evaluate across the pool *)
-        let costs =
-          Cost.weighted_memo_batch cache ~db
-            ~map:(fun f arr -> pool_map pool f arr)
-            (Array.map (fun (_, _, q', key) -> (key, q')) fresh)
-        in
-        let next = ref [] in
-        Array.iteri
-          (fun i (parent, rule_name, q', _) ->
-            let st' =
-              {
-                iquery = q';
-                rev_path = rule_name :: parent.rev_path;
-                icost = costs.(i);
-              }
-            in
-            if st'.icost < !best.icost then best := st';
-            next := st' :: !next)
-          fresh;
-        level (List.rev !next) (depth + 1)
-      end
-    end
-  in
-  level [ start ] 0;
-  if !truncated then exhausted := false;
-  outcome_of ~cache ~stats0
-    ~seen_states:(Term.Canonical.Table.length seen)
-    ~best:!best ~expanded:!expanded
-    ~stop:(stop_of ~hit_deadline:!hit_deadline ~exhausted:!exhausted)
-
-(* ------------------------------------------------------------------ *)
-(* Interned exploration: the same BFS on hash-consed nodes.
-
-   What changes per state: dedup keys are [Term.Hc.query_key] — two field
-   reads after a memoized canonicalization — probed in an int-pair-keyed
-   table; costing goes through the id-keyed {!Cost.hc_cache}; matching and
-   substitution run on interned nodes with physical-identity fast paths.
-   What does not change: rule-try order, traversal order, position
-   enumeration, and the dedup partition (query keys identify interned
-   queries exactly when their canonical plain forms are equal), so [best],
-   [path], [explored] and [frontier_exhausted] coincide with the legacy
-   engine at every [jobs] setting.
-
-   The intern tables are global and striped, so the parallel phases may
-   intern concurrently; ids may differ run to run under [jobs > 1] but are
-   only ever used as opaque identity keys. *)
-
-let hc_cache_of config =
-  match config.hc_cost_cache with Some c -> c | None -> shared_hc_cache
-
-type histate = {
-  ihq : Term.Hc.hquery;
-  hrev_path : string list;
-  hcost : float;
-}
-
-(* Interned successor enumeration, mirroring [successors_report]
-   line-for-line: query rules first (catalog order), then function and
-   predicate rules with the k-th-position skip counter; [keep] prunes
-   through the body's head bitmask instead of a presence walk. *)
-let successors_hc_report ?schema ~max_positions ~truncated ~indexed
-    (rules : Rewrite.Rule.t list) (hq : Term.Hc.hquery) :
-    (string * Term.Hc.hquery) list =
-  let keep =
-    if indexed then
-      let mask = hq.Term.Hc.hbody.Term.Hc.fheads in
-      Rewrite.Index.mask_may_fire mask
-    else fun _ -> true
-  in
+(* Enumerate every single-firing successor of [hq]: each rule at each
+   position.  Query rules come first (catalog order), then function and
+   predicate rules.  Positions are enumerated with a skip counter: the
+   strategy fires only at the k-th matching position, for k = 0, 1, ...
+   until no position is left or [max_positions] is reached — in which case
+   [truncated] is set so callers never mistake a cap for exhaustion.
+   Rules whose pattern head occurs nowhere in the body are skipped through
+   its head bitmask, and the traversal skips every subtree whose mask
+   lacks the rule's head. *)
+let enumerate ?schema ~max_positions ~truncated (rules : Rewrite.Rule.t list)
+    (hq : Term.Hc.hquery) : (string * Term.Hc.hquery) list =
   let fun_rules, query_rules =
     List.partition
       (fun r ->
@@ -585,10 +164,11 @@ let successors_hc_report ?schema ~max_positions ~truncated ~indexed
          (Rewrite.Strategy.H.once_topdown_masked ~mask:rmask s)
          hq.Term.Hc.hbody)
   in
+  let mask = hq.Term.Hc.hbody.Term.Hc.fheads in
   let from_fun_rules =
     List.concat_map
       (fun r ->
-        if not (keep r) then []
+        if not (Rewrite.Index.mask_may_fire mask r) then []
         else
           let rmask = Rewrite.Index.rule_head_mask r in
           let rec collect k acc =
@@ -614,137 +194,213 @@ let successors_hc_report ?schema ~max_positions ~truncated ~indexed
   in
   from_query_rules @ from_fun_rules
 
-let successors_hc ?schema ?(max_positions = 64) (rules : Rewrite.Rule.t list)
-    (hq : Term.Hc.hquery) : (string * Term.Hc.hquery) list =
-  successors_hc_report ?schema ~max_positions ~truncated:(ref false)
-    ~indexed:true rules hq
+let successors ?schema ?(max_positions = 64) (rules : Rewrite.Rule.t list)
+    (q : Term.query) : (string * Term.query) list =
+  List.map
+    (fun (name, hq) -> (name, Term.Hc.to_query hq))
+    (enumerate ?schema ~max_positions ~truncated:(ref false) rules
+       (Term.Hc.of_query q))
 
-let outcome_of_hc ?saturation ~cache ~(stats0 : Cost.stats)
-    ~(istats0 : Kola.Hashcons.stats) ~seen_states ~best ~expanded ~stop
-    () =
+type state = {
+  query : Term.query;
+  path : string list;  (** rules fired, outermost-first *)
+  cost : float;
+}
+
+type outcome = {
+  best : state;
+  explored : int;       (** states expanded *)
+  stop : stop_reason;
+      (** why the search returned: [Exhausted] (whole space within depth
+          covered), [Budget] (state budget or position cap), or
+          [Deadline] (wall-clock deadline expired) *)
+  frontier_exhausted : bool;
+      (** [stop = Exhausted], kept for existing callers: neither the
+          state budget, the position cap, nor a deadline truncated
+          anything *)
+  cache_hits : int;     (** cost-cache hits during this exploration *)
+  cache_misses : int;
+  cache_evictions : int;
+      (** cost-cache entries evicted by capacity sweeps during this
+          exploration *)
+  seen_states : int;    (** distinct states (dedup classes) recorded *)
+  intern_hits : int;    (** intern-table hits during this exploration *)
+  intern_misses : int;  (** nodes freshly interned during this exploration *)
+  sharing_ratio : float;
+      (** [intern_hits / (intern_hits + intern_misses)] — the fraction of
+          node constructions answered by an existing node *)
+  saturation : Saturate.stats option;
+      (** e-graph statistics when [engine = Egraph]; [None] under BFS *)
+}
+
+(* Pretty-printed canonical form, kept for diagnostics and for the
+   equivalence property tests against [Term.Canonical]. *)
+let canonical q =
+  Pretty.query_to_string
+    { q with Term.body = Term.reassoc_func q.Term.body }
+
+(* [deadline_check config] returns a zero-argument predicate that turns
+   true once the configured deadline has expired.  With no deadline the
+   predicate is a constant — the hot loops pay nothing. *)
+let deadline_check config =
+  match config.deadline with
+  | None -> fun () -> false
+  | Some d ->
+    let t1 = Telemetry.now () +. d in
+    fun () -> Telemetry.now () >= t1
+
+(* Fold the three exhaustion signals into the reported stop reason.
+   Deadline wins: a search cut short by the clock may also look
+   budget-truncated, but the actionable cause is the deadline. *)
+let stop_of ~hit_deadline ~exhausted =
+  if hit_deadline then Deadline else if exhausted then Exhausted else Budget
+
+(* Internal search states carry their path cons-reversed (innermost rule
+   first); reversing once at the end avoids the quadratic [path @ [name]]
+   accumulation in the BFS loop. *)
+type istate = { ihq : Term.Hc.hquery; rev_path : string list; icost : float }
+
+(* Turn the winner into an outcome; cost-cache and intern counters are
+   reported as deltas against the snapshots taken when the search began. *)
+let outcome_of ?saturation ~cache ~(cstats0 : Cost.stats)
+    ~(istats0 : Hashcons.stats) ~seen_states ~best ~expanded ~stop () =
+  let cstats1 = Cost.cache_stats cache in
   let istats1 = Term.Hc.intern_counters () in
-  outcome_record ?saturation ~query:(Term.Hc.to_query best.ihq)
-    ~rev_path:best.hrev_path
-    ~cost:best.hcost ~expanded ~stop ~cstats0:stats0
-    ~cstats1:(Cost.hc_cache_stats cache) ~seen_states
-    ~intern_hits:(istats1.Kola.Hashcons.hits - istats0.Kola.Hashcons.hits)
-    ~intern_misses:
-      (istats1.Kola.Hashcons.misses - istats0.Kola.Hashcons.misses)
-    ()
+  let intern_hits = istats1.Hashcons.hits - istats0.Hashcons.hits
+  and intern_misses = istats1.Hashcons.misses - istats0.Hashcons.misses in
+  let total = intern_hits + intern_misses in
+  {
+    best =
+      {
+        query = Term.Hc.to_query best.ihq;
+        path = List.rev best.rev_path;
+        cost = best.icost;
+      };
+    explored = expanded;
+    stop;
+    frontier_exhausted = stop = Exhausted;
+    cache_hits = cstats1.Cost.hits - cstats0.Cost.hits;
+    cache_misses = cstats1.Cost.misses - cstats0.Cost.misses;
+    cache_evictions = cstats1.Cost.evictions - cstats0.Cost.evictions;
+    seen_states;
+    intern_hits;
+    intern_misses;
+    sharing_ratio =
+      (if total = 0 then 0.
+       else float_of_int intern_hits /. float_of_int total);
+    saturation;
+  }
 
-let explore_hc_seq ~config (q : Term.query) : outcome =
-  let seen = Term.Hc.Qtable.create 256 in
+(* ------------------------------------------------------------------ *)
+(* Level-synchronous BFS.
+
+   Each level runs in three phases:
+
+   1. fan-out — successor enumeration plus query-key computation for
+      every state of the level.  The [seen] table is read-only during this
+      phase (concurrent [mem] probes of an unmutated Hashtbl are safe), so
+      successors already reached at an earlier depth are filtered out in
+      place; the intern tables are striped, so workers may intern
+      concurrently (ids may differ run to run but are only ever opaque
+      identity keys);
+   2. merge — a sequential walk over the results in stable item order,
+      deduplicating intra-level collisions: the first occurrence in item
+      order wins and records its path.  This is the only place [seen] is
+      mutated;
+   3. costing — [Cost.weighted_memo_batch] probes the cache sequentially,
+      evaluates the misses through the same map, and inserts the results
+      in item order, so the cache is never mutated concurrently either.
+
+   At [jobs = 1] there is no pool and the phases run per state rather
+   than per level, in the same item order.  Because every merge walks
+   results in the order their states were enqueued, [best] (ties broken
+   by first discovery), [path], [explored], and [frontier_exhausted] are
+   independent of the domain count and of scheduling.  Cost-cache hit/miss totals can only shift when a capacity
+   sweep lands mid-level; that changes accounting, never costs or
+   outcomes. *)
+
+(* Take the first [n] elements (the level's budget slice). *)
+let rec take_n n = function
+  | x :: rest when n > 0 -> x :: take_n (n - 1) rest
+  | _ -> []
+
+(* Fan a map out across the pool, unless the batch is too small for the
+   wake-up latency to pay for itself.  Purely a scheduling choice: the
+   result is [Array.map f arr] either way. *)
+let pool_map pool f arr =
+  match pool with
+  | Some pool when Array.length arr >= 2 * Pool.size pool -> Pool.map pool f arr
+  | _ -> Array.map f arr
+
+(* Phases 1 and 2 with the deadline contract: expand every state of
+   [batch] and hand each result to [merge] in item order; [merge] returns
+   [false] to end the level early.  Without a pool each state is expanded
+   and merged in turn, so a level is never held in memory whole, and the
+   deadline is polled before each expansion; with a pool it is polled
+   once per level — mid-level interruption would make the merged frontier
+   depend on timing — and the whole level is expanded before the merge.
+   Returns the number of states expanded. *)
+let expand_level ~pool ~over ~hit_deadline ~expand ~merge batch =
+  let n = Array.length batch in
+  match pool with
+  | None ->
+    let rec go i =
+      if i = n then n
+      else if over () then begin
+        hit_deadline := true;
+        i
+      end
+      else if merge batch.(i) (expand batch.(i)) then go (i + 1)
+      else i + 1
+    in
+    go 0
+  | Some _ when over () ->
+    hit_deadline := true;
+    0
+  | Some _ ->
+    let results = pool_map pool expand batch in
+    let rec go i = if i < n && merge batch.(i) results.(i) then go (i + 1) in
+    go 0;
+    n
+
+(* Enumerate the successors of [hq] not yet recorded in [seen], each with
+   its query key; the flag reports position-cap truncation. *)
+let fresh_successors ~config ~seen hq =
+  let truncated = ref false in
+  let fresh =
+    List.filter_map
+      (fun (rule_name, hq') ->
+        let key = Term.Hc.query_key hq' in
+        if Term.Hc.Qtable.mem seen key then begin
+          Telemetry.count "search.dedup_hit";
+          None
+        end
+        else Some (rule_name, hq', key))
+      (enumerate ~max_positions:config.max_positions ~truncated config.rules
+         hq)
+  in
+  (fresh, !truncated)
+
+let explore_bfs ~config (q : Term.query) : outcome =
   let db = config.sample_db in
-  let cache = hc_cache_of config in
+  let cache = cache_of config in
+  let pool = pool_of config in
+  let cstats0 = Cost.cache_stats cache in
   let istats0 = Term.Hc.intern_counters () in
-  let stats0 = Cost.hc_cache_stats cache in
+  let seen = Term.Hc.Qtable.create 256 in
   let truncated = ref false in
   let over = deadline_check config in
   let hit_deadline = ref false in
   let hq0 = Term.Hc.of_query q in
-  let start =
-    { ihq = hq0; hrev_path = []; hcost = Cost.weighted_memo_hc cache ~db hq0 }
-  in
   Term.Hc.Qtable.replace seen (Term.Hc.query_key hq0) ();
-  let best = ref start in
+  let best =
+    ref { ihq = hq0; rev_path = []; icost = Cost.weighted_memo cache ~db hq0 }
+  in
   let expanded = ref 0 in
   let exhausted = ref true in
+  let expand st = fresh_successors ~config ~seen st.ihq in
   let rec level states depth =
-    if depth >= config.max_depth || states = [] || !hit_deadline then ()
-    else begin
-      if Telemetry.enabled () then
-        Telemetry.instant
-          ~args:
-            [
-              ("depth", string_of_int depth);
-              ("frontier", string_of_int (List.length states));
-            ]
-          "search.level";
-      let next = ref [] in
-      List.iter
-        (fun st ->
-          if !hit_deadline then ()
-          else if over () then hit_deadline := true
-          else if !expanded >= config.max_states then exhausted := false
-          else begin
-            incr expanded;
-            List.iter
-              (fun (rule_name, hq') ->
-                let key = Term.Hc.query_key hq' in
-                if Term.Hc.Qtable.mem seen key then
-                  Telemetry.count "search.dedup_hit"
-                else begin
-                  Term.Hc.Qtable.replace seen key ();
-                  let st' =
-                    {
-                      ihq = hq';
-                      hrev_path = rule_name :: st.hrev_path;
-                      hcost = Cost.weighted_memo_hc cache ~db hq';
-                    }
-                  in
-                  if st'.hcost < !best.hcost then best := st';
-                  next := st' :: !next
-                end)
-              (successors_hc_report ~max_positions:config.max_positions
-                 ~truncated ~indexed:config.indexed config.rules st.ihq)
-          end)
-        states;
-      level (List.rev !next) (depth + 1)
-    end
-  in
-  level [ start ] 0;
-  if !truncated then exhausted := false;
-  outcome_of_hc ~cache ~stats0 ~istats0
-    ~seen_states:(Term.Hc.Qtable.length seen)
-    ~best:!best ~expanded:!expanded
-    ~stop:(stop_of ~hit_deadline:!hit_deadline ~exhausted:!exhausted) ()
-
-(* Parallel interned exploration: the same three phases as [explore_par].
-   Phase 1 interns concurrently (the tables are striped) and probes [seen]
-   read-only; phase 2 is the only writer of [seen], walking results in
-   stable item order; phase 3 batches costing through the id-keyed cache,
-   evaluating misses across the pool. *)
-let explore_hc_par ~pool ~config (q : Term.query) : outcome =
-  let seen = Term.Hc.Qtable.create 256 in
-  let db = config.sample_db in
-  let cache = hc_cache_of config in
-  let istats0 = Term.Hc.intern_counters () in
-  let stats0 = Cost.hc_cache_stats cache in
-  let truncated = ref false in
-  let over = deadline_check config in
-  let hit_deadline = ref false in
-  let hq0 = Term.Hc.of_query q in
-  let start =
-    { ihq = hq0; hrev_path = []; hcost = Cost.weighted_memo_hc cache ~db hq0 }
-  in
-  Term.Hc.Qtable.replace seen (Term.Hc.query_key hq0) ();
-  let best = ref start in
-  let expanded = ref 0 in
-  let exhausted = ref true in
-  let expand st =
-    let tr = ref false in
-    let succs =
-      successors_hc_report ~max_positions:config.max_positions ~truncated:tr
-        ~indexed:config.indexed config.rules st.ihq
-    in
-    let fresh =
-      List.filter_map
-        (fun (rule_name, hq') ->
-          let key = Term.Hc.query_key hq' in
-          if Term.Hc.Qtable.mem seen key then begin
-            Telemetry.count "search.dedup_hit";
-            None
-          end
-          else Some (rule_name, hq', key))
-        succs
-    in
-    (fresh, !tr)
-  in
-  (* Deadline checked between levels only — see [explore_par]. *)
-  let rec level states depth =
-    if depth >= config.max_depth || states = [] then ()
-    else if over () then hit_deadline := true
-    else begin
+    if depth < config.max_depth && states <> [] && not !hit_deadline then begin
       let n = List.length states in
       if Telemetry.enabled () then
         Telemetry.instant
@@ -756,53 +412,60 @@ let explore_hc_par ~pool ~config (q : Term.query) : outcome =
       let take = min (config.max_states - !expanded) n in
       if take < n then exhausted := false;
       if take > 0 then begin
-        let batch = Array.of_list (take_n take states) in
-        (* phase 1: fan out enumeration and key computation *)
-        let results = pool_map pool expand batch in
-        expanded := !expanded + take;
-        (* phase 2: stable-order merge; the only writer of [seen] *)
-        let fresh = ref [] in
-        Array.iteri
-          (fun i (succs, tr) ->
-            if tr then truncated := true;
-            let parent = batch.(i) in
-            List.iter
-              (fun (rule_name, hq', key) ->
-                if Term.Hc.Qtable.mem seen key then
-                  Telemetry.count "search.dedup_hit"
-                else begin
-                  Term.Hc.Qtable.replace seen key ();
-                  fresh := (parent, rule_name, hq', key) :: !fresh
-                end)
-              succs)
-          results;
-        let fresh = Array.of_list (List.rev !fresh) in
-        (* phase 3: batch costing; misses evaluate across the pool *)
-        let costs =
-          Cost.weighted_memo_hc_batch cache ~db
-            ~map:(fun f arr -> pool_map pool f arr)
-            (Array.map (fun (_, _, hq', key) -> (key, hq')) fresh)
+        (* phase 3: batch costing of the states merged since the last
+           call; misses evaluate through the same map *)
+        let pending = ref [] and next = ref [] in
+        let cost_pending () =
+          let fresh = Array.of_list (List.rev !pending) in
+          pending := [];
+          let costs =
+            Cost.weighted_memo_batch cache ~db ~map:(pool_map pool)
+              (Array.map (fun (_, _, hq', key) -> (key, hq')) fresh)
+          in
+          Array.iteri
+            (fun i (parent, rule_name, hq', _) ->
+              let st =
+                {
+                  ihq = hq';
+                  rev_path = rule_name :: parent.rev_path;
+                  icost = costs.(i);
+                }
+              in
+              if st.icost < !best.icost then best := st;
+              next := st :: !next)
+            fresh
         in
-        let next = ref [] in
-        Array.iteri
-          (fun i (parent, rule_name, hq', _) ->
-            let st' =
-              {
-                ihq = hq';
-                hrev_path = rule_name :: parent.hrev_path;
-                hcost = costs.(i);
-              }
-            in
-            if st'.hcost < !best.hcost then best := st';
-            next := st' :: !next)
-          fresh;
+        (* phases 1 and 2: enumeration and key computation, then the
+           stable-order merge — the only writer of [seen].  Inline, each
+           state's successors are costed as soon as they are merged:
+           interleaving evaluation with enumeration keeps the peak heap
+           at that of a one-state-at-a-time loop. *)
+        let merge parent (succs, tr) =
+          if tr then truncated := true;
+          List.iter
+            (fun (rule_name, hq', key) ->
+              if Term.Hc.Qtable.mem seen key then
+                Telemetry.count "search.dedup_hit"
+              else begin
+                Term.Hc.Qtable.replace seen key ();
+                pending := (parent, rule_name, hq', key) :: !pending
+              end)
+            succs;
+          if Option.is_none pool then cost_pending ();
+          true
+        in
+        expanded :=
+          !expanded
+          + expand_level ~pool ~over ~hit_deadline ~expand ~merge
+              (Array.of_list (take_n take states));
+        cost_pending ();
         level (List.rev !next) (depth + 1)
       end
     end
   in
-  level [ start ] 0;
+  level [ !best ] 0;
   if !truncated then exhausted := false;
-  outcome_of_hc ~cache ~stats0 ~istats0
+  outcome_of ~cache ~cstats0 ~istats0
     ~seen_states:(Term.Hc.Qtable.length seen)
     ~best:!best ~expanded:!expanded
     ~stop:(stop_of ~hit_deadline:!hit_deadline ~exhausted:!exhausted) ()
@@ -833,22 +496,18 @@ let stop_of_saturation config = function
   | Saturate.Node_budget | Saturate.Iter_budget -> Budget
   | Saturate.Time_budget -> if config.deadline <> None then Deadline else Budget
 
-(* [jobs] threads into saturation as the e-matching pool; jobs = 1 stays
-   pool-free (the fan-out is a plain [Array.map]).  Saturation outcomes
-   are bit-identical at any jobs count — see the merge discipline in
-   {!Kola_egraph.Saturate}. *)
-let egraph_pool config =
-  match resolved_jobs config with 1 -> None | jobs -> Some (pool_for jobs)
-
+(* [jobs] threads into saturation as the e-matching pool.  Saturation
+   outcomes are bit-identical at any jobs count — see the merge
+   discipline in {!Kola_egraph.Saturate}. *)
 let explore_egraph ~config (q : Term.query) : outcome =
   let db = config.sample_db in
-  let cache = hc_cache_of config in
+  let cache = cache_of config in
+  let cstats0 = Cost.cache_stats cache in
   let istats0 = Term.Hc.intern_counters () in
-  let stats0 = Cost.hc_cache_stats cache in
   let hq0 = Term.Hc.of_query q in
   let sp =
     Saturate.saturate ~rules:config.rules ~budgets:(egraph_budgets_of config)
-      ?pool:(egraph_pool config) hq0
+      ?pool:(pool_of config) hq0
   in
   (* The extraction weights are a heuristic, so re-measure a front with
      the real cost model rather than trusting the single winner: the 2
@@ -859,14 +518,14 @@ let explore_egraph ~config (q : Term.query) : outcome =
   let measure_front best cands =
     List.fold_left
       (fun (bq, bc) hq ->
-        let c = Cost.weighted_memo_hc cache ~db hq in
+        let c = Cost.weighted_memo cache ~db hq in
         if c < bc then (hq, c) else (bq, bc))
       best cands
   in
   let front = Saturate.extraction_front ~k:2 sp in
   let best0 =
     measure_front
-      (hq0, Cost.weighted_memo_hc cache ~db hq0)
+      (hq0, Cost.weighted_memo cache ~db hq0)
       (List.filter_map Saturate.hquery_of_wterm front)
   in
   (* Measured-cost descent inside the e-graph: re-anchor the witness
@@ -902,9 +561,9 @@ let explore_egraph ~config (q : Term.query) : outcome =
     | None -> []
   in
   let stats = sp.Saturate.stats in
-  outcome_of_hc ~saturation:stats ~cache ~stats0 ~istats0
+  outcome_of ~saturation:stats ~cache ~cstats0 ~istats0
     ~seen_states:stats.Saturate.e_classes
-    ~best:{ ihq = best_hq; hrev_path = rev_path; hcost = best_cost }
+    ~best:{ ihq = best_hq; rev_path; icost = best_cost }
     ~expanded:stats.Saturate.e_nodes
     ~stop:(stop_of_saturation config stats.Saturate.stop)
     ()
@@ -912,12 +571,9 @@ let explore_egraph ~config (q : Term.query) : outcome =
 let explore ?(config = default_config) (q : Term.query) : outcome =
   Telemetry.span "search.explore" @@ fun () ->
   let outcome =
-    match (config.engine, config.interned, resolved_jobs config) with
-    | Egraph, _, _ -> explore_egraph ~config q
-    | Bfs, true, 1 -> explore_hc_seq ~config q
-    | Bfs, true, jobs -> explore_hc_par ~pool:(pool_for jobs) ~config q
-    | Bfs, false, 1 -> explore_seq ~config q
-    | Bfs, false, jobs -> explore_par ~pool:(pool_for jobs) ~config q
+    match config.engine with
+    | Egraph -> explore_egraph ~config q
+    | Bfs -> explore_bfs ~config q
   in
   if Telemetry.enabled () then
     Telemetry.instant
@@ -930,217 +586,55 @@ let explore ?(config = default_config) (q : Term.query) : outcome =
       "search.stop";
   outcome
 
-(* Was [target] reached (modulo associativity) within the budget? *)
-let reaches_seq ~config (q : Term.query) (target : Term.query) :
+(* Was [target] reached (modulo associativity) within the budget?  The
+   same level phasing as [explore_bfs], without costing.  The merge stops
+   at the first successor (in stable item order) whose key is the
+   target's — the same state and firing at every jobs count. *)
+let reaches_bfs ~config (q : Term.query) (target : Term.query) :
     string list option =
-  let found = ref None in
-  let seen = Term.Canonical.Table.create 256 in
-  let truncated = ref false in
-  let over = deadline_check config in
-  let target_key = Term.Canonical.of_query target in
-  let start_key = Term.Canonical.of_query q in
-  let expanded = ref 0 in
-  Term.Canonical.Table.replace seen start_key ();
-  if Term.Canonical.equal start_key target_key then Some []
-  else begin
-    let rec level states depth =
-      if depth >= config.max_depth || states = [] || !found <> None || over ()
-      then ()
-      else begin
-        let next = ref [] in
-        List.iter
-          (fun (q0, rev_path) ->
-            if !expanded < config.max_states && !found = None then begin
-              incr expanded;
-              List.iter
-                (fun (rule_name, q') ->
-                  let key = Term.Canonical.of_query q' in
-                  if not (Term.Canonical.Table.mem seen key) then begin
-                    Term.Canonical.Table.replace seen key ();
-                    let rev_path' = rule_name :: rev_path in
-                    if Term.Canonical.equal key target_key then
-                      found := Some (List.rev rev_path')
-                    else next := (q', rev_path') :: !next
-                  end)
-                (successors_report ~max_positions:config.max_positions
-                   ~truncated ~indexed:config.indexed config.rules q0)
-            end)
-          states;
-        level (List.rev !next) (depth + 1)
-      end
-    in
-    level [ (q, []) ] 0;
-    !found
-  end
-
-(* Parallel [reaches]: same fan-out/merge phasing as [explore_par], no
-   costing.  The merge stops at the first successor (in stable item
-   order) whose key equals the target's — the same state and firing the
-   sequential loop would have found first. *)
-let reaches_par ~pool ~config (q : Term.query) (target : Term.query) :
-    string list option =
-  let found = ref None in
-  let seen = Term.Canonical.Table.create 256 in
-  let over = deadline_check config in
-  let target_key = Term.Canonical.of_query target in
-  let start_key = Term.Canonical.of_query q in
-  let expanded = ref 0 in
-  Term.Canonical.Table.replace seen start_key ();
-  if Term.Canonical.equal start_key target_key then Some []
-  else begin
-    let expand (q0, _rev_path) =
-      let tr = ref false in
-      let succs =
-        successors_report ~max_positions:config.max_positions ~truncated:tr
-          ~indexed:config.indexed config.rules q0
-      in
-      List.filter_map
-        (fun (rule_name, q') ->
-          let key = Term.Canonical.of_query q' in
-          if Term.Canonical.Table.mem seen key then None
-          else Some (rule_name, q', key))
-        succs
-    in
-    let rec level states depth =
-      if
-        depth >= config.max_depth || states = [] || !found <> None || over ()
-      then ()
-      else begin
-        let n = List.length states in
-        let take = min (config.max_states - !expanded) n in
-        if take > 0 then begin
-          let batch = Array.of_list (take_n take states) in
-          let results = pool_map pool expand batch in
-          expanded := !expanded + take;
-          let next = ref [] in
-          (try
-             Array.iteri
-               (fun i succs ->
-                 let _, rev_path = batch.(i) in
-                 List.iter
-                   (fun (rule_name, q', key) ->
-                     if not (Term.Canonical.Table.mem seen key) then begin
-                       Term.Canonical.Table.replace seen key ();
-                       let rev_path' = rule_name :: rev_path in
-                       if Term.Canonical.equal key target_key then begin
-                         found := Some (List.rev rev_path');
-                         raise Exit
-                       end
-                       else next := (q', rev_path') :: !next
-                     end)
-                   succs)
-               results
-           with Exit -> ());
-          level (List.rev !next) (depth + 1)
-        end
-      end
-    in
-    level [ (q, []) ] 0;
-    !found
-  end
-
-(* Interned [reaches]: the same BFS with [Term.Hc.query_key] dedup and
-   target test.  Because query keys partition interned queries exactly as
-   canonical keys partition plain ones, the derivation found (and its
-   firing order) is the one the legacy loop finds. *)
-let reaches_hc_seq ~config (q : Term.query) (target : Term.query) :
-    string list option =
-  let found = ref None in
+  let pool = pool_of config in
   let seen = Term.Hc.Qtable.create 256 in
-  let truncated = ref false in
   let over = deadline_check config in
+  let hit_deadline = ref false in
   let target_key = Term.Hc.query_key (Term.Hc.of_query target) in
   let hq0 = Term.Hc.of_query q in
   let start_key = Term.Hc.query_key hq0 in
-  let expanded = ref 0 in
   Term.Hc.Qtable.replace seen start_key ();
   if start_key = target_key then Some []
   else begin
-    let rec level states depth =
-      if depth >= config.max_depth || states = [] || !found <> None || over ()
-      then ()
-      else begin
-        let next = ref [] in
-        List.iter
-          (fun (hq, rev_path) ->
-            if !expanded < config.max_states && !found = None then begin
-              incr expanded;
-              List.iter
-                (fun (rule_name, hq') ->
-                  let key = Term.Hc.query_key hq' in
-                  if not (Term.Hc.Qtable.mem seen key) then begin
-                    Term.Hc.Qtable.replace seen key ();
-                    let rev_path' = rule_name :: rev_path in
-                    if key = target_key then
-                      found := Some (List.rev rev_path')
-                    else next := (hq', rev_path') :: !next
-                  end)
-                (successors_hc_report ~max_positions:config.max_positions
-                   ~truncated ~indexed:config.indexed config.rules hq)
-            end)
-          states;
-        level (List.rev !next) (depth + 1)
-      end
-    in
-    level [ (hq0, []) ] 0;
-    !found
-  end
-
-let reaches_hc_par ~pool ~config (q : Term.query) (target : Term.query) :
-    string list option =
-  let found = ref None in
-  let seen = Term.Hc.Qtable.create 256 in
-  let over = deadline_check config in
-  let target_key = Term.Hc.query_key (Term.Hc.of_query target) in
-  let hq0 = Term.Hc.of_query q in
-  let start_key = Term.Hc.query_key hq0 in
-  let expanded = ref 0 in
-  Term.Hc.Qtable.replace seen start_key ();
-  if start_key = target_key then Some []
-  else begin
-    let expand (hq, _rev_path) =
-      let tr = ref false in
-      let succs =
-        successors_hc_report ~max_positions:config.max_positions ~truncated:tr
-          ~indexed:config.indexed config.rules hq
-      in
-      List.filter_map
-        (fun (rule_name, hq') ->
-          let key = Term.Hc.query_key hq' in
-          if Term.Hc.Qtable.mem seen key then None
-          else Some (rule_name, hq', key))
-        succs
-    in
+    let found = ref None in
+    let expanded = ref 0 in
+    let expand (hq, _rev_path) = fst (fresh_successors ~config ~seen hq) in
     let rec level states depth =
       if
-        depth >= config.max_depth || states = [] || !found <> None || over ()
-      then ()
-      else begin
-        let n = List.length states in
-        let take = min (config.max_states - !expanded) n in
+        depth < config.max_depth && states <> [] && !found = None
+        && not !hit_deadline
+      then begin
+        let take = min (config.max_states - !expanded) (List.length states) in
         if take > 0 then begin
-          let batch = Array.of_list (take_n take states) in
-          let results = pool_map pool expand batch in
-          expanded := !expanded + take;
           let next = ref [] in
-          (try
-             Array.iteri
-               (fun i succs ->
-                 let _, rev_path = batch.(i) in
-                 List.iter
-                   (fun (rule_name, hq', key) ->
-                     if not (Term.Hc.Qtable.mem seen key) then begin
-                       Term.Hc.Qtable.replace seen key ();
-                       let rev_path' = rule_name :: rev_path in
-                       if key = target_key then begin
-                         found := Some (List.rev rev_path');
-                         raise Exit
-                       end
-                       else next := (hq', rev_path') :: !next
-                     end)
-                   succs)
-               results
-           with Exit -> ());
+          let rec merge_succs rev_path = function
+            | [] -> true
+            | (rule_name, hq', key) :: rest ->
+              if Term.Hc.Qtable.mem seen key then merge_succs rev_path rest
+              else begin
+                Term.Hc.Qtable.replace seen key ();
+                let rev_path' = rule_name :: rev_path in
+                if key = target_key then begin
+                  found := Some (List.rev rev_path');
+                  false
+                end
+                else begin
+                  next := (hq', rev_path') :: !next;
+                  merge_succs rev_path rest
+                end
+              end
+          in
+          let merge (_, rev_path) succs = merge_succs rev_path succs in
+          expanded :=
+            !expanded
+            + expand_level ~pool ~over ~hit_deadline ~expand ~merge
+                (Array.of_list (take_n take states));
           level (List.rev !next) (depth + 1)
         end
       end
@@ -1158,20 +652,16 @@ let reaches_egraph ~config (q : Term.query) (target : Term.query) :
   let hq0 = Term.Hc.of_query q and ht = Term.Hc.of_query target in
   let sp =
     Saturate.saturate ~rules:config.rules ~budgets:(egraph_budgets_of config)
-      ?pool:(egraph_pool config) ~target:ht hq0
+      ?pool:(pool_of config) ~target:ht hq0
   in
   Saturate.path sp
 
 let reaches ?(config = default_config) (q : Term.query)
     (target : Term.query) : string list option =
   Telemetry.span "search.reaches" @@ fun () ->
-  match (config.engine, config.interned, resolved_jobs config) with
-  | Egraph, _, _ ->
-    Option.map (List.map fst) (reaches_egraph ~config q target)
-  | Bfs, true, 1 -> reaches_hc_seq ~config q target
-  | Bfs, true, jobs -> reaches_hc_par ~pool:(pool_for jobs) ~config q target
-  | Bfs, false, 1 -> reaches_seq ~config q target
-  | Bfs, false, jobs -> reaches_par ~pool:(pool_for jobs) ~config q target
+  match config.engine with
+  | Egraph -> Option.map (List.map fst) (reaches_egraph ~config q target)
+  | Bfs -> reaches_bfs ~config q target
 
 (* Recover the intermediate queries of a named derivation: follow the
    names through [successors], branching over the positions each rule

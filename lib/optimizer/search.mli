@@ -8,19 +8,18 @@
     derivation is beyond any practical frontier — the paper's motivation
     for COKO rule blocks, quantified.
 
-    The performance layer underneath (DESIGN.md, "Engine internals &
-    performance"): successor enumeration prunes rules through the
-    head-symbol index, dedup uses hashed canonical keys
-    ({!Kola.Term.Canonical}) instead of pretty-printed strings, and costing
-    is memoized across explorations ({!Cost.cache}).
-
-    The parallel layer (DESIGN.md, "Parallel exploration"): with
-    [jobs > 1], each BFS level fans successor enumeration, canonical-key
-    computation, and cost evaluation out across a fixed pool of OCaml 5
-    domains ({!Kola_parallel.Pool}), then merges worker results in stable
-    item order.  [explore] and [reaches] return bit-identical outcomes
-    whatever the domain count; only cost-cache hit/miss accounting may
-    shift when a capacity sweep lands mid-level. *)
+    One BFS engine runs underneath (DESIGN.md, "Engine internals &
+    performance" and "Parallel exploration").  States are hash-consed
+    queries ({!Kola.Term.Hc}) deduplicated by {!Kola.Term.Hc.query_key};
+    successor enumeration prunes rules and subtrees through per-node head
+    bitmasks; costing is memoized across explorations ({!Cost.cache}).
+    Each level fans out successor enumeration, merges the results in
+    stable item order, then costs the fresh states in one batch — inline
+    at [jobs = 1], across a fixed pool of OCaml 5 domains
+    ({!Kola_parallel.Pool}) at [jobs > 1].  [explore] and [reaches] return
+    bit-identical outcomes whatever the domain count; only cost-cache
+    hit/miss accounting may shift when a capacity sweep lands
+    mid-level. *)
 
 (** Which engine answers [explore]/[reaches]: bounded breadth-first
     search over single firings, or equality saturation on the e-graph
@@ -51,30 +50,21 @@ type config = {
   max_positions : int;
       (** positions per rule enumerated by {!successors} (default 64);
           truncation clears [frontier_exhausted], it is never silent *)
-  indexed : bool;
-      (** prune rules through the head-symbol index (default [true]) *)
-  interned : bool;
-      (** explore on hash-consed nodes (default [true]): id-keyed dedup,
-          O(1) canonical keys and physical-identity fast paths in matching.
-          [best], [path], [explored] and [frontier_exhausted] are identical
-          to the legacy engine at every [jobs] setting; only per-state
-          costs — and the interning stats reported — change. *)
   cost_cache : Cost.cache option;
       (** [None] (the default) shares one cache across explorations *)
-  hc_cost_cache : Cost.hc_cache option;
-      (** cache for the interned engine; [None] shares one likewise *)
   sample_db : (string * Kola.Value.t) list;  (** database used for costing *)
   jobs : int;
-      (** domains exploring each BFS level (default 1 = the sequential
-          engine; 0 = [Domain.recommended_domain_count ()]) *)
+      (** domains exploring each BFS level (default 1 = inline, no pool;
+          0 = [Domain.recommended_domain_count ()]) *)
   deadline : float option;
       (** wall-clock budget in seconds on the monotonic clock (default
           [None]).  When it expires, [explore] degrades gracefully: the
           best state found so far is returned with [stop = Deadline] and
-          a path {!validate_path} accepts.  Sequential BFS checks before
-          each state expansion; parallel BFS between levels (so outcomes
-          stay deterministic up to the interrupted level); under
-          [Egraph] the deadline tightens the saturation time budget. *)
+          a path {!validate_path} accepts.  BFS polls it before each
+          state expansion at [jobs = 1] and between levels at [jobs > 1]
+          (so outcomes stay deterministic up to the interrupted level);
+          under [Egraph] the deadline tightens the saturation time
+          budget. *)
 }
 
 val default_config : config
@@ -89,15 +79,8 @@ val successors :
   ?max_positions:int ->
   Rewrite.Rule.t list -> Kola.Term.query -> (string * Kola.Term.query) list
 (** Every single-firing successor: each rule at each matching position, up
-    to [max_positions] positions per rule (default 64). *)
-
-val successors_hc :
-  ?schema:Kola.Schema.t ->
-  ?max_positions:int ->
-  Rewrite.Rule.t list ->
-  Kola.Term.Hc.hquery ->
-  (string * Kola.Term.Hc.hquery) list
-(** [successors] on interned nodes: same successors in the same order. *)
+    to [max_positions] positions per rule (default 64).  Enumerated on the
+    interned form, exactly as the search expands a state. *)
 
 type state = {
   query : Kola.Term.query;
@@ -125,16 +108,15 @@ type outcome = {
   intern_hits : int;   (** intern-table hits during this call *)
   intern_misses : int; (** nodes freshly interned during this call *)
   sharing_ratio : float;
-      (** [intern_hits / (intern_hits + intern_misses)]; [0.] on the
-          legacy engine, which interns nothing *)
+      (** [intern_hits / (intern_hits + intern_misses)] *)
   saturation : Kola_egraph.Saturate.stats option;
       (** e-graph statistics (e-classes, e-nodes, iterations, rebuild
           time, stop reason) when [engine = Egraph]; [None] under BFS *)
 }
 
 val canonical : Kola.Term.query -> string
-(** Pretty-printed canonical form — the legacy dedup key, kept for
-    diagnostics and the equivalence tests against {!Kola.Term.Canonical}. *)
+(** Pretty-printed canonical form, kept for diagnostics and the
+    equivalence tests against {!Kola.Term.Canonical}. *)
 
 val explore : ?config:config -> Kola.Term.query -> outcome
 (** Cheapest equivalent query found within the budget. *)

@@ -3,11 +3,11 @@
    of Figures 4 and 6, not just their end points, and gives the optimizer
    an explanation facility.
 
-   Two dispatch paths exist.  The naive path attempts every rule of the
-   right sort at every node, in catalog order.  The indexed path routes
-   each node through {!Index} so only rules whose pattern head can match
-   are attempted — same firings, same trace, fewer attempts.  [run] indexes
-   by default; the naive path is kept as the measured baseline. *)
+   Two dispatch paths exist.  [step_once] attempts every rule of the
+   right sort at every node, in catalog order — COKO blocks fire through
+   it one rule list at a time.  [run] routes each node through {!Index}
+   so only rules whose pattern head can match are attempted: same
+   firings, same trace, fewer attempts. *)
 
 open Kola
 open Kola.Term
@@ -131,18 +131,11 @@ let step_once_indexed ?schema ?(counter = ref 0) (index : Index.t) (q : query)
     q
 
 (* Normalize [q] under [rules], up to [fuel] firings.  The head-symbol
-   index is built once and reused across firings; pass [~indexed:false] for
-   the naive baseline. *)
-let run ?schema ?(fuel = 10_000) ?(indexed = true) (rules : Rule.t list)
-    (q : query) : outcome =
+   index is built once and reused across firings. *)
+let run ?schema ?(fuel = 10_000) (rules : Rule.t list) (q : query) : outcome =
   Telemetry.span "engine.run" @@ fun () ->
   let counter = ref 0 in
-  let step =
-    if indexed then
-      let index = Index.build rules in
-      step_once_indexed ?schema ~counter index
-    else step_once ?schema ~counter rules
-  in
+  let step = step_once_indexed ?schema ~counter (Index.build rules) in
   let rec go n q trace firings =
     if n = 0 then (q, trace, firings)
     else
@@ -160,93 +153,8 @@ let run ?schema ?(fuel = 10_000) ?(indexed = true) (rules : Rule.t list)
 
 (* Same, over a bare function (no query argument), used when transforming
    subplans. *)
-let run_func ?schema ?(fuel = 10_000) ?indexed rules f =
-  let outcome = run ?schema ~fuel ?indexed rules (query f Value.Unit) in
+let run_func ?schema ?(fuel = 10_000) rules f =
+  let outcome = run ?schema ~fuel rules (query f Value.Unit) in
   (outcome.query.body, outcome.trace)
 
 let fired_rules outcome = List.map (fun s -> s.rule_name) outcome.trace
-
-(* ------------------------------------------------------------------ *)
-(* Interned stepping: the indexed path over hash-consed nodes.  Rule-try
-   order, traversal order and the attempts counter semantics are those of
-   [step_once_indexed] exactly, so firings, trace and stats coincide with
-   the plain indexed engine — only the per-node match/substitution costs
-   change. *)
-
-let step_with_hc ?schema ~counter ~query_rules ~candidates (hq : Hc.hquery) :
-    (string * Hc.hquery) option =
-  let attempts = counter in
-  let from_query_rules =
-    List.find_map
-      (fun r ->
-        incr attempts;
-        let res =
-          Option.map
-            (fun hq' -> (r.Rule.name, hq'))
-            (Rule.apply_hquery ?schema r hq)
-        in
-        note_attempt r.Rule.name (res <> None);
-        res)
-      query_rules
-  in
-  match from_query_rules with
-  | Some _ as res -> res
-  | None ->
-    let strat tgt =
-      List.find_map
-        (fun r ->
-          incr attempts;
-          let res =
-            Option.map (fun t -> (r.Rule.name, t))
-              (Strategy.H.of_rule ?schema r tgt)
-          in
-          note_attempt r.Rule.name (res <> None);
-          res)
-        (candidates tgt)
-    in
-    let named = ref "" in
-    let s tgt =
-      Telemetry.count "engine.positions";
-      match strat tgt with
-      | Some (name, t) ->
-        named := name;
-        Some t
-      | None -> None
-    in
-    Option.map
-      (fun hbody -> (!named, { hq with Hc.hbody }))
-      (Strategy.H.apply_func (Strategy.H.once_topdown s) hq.Hc.hbody)
-
-let step_once_hc ?schema ?(counter = ref 0) (index : Index.t) (hq : Hc.hquery)
-    : (string * Hc.hquery) option =
-  let candidates = function
-    | Strategy.H.F f -> Index.candidates_hfunc index f
-    | Strategy.H.P p -> Index.candidates_hpred index p
-  in
-  step_with_hc ?schema ~counter ~query_rules:(Index.query_rules index)
-    ~candidates hq
-
-(* Normalize on the interned representation; outcome (trace, stats)
-   identical to [run ~indexed:true]. *)
-let run_hc ?schema ?(fuel = 10_000) (rules : Rule.t list) (q : query) : outcome
-    =
-  Telemetry.span "engine.run_hc" @@ fun () ->
-  let counter = ref 0 in
-  let index = Index.build rules in
-  let step = step_once_hc ?schema ~counter index in
-  let rec go n hq trace firings =
-    if n = 0 then (hq, trace, firings)
-    else
-      match step hq with
-      | Some (name, hq') ->
-        go (n - 1) hq'
-          ({ rule_name = name; result = Hc.to_query hq' } :: trace)
-          (firings + 1)
-      | None -> (hq, trace, firings)
-  in
-  let hq', trace, firings = go fuel (Hc.of_query q) [] 0 in
-  {
-    query = Hc.to_query hq';
-    trace = List.rev trace;
-    stats = { firings; attempts = !counter };
-  }

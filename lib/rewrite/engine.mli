@@ -2,11 +2,11 @@
     recording a trace, so tests can check the paper's derivations (Figures
     4 and 6) step by step and the optimizer can explain itself.
 
-    Two dispatch paths exist.  The naive path attempts every rule of the
-    right sort at every node, in catalog order.  The indexed path routes
-    each node through {!Index} so only rules whose pattern head can match
-    are attempted — same firings, same trace, fewer attempts.  {!run}
-    indexes by default; the naive path is the measured baseline. *)
+    Two dispatch paths exist.  {!step_once} attempts every rule of the
+    right sort at every node, in catalog order; COKO blocks fire through
+    it.  {!run} routes each node through {!Index} so only rules whose
+    pattern head can match are attempted — same firings, same trace,
+    fewer attempts. *)
 
 type step = {
   rule_name : string;
@@ -35,49 +35,17 @@ val step_once :
   Rule.t list -> Kola.Term.query -> (string * Kola.Term.query) option
 (** Fire the first rule (in catalog order) that applies anywhere, outermost
     first; query rules are tried at the query level before function and
-    predicate rules.  Attempts every candidate rule at every node — the
-    naive baseline. *)
-
-val step_once_indexed :
-  ?schema:Kola.Schema.t ->
-  ?counter:int ref ->
-  Index.t -> Kola.Term.query -> (string * Kola.Term.query) option
-(** Same firing order and result as {!step_once} on [Index.rules index],
-    but each node only attempts the rules its head admits. *)
+    predicate rules.  Attempts every candidate rule at every node. *)
 
 val run :
-  ?schema:Kola.Schema.t -> ?fuel:int -> ?indexed:bool ->
+  ?schema:Kola.Schema.t -> ?fuel:int ->
   Rule.t list -> Kola.Term.query -> outcome
-(** Normalize under the rule set, up to [fuel] firings.  [indexed]
-    (default [true]) builds the head-symbol index once and reuses it across
-    firings; [~indexed:false] is the naive baseline with identical firings
-    and trace but more attempts. *)
+(** Normalize under the rule set, up to [fuel] firings.  Builds the
+    head-symbol index once and reuses it across firings; the firings and
+    trace are those of iterating {!step_once}, with fewer attempts. *)
 
 val run_func :
-  ?schema:Kola.Schema.t -> ?fuel:int -> ?indexed:bool ->
+  ?schema:Kola.Schema.t -> ?fuel:int ->
   Rule.t list -> Kola.Term.func -> Kola.Term.func * trace
 
 val fired_rules : outcome -> string list
-
-(** {1 Interned engine}
-
-    The indexed path over hash-consed nodes: same rule-try order, same
-    traversal, same attempts-counter semantics as {!step_once_indexed} /
-    {!run}, so firings, trace and stats coincide — only per-node match and
-    substitution costs change. *)
-
-val step_once_hc :
-  ?schema:Kola.Schema.t ->
-  ?counter:int ref ->
-  Index.t ->
-  Kola.Term.Hc.hquery ->
-  (string * Kola.Term.Hc.hquery) option
-
-val run_hc :
-  ?schema:Kola.Schema.t ->
-  ?fuel:int ->
-  Rule.t list ->
-  Kola.Term.query ->
-  outcome
-(** Normalize on the interned representation; outcome identical to
-    [run ~indexed:true]. *)

@@ -96,7 +96,6 @@ type t = {
   fun_entries : entry list;  (** function rules, catalog order *)
   pred_entries : entry list;  (** predicate rules, catalog order *)
   query_rules : Rule.t list;
-  rules : Rule.t list;  (** the original list, original order *)
   fun_cache : (head, Rule.t list) Hashtbl.t;
   pred_cache : (head, Rule.t list) Hashtbl.t;
 }
@@ -117,12 +116,10 @@ let build rules =
     fun_entries = List.rev fun_entries;
     pred_entries = List.rev pred_entries;
     query_rules = List.rev query_rules;
-    rules;
     fun_cache = Hashtbl.create 16;
     pred_cache = Hashtbl.create 16;
   }
 
-let rules t = t.rules
 let query_rules t = t.query_rules
 
 (* Bucket lookup, memoized per head: rules whose pattern head is [h] plus
@@ -155,80 +152,13 @@ let candidates_pred t p =
   | None -> all_of t.pred_entries
 
 (* ------------------------------------------------------------------ *)
-(* Whole-term head presence, for per-rule enumeration (the optimizer's
-   successor function walks the term once per rule; a rule whose head
-   occurs nowhere in the term can be skipped without walking). *)
-
-type presence = (head, unit) Hashtbl.t
-
-let presence_of_func f : presence =
-  let tbl = Hashtbl.create 32 in
-  let addf f =
-    match head_of_func f with Some h -> Hashtbl.replace tbl h () | None -> ()
-  in
-  let addp p =
-    match head_of_pred p with Some h -> Hashtbl.replace tbl h () | None -> ()
-  in
-  let rec gof f =
-    addf f;
-    match f with
-    | Id | Pi1 | Pi2 | Prim _ | Flat | Sng | Arith _ | Agg _ | Setop _ | Kf _
-    | Fhole _ -> ()
-    | Compose (a, b) | Pairf (a, b) | Times (a, b) | Nest (a, b)
-    | Unnest (a, b) ->
-      gof a;
-      gof b
-    | Cf (a, _) -> gof a
-    | Con (p, a, b) ->
-      gop p;
-      gof a;
-      gof b
-    | Iterate (p, a) | Iter (p, a) | Join (p, a) ->
-      gop p;
-      gof a
-  and gop p =
-    addp p;
-    match p with
-    | Eq | Leq | Gt | In | Primp _ | Kp _ | Phole _ -> ()
-    | Oplus (q, f) ->
-      gop q;
-      gof f
-    | Andp (q, r) | Orp (q, r) ->
-      gop q;
-      gop r
-    | Inv q | Conv q -> gop q
-    | Cp (q, _) -> gop q
-  in
-  gof f;
-  tbl
-
-let presence_of_query (q : query) = presence_of_func q.body
-
-(* Can [r] possibly fire somewhere in a term with head set [pres]?  Query
-   rules and wildcard patterns always may; otherwise the pattern head must
-   occur. *)
-let may_fire (pres : presence) (r : Rule.t) =
-  match r.Rule.body with
-  | Rule.Query_rule _ -> true
-  | Rule.Fun_rule (lhs, _) -> (
-    match head_of_func lhs with
-    | None -> true
-    | Some h -> Hashtbl.mem pres h)
-  | Rule.Pred_rule (lhs, _) -> (
-    match head_of_pred lhs with
-    | None -> true
-    | Some h -> Hashtbl.mem pres h)
-
-(* ------------------------------------------------------------------ *)
-(* Interned dispatch: hash-consed nodes carry their head constructor in
-   [fshape]/[pshape] and the set of heads occurring anywhere beneath them
-   as a precomputed bitmask ([fheads]/[pheads]), so bucket lookup needs no
-   [head_of_*] walk and whole-term presence is a single [land] instead of
-   building a hashtable per state. *)
+(* Interned pruning: hash-consed nodes carry the set of heads occurring
+   anywhere beneath them as a precomputed bitmask ([fheads]/[pheads]), so
+   "can this rule fire anywhere in this subtree" is a single [land]. *)
 
 (* Bit positions must agree with [Kola.Term.Hc.fshape_bit]/[pshape_bit]
    (func heads at bits 0-19 in declaration order, pred heads at 20-31);
-   test_hashcons pins the correspondence against [presence_of_query]. *)
+   test_hashcons pins the correspondence against a plain head walk. *)
 let head_bit = function
   | HId -> 1 lsl 0
   | HPi1 -> 1 lsl 1
@@ -263,54 +193,6 @@ let head_bit = function
   | HKp -> 1 lsl 30
   | HCp -> 1 lsl 31
 
-let head_of_fshape : Hc.fshape -> head option = function
-  | Hc.HId -> Some HId
-  | Hc.HPi1 -> Some HPi1
-  | Hc.HPi2 -> Some HPi2
-  | Hc.HPrim _ -> Some HPrim
-  | Hc.HCompose _ -> Some HCompose
-  | Hc.HPairf _ -> Some HPairf
-  | Hc.HTimes _ -> Some HTimes
-  | Hc.HKf _ -> Some HKf
-  | Hc.HCf _ -> Some HCf
-  | Hc.HCon _ -> Some HCon
-  | Hc.HArith _ -> Some HArith
-  | Hc.HAgg _ -> Some HAgg
-  | Hc.HSetop _ -> Some HSetop
-  | Hc.HSng -> Some HSng
-  | Hc.HFlat -> Some HFlat
-  | Hc.HIterate _ -> Some HIterate
-  | Hc.HIter _ -> Some HIter
-  | Hc.HJoin _ -> Some HJoin
-  | Hc.HNest _ -> Some HNest
-  | Hc.HUnnest _ -> Some HUnnest
-  | Hc.HFhole _ -> None
-
-let head_of_pshape : Hc.pshape -> head option = function
-  | Hc.HEq -> Some HEq
-  | Hc.HLeq -> Some HLeq
-  | Hc.HGt -> Some HGt
-  | Hc.HIn -> Some HIn
-  | Hc.HPrimp _ -> Some HPrimp
-  | Hc.HOplus _ -> Some HOplus
-  | Hc.HAndp _ -> Some HAndp
-  | Hc.HOrp _ -> Some HOrp
-  | Hc.HInv _ -> Some HInv
-  | Hc.HConv _ -> Some HConv
-  | Hc.HKp _ -> Some HKp
-  | Hc.HCp _ -> Some HCp
-  | Hc.HPhole _ -> None
-
-let candidates_hfunc t (f : Hc.fnode) =
-  match head_of_fshape f.Hc.fshape with
-  | Some h -> bucket t.fun_cache t.fun_entries h
-  | None -> all_of t.fun_entries
-
-let candidates_hpred t (p : Hc.pnode) =
-  match head_of_pshape p.Hc.pshape with
-  | Some h -> bucket t.pred_cache t.pred_entries h
-  | None -> all_of t.pred_entries
-
 (* The head bit a subtree must contain for [r] to fire anywhere inside
    it; [0] when the pattern has no fixed head (every subtree remains a
    candidate). *)
@@ -322,8 +204,9 @@ let rule_head_mask (r : Rule.t) =
   | Rule.Pred_rule (lhs, _) -> (
     match head_of_pred lhs with None -> 0 | Some h -> head_bit h)
 
-(* [may_fire] against a head bitmask (a state body's [fheads]); same
-   verdicts as the presence-table variant, without the per-state walk. *)
+(* Can [r] possibly fire somewhere in a term whose head bitmask (a state
+   body's [fheads]) is [mask]?  Query rules and wildcard patterns always
+   may; otherwise the pattern head must occur. *)
 let mask_may_fire (mask : int) (r : Rule.t) =
   let m = rule_head_mask r in
   m = 0 || mask land m <> 0

@@ -54,9 +54,6 @@ val build : Rule.t list -> t
 (** One pass over the rules; bucket lists are materialized lazily per head
     and memoized, so building is cheap even for throwaway indexes. *)
 
-val rules : t -> Rule.t list
-(** The original rule list, original order. *)
-
 val query_rules : t -> Rule.t list
 (** Query rules, tried only at the query level. *)
 
@@ -66,39 +63,14 @@ val candidates_func : t -> Kola.Term.func -> Rule.t list
 
 val candidates_pred : t -> Kola.Term.pred -> Rule.t list
 
-(** {1 Whole-term head presence}
+(** {1 Interned pruning}
 
-    For per-rule position enumeration (the optimizer's successor function):
-    a rule whose head occurs nowhere in the term cannot fire and can be
-    skipped without walking the term. *)
-
-type presence
-
-val presence_of_func : Kola.Term.func -> presence
-val presence_of_query : Kola.Term.query -> presence
-
-val may_fire : presence -> Rule.t -> bool
-(** Query rules and wildcard patterns always may fire; otherwise the
-    pattern's head must occur in the term. *)
-
-(** {1 Interned dispatch}
-
-    Hash-consed nodes carry their head in [fshape]/[pshape] and the heads
-    of their whole subtree as a precomputed bitmask, so dispatch reads a
-    field and presence pruning is a single [land]. *)
+    Hash-consed nodes carry the heads of their whole subtree as a
+    precomputed bitmask, so presence pruning is a single [land]. *)
 
 val head_bit : head -> int
 (** Bit position of a head in [Kola.Term.Hc.fheads]/[pheads] masks; agrees
     with [Kola.Term.Hc.fshape_bit]/[pshape_bit]. *)
-
-val head_of_fshape : Kola.Term.Hc.fshape -> head option
-val head_of_pshape : Kola.Term.Hc.pshape -> head option
-
-val candidates_hfunc : t -> Kola.Term.Hc.fnode -> Rule.t list
-(** Same buckets (and catalog order) as {!candidates_func}, dispatched on
-    the interned head tag. *)
-
-val candidates_hpred : t -> Kola.Term.Hc.pnode -> Rule.t list
 
 val rule_head_mask : Rule.t -> int
 (** The head bit a subtree must contain for the rule to fire anywhere
@@ -107,5 +79,6 @@ val rule_head_mask : Rule.t -> int
     into one [land].  [0] when the pattern has no fixed head. *)
 
 val mask_may_fire : int -> Rule.t -> bool
-(** [may_fire] against a head bitmask (a state body's [fheads]); same
-    verdicts as the presence-table variant without the per-state walk. *)
+(** Can the rule fire anywhere in a term whose head bitmask (a state
+    body's [fheads]) is the given mask?  Query rules and wildcard patterns
+    always may; otherwise the pattern's head bit must be set. *)

@@ -28,21 +28,6 @@ let of_rule ?schema (r : Rule.t) : t = function
   | F f -> Option.map (fun f -> F f) (Rule.apply_func ?schema r f)
   | P p -> Option.map (fun p -> P p) (Rule.apply_pred ?schema r p)
 
-(* Dispatch through a head-symbol index: at each target only the rules
-   whose pattern head can match are attempted, in catalog order. *)
-let of_index ?schema (idx : Index.t) : t =
- fun tgt ->
-  let candidates =
-    match tgt with
-    | F f -> Index.candidates_func idx f
-    | P p -> Index.candidates_pred idx p
-  in
-  List.find_map (fun r -> of_rule ?schema r tgt) candidates
-
-let of_rules ?schema rules : t =
-  let idx = Index.build rules in
-  of_index ?schema idx
-
 let fail : t = fun _ -> None
 let id_strategy : t = fun tgt -> Some tgt
 
@@ -163,11 +148,12 @@ let normalize ?fuel (s : t) : t = attempt (fixpoint ?fuel s)
 let apply_func (s : t) f = Option.bind (s (F f)) as_f
 let apply_pred (s : t) p = Option.bind (s (P p)) as_p
 
-(* Strategies over hash-consed nodes.  [one_child] mirrors the plain
-   traversal position-for-position (left to right, predicate before
-   function children, no descent into Kf/Cf/Cp values), rebuilding through
-   the smart constructors — so an interned [once_topdown] visits exactly
-   the positions the plain one does, in the same order. *)
+(* Strategies over hash-consed nodes, for the search's successor
+   enumeration.  [one_child] mirrors the plain traversal
+   position-for-position (left to right, predicate before function
+   children, no descent into Kf/Cf/Cp values), rebuilding through the
+   smart constructors — so an interned [once_topdown] visits exactly the
+   positions the plain one does, in the same order. *)
 module H = struct
   type target = F of Hc.fnode | P of Hc.pnode
   type t = target -> target option
@@ -280,5 +266,4 @@ module H = struct
       go
 
   let apply_func (s : t) f = Option.bind (s (F f)) as_f
-  let apply_pred (s : t) p = Option.bind (s (P p)) as_p
 end

@@ -15,16 +15,6 @@ val of_pred_rewrite : (Kola.Term.pred -> Kola.Term.pred option) -> t
 val of_rule : ?schema:Kola.Schema.t -> Rule.t -> t
 (** The rule applied at the root of the target. *)
 
-val of_index : ?schema:Kola.Schema.t -> Index.t -> t
-(** First rule (in catalog order) that applies, dispatching each target
-    through the head-symbol index so only rules whose pattern head can
-    match the node are attempted. *)
-
-val of_rules : ?schema:Kola.Schema.t -> Rule.t list -> t
-(** First rule (in list order) that applies.  Builds a head-symbol index
-    over the rules once at closure-creation time; partially apply it to
-    reuse the index across targets. *)
-
 val fail : t
 val id_strategy : t
 val seq : t -> t -> t
@@ -55,32 +45,25 @@ val normalize : ?fuel:int -> t -> t
 val apply_func : t -> Kola.Term.func -> Kola.Term.func option
 val apply_pred : t -> Kola.Term.pred -> Kola.Term.pred option
 
-(** Strategies over hash-consed nodes.  [one_child] mirrors the plain
-    traversal position-for-position (left to right, predicate before
-    function children, no descent into constant values), so an interned
-    [once_topdown] visits exactly the positions the plain one does, in the
-    same order. *)
+(** Strategies over hash-consed nodes, for the search's successor
+    enumeration.  The traversal mirrors the plain one position-for-position
+    (left to right, predicate before function children, no descent into
+    constant values), so an interned [once_topdown] visits exactly the
+    positions the plain one does, in the same order. *)
 module H : sig
   type target = F of Kola.Term.Hc.fnode | P of Kola.Term.Hc.pnode
   type t = target -> target option
 
-  val as_f : target -> Kola.Term.Hc.fnode option
-  val as_p : target -> Kola.Term.Hc.pnode option
-
   val of_rule : ?schema:Kola.Schema.t -> Rule.t -> t
   (** The rule applied at the root of the target. *)
 
-  val choice : t -> t -> t
-  val one_child : t -> t
-  val once_topdown : t -> t
-
   val once_topdown_masked : mask:int -> t -> t
-  (** [once_topdown], skipping subtrees whose head bitmask
-      ([fheads]/[pheads]) has no bit of [mask] — O(1) per skipped subtree
-      instead of a walk.  With [mask] = {!Index.rule_head_mask} of the
-      rule being applied, it visits the same matching positions in the
-      same order as [once_topdown]; [mask = 0] disables pruning. *)
+  (** Apply once, at the outermost (leftmost) matching position, skipping
+      subtrees whose head bitmask ([fheads]/[pheads]) has no bit of
+      [mask] — O(1) per skipped subtree instead of a walk.  With [mask] =
+      {!Index.rule_head_mask} of the rule being applied, it visits the
+      same matching positions in the same order as an unpruned traversal;
+      [mask = 0] disables pruning. *)
 
   val apply_func : t -> Kola.Term.Hc.fnode -> Kola.Term.Hc.fnode option
-  val apply_pred : t -> Kola.Term.Hc.pnode -> Kola.Term.Hc.pnode option
 end

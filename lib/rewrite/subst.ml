@@ -174,7 +174,7 @@ module H = struct
   let empty = { funcs = []; preds = []; values = [] }
 
   (* Physical equality on interned nodes is structural equality, so these
-     are exactly the legacy [bind_*] consistency checks, at O(1). *)
+     are exactly the plain [bind_*] consistency checks, at O(1). *)
   let bind_func t h (f : Hc.fnode) =
     match List.assoc_opt h t.funcs with
     | Some f' -> if f == f' then Some t else None

@@ -30,7 +30,7 @@ val pp : t Fmt.t
 (** Substitutions over hash-consed nodes (see {!Kola.Term.Hc}).
 
     Rebind consistency checks are physical equality (O(1), equivalent to
-    the legacy structural checks because interned equality is [==]), and
+    the plain structural checks because interned equality is [==]), and
     [apply_*] short-circuit on the [*hole_free] bit: a pattern subtree
     without holes is returned as-is, and rebuilds return the input node
     whenever no child changed. *)

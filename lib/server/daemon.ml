@@ -4,8 +4,8 @@
 
    - the global hash-cons tables (striped, lock-free hits — see the
      audit note in lib/core/hashcons.ml);
-   - one cost cache of each kind (mutex-guarded tables, atomic
-     counters — Cost.Memo);
+   - one search cost cache and one plan cache (mutex-guarded tables,
+     atomic counters — Cost.Memo);
    - the outcome cache below, memoizing whole optimize answers.
 
    Two things cannot be shared concurrently and serialize behind
@@ -103,7 +103,6 @@ type t = {
          shared by every columnar execute request (rows shared with the
          boxed store, so a request can never see a different database) *)
   cache : Cost.cache;
-  hc_cache : Cost.hc_cache;
   plan_cache : Cost.plan_cache;
   outcomes : ocache;
   service : Pool.Service.t;
@@ -144,7 +143,6 @@ let create ?(params = default_params) () =
     db = Datagen.Store.db store;
     coldb = Datagen.Store.columnar store;
     cache = Cost.cache ();
-    hc_cache = Cost.hc_cache ();
     plan_cache = Cost.plan_cache ();
     outcomes = ocache_create params.outcome_capacity;
     service = Pool.Service.create ~workers:params.workers ~queue:params.queue ();
@@ -345,7 +343,6 @@ let config_of ?pack t (r : Protocol.optimize) =
     jobs = r.Protocol.jobs;
     deadline = r.Protocol.deadline;
     cost_cache = Some t.cache;
-    hc_cost_cache = Some t.hc_cache;
   }
 
 (* Everything that makes the outcome, and nothing that doesn't: jobs is
@@ -607,7 +604,6 @@ let handle_command t (c : Protocol.command) id =
       ]
   | Protocol.Flush ->
     Cost.cache_clear t.cache;
-    Cost.hc_cache_clear t.hc_cache;
     Cost.plan_cache_clear t.plan_cache;
     ocache_clear t.outcomes;
     Json.Obj [ ("id", id); ("status", jstr "ok"); ("flushed", Json.Bool true) ]
@@ -671,7 +667,6 @@ let handle_command t (c : Protocol.command) id =
                             t.pack_fires [])) );
                 ]) );
         ("cost_cache", cost_stats_json (Cost.cache_stats t.cache));
-        ("hc_cost_cache", cost_stats_json (Cost.hc_cache_stats t.hc_cache));
         ("plan_cache", cost_stats_json (Cost.plan_cache_stats t.plan_cache));
         ( "intern",
           Json.Obj

@@ -8,9 +8,10 @@
       with lock-free hit paths — a subterm interned for one request is
       reused verbatim by every later request (see the audit note in
       [lib/core/hashcons.ml]);
-    - one {!Optimizer.Cost.cache}, one {!Optimizer.Cost.hc_cache} and
-      one {!Optimizer.Cost.plan_cache} are shared across workers; their
-      tables are mutex-guarded and their counters atomic;
+    - one {!Optimizer.Cost.cache} (the search cache, reported as
+      [cost_cache] by [stats]) and one {!Optimizer.Cost.plan_cache} are
+      shared across workers; their tables are mutex-guarded and their
+      counters atomic;
     - an {e outcome cache} memoizes whole optimize answers keyed by the
       canonical query plus every outcome-affecting knob (engine, depth,
       states, e-graph budgets — never [jobs], outcomes are

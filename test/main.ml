@@ -33,6 +33,7 @@ let () =
       ("monolithic-ablation", Test_monolithic.tests);
       ("engine-soundness", Test_engine_sound.tests);
       ("search (COKO motivation)", Test_search.tests);
+      ("search-golden (CLI-default outcomes)", Test_golden_search.tests);
       ("engine-index (perf layer)", Test_index.tests);
       ("engine-hashcons (interned core)", Test_hashcons.tests);
       ("engine-parallel (domain pool)", Test_parallel.tests);

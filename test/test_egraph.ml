@@ -44,6 +44,52 @@ let masked_chain =
        ])
     (Value.Named "P")
 
+(* The unpruned oracle for [Search.successors]: query rules first, then
+   every function and predicate rule at each of its first [max_positions]
+   positions, found by a plain [once_topdown] with a skip counter — no
+   head index, no masks, no interning. *)
+let plain_successors ~max_positions rules q =
+  let at_kth r k =
+    let remaining = ref k in
+    let s tgt =
+      match Rewrite.Strategy.of_rule r tgt with
+      | Some t when !remaining = 0 -> Some t
+      | Some _ ->
+        decr remaining;
+        None
+      | None -> None
+    in
+    Option.map
+      (fun body -> { q with Term.body })
+      (Rewrite.Strategy.apply_func (Rewrite.Strategy.once_topdown s)
+         q.Term.body)
+  in
+  let query_rules, other_rules =
+    List.partition
+      (fun r ->
+        match r.Rewrite.Rule.body with
+        | Rewrite.Rule.Query_rule _ -> true
+        | _ -> false)
+      rules
+  in
+  List.filter_map
+    (fun r ->
+      Option.map
+        (fun q' -> (r.Rewrite.Rule.name, q'))
+        (Rewrite.Rule.apply_query r q))
+    query_rules
+  @ List.concat_map
+      (fun r ->
+        let rec collect k =
+          if k >= max_positions then []
+          else
+            match at_kth r k with
+            | Some q' -> (r.Rewrite.Rule.name, q') :: collect (k + 1)
+            | None -> []
+        in
+        collect 0)
+      other_rules
+
 let tests =
   [
     (* ---------------- union-find ---------------- *)
@@ -321,55 +367,43 @@ let tests =
         let r11 = Rules.Catalog.rules [ "r11" ] in
         let viable = List.length (Search.successors r11 masked_chain) in
         Alcotest.(check int) "three viable r11 positions" 3 viable;
+        let exhausted_at mp =
+          (Search.explore
+             ~config:
+               {
+                 Search.default_config with
+                 rules = r11;
+                 max_positions = mp;
+                 max_depth = 1;
+                 max_states = 1_000;
+               }
+             masked_chain)
+            .Search.frontier_exhausted
+        in
+        (* the mask-pruned ⟨Kf 1, Kf 2⟩ subtree holds no position, so a cap
+           at exactly the viable count truncates nothing *)
+        Alcotest.(check bool) "cap = viable stays exhausted" true
+          (exhausted_at viable);
+        Alcotest.(check bool) "cap = viable - 1 truncates" false
+          (exhausted_at (viable - 1)));
+    case "mask-pruned successors match an unpruned plain walk" (fun () ->
+        let check name mp q =
+          let pruned = Search.successors ~max_positions:mp Rules.Catalog.all q in
+          let plain = plain_successors ~max_positions:mp Rules.Catalog.all q in
+          Alcotest.(check int)
+            (Fmt.str "%s: same count at cap %d" name mp)
+            (List.length plain) (List.length pruned);
+          List.iter2
+            (fun (r1, q1) (r2, q2) ->
+              Alcotest.(check string) "same rule" r1 r2;
+              Alcotest.check query "same successor" q1 q2)
+            plain pruned
+        in
+        List.iter (fun mp -> check "masked chain" mp masked_chain)
+          [ 0; 1; 2; 3; 4; 64 ];
         List.iter
-          (fun interned ->
-            let exhausted_at mp =
-              (Search.explore
-                 ~config:
-                   {
-                     Search.default_config with
-                     rules = r11;
-                     max_positions = mp;
-                     max_depth = 1;
-                     max_states = 1_000;
-                     interned;
-                   }
-                 masked_chain)
-                .Search.frontier_exhausted
-            in
-            (* the mask-pruned ⟨Kf 1, Kf 2⟩ subtree holds no position, so a
-               cap at exactly the viable count truncates nothing *)
-            Alcotest.(check bool)
-              (Fmt.str "cap = viable stays exhausted (interned=%b)" interned)
-              true (exhausted_at viable);
-            Alcotest.(check bool)
-              (Fmt.str "cap = viable - 1 truncates (interned=%b)" interned)
-              false
-              (exhausted_at (viable - 1)))
-          [ true; false ]);
-    case "interned and legacy successor enumeration agree under truncation"
-      (fun () ->
-        List.iter
-          (fun mp ->
-            let plain =
-              Search.successors ~max_positions:mp Rules.Catalog.all
-                masked_chain
-            in
-            let hc =
-              List.map
-                (fun (r, hq) -> (r, Term.Hc.to_query hq))
-                (Search.successors_hc ~max_positions:mp Rules.Catalog.all
-                   (Term.Hc.of_query masked_chain))
-            in
-            Alcotest.(check int)
-              (Fmt.str "same count at cap %d" mp)
-              (List.length plain) (List.length hc);
-            List.iter2
-              (fun (r1, q1) (r2, q2) ->
-                Alcotest.(check string) "same rule" r1 r2;
-                Alcotest.check query "same successor" q1 q2)
-              plain hc)
-          [ 0; 1; 2; 3; 4; 64 ]);
+          (fun (name, q) -> check name 64 q)
+          [ ("T1K", Paper.t1k_source); ("K4", Paper.k4); ("KG1", Paper.kg1) ]);
   ]
 
 let props =

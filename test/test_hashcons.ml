@@ -1,19 +1,17 @@
 (* The hash-consed term core: maximal sharing (structural equality is
-   physical equality), O(1) hash/size/canonical keys, and the interned
-   engine built on them.  Correctness is equivalence once more: converters
-   must round-trip, interned fields must agree with the plain recursive
-   functions, id-pair dedup must partition queries exactly like canonical
-   keys, and the interned engines — rewriting and search, sequential and
-   parallel — must reproduce the legacy outcomes bit for bit. *)
+   physical equality), O(1) hash/size/canonical keys and head bitmasks.
+   Correctness is equivalence once more: converters must round-trip,
+   interned fields must agree with the plain recursive functions, and
+   id-pair dedup must partition queries exactly like canonical keys.  The
+   search built on them is pinned by golden outcomes (test_golden_search)
+   and by jobs-count equivalence (test_parallel). *)
 
 open Kola
 open Util
 module Hc = Term.Hc
-module Engine = Rewrite.Engine
 module Index = Rewrite.Index
 module Subst = Rewrite.Subst
 module Search = Optimizer.Search
-module Cost = Optimizer.Cost
 
 let paper_queries =
   [ Paper.t1k_source; Paper.t2k_source; Paper.k3; Paper.k4; Paper.kg1;
@@ -37,46 +35,38 @@ let rec right_assoc f =
     build (List.map right_assoc (Term.unchain f))
   | f -> f
 
-let trace_names (o : Engine.outcome) =
-  List.map (fun s -> s.Engine.rule_name) o.Engine.trace
+(* Head bits of every node of a plain term, walked the way the rewriter
+   descends (no descent into Kf/Cf/Cp constants): the reference for the
+   interned [fheads] masks. *)
+let head_bit_of = function Some h -> Index.head_bit h | None -> 0
 
-(* Fresh caches per run, as in test_parallel: equivalence must not depend
-   on what an earlier exploration left in the shared caches. *)
-let explore_at ?(interned = true) ?(jobs = 1) ~max_depth ~max_states q =
-  Search.explore
-    ~config:
-      {
-        Search.default_config with
-        max_depth;
-        max_states;
-        jobs;
-        interned;
-        cost_cache = Some (Cost.cache ());
-        hc_cost_cache = Some (Cost.hc_cache ());
-      }
-    q
+let rec plain_heads_func f =
+  head_bit_of (Index.head_of_func f)
+  lor
+  match f with
+  | Term.Id | Term.Pi1 | Term.Pi2 | Term.Prim _ | Term.Flat | Term.Sng
+  | Term.Arith _ | Term.Agg _ | Term.Setop _ | Term.Kf _ | Term.Fhole _ ->
+    0
+  | Term.Compose (a, b) | Term.Pairf (a, b) | Term.Times (a, b)
+  | Term.Nest (a, b) | Term.Unnest (a, b) ->
+    plain_heads_func a lor plain_heads_func b
+  | Term.Cf (a, _) -> plain_heads_func a
+  | Term.Con (p, a, b) ->
+    plain_heads_pred p lor plain_heads_func a lor plain_heads_func b
+  | Term.Iterate (p, a) | Term.Iter (p, a) | Term.Join (p, a) ->
+    plain_heads_pred p lor plain_heads_func a
 
-let check_same_outcome name (a : Search.outcome) (b : Search.outcome) =
-  Alcotest.check query (name ^ ": best query") a.Search.best.Search.query
-    b.Search.best.Search.query;
-  Alcotest.(check (list string))
-    (name ^ ": derivation") a.Search.best.Search.path b.Search.best.Search.path;
-  Alcotest.(check (float 0.))
-    (name ^ ": cost") a.Search.best.Search.cost b.Search.best.Search.cost;
-  Alcotest.(check int) (name ^ ": explored") a.Search.explored b.Search.explored;
-  Alcotest.(check bool)
-    (name ^ ": frontier") a.Search.frontier_exhausted
-    b.Search.frontier_exhausted;
-  Alcotest.(check int)
-    (name ^ ": distinct states") a.Search.seen_states b.Search.seen_states
-
-let fig_workloads =
-  [
-    ("T1K", Paper.t1k_source, 4, 200);
-    ("T2K", Paper.t2k_source, 4, 150);
-    ("K4", Paper.k4, 3, 120);
-    ("KG1", Paper.kg1, 2, 60);
-  ]
+and plain_heads_pred p =
+  head_bit_of (Index.head_of_pred p)
+  lor
+  match p with
+  | Term.Eq | Term.Leq | Term.Gt | Term.In | Term.Primp _ | Term.Kp _
+  | Term.Phole _ ->
+    0
+  | Term.Oplus (q, f) -> plain_heads_pred q lor plain_heads_func f
+  | Term.Andp (q, r) | Term.Orp (q, r) ->
+    plain_heads_pred q lor plain_heads_pred r
+  | Term.Inv q | Term.Conv q | Term.Cp (q, _) -> plain_heads_pred q
 
 let tests =
   [
@@ -140,17 +130,23 @@ let tests =
                   keys_equal)
               paper_queries)
           paper_queries);
-    case "mask_may_fire agrees with the presence-walk may_fire" (fun () ->
+    case "head masks agree with a plain head walk" (fun () ->
         List.iter
           (fun q ->
-            let presence = Index.presence_of_query q in
+            Alcotest.(check int) "fheads"
+              (plain_heads_func q.Term.body)
+              (Hc.of_query q).Hc.hbody.Hc.fheads)
+          paper_queries);
+    case "mask_may_fire never prunes a rule that fires" (fun () ->
+        List.iter
+          (fun q ->
             let mask = (Hc.of_query q).Hc.hbody.Hc.fheads in
             List.iter
               (fun r ->
-                Alcotest.check Alcotest.bool
-                  ("rule " ^ r.Rewrite.Rule.name)
-                  (Index.may_fire presence r)
-                  (Index.mask_may_fire mask r))
+                if Search.successors [ r ] q <> [] then
+                  Alcotest.(check bool)
+                    ("rule " ^ r.Rewrite.Rule.name)
+                    true (Index.mask_may_fire mask r))
               Rules.Catalog.all)
           paper_queries);
     case "substitution returns the input subtree physically unchanged"
@@ -170,63 +166,6 @@ let tests =
             Alcotest.check Alcotest.bool "interned, empty subst" true
               (Subst.H.apply_func Subst.H.empty n == n))
           paper_bodies);
-    case "run_hc reproduces the indexed engine on the paper queries"
-      (fun () ->
-        List.iter
-          (fun q ->
-            let plain = Engine.run ~fuel:40 Rules.Catalog.all q in
-            let interned = Engine.run_hc ~fuel:40 Rules.Catalog.all q in
-            Alcotest.(check (list string))
-              "same trace" (trace_names plain) (trace_names interned);
-            Alcotest.check query "same normal form" plain.Engine.query
-              interned.Engine.query;
-            Alcotest.(check int)
-              "same attempts" plain.Engine.stats.Engine.attempts
-              interned.Engine.stats.Engine.attempts)
-          paper_queries);
-    case "interned explore is bit-identical to the legacy engine" (fun () ->
-        List.iter
-          (fun (name, q, max_depth, max_states) ->
-            let legacy =
-              explore_at ~interned:false ~max_depth ~max_states q
-            in
-            let interned = explore_at ~max_depth ~max_states q in
-            check_same_outcome name legacy interned;
-            Alcotest.(check (float 0.))
-              (name ^ ": legacy reports no interning") 0.
-              legacy.Search.sharing_ratio;
-            Alcotest.check Alcotest.bool
-              (name ^ ": interned engine shares nodes") true
-              (interned.Search.intern_hits > 0))
-          fig_workloads);
-    case "interned explore at jobs = 2 and 4 equals sequential" (fun () ->
-        List.iter
-          (fun (name, q, max_depth, max_states) ->
-            let seq = explore_at ~max_depth ~max_states q in
-            List.iter
-              (fun jobs ->
-                let par = explore_at ~jobs ~max_depth ~max_states q in
-                check_same_outcome (Fmt.str "%s @ jobs=%d" name jobs) seq par)
-              [ 2; 4 ])
-          fig_workloads);
-    case "interned reaches finds the identical derivation" (fun () ->
-        let config interned jobs =
-          {
-            Search.default_config with
-            max_depth = 4;
-            max_states = 200;
-            interned;
-            jobs;
-          }
-        in
-        let q = Paper.t1k_source and target = Paper.t1k_target in
-        let legacy = Search.reaches ~config:(config false 1) q target in
-        List.iter
-          (fun jobs ->
-            Alcotest.(check (option (list string)))
-              (Fmt.str "jobs=%d" jobs) legacy
-              (Search.reaches ~config:(config true jobs) q target))
-          [ 1; 2; 4 ]);
   ]
 
 let props =
@@ -255,8 +194,13 @@ let props =
       (fun (i, j) ->
         let b1 = (random_query i 3).Term.body in
         let b2 = (random_query j 3).Term.body in
-        Term.equal_func b1 b2 = (Hc.of_func b1 == Hc.of_func b2))
-    ;
+        Term.equal_func b1 b2 = (Hc.of_func b1 == Hc.of_func b2));
+    Test.make ~count:100
+      ~name:"head masks agree with a plain head walk on random queries"
+      (arb 3)
+      (fun i ->
+        let b = (random_query i 3).Term.body in
+        (Hc.of_func b).Hc.fheads = plain_heads_func b);
     Test.make ~count:120
       ~name:"id-pair dedup classifies pairs like canonical keys"
       (pair (arb 3) (pair (arb 3) bool))
@@ -273,22 +217,6 @@ let props =
           (Term.Canonical.of_query q1)
           (Term.Canonical.of_query q2)
         = keys_equal);
-    Test.make ~count:25
-      ~name:"interned explore equals legacy explore on random queries"
-      (arb 2)
-      (fun i ->
-        let q = random_query i 2 in
-        let legacy =
-          explore_at ~interned:false ~max_depth:2 ~max_states:40 q
-        in
-        let interned = explore_at ~max_depth:2 ~max_states:40 q in
-        Term.equal_query legacy.Search.best.Search.query
-          interned.Search.best.Search.query
-        && legacy.Search.best.Search.path = interned.Search.best.Search.path
-        && legacy.Search.explored = interned.Search.explored
-        && legacy.Search.frontier_exhausted
-           = interned.Search.frontier_exhausted
-        && legacy.Search.seen_states = interned.Search.seen_states);
   ]
 
 let tests = tests @ List.map (QCheck_alcotest.to_alcotest ~long:false) props

@@ -1,8 +1,9 @@
 (* The engine's performance layer: head-symbol rule dispatch, hashed
    canonical dedup, memoized costing.  Correctness is equivalence: the
-   indexed engine must produce the *identical* derivation to the naive
-   engine, and hashed canonical keys must classify query pairs exactly as
-   the legacy pretty-printed canonical strings do. *)
+   indexed [Engine.run] must produce the *identical* derivation to
+   iterating the unindexed [Engine.step_once], and hashed canonical keys
+   must classify query pairs exactly as pretty-printed canonical strings
+   do. *)
 
 open Kola
 open Util
@@ -17,9 +18,25 @@ let paper_queries =
 let trace_names (o : Engine.outcome) =
   List.map (fun s -> s.Engine.rule_name) o.Engine.trace
 
+(* The unindexed oracle: iterate [Engine.step_once], which attempts every
+   rule of the right sort at every node, counting attempts the way
+   [Engine.run] does. *)
+type naive = { nquery : Term.query; nnames : string list; nattempts : int }
+
+let run_naive ~fuel rules q =
+  let counter = ref 0 in
+  let rec go n q names =
+    if n = 0 then (q, names)
+    else
+      match Engine.step_once ~counter rules q with
+      | Some (name, q') -> go (n - 1) q' (name :: names)
+      | None -> (q, names)
+  in
+  let q', names = go fuel q [] in
+  { nquery = q'; nnames = List.rev names; nattempts = !counter }
+
 let run_both ?(fuel = 40) rules q =
-  ( Engine.run ~indexed:false ~fuel rules q,
-    Engine.run ~indexed:true ~fuel rules q )
+  (run_naive ~fuel rules q, Engine.run ~fuel rules q)
 
 let random_query i depth =
   Translate.Compile.query (Datagen.Queries.query ~seed:i ~depth)
@@ -39,16 +56,17 @@ let rec right_assoc f =
 
 let tests =
   [
-    case "indexed run equals naive run on the paper queries" (fun () ->
+    case "indexed run equals iterated step_once on the paper queries"
+      (fun () ->
         List.iter
           (fun q ->
             let naive, indexed = run_both Rules.Catalog.all q in
             Alcotest.(check (list string))
-              "same trace" (trace_names naive) (trace_names indexed);
-            Alcotest.check query "same normal form" naive.Engine.query
+              "same trace" naive.nnames (trace_names indexed);
+            Alcotest.check query "same normal form" naive.nquery
               indexed.Engine.query;
             Alcotest.(check int)
-              "same firings" naive.Engine.stats.Engine.firings
+              "same firings" (List.length naive.nnames)
               indexed.Engine.stats.Engine.firings)
           paper_queries);
     case "index dispatch cuts attempts >= 3x on the Fig 4/6 derivations"
@@ -57,13 +75,12 @@ let tests =
           (fun (name, q) ->
             let naive, indexed = run_both Rules.Catalog.all q in
             let r =
-              float_of_int naive.Engine.stats.Engine.attempts
+              float_of_int naive.nattempts
               /. float_of_int (max 1 indexed.Engine.stats.Engine.attempts)
             in
             Alcotest.check Alcotest.bool
               (Fmt.str "%s: %d naive vs %d indexed attempts (%.1fx)" name
-                 naive.Engine.stats.Engine.attempts
-                 indexed.Engine.stats.Engine.attempts r)
+                 naive.nattempts indexed.Engine.stats.Engine.attempts r)
               true (r >= 3.))
           [ ("T1K", Paper.t1k_source); ("T2K", Paper.t2k_source);
             ("K4", Paper.k4) ]);
@@ -90,19 +107,6 @@ let tests =
         let leaf = Index.candidates_func idx Term.Pi1 in
         Alcotest.check Alcotest.bool "leaf bucket smaller" true
           (List.length leaf < List.length cands));
-    case "step_once_indexed agrees with step_once rule by rule" (fun () ->
-        let idx = Index.build Rules.Catalog.all in
-        List.iter
-          (fun q ->
-            let naive = Engine.step_once Rules.Catalog.all q in
-            let indexed = Engine.step_once_indexed idx q in
-            match naive, indexed with
-            | None, None -> ()
-            | Some (n1, q1), Some (n2, q2) ->
-              Alcotest.(check string) "same rule" n1 n2;
-              Alcotest.check query "same result" q1 q2
-            | _ -> Alcotest.fail "one engine fired, the other did not")
-          paper_queries);
     case "canonical keys identify associativity variants" (fun () ->
         List.iter
           (fun q ->
@@ -170,14 +174,8 @@ let tests =
         Alcotest.(check int) "capped to one" 1 (List.length capped));
     case "cost cache eliminates re-evaluation on a warm exploration"
       (fun () ->
-        let cache = Optimizer.Cost.cache () in
-        let hc = Optimizer.Cost.hc_cache () in
         let config =
-          {
-            Search.default_config with
-            cost_cache = Some cache;
-            hc_cost_cache = Some hc;
-          }
+          { Search.default_config with cost_cache = Some (Optimizer.Cost.cache ()) }
         in
         let cold = Search.explore ~config Paper.t1k_source in
         Alcotest.check Alcotest.bool "cold run evaluates" true
@@ -189,25 +187,6 @@ let tests =
           (warm.Search.cache_hits > 0);
         Alcotest.check query "same best plan" cold.Search.best.Search.query
           warm.Search.best.Search.query);
-    case "indexed explore finds the same best plan as naive explore"
-      (fun () ->
-        List.iter
-          (fun q ->
-            let naive =
-              Search.explore
-                ~config:{ Search.default_config with indexed = false }
-                q
-            in
-            let indexed =
-              Search.explore
-                ~config:{ Search.default_config with indexed = true }
-                q
-            in
-            Alcotest.check query "same best" naive.Search.best.Search.query
-              indexed.Search.best.Search.query;
-            Alcotest.(check int) "same states" naive.Search.explored
-              indexed.Search.explored)
-          [ Paper.t1k_source; Paper.k4 ]);
   ]
 
 let props =
@@ -225,10 +204,9 @@ let props =
       (fun i ->
         let q = random_query i 3 in
         let naive, indexed = run_both ~fuel:25 Rules.Catalog.all q in
-        trace_names naive = trace_names indexed
-        && Term.equal_query naive.Engine.query indexed.Engine.query
-        && naive.Engine.stats.Engine.attempts
-           >= indexed.Engine.stats.Engine.attempts);
+        naive.nnames = trace_names indexed
+        && Term.equal_query naive.nquery indexed.Engine.query
+        && naive.nattempts >= indexed.Engine.stats.Engine.attempts);
     Test.make ~count:120
       ~name:"hashed canonical dedup classifies pairs like string canonical"
       (pair (arb 3) (pair (arb 3) bool))

@@ -27,7 +27,6 @@ let explore_at ?(rules = Rules.Catalog.all) ~max_depth ~max_states jobs q =
         max_states;
         jobs;
         cost_cache = Some (Cost.cache ());
-        hc_cost_cache = Some (Cost.hc_cache ());
       }
     q
 
@@ -38,9 +37,9 @@ let reaches_at ?(rules = with_flips) ~max_depth ~max_states jobs q target =
     q target
 
 (* The determinism contract: best query, derivation, cost, explored
-   count, and frontier flag all agree.  (Cost-cache accounting is
-   deliberately excluded: hit/miss totals may legally shift when a
-   capacity sweep lands mid-level.) *)
+   count, frontier flag and distinct-state count all agree.  (Cost-cache
+   accounting is deliberately excluded: hit/miss totals may legally shift
+   when a capacity sweep lands mid-level.) *)
 let check_same_outcome name (a : Search.outcome) (b : Search.outcome) =
   Alcotest.check query (name ^ ": best query") a.Search.best.Search.query
     b.Search.best.Search.query;
@@ -50,7 +49,9 @@ let check_same_outcome name (a : Search.outcome) (b : Search.outcome) =
     (name ^ ": cost") a.Search.best.Search.cost b.Search.best.Search.cost;
   Alcotest.(check int) (name ^ ": explored") a.Search.explored b.Search.explored;
   Alcotest.(check bool)
-    (name ^ ": frontier") a.Search.frontier_exhausted b.Search.frontier_exhausted
+    (name ^ ": frontier") a.Search.frontier_exhausted b.Search.frontier_exhausted;
+  Alcotest.(check int)
+    (name ^ ": distinct states") a.Search.seen_states b.Search.seen_states
 
 let fig_workloads =
   (* Figure 4 sources, the Figure 6 code-motion source, and the Garage
@@ -196,7 +197,10 @@ let tests =
         in
         let qs = List.filteri (fun i _ -> i < 10) qs in
         Alcotest.(check int) "ten distinct plans" 10 (List.length qs);
-        List.iter (fun q -> ignore (Cost.weighted_memo cache ~db:tiny_db q)) qs;
+        List.iter
+          (fun q ->
+            ignore (Cost.weighted_memo cache ~db:tiny_db (Term.Hc.of_query q)))
+          qs;
         let s = Cost.cache_stats cache in
         Alcotest.(check int) "all misses" 10 s.Cost.misses;
         Alcotest.(check bool) "bounded" true (s.Cost.entries <= 4);
@@ -205,7 +209,7 @@ let tests =
     case "second chance: a hit entry survives the sweep" (fun () ->
         let cache = Cost.cache ~size:2 () in
         let a = Paper.t1k_source and b = Paper.t2k_source and c = Paper.k4 in
-        let cost q = Cost.weighted_memo cache ~db:tiny_db q in
+        let cost q = Cost.weighted_memo cache ~db:tiny_db (Term.Hc.of_query q) in
         ignore (cost a);
         ignore (cost a);  (* hit: a earns its second chance *)
         ignore (cost b);
@@ -218,14 +222,15 @@ let tests =
         Alcotest.(check int) "one eviction so far" 1 s1.Cost.evictions);
     case "batch memo returns the same costs and accounting as one-by-one"
       (fun () ->
-        let qs = List.init 8 (fun i -> random_query (100 + i) 2) in
+        let qs =
+          List.init 8 (fun i -> Term.Hc.of_query (random_query (100 + i) 2))
+        in
         let items =
-          Array.of_list
-            (List.map (fun q -> (Term.Canonical.of_query q, q)) qs)
+          Array.of_list (List.map (fun hq -> (Term.Hc.query_key hq, hq)) qs)
         in
         let seq_cache = Cost.cache () in
         let expected =
-          List.map (fun q -> Cost.weighted_memo seq_cache ~db:tiny_db q) qs
+          List.map (fun hq -> Cost.weighted_memo seq_cache ~db:tiny_db hq) qs
         in
         let batch_cache = Cost.cache () in
         (* cold batch = all sequential misses *)

@@ -374,7 +374,7 @@ let behaviour_tests =
           Alcotest.(check bool) "workers reported" true
             (Option.bind (Json.mem "workers" svc) Json.int = Some 1)
         | None -> Alcotest.fail "no service stats");
-        match Json.mem "hc_cost_cache" s with
+        match Json.mem "cost_cache" s with
         | Some c ->
           let field n = Option.get (Option.bind (Json.mem n c) Json.int) in
           Alcotest.(check bool) "entries within capacity" true
@@ -385,6 +385,25 @@ let behaviour_tests =
           Alcotest.(check bool) "counts non-negative" true
             (field "hits" >= 0 && field "misses" >= 0 && field "evictions" >= 0)
         | None -> Alcotest.fail "no cache stats");
+    case "stats cost_cache counts the misses of a fresh search" (fun () ->
+        let misses () =
+          let s = handle_json (Json.Obj [ ("cmd", Json.Str "stats") ]) in
+          Option.get
+            (Option.bind (Json.mem "cost_cache" s) (fun c ->
+                 Option.bind (Json.mem "misses" c) Json.int))
+        in
+        ignore (handle_json (Json.Obj [ ("cmd", Json.Str "flush") ]));
+        let before = misses () in
+        check_ok "fresh search"
+          (handle_json
+             (Json.Obj
+                [
+                  ( "query",
+                    Json.Str "select p.addr.city from p in P where p.age > 71" );
+                ]));
+        Alcotest.(check bool) "the search costed through the reported cache"
+          true
+          (misses () > before));
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -436,9 +455,10 @@ let infra_tests =
         let cache = Cost.cache () in
         let queries =
           Array.init 16 (fun i ->
-              Translate.Compile.query
-                (Oql.Parser.parse
-                   (Fmt.str "select p.age from p in P where p.age > %d" i)))
+              Kola.Term.Hc.of_query
+                (Translate.Compile.query
+                   (Oql.Parser.parse
+                      (Fmt.str "select p.age from p in P where p.age > %d" i))))
         in
         let lookups_per_domain = 64 in
         let domains =

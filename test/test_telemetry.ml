@@ -94,7 +94,6 @@ let tests =
                        max_depth = 2;
                        max_states = 50;
                        cost_cache = Some (Cost.cache ());
-                       hc_cost_cache = Some (Cost.hc_cache ());
                      }
                    Paper.t1k_source))
         in
@@ -221,7 +220,6 @@ let bfs_config jobs =
     max_states = 60;
     jobs;
     cost_cache = Some (Cost.cache ());
-    hc_cost_cache = Some (Cost.hc_cache ());
   }
 
 (* A huge time budget and tight node/iteration budgets keep the
