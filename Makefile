@@ -1,6 +1,6 @@
 # Convenience entry points; everything is plain dune underneath.
 
-.PHONY: all build test check certify-packs serve-smoke bench bench-fast bench-smoke bench-parallel bench-hashcons bench-egraph bench-serve bench-exec baseline trace-demo clean
+.PHONY: all build test check certify-packs serve-smoke ledger-smoke bench bench-fast bench-smoke bench-parallel bench-hashcons bench-egraph bench-serve bench-exec baseline trace-demo clean
 
 all: build
 
@@ -11,10 +11,17 @@ test:
 	dune runtest
 
 # The default verify path: build, unit tests, the CI-sized bench slice,
-# and the serving smoke (daemon end-to-end: engines, malformed input,
-# overload rejection, telemetry, clean shutdown).
+# the serving smoke (daemon end-to-end: engines, malformed and oversized
+# input, overload rejection, telemetry, clean shutdown), and the ledger's
+# gates (one second per workload; fails on any gate, including
+# compiled-vs-interpreter agreement and search path validation).
 check:
-	dune build && dune runtest && dune build @bench-smoke && $(MAKE) certify-packs && $(MAKE) serve-smoke
+	dune build && dune runtest && dune build @bench-smoke && $(MAKE) certify-packs && $(MAKE) serve-smoke && $(MAKE) ledger-smoke
+
+# The OQL → result ledger at smoke size, every gate on.
+ledger-smoke:
+	dune build ./bench/ledger/ledger.exe ./bin/kolaoptd.exe
+	./_build/default/bench/ledger/ledger.exe --smoke
 
 # Cold-cache certification of every committed COKO rule pack: exhaustive
 # small-scope checking, exit 3 on the first pack with an uncertified rule.

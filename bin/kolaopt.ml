@@ -92,8 +92,8 @@ let run_cmd =
             "Execution backend for the chosen plan: $(b,compiled) (fuse the \
              plan into loop closures; unsupported plans fall back to the \
              interpreter, reported in --stats), $(b,interp) (the hashed \
-             interpreter), or $(b,interp-naive).  Default: the interpreter \
-             backend the optimizer chose.")
+             interpreter), or $(b,interp-naive).  Default: the hashed \
+             interpreter, the backend every candidate plan is costed on.")
   in
   let verify =
     Arg.(

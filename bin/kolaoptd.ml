@@ -323,9 +323,9 @@ let request_cmd =
 (* ------------------------------------------------------------------ *)
 (* smoke: an in-process end-to-end exercise of the serving path, small
    enough for the default verify loop.  Covers one request per engine, a
-   malformed line that must not kill its worker, deterministic overload
-   via the sleep_ms debug lever, telemetry-on-demand, and a clean
-   shutdown. *)
+   malformed line that must not kill its worker, an unterminated line
+   past the size bound, deterministic overload via the sleep_ms debug
+   lever, telemetry-on-demand, and a clean shutdown. *)
 
 let smoke_cmd =
   let run () =
@@ -431,6 +431,35 @@ let smoke_cmd =
     close_out_noerr oc;
     (try Unix.close fd with Unix.Unix_error _ -> ());
     Unix.sleepf 0.5;
+    (* A client streaming 2 MiB with no newline gets an error once the
+       line passes the daemon's bound, and its worker is freed for the
+       next connection.  The daemon closes mid-stream, so the rest of the
+       write fails with EPIPE. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    let lfd, lic, _ = raw_connect () in
+    let junk = Bytes.make (2 lsl 20) 'x' in
+    (try
+       let rec go off =
+         if off < Bytes.length junk then
+           go (off + Unix.write lfd junk off (Bytes.length junk - off))
+       in
+       go 0
+     with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+    (try Unix.shutdown lfd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+    let long =
+      try Some (Json.parse (input_line lic)) with End_of_file -> None
+    in
+    close_in_noerr lic;
+    check "unterminated 2 MiB line answers a structured error"
+      (Option.bind long status = Some "error");
+    let next = Daemon.Client.connect socket in
+    let rn =
+      Daemon.Client.request next
+        (Json.Obj [ ("id", Json.Num 16.); ("paper", Json.Str "t1k") ])
+    in
+    Daemon.Client.close next;
+    check "worker serves the next connection after an oversized line"
+      (status rn = Some "ok");
     (* Overload: two sleepers occupy both workers, two more connections
        fill the admission queue, the next connection must be rejected
        from the accept loop. *)
@@ -609,7 +638,8 @@ let smoke_cmd =
     (Cmd.info "smoke"
        ~doc:
          "Start an in-process daemon and drive the serving path end to end \
-          (engines, malformed input, overload, telemetry, shutdown).")
+          (engines, malformed and oversized input, overload, telemetry, \
+          shutdown).")
     Term.(const run $ const ())
 
 let main =

@@ -2,8 +2,7 @@
 
    The company database (Employee/Department) is queried with a roster
    hidden-join (untangles to a hash equi-join), a data-dependent nested
-   query (correctly not untangled), and an aggregate (deferred dedup
-   correctly disabled).
+   query (correctly not untangled), and an aggregate.
 
      dune exec examples/company_workload.exe *)
 

@@ -156,7 +156,23 @@ and pred_env_free : Term.pred -> bool = function
    loop-invariant subterms: the compiled closure memoizes its result on
    the (db, dedup) pair it ran under, so a closed subquery used as a
    filter operand costs one evaluation per run instead of one per
-   element. *)
+   element.
+
+   Every collection operator's row semantics is written once, as a kernel
+   over element sources that charges the work counters itself.  [fc] runs
+   a kernel over an element's materialized set; the pipeline lowering
+   below runs the same kernel over a streamed collection, and so does
+   every columnar refusal. *)
+
+(* An element source: calls its argument once per element, in order. *)
+type src = (Value.t -> unit) -> unit
+
+let of_list xs : src = fun k -> List.iter k xs
+
+(* Elements gathered newest-first into a collection under the ambient
+   discipline.  [Eager] sorts anyway, so only a bag needs the reversal. *)
+let finish ctx acc =
+  collection ctx (if ctx.dedup = Eval.Eager then acc else List.rev acc)
 
 let rec fc (f : Term.func) : rctx -> Value.t -> Value.t =
   match f with
@@ -174,6 +190,22 @@ let rec fc (f : Term.func) : rctx -> Value.t -> Value.t =
   | _ -> fc_node f
 
 and fc_node (f : Term.func) : rctx -> Value.t -> Value.t =
+  (* A unary kernel over the element's set, and a binary one over the
+     element's pair of sets (table sized from the right operand).  Kernels
+     are applied in full: a partial application would allocate per call. *)
+  let unary k ctx v =
+    let acc = ref [] in
+    k ctx (of_list (as_set ctx v)) (fun x -> acc := x :: !acc);
+    finish ctx !acc
+  in
+  let binary k ctx v =
+    let a, b = as_pair ctx v in
+    let xs = as_set ctx a and ys = as_set ctx b in
+    let acc = ref [] in
+    k ctx ~size:((2 * List.length ys) + 1) (of_list xs) (of_list ys) (fun x ->
+        acc := x :: !acc);
+    finish ctx !acc
+  in
   match f with
   | Term.Id -> fun ctx v -> resolve ctx v
   | Term.Pi1 -> fun ctx v -> fst (as_pair ctx v)
@@ -221,192 +253,194 @@ and fc_node (f : Term.func) : rctx -> Value.t -> Value.t =
     fun ctx v ->
       let a, b = as_pair ctx v in
       Value.Int (op (as_int ctx a) (as_int ctx b))
-  | Term.Agg op -> fc_agg op
-  | Term.Setop op -> fc_setop op
+  | Term.Agg op ->
+    (* the interpreter aggregates the element's set as it stands *)
+    let k = k_agg ~canonical:true op in
+    fun ctx v -> k ctx (of_list (as_set ctx v))
+  | Term.Setop op -> binary (k_setop op)
   | Term.Sng -> fun ctx v -> Value.set [ resolve ctx v ]
-  | Term.Flat ->
-    fun ctx v ->
-      let outer = as_set ctx v in
-      ctx.c.tuples <- ctx.c.tuples + List.length outer;
-      collection ctx (List.concat_map (fun s -> as_set ctx s) outer)
-  | Term.Iterate (p, f) ->
-    let p' = pc p and f' = fc f in
-    fun ctx v ->
-      let xs = as_set ctx v in
-      ctx.c.tuples <- ctx.c.tuples + List.length xs;
-      collection ctx
-        (List.filter_map (fun x -> if p' ctx x then Some (f' ctx x) else None) xs)
-  | Term.Iter (Term.Kp true, Term.Pi2) ->
-    (* Degenerate environment loop: keep everything, project the element —
-       no per-element pair needs building. *)
-    fun ctx v ->
-      let _, set = as_pair ctx v in
-      let ys = as_set ctx set in
-      ctx.c.tuples <- ctx.c.tuples + List.length ys;
-      collection ctx ys
+  | Term.Flat -> unary k_flat
+  | Term.Iterate (p, f) -> unary (k_iterate p f)
   | Term.Iter (p, f) ->
-    let p' = pc p and f' = fc f in
+    let k = k_iter p f in
     fun ctx v ->
       let e, set = as_pair ctx v in
-      let ys = as_set ctx set in
-      ctx.c.tuples <- ctx.c.tuples + List.length ys;
-      collection ctx
-        (List.filter_map
-           (fun y ->
-             let pair = Value.Pair (e, y) in
-             if p' ctx pair then Some (f' ctx pair) else None)
-           ys)
-  | Term.Join (p, f) -> fc_join p f
-  | Term.Nest (f, g) -> fc_nest f g
-  | Term.Unnest (f, g) ->
-    let fk = fc f and fg = fc g in
-    fun ctx v ->
-      let xs = as_set ctx v in
-      ctx.c.tuples <- ctx.c.tuples + List.length xs;
-      collection ctx
-        (List.concat_map
-           (fun x ->
-             let key = fk ctx x in
-             List.map (fun y -> Value.Pair (key, y)) (as_set ctx (fg ctx x)))
-           xs)
+      let acc = ref [] in
+      k ctx e (of_list (as_set ctx set)) (fun x -> acc := x :: !acc);
+      finish ctx !acc
+  | Term.Join (p, f) -> binary (k_join p f)
+  | Term.Nest (f, g) -> binary (k_nest f g)
+  | Term.Unnest (f, g) -> unary (k_unnest f g)
   | Term.Fhole h -> unsupported "pattern hole ?%s" h
 
-and fc_agg op : rctx -> Value.t -> Value.t =
-  match op with
-  | Term.Count ->
-    fun ctx v ->
-      let xs = as_set ctx v in
-      ctx.c.tuples <- ctx.c.tuples + List.length xs;
-      Value.Int (List.length xs)
-  | Term.Sum ->
-    fun ctx v ->
-      let xs = as_set ctx v in
-      ctx.c.tuples <- ctx.c.tuples + List.length xs;
-      Value.Int (List.fold_left (fun acc x -> acc + as_int ctx x) 0 xs)
-  | Term.Max ->
-    fun ctx v ->
-      (match as_set ctx v with
-      | [] -> error "max of empty set"
-      | x :: rest ->
-        ctx.c.tuples <- ctx.c.tuples + 1 + List.length rest;
-        List.fold_left (fun m y -> if value_gt y m then y else m) x rest)
-  | Term.Min ->
-    fun ctx v ->
-      (match as_set ctx v with
-      | [] -> error "min of empty set"
-      | x :: rest ->
-        ctx.c.tuples <- ctx.c.tuples + 1 + List.length rest;
-        List.fold_left (fun m y -> if value_gt m y then y else m) x rest)
+(* --- the row kernels --- *)
 
-(* Membership set ops over a hash set of the right operand — O(|xs|+|ys|)
-   where the interpreter is quadratic; same elements, same left-to-right
-   order, so the result value is identical. *)
-and fc_setop op : rctx -> Value.t -> Value.t =
-  let member ctx ys =
-    let t = VH.create (2 * List.length ys + 1) in
-    List.iter (fun y -> VH.replace t y ()) ys;
-    ignore ctx;
-    t
-  in
-  match op with
-  | Term.Union ->
-    fun ctx v ->
-      let a, b = as_pair ctx v in
-      let xs = as_set ctx a and ys = as_set ctx b in
-      ctx.c.tuples <- ctx.c.tuples + List.length xs + List.length ys;
-      collection ctx (xs @ ys)
-  | Term.Inter ->
-    fun ctx v ->
-      let a, b = as_pair ctx v in
-      let xs = as_set ctx a and ys = as_set ctx b in
-      ctx.c.tuples <- ctx.c.tuples + List.length xs + List.length ys;
-      let m = member ctx ys in
-      collection ctx (List.filter (fun x -> VH.mem m x) xs)
-  | Term.Diff ->
-    fun ctx v ->
-      let a, b = as_pair ctx v in
-      let xs = as_set ctx a and ys = as_set ctx b in
-      ctx.c.tuples <- ctx.c.tuples + List.length xs + List.length ys;
-      let m = member ctx ys in
-      collection ctx (List.filter (fun x -> not (VH.mem m x)) xs)
+and k_flat ctx (src : src) emit =
+  src (fun s ->
+      ctx.c.tuples <- ctx.c.tuples + 1;
+      List.iter emit (as_set ctx s))
 
-(* Scalar join/nest mirror the [Hashed] interpreter backend (decomposition
-   done once at compile time), falling back to nested loops when the
-   predicate exposes no index. *)
-and fc_join p f : rctx -> Value.t -> Value.t =
+and k_iterate p f : rctx -> src -> (Value.t -> unit) -> unit =
+  let p' = pc p and f' = fc f in
+  fun ctx src emit ->
+    src (fun x ->
+        ctx.c.tuples <- ctx.c.tuples + 1;
+        if p' ctx x then emit (f' ctx x))
+
+(* [iter] over the pairs [Pair (e, y)] for the environment [e]. *)
+and k_iter p f : rctx -> Value.t -> src -> (Value.t -> unit) -> unit =
+  let p' = pc p and f' = fc f in
+  fun ctx e src emit ->
+    src (fun y ->
+        ctx.c.tuples <- ctx.c.tuples + 1;
+        let pair = Value.Pair (e, y) in
+        if p' ctx pair then emit (f' ctx pair))
+
+and k_unnest f g : rctx -> src -> (Value.t -> unit) -> unit =
+  let fk = fc f and fg = fc g in
+  fun ctx src emit ->
+    src (fun x ->
+        ctx.c.tuples <- ctx.c.tuples + 1;
+        let key = fk ctx x in
+        List.iter (fun y -> emit (Value.Pair (key, y))) (as_set ctx (fg ctx x)))
+
+(* The step every join shares once a pair matched its index: apply the
+   residual, count the tuple, emit the projection. *)
+and join_emit residual f :
+    rctx -> (Value.t -> unit) -> Value.t -> Value.t -> unit =
   let f' = fc f in
+  match Option.map pc residual with
+  | None ->
+    fun ctx emit x y ->
+      ctx.c.tuples <- ctx.c.tuples + 1;
+      emit (f' ctx (Value.Pair (x, y)))
+  | Some r ->
+    fun ctx emit x y ->
+      let pair = Value.Pair (x, y) in
+      if r ctx pair then (
+        ctx.c.tuples <- ctx.c.tuples + 1;
+        emit (f' ctx pair))
+
+(* join(p, f) over the probe source [xs] and the build source [ys]: a
+   hash join when [Eval.hash_joinable] decomposes [p] (the [Hashed]
+   interpreter's index, built once), nested loops otherwise.  [size]
+   seeds the index table. *)
+and k_join p f : rctx -> size:int -> src -> src -> (Value.t -> unit) -> unit =
   match Eval.hash_joinable p with
   | Some (kind, g1, g2, residual) ->
-    let g1' = fc g1 and g2' = fc g2 in
-    let res' = Option.map pc residual in
-    fun ctx v ->
-      let a, b = as_pair ctx v in
-      let xs = as_set ctx a and ys = as_set ctx b in
-      let index : Value.t list VH.t = VH.create (2 * List.length ys + 1) in
+    let g1' = fc g1 and g2' = fc g2 and step = join_emit residual f in
+    fun ctx ~size xs ys emit ->
+      let index : Value.t list VH.t = VH.create size in
       let add key y =
         let prev = Option.value ~default:[] (VH.find_opt index key) in
         VH.replace index key (y :: prev)
       in
-      List.iter
-        (fun y ->
+      ys (fun y ->
           ctx.c.builds <- ctx.c.builds + 1;
           match kind with
           | `Eq -> add (g2' ctx y) y
-          | `In -> List.iter (fun e -> add e y) (as_set ctx (g2' ctx y)))
-        ys;
-      collection ctx
-        (List.concat_map
-           (fun x ->
-             ctx.c.probes <- ctx.c.probes + 1;
-             let matches =
-               Option.value ~default:[] (VH.find_opt index (g1' ctx x))
-             in
-             List.filter_map
-               (fun y ->
-                 let pair = Value.Pair (x, y) in
-                 let keep =
-                   match res' with None -> true | Some r -> r ctx pair
-                 in
-                 if keep then Some (f' ctx pair) else None)
-               matches)
-           xs)
+          | `In -> List.iter (fun e -> add e y) (as_set ctx (g2' ctx y)));
+      xs (fun x ->
+          ctx.c.probes <- ctx.c.probes + 1;
+          match VH.find_opt index (g1' ctx x) with
+          | None -> ()
+          | Some matches -> List.iter (fun y -> step ctx emit x y) matches)
   | None ->
-    let p' = pc p in
-    fun ctx v ->
-      let a, b = as_pair ctx v in
-      let xs = as_set ctx a and ys = as_set ctx b in
-      ctx.c.tuples <-
-        ctx.c.tuples + (List.length xs * (1 + List.length ys));
-      collection ctx
-        (List.concat_map
-           (fun x ->
-             List.filter_map
-               (fun y ->
-                 let pair = Value.Pair (x, y) in
-                 if p' ctx pair then Some (f' ctx pair) else None)
-               ys)
-           xs)
+    let p' = pc p and f' = fc f in
+    fun ctx ~size:_ xs ys emit ->
+      let acc = ref [] in
+      ys (fun y -> acc := y :: !acc);
+      let ys = List.rev !acc in
+      xs (fun x ->
+          List.iter
+            (fun y ->
+              ctx.c.tuples <- ctx.c.tuples + 1;
+              let pair = Value.Pair (x, y) in
+              if p' ctx pair then emit (f' ctx pair))
+            ys)
 
-and fc_nest f g : rctx -> Value.t -> Value.t =
+(* nest(f, g): group [xs] by [f], then emit every [y] with its group. *)
+and k_nest f g : rctx -> size:int -> src -> src -> (Value.t -> unit) -> unit =
   let f' = fc f and g' = fc g in
-  fun ctx v ->
-    let a, b = as_pair ctx v in
-    let xs = as_set ctx a and ys = as_set ctx b in
-    let groups : Value.t list VH.t = VH.create (2 * List.length ys + 1) in
-    List.iter
-      (fun x ->
+  fun ctx ~size xs ys emit ->
+    let groups : Value.t list VH.t = VH.create size in
+    xs (fun x ->
         ctx.c.builds <- ctx.c.builds + 1;
         let key = f' ctx x in
         let prev = Option.value ~default:[] (VH.find_opt groups key) in
-        VH.replace groups key (g' ctx x :: prev))
-      xs;
-    collection ctx
-      (List.map
-         (fun y ->
-           ctx.c.probes <- ctx.c.probes + 1;
-           let group = Option.value ~default:[] (VH.find_opt groups y) in
-           Value.Pair (y, collection ctx group))
-         ys)
+        VH.replace groups key (g' ctx x :: prev));
+    ys (fun y ->
+        ctx.c.probes <- ctx.c.probes + 1;
+        let group = Option.value ~default:[] (VH.find_opt groups y) in
+        emit (Value.Pair (y, collection ctx group)))
+
+(* Membership set operations probe a hash set of the right operand —
+   O(|xs|+|ys|) where the interpreter is quadratic. *)
+and k_setop op : rctx -> size:int -> src -> src -> (Value.t -> unit) -> unit =
+  match op with
+  | Term.Union ->
+    fun ctx ~size:_ xs ys emit ->
+      let each x =
+        ctx.c.tuples <- ctx.c.tuples + 1;
+        emit x
+      in
+      xs each;
+      ys each
+  | Term.Inter | Term.Diff ->
+    let keep = op = Term.Inter in
+    fun ctx ~size xs ys emit ->
+      let m = VH.create size in
+      ys (fun y ->
+          ctx.c.builds <- ctx.c.builds + 1;
+          VH.replace m y ());
+      xs (fun x ->
+          ctx.c.probes <- ctx.c.probes + 1;
+          if VH.mem m x = keep then emit x)
+
+(* Under [Eager] every interpreter intermediate is a set, so Count/Sum see
+   deduplicated inputs; a streamed source may repeat elements, so those
+   two get a hash dedup barrier — unless [canonical] says the source is
+   the materialized set the interpreter would aggregate.  Max/Min and
+   [Deferred] mode are multiplicity-indifferent / multiplicity-faithful
+   respectively. *)
+and k_agg ?(canonical = false) op : rctx -> src -> Value.t =
+  match op with
+  | Term.Count | Term.Sum ->
+    let add =
+      match op with
+      | Term.Count -> fun _ n _ -> n + 1
+      | _ -> fun ctx n x -> n + as_int ctx x
+    in
+    fun ctx src ->
+      let n = ref 0 in
+      (match ctx.dedup with
+      | Eval.Eager when not canonical ->
+        let seen = VH.create 256 in
+        src (fun x ->
+            ctx.c.tuples <- ctx.c.tuples + 1;
+            (* replace + length delta: one hash per element, not two *)
+            let before = VH.length seen in
+            VH.replace seen x ();
+            if VH.length seen <> before then n := add ctx !n x)
+      | _ ->
+        src (fun x ->
+            ctx.c.tuples <- ctx.c.tuples + 1;
+            n := add ctx !n x));
+      Value.Int !n
+  | Term.Max | Term.Min ->
+    let better, name =
+      match op with
+      | Term.Max -> (value_gt, "max")
+      | _ -> ((fun x cur -> value_gt cur x), "min")
+    in
+    fun ctx src ->
+      let m = ref None in
+      src (fun x ->
+          ctx.c.tuples <- ctx.c.tuples + 1;
+          match !m with
+          | None -> m := Some x
+          | Some cur -> if better x cur then m := Some x);
+      (match !m with None -> error "%s of empty set" name | Some v -> v)
 
 and pc (p : Term.pred) : rctx -> Value.t -> bool =
   match p with
@@ -493,7 +527,7 @@ and pc (p : Term.pred) : rctx -> Value.t -> bool =
    whatever the row path would have forced (environment values), so error
    behaviour is unchanged.  [cproj]/[cpred] compile attribute paths and
    comparisons against the typed columns; they refuse — and the operator
-   keeps its row closures, counted as a degrade — whenever the columns
+   runs its row kernel, counted as a degrade — whenever the columns
    cannot prove the row semantics are reproduced (missing or non-uniform
    column, non-exact ref traversal, anything needing the runtime
    context). *)
@@ -693,7 +727,7 @@ let rec cpred coldb (p : Term.pred) (input : proj) : (int -> bool) option =
 
 (* Rebase a func/pred applied to an [iter] element [Pair (env, row)] onto
    the row alone: π2 becomes the identity, constants pass through, and
-   anything touching the environment refuses (the row closures keep it
+   anything touching the environment refuses (the row kernel keeps it
    correct). *)
 let rec func_reroot : Term.func -> Term.func option = function
   | Term.Pi2 -> Some Term.Id
@@ -768,7 +802,7 @@ let ckey_of coldb (g : Term.func) (rel : C.relation) : ckey option =
    statically-known pair, or a scalar thunk; the IR description is built
    alongside. *)
 
-type producer = rctx -> (Value.t -> unit) -> unit
+type producer = rctx -> src
 
 type coll =
   | Whole of (rctx -> Value.t)
@@ -784,7 +818,7 @@ type cstate = {
   mutable val_slots : int;
   coldb : C.db option;
   mutable kernels : int;          (** operators lowered to column kernels *)
-  mutable degrades : string list; (** columnar inputs kept on row closures *)
+  mutable degrades : string list; (** columnar inputs kept on row kernels *)
 }
 
 let degrade st reason = st.degrades <- reason :: st.degrades
@@ -806,16 +840,15 @@ let rec force ctx (v : cv) : Value.t =
   | Sca f -> f ctx
   | Duo (a, b) -> Value.Pair (force ctx a, force ctx b)
   | Coll (Whole f) -> f ctx
-  | Coll (Pipe p) -> collection ctx (drain ctx p)
+  | Coll ((Pipe _ | ICol _) as c) ->
+    let acc = ref [] in
+    iter_coll ctx c (fun x -> acc := x :: !acc);
+    finish ctx !acc
   | Coll (Cols v) -> (
     (* selection preserves canonical row order, so [Eager] needs no sort *)
     match ctx.dedup with
     | Eval.Eager -> Value.Set (vec_rows ctx v)
     | Eval.Deferred -> Value.Bag (vec_rows ctx v))
-  | Coll (ICol { src; iget }) ->
-    let acc = ref [] in
-    vec_iter ctx src (fun i -> acc := Value.Int (iget i) :: !acc);
-    collection ctx (List.rev !acc)
 
 let as_coll (v : cv) : coll =
   match v.shape with
@@ -914,6 +947,15 @@ let rec split_group_join acc = function
   | x :: rest -> split_group_join (x :: acc) rest
   | [] -> None
 
+(* A row kernel as a pipeline stage over one or two streamed collections.
+   Join and nest tables start at 1024 buckets, set-op tables at 256. *)
+let row_stage k c ir = pipe (fun ctx emit -> k ctx (iter_coll ctx c) emit) ir
+
+let row_binary k ~size ca cb ir =
+  pipe
+    (fun ctx emit -> k ctx ~size (iter_coll ctx ca) (iter_coll ctx cb) emit)
+    ir
+
 let rec lower st (f : Term.func) (input : cv) : cv =
   match f with
   | Term.Compose (a, b) when st.coldb <> None -> (
@@ -979,14 +1021,7 @@ let rec lower st (f : Term.func) (input : cv) : cv =
       shape = Coll (Whole (fun ctx -> Value.set [ resolve ctx (force ctx input) ]));
       ir = Ir.SngStage input.ir;
     }
-  | Term.Flat ->
-    let c = as_coll input in
-    pipe
-      (fun ctx emit ->
-        iter_coll ctx c (fun s ->
-            ctx.c.tuples <- ctx.c.tuples + 1;
-            List.iter emit (as_set ctx s)))
-      (Ir.Flatten input.ir)
+  | Term.Flat -> row_stage k_flat (as_coll input) (Ir.Flatten input.ir)
   | Term.Iterate (p, f) -> (
     let ir =
       match (p, f) with
@@ -996,28 +1031,13 @@ let rec lower st (f : Term.func) (input : cv) : cv =
     in
     match as_coll input with
     | Cols v -> lower_scan_cols st p f v ir
-    | c ->
-      let p' = pc p and f' = fc f in
-      pipe
-        (fun ctx emit ->
-          iter_coll ctx c (fun x ->
-              ctx.c.tuples <- ctx.c.tuples + 1;
-              if p' ctx x then emit (f' ctx x)))
-        ir)
+    | c -> row_stage (k_iterate p f) c ir)
   | Term.Iter (p, f) -> (
     let e_cv, b_cv = as_duo st input in
     let ir = Ir.IterEnv (p, f, e_cv.ir, b_cv.ir) in
-    let generic () =
-      let c = as_coll b_cv in
-      let p' = pc p and f' = fc f in
-      pipe
-        (fun ctx emit ->
-          let e = force ctx e_cv in
-          iter_coll ctx c (fun y ->
-              ctx.c.tuples <- ctx.c.tuples + 1;
-              let pair = Value.Pair (e, y) in
-              if p' ctx pair then emit (f' ctx pair)))
-        ir
+    let row c =
+      let k = k_iter p f in
+      pipe (fun ctx emit -> k ctx (force ctx e_cv) (iter_coll ctx c) emit) ir
     in
     match as_coll b_cv with
     | Cols v -> (
@@ -1030,23 +1050,24 @@ let rec lower st (f : Term.func) (input : cv) : cv =
         lower_scan_cols st p_r f_r v ir
       | _ ->
         degrade st "iter: body reads the loop environment";
-        generic ())
-    | _ -> generic ())
+        row (Cols v))
+    | c -> row c)
   | Term.Join (p, f) -> lower_join st p f input
-  | Term.Nest (f, g) -> lower_nest st f g input
+  | Term.Nest (f, g) ->
+    let a_cv, b_cv = as_duo st input in
+    row_binary (k_nest f g) ~size:1024 (as_coll a_cv) (as_coll b_cv)
+      (Ir.HashGroup { key = f; payload = g; src = a_cv.ir; groups = b_cv.ir })
   | Term.Unnest (f, g) ->
-    let c = as_coll input in
-    let fk = fc f and fg = fc g in
-    pipe
-      (fun ctx emit ->
-        iter_coll ctx c (fun x ->
-            ctx.c.tuples <- ctx.c.tuples + 1;
-            let key = fk ctx x in
-            List.iter
-              (fun y -> emit (Value.Pair (key, y)))
-              (as_set ctx (fg ctx x))))
-      (Ir.UnnestStage (f, g, input.ir))
-  | Term.Setop op -> lower_setop st op input
+    row_stage (k_unnest f g) (as_coll input) (Ir.UnnestStage (f, g, input.ir))
+  | Term.Setop op ->
+    let a_cv, b_cv = as_duo st input in
+    let ir =
+      match op with
+      | Term.Union -> Ir.Union (a_cv.ir, b_cv.ir)
+      | Term.Inter -> Ir.Inter (a_cv.ir, b_cv.ir)
+      | Term.Diff -> Ir.Diff (a_cv.ir, b_cv.ir)
+    in
+    row_binary (k_setop op) ~size:256 (as_coll a_cv) (as_coll b_cv) ir
   | Term.Agg op -> lower_agg st op input
   | Term.Prim _ | Term.Arith _ -> scalar_apply f input
   | Term.Fhole h -> unsupported "pattern hole ?%s" h
@@ -1054,10 +1075,10 @@ let rec lower st (f : Term.func) (input : cv) : cv =
 and lower_join st p f input =
   let a_cv, b_cv = as_duo st input in
   let ca = as_coll a_cv and cb = as_coll b_cv in
-  let f' = fc f in
+  let row ir = row_binary (k_join p f) ~size:1024 ca cb ir in
   match Eval.hash_joinable p with
-  | Some (kind, g1, g2, residual) ->
-    let res' = Option.map pc residual in
+  | None -> row (Ir.LoopJoin (p, f, a_cv.ir, b_cv.ir))
+  | Some (kind, g1, g2, residual) -> (
     let ir =
       Ir.HashJoin
         {
@@ -1070,43 +1091,14 @@ and lower_join st p f input =
           build = b_cv.ir;
         }
     in
-    let generic () =
-      let g1' = fc g1 and g2' = fc g2 in
-      pipe
-        (fun ctx emit ->
-          let index : Value.t list VH.t = VH.create 1024 in
-          let add key y =
-            let prev = Option.value ~default:[] (VH.find_opt index key) in
-            VH.replace index key (y :: prev)
-          in
-          iter_coll ctx cb (fun y ->
-              ctx.c.builds <- ctx.c.builds + 1;
-              match kind with
-              | `Eq -> add (g2' ctx y) y
-              | `In -> List.iter (fun e -> add e y) (as_set ctx (g2' ctx y)));
-          iter_coll ctx ca (fun x ->
-              ctx.c.probes <- ctx.c.probes + 1;
-              match VH.find_opt index (g1' ctx x) with
-              | None -> ()
-              | Some matches ->
-                List.iter
-                  (fun y ->
-                    let pair = Value.Pair (x, y) in
-                    let keep =
-                      match res' with None -> true | Some r -> r ctx pair
-                    in
-                    if keep then (
-                      ctx.c.tuples <- ctx.c.tuples + 1;
-                      emit (f' ctx pair)))
-                  matches))
-        ir
-    in
-    (match (kind, ca, cb, st.coldb) with
+    match (kind, ca, cb, st.coldb) with
     | `Eq, Cols va, Cols vb, Some coldb -> (
       (* Unboxed keys: probe/build on int, string or row-index keys
-         instead of hashing boxed values.  [-1] row keys (refs resolving
-         to no extent row) can never match an in-extent key, so they are
-         skipped — sound as long as at most one side can produce them. *)
+         instead of hashing boxed values; a match continues exactly as
+         in the row join.  [-1] row keys (refs resolving to no extent
+         row) can never match an in-extent key, so they are skipped —
+         sound as long as at most one side can produce them. *)
+      let step = join_emit residual f in
       let col_join : type k. (int -> k) -> (int -> k) -> skip:(k -> bool) -> cv
           =
        fun ga gb ~skip ->
@@ -1132,23 +1124,12 @@ and lower_join st p f input =
                   | None -> ()
                   | Some js ->
                     let x = va.rel.C.rows.(i) in
-                    List.iter
-                      (fun j ->
-                        let pair = Value.Pair (x, vb.rel.C.rows.(j)) in
-                        let keep =
-                          match res' with None -> true | Some r -> r ctx pair
-                        in
-                        if keep then (
-                          ctx.c.tuples <- ctx.c.tuples + 1;
-                          emit (f' ctx pair)))
-                      js))
+                    List.iter (fun j -> step ctx emit x vb.rel.C.rows.(j)) js))
           ir
       in
       match (ckey_of coldb g1 va.rel, ckey_of coldb g2 vb.rel) with
-      | Some (KInt ga), Some (KInt gb) ->
-        col_join ga gb ~skip:(fun _ -> false)
-      | Some (KStr ga), Some (KStr gb) ->
-        col_join ga gb ~skip:(fun _ -> false)
+      | Some (KInt ga), Some (KInt gb) -> col_join ga gb ~skip:(fun _ -> false)
+      | Some (KStr ga), Some (KStr gb) -> col_join ga gb ~skip:(fun _ -> false)
       | Some (KRow (t1, ga, tot_a)), Some (KRow (t2, gb, tot_b))
         when String.equal t1 t2 && (tot_a || tot_b) ->
         col_join ga gb ~skip:(fun k -> k < 0)
@@ -1156,95 +1137,21 @@ and lower_join st p f input =
         degrade st
           (Fmt.str "join keys over %s/%s not columnar" va.rel.C.name
              vb.rel.C.name);
-        generic ())
-    | _ -> generic ())
-  | None ->
-    let p' = pc p in
-    pipe
-      (fun ctx emit ->
-        let ys = ref [] in
-        iter_coll ctx cb (fun y -> ys := y :: !ys);
-        let ys = List.rev !ys in
-        iter_coll ctx ca (fun x ->
-            List.iter
-              (fun y ->
-                ctx.c.tuples <- ctx.c.tuples + 1;
-                let pair = Value.Pair (x, y) in
-                if p' ctx pair then emit (f' ctx pair))
-              ys))
-      (Ir.LoopJoin (p, f, a_cv.ir, b_cv.ir))
+        row ir)
+    | _ -> row ir)
 
-and lower_nest st f g input =
-  let a_cv, b_cv = as_duo st input in
-  let ca = as_coll a_cv and cb = as_coll b_cv in
-  let f' = fc f and g' = fc g in
-  pipe
-    (fun ctx emit ->
-      let groups : Value.t list VH.t = VH.create 1024 in
-      iter_coll ctx ca (fun x ->
-          ctx.c.builds <- ctx.c.builds + 1;
-          let key = f' ctx x in
-          let prev = Option.value ~default:[] (VH.find_opt groups key) in
-          VH.replace groups key (g' ctx x :: prev));
-      iter_coll ctx cb (fun y ->
-          ctx.c.probes <- ctx.c.probes + 1;
-          let group = Option.value ~default:[] (VH.find_opt groups y) in
-          emit (Value.Pair (y, collection ctx group))))
-    (Ir.HashGroup { key = f; payload = g; src = a_cv.ir; groups = b_cv.ir })
-
-and lower_setop st op input =
-  let a_cv, b_cv = as_duo st input in
-  let ca = as_coll a_cv and cb = as_coll b_cv in
-  match op with
-  | Term.Union ->
-    pipe
-      (fun ctx emit ->
-        iter_coll ctx ca (fun x ->
-            ctx.c.tuples <- ctx.c.tuples + 1;
-            emit x);
-        iter_coll ctx cb (fun y ->
-            ctx.c.tuples <- ctx.c.tuples + 1;
-            emit y))
-      (Ir.Union (a_cv.ir, b_cv.ir))
-  | Term.Inter ->
-    pipe
-      (fun ctx emit ->
-        let m = VH.create 256 in
-        iter_coll ctx cb (fun y ->
-            ctx.c.builds <- ctx.c.builds + 1;
-            VH.replace m y ());
-        iter_coll ctx ca (fun x ->
-            ctx.c.probes <- ctx.c.probes + 1;
-            if VH.mem m x then emit x))
-      (Ir.Inter (a_cv.ir, b_cv.ir))
-  | Term.Diff ->
-    pipe
-      (fun ctx emit ->
-        let m = VH.create 256 in
-        iter_coll ctx cb (fun y ->
-            ctx.c.builds <- ctx.c.builds + 1;
-            VH.replace m y ());
-        iter_coll ctx ca (fun x ->
-            ctx.c.probes <- ctx.c.probes + 1;
-            if not (VH.mem m x) then emit x))
-      (Ir.Diff (a_cv.ir, b_cv.ir))
-
-(* Under [Eager] every interpreter intermediate is a set, so Count/Sum see
-   deduplicated inputs; the fused pipeline streams a bag, so those two get
-   a hash dedup barrier.  Max/Min and [Deferred] mode are
-   multiplicity-indifferent / multiplicity-faithful respectively.
-
-   Columnar feeds get unboxed kernels: an int projection aggregates with
+(* Columnar feeds get unboxed kernels: an int projection aggregates with
    an int hash set as the [Eager] dedup barrier (never touching boxed
    values), and Count over a bare scan is just the selected-row count —
    extent rows are distinct, so dedup cannot change it.  Both fan out
    over morsels; partials merge in morsel order, so results are identical
-   at any pool size. *)
+   at any pool size.  Every other feed runs the row aggregate kernel. *)
 and lower_agg st op input =
+  let ir = Ir.AggStage (op, input.ir) in
   match as_coll input with
   | ICol { src; iget } ->
     st.kernels <- st.kernels + 1;
-    { shape = Sca (icol_agg op src iget); ir = Ir.AggStage (op, input.ir) }
+    { shape = Sca (icol_agg op src iget); ir }
   | Cols v when op = Term.Count ->
     st.kernels <- st.kernels + 1;
     {
@@ -1267,9 +1174,11 @@ and lower_agg st op input =
             let c = List.fold_left ( + ) 0 chunks in
             ctx.c.tuples <- ctx.c.tuples + c;
             Value.Int c);
-      ir = Ir.AggStage (op, input.ir);
+      ir;
     }
-  | c -> lower_agg_generic op c input
+  | c ->
+    let k = k_agg op in
+    { shape = Sca (fun ctx -> k ctx (iter_coll ctx c)); ir }
 
 and icol_agg op (src : vec) (iget : int -> int) : rctx -> Value.t =
  fun ctx ->
@@ -1357,73 +1266,12 @@ and icol_agg op (src : vec) (iget : int -> int) : rctx -> Value.t =
       error "%s of empty set"
         (match op with Term.Max -> "max" | _ -> "min"))
 
-and lower_agg_generic op c input =
-  let ir = Ir.AggStage (op, input.ir) in
-  let thunk =
-    match op with
-    | Term.Count ->
-      fun ctx ->
-        (match ctx.dedup with
-        | Eval.Eager ->
-          let seen = VH.create 256 in
-          let n = ref 0 in
-          iter_coll ctx c (fun x ->
-              ctx.c.tuples <- ctx.c.tuples + 1;
-              (* replace + length delta: one hash per element, not two *)
-              let before = VH.length seen in
-              VH.replace seen x ();
-              if VH.length seen <> before then incr n);
-          Value.Int !n
-        | Eval.Deferred ->
-          let n = ref 0 in
-          iter_coll ctx c (fun _ ->
-              ctx.c.tuples <- ctx.c.tuples + 1;
-              incr n);
-          Value.Int !n)
-    | Term.Sum ->
-      fun ctx ->
-        (match ctx.dedup with
-        | Eval.Eager ->
-          let seen = VH.create 256 in
-          let n = ref 0 in
-          iter_coll ctx c (fun x ->
-              ctx.c.tuples <- ctx.c.tuples + 1;
-              let before = VH.length seen in
-              VH.replace seen x ();
-              if VH.length seen <> before then n := !n + as_int ctx x);
-          Value.Int !n
-        | Eval.Deferred ->
-          let n = ref 0 in
-          iter_coll ctx c (fun x ->
-              ctx.c.tuples <- ctx.c.tuples + 1;
-              n := !n + as_int ctx x);
-          Value.Int !n)
-    | Term.Max ->
-      fun ctx ->
-        let m = ref None in
-        iter_coll ctx c (fun x ->
-            ctx.c.tuples <- ctx.c.tuples + 1;
-            match !m with
-            | None -> m := Some x
-            | Some cur -> if value_gt x cur then m := Some x);
-        (match !m with None -> error "max of empty set" | Some v -> v)
-    | Term.Min ->
-      fun ctx ->
-        let m = ref None in
-        iter_coll ctx c (fun x ->
-            ctx.c.tuples <- ctx.c.tuples + 1;
-            match !m with
-            | None -> m := Some x
-            | Some cur -> if value_gt cur x then m := Some x);
-        (match !m with None -> error "min of empty set" | Some v -> v)
-  in
-  { shape = Sca thunk; ir }
-
 (* Filter/map over a columnar scan.  The predicate folds into the scan's
    selection (chained filters become one conjunction, tested in a single
-   pass at consumption); the projection becomes an unboxed int feed, a
+   pass at consumption); the projection becomes an unboxed int feed or a
    typed emit loop (morsel-parallel — production is pure, emission is
-   sequential in morsel order), or stays on row closures, counted as a
+   sequential in morsel order).  A predicate or projection the columns
+   cannot express runs the row iterate kernel over the scan, counted as a
    degrade. *)
 and lower_scan_cols st (p : Term.pred) (f : Term.func) (v : vec) ir : cv =
   let coldb =
@@ -1434,14 +1282,7 @@ and lower_scan_cols st (p : Term.pred) (f : Term.func) (v : vec) ir : cv =
   match cpred coldb p (PRow (v.rel, fun i -> i)) with
   | None ->
     degrade st (Fmt.str "filter over %s not columnar" v.rel.C.name);
-    let p' = pc p and f' = fc f in
-    pipe
-      (fun ctx emit ->
-        vec_iter ctx v (fun i ->
-            ctx.c.tuples <- ctx.c.tuples + 1;
-            let x = v.rel.C.rows.(i) in
-            if p' ctx x then emit (f' ctx x)))
-      ir
+    row_stage (k_iterate p f) (Cols v) ir
   | Some vp -> (
     st.kernels <- st.kernels + 1;
     let v = vec_conj v vp in
@@ -1484,13 +1325,7 @@ and lower_scan_cols st (p : Term.pred) (f : Term.func) (v : vec) ir : cv =
           ir
       | None ->
         degrade st (Fmt.str "map over %s not columnar" v.rel.C.name);
-        let f' = fc f in
-        pipe
-          (fun ctx emit ->
-            vec_iter ctx v (fun i ->
-                ctx.c.tuples <- ctx.c.tuples + 1;
-                emit (f' ctx v.rel.C.rows.(i))))
-          ir))
+        row_stage (k_iterate (Term.Kp true) f) (Cols v) ir))
 
 (* The fused group-join kernel: [nest(π1,π2) ∘ (unnest(π1,π2) × id) ∘
    ⟨join(p, id × g), π1⟩] over a pair of columnar scans (probe side D,
@@ -1562,55 +1397,55 @@ and lower_fused_group st (p : Term.pred) (g : Term.func) (input : cv) :
                 }
             in
             let nd = Array.length trel.C.rows in
+            let keep = match ve.vp with None -> fun _ -> true | Some k -> k in
             Some
               (pipe
                  (fun ctx emit ->
                    vec_pre ctx ve;
-                   let ne = Array.length ve.rel.C.rows in
-                   let buckets = Array.make nd [] in
-                   (if parallel_ok && ctx.pool <> None then begin
-                      let keep =
-                        match ve.vp with
-                        | None -> fun _ -> true
-                        | Some k -> k
-                      in
-                      let chunks =
-                        morsel_fold ctx ~n:ne (fun lo hi ->
-                            let b = Array.make nd [] in
-                            let built = ref 0 and flowed = ref 0 in
-                            for j = lo to hi - 1 do
-                              if keep j then begin
-                                incr built;
-                                let k = ge j in
-                                if k >= 0 then begin
-                                  let xs = pay ctx j in
-                                  flowed := !flowed + List.length xs;
-                                  b.(k) <- List.rev_append xs b.(k)
-                                end
-                              end
-                            done;
-                            (b, !built, !flowed))
-                      in
-                      List.iter
-                        (fun (b, built, flowed) ->
-                          ctx.c.builds <- ctx.c.builds + built;
-                          ctx.c.tuples <- ctx.c.tuples + flowed;
-                          Array.iteri
-                            (fun k l ->
-                              if l <> [] then
-                                buckets.(k) <- List.rev_append l buckets.(k))
-                            b)
-                        chunks
-                    end
-                    else
-                      vec_iter ctx ve (fun j ->
-                          ctx.c.builds <- ctx.c.builds + 1;
-                          let k = ge j in
-                          if k >= 0 then begin
-                            let xs = pay ctx j in
-                            ctx.c.tuples <- ctx.c.tuples + List.length xs;
-                            buckets.(k) <- List.rev_append xs buckets.(k)
-                          end));
+                   (* Without a pool — or with a payload that must stay on
+                      this domain — the build is one inline chunk whose
+                      buckets are used as they stand. *)
+                   let bctx =
+                     if parallel_ok then ctx else { ctx with pool = None }
+                   in
+                   let chunks =
+                     morsel_fold bctx ~n:(Array.length ve.rel.C.rows)
+                       (fun lo hi ->
+                         let b = Array.make nd [] in
+                         let built = ref 0 and flowed = ref 0 in
+                         for j = lo to hi - 1 do
+                           if keep j then begin
+                             incr built;
+                             let k = ge j in
+                             if k >= 0 then begin
+                               let xs = pay bctx j in
+                               flowed := !flowed + List.length xs;
+                               b.(k) <- List.rev_append xs b.(k)
+                             end
+                           end
+                         done;
+                         (b, !built, !flowed))
+                   in
+                   List.iter
+                     (fun (_, built, flowed) ->
+                       ctx.c.builds <- ctx.c.builds + built;
+                       ctx.c.tuples <- ctx.c.tuples + flowed)
+                     chunks;
+                   let buckets =
+                     match chunks with
+                     | [ (b, _, _) ] -> b
+                     | _ ->
+                       let buckets = Array.make nd [] in
+                       List.iter
+                         (fun (b, _, _) ->
+                           Array.iteri
+                             (fun k l ->
+                               if l <> [] then
+                                 buckets.(k) <- List.rev_append l buckets.(k))
+                             b)
+                         chunks;
+                       buckets
+                   in
                    vec_iter ctx vd (fun i ->
                        ctx.c.probes <- ctx.c.probes + 1;
                        let k = gd i in
@@ -1772,7 +1607,7 @@ type stats = {
   jobs : int;                 (** pool size morsel kernels could fan out to *)
   morsels : int;              (** chunks dispatched by columnar kernels *)
   col_kernels : int;          (** operators lowered to column kernels *)
-  col_degrades : string list; (** columnar inputs kept on row closures *)
+  col_degrades : string list; (** columnar inputs kept on row kernels *)
 }
 
 let fallbacks = Atomic.make 0

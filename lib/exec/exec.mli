@@ -34,7 +34,8 @@ val compile : ?coldb:Colstore.db -> Term.query -> compiled
     [coldb], extent scans bind to its columnar relations and eligible
     operators lower to column kernels (vectorised filters, unboxed
     aggregates, int-keyed joins, the fused group-join); everything else
-    keeps the row closures, counted in {!col_degrades}.
+    runs the same row kernel as under the row layout, counted in
+    {!col_degrades}.
     @raise Unsupported on holes; never raises on ground plans. *)
 
 val compile_opt : ?coldb:Colstore.db -> Term.query -> (compiled, string) result
@@ -46,7 +47,7 @@ val col_kernels : compiled -> int
 (** Operators lowered to column kernels (0 on row-layout plans). *)
 
 val col_degrades : compiled -> string list
-(** Reasons columnar inputs stayed on row closures, in lowering order. *)
+(** Reasons columnar inputs stayed on row kernels, in lowering order. *)
 
 val execute :
   ?dedup:Eval.dedup -> ?pool:Kola_parallel.Pool.t ->
@@ -86,7 +87,7 @@ type stats = {
   morsels : int;       (** chunks dispatched by columnar kernels *)
   col_kernels : int;   (** operators lowered to column kernels *)
   col_degrades : string list;
-      (** columnar inputs kept on row closures, with reasons *)
+      (** columnar inputs kept on row kernels, with reasons *)
 }
 
 val run :

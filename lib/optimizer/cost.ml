@@ -269,9 +269,8 @@ let weighted_memo_batch c ~db ?(map = Array.map)
 (* ------------------------------------------------------------------ *)
 (* The plan cache: full cost records per evaluation setting.
 
-   The pipeline compares candidate plans across execution dimensions —
-   the same query costed under naive vs hashed backends and eager vs
-   deferred dedup has genuinely different counters — so entries are
+   The same query costed under naive vs hashed backends and eager vs
+   deferred dedup has genuinely different counters, so entries are
    keyed by (interned query, backend, dedup) and store the whole
    {!t}, not just the weighted scalar.  The memoization machinery
    (capacity, second-chance sweep, per-database validity) is the same

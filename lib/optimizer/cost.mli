@@ -112,10 +112,9 @@ val weighted_memo_batch :
 
 (** {2 Plan cache}
 
-    Full cost records memoized per evaluation setting.  The pipeline
-    compares candidate plans across execution dimensions — the same query
+    Full cost records memoized per evaluation setting.  The same query
     costed under naive vs hashed backends and eager vs deferred dedup has
-    genuinely different counters — so entries are keyed by (interned
+    genuinely different counters, so entries are keyed by (interned
     query, backend, dedup) and store the whole {!t}.  Capacity,
     second-chance eviction, and per-database validity are identical to
     the search cache. *)

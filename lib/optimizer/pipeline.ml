@@ -1,6 +1,6 @@
 (* The end-to-end optimizer: OQL → AQUA → KOLA → COKO normalization and
    hidden-join untangling → cost-based plan choice (original vs untangled,
-   naive vs hashed backend).
+   each costed on the hashed interpreter with eager dedup).
 
    The output [report] is an explanation artifact: each phase records what
    it produced, and the rewrite trace names every rule fired — the paper's
@@ -33,31 +33,6 @@ type report = {
 let backend_name = function Eval.Naive -> "naive" | Eval.Hashed -> "hashed"
 let dedup_name = function Eval.Eager -> "eager" | Eval.Deferred -> "deferred"
 
-(* Deferring duplicate elimination is only sound for duplicate-insensitive
-   plans; an aggregate anywhere in the plan observes intermediate
-   multiplicities, so it disables the deferred dimension. *)
-let rec contains_agg (f : Term.func) =
-  match f with
-  | Term.Agg _ -> true
-  | Term.Id | Term.Pi1 | Term.Pi2 | Term.Prim _ | Term.Kf _ | Term.Flat
-  | Term.Sng | Term.Arith _ | Term.Setop _ | Term.Fhole _ -> false
-  | Term.Compose (a, b) | Term.Pairf (a, b) | Term.Times (a, b)
-  | Term.Nest (a, b) | Term.Unnest (a, b) -> contains_agg a || contains_agg b
-  | Term.Cf (a, _) -> contains_agg a
-  | Term.Con (p, a, b) -> pred_contains_agg p || contains_agg a || contains_agg b
-  | Term.Iterate (p, a) | Term.Iter (p, a) | Term.Join (p, a) ->
-    pred_contains_agg p || contains_agg a
-
-and pred_contains_agg (p : Term.pred) =
-  match p with
-  | Term.Eq | Term.Leq | Term.Gt | Term.In | Term.Primp _ | Term.Kp _
-  | Term.Phole _ -> false
-  | Term.Oplus (q, f) -> pred_contains_agg q || contains_agg f
-  | Term.Andp (q, r) | Term.Orp (q, r) ->
-    pred_contains_agg q || pred_contains_agg r
-  | Term.Inv q | Term.Conv q -> pred_contains_agg q
-  | Term.Cp (q, _) -> pred_contains_agg q
-
 (* Normalize with the simplify block (identity laws etc.). *)
 let normalize q =
   let o = Coko.Block.run Coko.Programs.simplify q in
@@ -65,24 +40,16 @@ let normalize q =
 
 (* One plan cache shared across [optimize] calls (like the search cost
    caches): re-optimizing a query — or optimizing one whose normalized and
-   untangled forms coincide with an earlier run's — serves every
-   (backend × dedup) measurement from the memo instead of re-running the
-   plan. *)
+   untangled forms coincide with an earlier run's — serves the
+   measurement from the memo instead of re-running the plan. *)
 let shared_plan_cache = Cost.plan_cache ()
 
-let candidates_of ?(cache = shared_plan_cache) ~db label q =
-  let dedups =
-    if contains_agg q.Term.body then [ Eval.Eager ]
-    else [ Eval.Eager; Eval.Deferred ]
-  in
-  List.concat_map
-    (fun backend ->
-      List.map
-        (fun dedup ->
-          let cost = Cost.measure_memo cache ~backend ~dedup ~db q in
-          { label; query = q; backend; dedup; cost })
-        dedups)
-    [ Eval.Naive; Eval.Hashed ]
+(* Only the hashed/eager physical variant is costed; pipeline.mli says
+   why the naive backend and deferred dedup do not win. *)
+let candidate ?(cache = shared_plan_cache) ~db label q =
+  let backend = Eval.Hashed and dedup = Eval.Eager in
+  let cost = Cost.measure_memo cache ~backend ~dedup ~db q in
+  { label; query = q; backend; dedup; cost }
 
 let optimize ?source ?(plan_cache = shared_plan_cache) ~db
     (aqua : Aqua.Ast.expr) : report =
@@ -95,11 +62,11 @@ let optimize ?source ?(plan_cache = shared_plan_cache) ~db
   in
   let before = Cost.plan_cache_stats plan_cache in
   let candidates =
-    candidates_of ~cache:plan_cache ~db "original" normalized
-    @
-    match untangled with
-    | Some q -> candidates_of ~cache:plan_cache ~db "untangled" q
-    | None -> []
+    candidate ~cache:plan_cache ~db "original" normalized
+    ::
+    (match untangled with
+    | Some q -> [ candidate ~cache:plan_cache ~db "untangled" q ]
+    | None -> [])
   in
   let after = Cost.plan_cache_stats plan_cache in
   let chosen =
@@ -131,10 +98,11 @@ let run ~db (r : report) : Value.t =
     r.chosen.query
 
 (* Execute the chosen plan through a [Kola_exec] backend.  The default is
-   the interpreter backend the optimizer chose; [~backend:Compiled] fuses
-   the plan into loop closures instead (falling back to the interpreter
-   on unsupported plans, recorded in the stats).  The dedup dimension
-   always follows the chosen plan — it is part of what was costed. *)
+   the interpreter backend the plan was costed on; [~backend:Compiled]
+   fuses the plan into loop closures instead (falling back to the
+   interpreter on unsupported plans, recorded in the stats).  The dedup
+   dimension always follows the chosen plan — it is part of what was
+   costed. *)
 let execute ?backend ?layout ?jobs ?pool ?coldb ~db (r : report) :
     Value.t * Kola_exec.Exec.stats =
   let backend =

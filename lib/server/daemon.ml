@@ -704,25 +704,42 @@ let write_json fd json =
   in
   try go 0 with Unix.Unix_error _ -> () (* peer went away mid-response *)
 
+(* The longest request line a connection may buffer before its newline. *)
+let max_line_bytes = 1 lsl 20
+
 (* One connection, served to EOF on a worker domain.  Reads poll in
    short slices so an idle connection notices a daemon shutdown instead
-   of pinning its worker forever. *)
+   of pinning its worker forever.  A line still unterminated past
+   [max_line_bytes] is answered with an error and the connection closed,
+   so no client can grow the buffer without bound. *)
 let conn_loop t fd =
   let pending = Buffer.create 512 in
   let chunk = Bytes.create 4096 in
+  (* [pending] holds no newline before [scanned]: each byte is searched
+     once, not once per read. *)
+  let scanned = ref 0 in
   let take_line () =
-    let s = Buffer.contents pending in
-    match String.index_opt s '\n' with
+    let n = Buffer.length pending in
+    let rec find i =
+      if i >= n then None
+      else if Buffer.nth pending i = '\n' then Some i
+      else find (i + 1)
+    in
+    match find !scanned with
     | Some i ->
-      let line = String.sub s 0 i in
+      let s = Buffer.contents pending in
       Buffer.clear pending;
-      Buffer.add_substring pending s (i + 1) (String.length s - i - 1);
-      Some line
-    | None -> None
+      Buffer.add_substring pending s (i + 1) (n - i - 1);
+      scanned := 0;
+      Some (String.sub s 0 i)
+    | None ->
+      scanned := n;
+      None
   in
   let rec next_line () =
     match take_line () with
     | Some line -> `Line line
+    | None when Buffer.length pending > max_line_bytes -> `Too_long
     | None ->
       if stopping t then `Stop
       else (
@@ -742,6 +759,13 @@ let conn_loop t fd =
   let rec loop () =
     match next_line () with
     | `Stop | `Eof -> ()
+    | `Too_long ->
+      Atomic.incr t.errored;
+      Telemetry.count "serve.bad_request";
+      write_json fd
+        (Protocol.error_response ~queue_depth:(queue_depth t)
+           (Fmt.str "request line exceeds %d bytes without a newline"
+              max_line_bytes))
     | `Line line ->
       if String.trim line = "" then loop ()
       else begin

@@ -87,8 +87,10 @@ val serve : ?ready:(unit -> unit) -> socket:string -> t -> unit
     is submitted to the worker service — or answered with
     {!Protocol.rejected_response} and closed when the admission queue is
     full — and each connection's lines are answered in order until EOF.
-    On return the service has drained, the listener is closed and the
-    socket file removed. *)
+    A line still without its newline after 1 MiB is answered with
+    {!Protocol.error_response} and its connection closed.  On return the
+    service has drained, the listener is closed and the socket file
+    removed. *)
 
 val shutdown : t -> unit
 (** Drain and join the worker service (for embedders that never called

@@ -244,6 +244,64 @@ let stage_tests =
         | ir -> Alcotest.failf "expected an iter stage, got %a" Ir.pp ir);
   ]
 
+(* --- every collection operator in the nested position --- *)
+
+(* An operator inside a per-element function compiles to a closure over
+   the element's set, not to a pipeline stage.  It must run the same row
+   kernel as on the spine: the same result as the interpreter, and the
+   spine's tuples/probes/builds plus one tuple for the enclosing loop. *)
+let nested_tests =
+  let ints xs = Value.set (List.map Value.int xs) in
+  let xs = ints [ 1; 2; 3; 4 ] and ys = ints [ 2; 3; 5 ] in
+  let two = Value.Pair (xs, ys) in
+  let on_ids q = Term.Oplus (q, Term.Times (Term.Id, Term.Id)) in
+  let above_two =
+    Term.Oplus (Term.Gt, Term.Pairf (Term.Id, Term.Kf (Value.int 2)))
+  in
+  List.map
+    (fun (name, op, arg) ->
+      case ("nested " ^ name ^ " runs the spine kernel") (fun () ->
+          let spine = Term.query op arg in
+          let nested =
+            Term.query (Term.Iterate (Term.Kp true, op)) (Value.set [ arg ])
+          in
+          differential ~db:[] name spine;
+          differential ~db:[] ("nested " ^ name) nested;
+          List.iter
+            (fun dedup ->
+              let counts q =
+                let _, (st : Exec.stats) = Exec.run ~dedup ~db:[] q in
+                (st.tuples, st.probes, st.builds)
+              in
+              let tuples, probes, builds = counts spine in
+              Alcotest.(check (triple int int int))
+                (Fmt.str "%s: tuples/probes/builds, nested = spine + 1 tuple"
+                   name)
+                (tuples + 1, probes, builds)
+                (counts nested))
+            [ Eval.Eager; Eval.Deferred ]))
+    [
+      ("hash join", Term.Join (on_ids Term.Eq, Term.Pi1), two);
+      ( "loop join",
+        Term.Join (on_ids Term.Leq, Term.Pairf (Term.Pi1, Term.Pi2)),
+        two );
+      ("nest", Term.Nest (Term.Id, Term.Id), two);
+      ("union", Term.Setop Term.Union, two);
+      ("inter", Term.Setop Term.Inter, two);
+      ("diff", Term.Setop Term.Diff, two);
+      ("iterate", Term.Iterate (above_two, Term.Sng), xs);
+      ( "iter",
+        Term.Iter
+          (Term.Oplus (Term.Gt, Term.Pairf (Term.Pi2, Term.Pi1)), Term.Pi2),
+        Value.Pair (Value.int 2, xs) );
+      ("unnest", Term.Unnest (Term.Id, Term.Kf ys), xs);
+      ("flat", Term.Flat, Value.set [ xs; ys ]);
+      ("cnt", Term.Agg Term.Count, xs);
+      ("sum", Term.Agg Term.Sum, xs);
+      ("max", Term.Agg Term.Max, xs);
+      ("min", Term.Agg Term.Min, xs);
+    ]
+
 (* --- every paper query, both stores --- *)
 
 let paper_tests =
@@ -515,5 +573,6 @@ let qcheck_props =
   [ random_plan; frontier_plan ]
 
 let tests =
-  stage_tests @ paper_tests @ membership_tests @ company_tests @ fallback_tests
+  stage_tests @ nested_tests @ paper_tests @ membership_tests @ company_tests
+  @ fallback_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props

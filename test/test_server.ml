@@ -145,6 +145,54 @@ let error_path_tests =
           (handle_json
              (Json.Obj
                 [ ("paper", Json.Str "t1k"); ("explain", Json.Bool true) ])));
+    case "an unterminated 2 MiB request line is answered, not buffered"
+      (fun () ->
+        (* over a real socket: the bound lives in the connection reader *)
+        Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+        let t =
+          Daemon.create
+            ~params:{ Daemon.default_params with Daemon.workers = 1; queue = 1 }
+            ()
+        in
+        let socket =
+          Filename.concat
+            (Filename.get_temp_dir_name ())
+            (Printf.sprintf "kola-test-%d.sock" (Unix.getpid ()))
+        in
+        let ready = Atomic.make false in
+        let server =
+          Domain.spawn (fun () ->
+              Daemon.serve ~ready:(fun () -> Atomic.set ready true) ~socket t)
+        in
+        while not (Atomic.get ready) do
+          Unix.sleepf 0.01
+        done;
+        Fun.protect
+          ~finally:(fun () ->
+            Daemon.request_stop t;
+            Domain.join server)
+          (fun () ->
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Unix.connect fd (Unix.ADDR_UNIX socket);
+            let junk = Bytes.make (2 lsl 20) 'x' in
+            (* the daemon stops reading after 1 MiB and closes, so the
+               rest of the write may fail *)
+            (try
+               let rec go off =
+                 if off < Bytes.length junk then
+                   go (off + Unix.write fd junk off (Bytes.length junk - off))
+               in
+               go 0
+             with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+            (try Unix.shutdown fd Unix.SHUTDOWN_SEND
+             with Unix.Unix_error _ -> ());
+            let ic = Unix.in_channel_of_descr fd in
+            let answer = try Some (input_line ic) with End_of_file -> None in
+            close_in_noerr ic;
+            match answer with
+            | None -> Alcotest.fail "no answer to an unterminated 2 MiB line"
+            | Some line ->
+              check_error "oversized line" "exceeds" (Json.parse line)));
   ]
 
 (* ------------------------------------------------------------------ *)
