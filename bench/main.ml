@@ -313,12 +313,14 @@ let cert_tests =
 (* Matching throughput: the unification cost the paper's design keeps  *)
 (* linear                                                              *)
 
+let kg1_interned = Term.Hc.of_query Paper.kg1
+
 let matching_tests =
   [
     t "match rule 11 against KG1 (fails everywhere)" (fun () ->
-        Rewrite.Engine.step_once (Rules.Catalog.rules [ "r11" ]) Paper.kg1);
+        Rewrite.Engine.step_once (Rules.Catalog.rules [ "r11" ]) kg1_interned);
     t "full catalog one step on KG1" (fun () ->
-        Rewrite.Engine.step_once Rules.Catalog.all Paper.kg1);
+        Rewrite.Engine.step_once Rules.Catalog.all kg1_interned);
     t "aqua baseline one step on garage" (fun () ->
         Baseline.Engine.step_once Baseline.Catalog.all Aqua.Examples.garage);
   ]
@@ -415,12 +417,8 @@ let run_engine q = Rewrite.Engine.run ~fuel:40 Rules.Catalog.all q
 let engine_tests =
   [
     t "step_once (KG1, full catalog)" (fun () ->
-        Rewrite.Engine.step_once Rules.Catalog.all Paper.kg1);
+        Rewrite.Engine.step_once Rules.Catalog.all kg1_interned);
     t "run (T1K to fixpoint)" (fun () -> run_engine Paper.t1k_source);
-    t "dedup key: canonical string (KG1)" (fun () ->
-        Optimizer.Search.canonical Paper.kg1);
-    t "dedup key: hashed canonical (KG1)" (fun () ->
-        Term.Canonical.of_query Paper.kg1);
   ]
 
 let time_per ~repeats f =
@@ -523,9 +521,9 @@ let parallel_json rows =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* hashcons: the interned term core.  Microbenches time O(1) equality, *)
-(* hash and canonical keys against their plain recursive counterparts  *)
-(* on a deep term; the exploration rows are [parallel_scaling_rows].   *)
+(* hashcons: the interned term core.  Microbenches time O(1) equality  *)
+(* and hash against their plain recursive counterparts on a deep term; *)
+(* the exploration rows are [parallel_scaling_rows].                   *)
 
 let deep_n = 200
 
@@ -546,9 +544,7 @@ type hc_micro = { hname : string; hplain_ns : float; hhc_ns : float }
 
 let hashcons_micro ~repeats () =
   let a = deep_body () and b = deep_body () in
-  let qd = Term.query a (Value.Named "P") in
   let na = Term.Hc.of_func a and nb = Term.Hc.of_func b in
-  let hqd = Term.Hc.of_query qd in
   (* the interned side is O(1) field reads; loop it more for resolution *)
   let fr = repeats * 50 in
   [
@@ -562,11 +558,6 @@ let hashcons_micro ~repeats () =
       hplain_ns = time_per ~repeats (fun () -> Term.hash_func a);
       hhc_ns =
         time_per ~repeats:fr (fun () -> Sys.opaque_identity na.Term.Hc.fhash);
-    };
-    {
-      hname = "canonical key (deep query)";
-      hplain_ns = time_per ~repeats (fun () -> Term.Canonical.of_query qd);
-      hhc_ns = time_per ~repeats:fr (fun () -> Term.Hc.query_key hqd);
     };
   ]
 

@@ -33,59 +33,70 @@ let default_lookup name =
   | [ r ] -> r
   | _ -> invalid_arg name
 
-(* Run one engine firing restricted to [names]. *)
-let fire_once ?schema ~lookup names (q : query) =
-  Rewrite.Engine.step_once ?schema (List.map lookup names) q
-
-let rec run_step ?schema ~lookup step q trace =
+(* Steps run on the interned query, handed from firing to firing; the
+   trace records each result's plain view (an O(1) field read). *)
+let rec run_step ?schema ~lookup step (hq : Hc.hquery) trace =
   match step with
   | Use names -> (
-    match fire_once ?schema ~lookup names q with
-    | Some (rule_name, q') ->
-      Some (q', { Rewrite.Engine.rule_name; result = q' } :: trace)
+    match Rewrite.Engine.step_once ?schema (List.map lookup names) hq with
+    | Some (rule_name, hq') ->
+      let result = Hc.to_query hq' in
+      Some (hq', { Rewrite.Engine.rule_name; result } :: trace)
     | None -> None)
   | Seq steps ->
-    let rec go steps q trace =
+    let rec go steps hq trace =
       match steps with
-      | [] -> Some (q, trace)
+      | [] -> Some (hq, trace)
       | s :: rest -> (
-        match run_step ?schema ~lookup s q trace with
-        | Some (q', trace') -> go rest q' trace'
+        match run_step ?schema ~lookup s hq trace with
+        | Some (hq', trace') -> go rest hq' trace'
         | None -> None)
     in
-    go steps q trace
+    go steps hq trace
   | Choice steps ->
-    List.find_map (fun s -> run_step ?schema ~lookup s q trace) steps
+    List.find_map (fun s -> run_step ?schema ~lookup s hq trace) steps
   | Repeat s ->
-    let rec go q trace applied fuel =
-      if fuel = 0 then if applied then Some (q, trace) else None
+    let rec go hq trace applied fuel =
+      if fuel = 0 then if applied then Some (hq, trace) else None
       else
-        match run_step ?schema ~lookup s q trace with
-        | Some (q', trace') -> go q' trace' true (fuel - 1)
-        | None -> if applied then Some (q, trace) else None
+        match run_step ?schema ~lookup s hq trace with
+        | Some (hq', trace') -> go hq' trace' true (fuel - 1)
+        | None -> if applied then Some (hq, trace) else None
     in
-    go q trace false 10_000
+    go hq trace false 10_000
   | Try s -> (
-    match run_step ?schema ~lookup s q trace with
+    match run_step ?schema ~lookup s hq trace with
     | Some _ as res -> res
-    | None -> Some (q, trace))
+    | None -> Some (hq, trace))
+
+(* One block on an interned query: the result (the input when the block
+   does not apply), its firings in order, and whether it applied. *)
+let run_interned ?schema ~lookup (t : t) (hq : Hc.hquery) =
+  match run_step ?schema ~lookup t.step hq [] with
+  | Some (hq', trace) -> (hq', List.rev trace, true)
+  | None -> (hq, [], false)
 
 let run ?schema ?(lookup = default_lookup) (t : t) (q : query) : outcome =
-  match run_step ?schema ~lookup t.step q [] with
-  | Some (q', trace) -> { query = q'; trace = List.rev trace; applied = true }
-  | None -> { query = q; trace = []; applied = false }
+  match run_interned ?schema ~lookup t (Hc.of_query q) with
+  | hq, trace, true -> { query = Hc.to_query hq; trace; applied = true }
+  | _, _, false -> { query = q; trace = []; applied = false }
 
 (* Run blocks in sequence; blocks that do not apply leave the query
    unchanged (the paper's point that failed strategies still leave behind
-   the simplifications of earlier steps). *)
-let run_pipeline ?schema ?lookup (blocks : t list) (q : query) :
-    outcome * (string * bool) list =
-  let q, rev_trace, applied_list =
+   the simplifications of earlier steps).  The query is interned once for
+   the whole sequence. *)
+let run_pipeline ?schema ?(lookup = default_lookup) (blocks : t list)
+    (q : query) : outcome * (string * bool) list =
+  let hq, rev_trace, applied_list =
     List.fold_left
-      (fun (q, trace, applied) b ->
-        let o = run ?schema ?lookup b q in
-        (o.query, List.rev_append o.trace trace, (b.block_name, o.applied) :: applied))
-      (q, [], []) blocks
+      (fun (hq, trace, applied) b ->
+        let hq', steps, ok = run_interned ?schema ~lookup b hq in
+        (hq', List.rev_append steps trace, (b.block_name, ok) :: applied))
+      (Hc.of_query q, [], []) blocks
   in
-  ( { query = q; trace = List.rev rev_trace; applied = applied_list <> [] },
+  ( {
+      query = Hc.to_query hq;
+      trace = List.rev rev_trace;
+      applied = applied_list <> [];
+    },
     List.rev applied_list )

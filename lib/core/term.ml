@@ -244,8 +244,7 @@ let equal_query_assoc q1 q2 =
 
 (* Structural hashing, consistent with [equal_func]/[equal_pred]: equal terms
    hash equal.  One multiplicative combine per node keeps a hash linear in
-   the term size — the optimizer's dedup uses it instead of pretty-printing
-   states to strings (see {!Canonical}). *)
+   the term size; interned nodes store it (see {!Hc}). *)
 let hash_combine h1 h2 = (h1 * 0x01000193) lxor h2
 
 let rec hash_func f =
@@ -290,31 +289,6 @@ and hash_pred p =
   | Cp (q, v) -> hash_combine 149 (hash_combine (hash_pred q) (Value.hash v))
   | Phole h -> hash_combine 151 (Hashtbl.hash h)
 
-let hash_query q = hash_combine (hash_func q.body) (Value.hash q.arg)
-
-(* Canonical keys: a query reassociated into left-nested composition form
-   with its hash computed once.  Equality is hash-then-structural, so
-   hashtable dedup over rewrite states costs one traversal per state instead
-   of allocating a pretty-printed string per state. *)
-module Canonical = struct
-  type t = { cq : query; chash : int }
-
-  let of_query q =
-    let cq = { q with body = reassoc_func q.body } in
-    { cq; chash = hash_query cq }
-
-  let to_query t = t.cq
-  let hash t = t.chash
-  let equal a b = a.chash = b.chash && equal_query a.cq b.cq
-
-  module Table = Hashtbl.Make (struct
-    type nonrec t = t
-
-    let equal = equal
-    let hash = hash
-  end)
-end
-
 (* Hash-consed (interned) terms: every structurally distinct subterm gets one
    canonical in-memory node, so equality is [==], and hash/size/groundness
    are O(1) field reads instead of term walks.  Node hashes reuse the exact
@@ -325,8 +299,8 @@ end
 
    Interning is modulo [Value.equal], which compares objects by identity
    ([cls], [oid]) and ignores their fields — the first representative of an
-   object interned wins, exactly matching the equivalence [Canonical]
-   keys use.  (A workload holding two same-identity
+   object interned wins, exactly matching the optimizer's dedup
+   equivalence.  (A workload holding two same-identity
    objects with different field lists would see the second's fields replaced
    by the first's in plain views; the object model never produces that.)
 
@@ -422,9 +396,9 @@ module Hc = struct
   (* Head-constructor bitmask layout: func heads at bits 0-19 (constructor
      declaration order), pred heads at bits 20-31.  Holes carry no bit (they
      are pattern metavariables, not heads), and values contribute nothing —
-     rewriting never descends into Kf/Cf/Cp constants.
-     {!Rewrite.Index.head_bit} must agree with this numbering (enforced by
-     test_hashcons). *)
+     rewriting never descends into Kf/Cf/Cp constants.  This is the one
+     head-bit table: rule dispatch ({!Rewrite.Rule.head_mask}) and e-class
+     masks read it. *)
   let fshape_bit = function
     | HId -> 1 lsl 0
     | HPi1 -> 1 lsl 1
@@ -902,9 +876,8 @@ module Hc = struct
       c
 
   (* Interned queries and their dedup keys: two queries share a key iff they
-     are [Canonical.equal] — i.e. equal modulo ∘-associativity with
-     [Value.equal] arguments — so id-pair dedup partitions states exactly
-     like a [Canonical] table. *)
+     are equal modulo ∘-associativity with [Value.equal] arguments
+     ([equal_query_assoc]). *)
   type hquery = { hbody : fnode; harg : vnode }
 
   let of_query q = { hbody = of_func q.body; harg = of_value q.arg }

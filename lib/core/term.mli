@@ -120,37 +120,13 @@ val holes_func : func -> string list
 (** Holes in a term, each tagged with its sort: ["f:name"], ["p:name"] or
     ["v:name"]. *)
 
-(** {1 Hashing and canonical keys}
+(** {1 Hashing}
 
     Structural hashes consistent with {!equal_func}/{!equal_pred}: equal
     terms hash equal.  Linear in the term size. *)
 
 val hash_func : func -> int
 val hash_pred : pred -> int
-val hash_query : query -> int
-
-(** Canonical query keys for hashtable dedup of rewrite states: the query
-    reassociated into left-nested composition form, with its hash computed
-    once at construction.  Equality compares hashes first and falls back to
-    full structural equality, so deduplicating a state costs one traversal
-    instead of a pretty-printed string allocation. *)
-module Canonical : sig
-  type t
-
-  val of_query : query -> t
-
-  val to_query : t -> query
-  (** The reassociated query the key was built from. *)
-
-  val equal : t -> t -> bool
-  (** Hash equality with structural equality as tiebreak; agrees with
-      {!equal_query_assoc} on the original queries. *)
-
-  val hash : t -> int
-  (** Precomputed; O(1). *)
-
-  module Table : Hashtbl.S with type key = t
-end
 
 (** Hash-consed (interned) terms: one canonical in-memory node per
     structurally distinct subterm, shared maximally.
@@ -345,9 +321,8 @@ module Hc : sig
 
   val query_key : hquery -> int * int
   (** [((canon hbody).fid, harg.vid)] — two queries share a key iff they
-      are {!Canonical.equal} (equal modulo ∘-associativity, [Value.equal]
-      arguments), so id-pair dedup partitions states exactly like a
-      {!Canonical} table, at O(1) amortized per state. *)
+      are {!equal_query_assoc} (equal modulo ∘-associativity, [Value.equal]
+      arguments), at O(1) amortized per state. *)
 
   module Qtable : Hashtbl.S with type key = int * int
 

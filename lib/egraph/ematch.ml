@@ -1,9 +1,9 @@
 (* E-matching: firing the catalog's declarative patterns against e-classes.
 
-   Patterns are the rules' own interned bodies ({!Rewrite.Rule.hbody}) —
-   no separate pattern language.  A hole matches a whole e-class and binds
-   its representative witness, so substitutions stay ordinary
-   {!Rewrite.Subst.H} values: instantiation and precondition checks reuse
+   Patterns are the rules' own interned bodies ({!Rewrite.Rule.patterns})
+   — no separate pattern language.  A hole matches a whole e-class and
+   binds its representative witness, so substitutions stay ordinary
+   {!Rewrite.Subst} values: instantiation and precondition checks reuse
    the BFS machinery unchanged, and the instantiated sides are concrete
    hash-consed terms ready for {!Graph.add_term}.
 
@@ -23,7 +23,7 @@ type erule = {
   elhs : wterm;
   erhs : wterm;
   emask : int;
-      (** root-head bit a class must contain ({!Rewrite.Index.rule_head_mask});
+      (** root-head bit a class must contain ({!Rewrite.Rule.head_mask});
           [0] when the pattern has no fixed head *)
   einternal : bool;  (** reassociation scaffolding, invisible in proofs *)
 }
@@ -33,7 +33,7 @@ type erule = {
    [subst] under which some member matches. *)
 
 let bind_or_check_func g subst h cls =
-  match Rewrite.Subst.H.find_func subst h with
+  match Rewrite.Subst.find_func subst h with
   | Some b -> (
     match Graph.find_term g (Wf b) with
     | Some c when c = Graph.find g cls -> [ subst ]
@@ -41,13 +41,13 @@ let bind_or_check_func g subst h cls =
   | None -> (
     match Graph.witness g cls with
     | Wf w -> (
-      match Rewrite.Subst.H.bind_func subst h w with
+      match Rewrite.Subst.bind_func subst h w with
       | Some s -> [ s ]
       | None -> [])
     | _ -> [])
 
 let bind_or_check_pred g subst h cls =
-  match Rewrite.Subst.H.find_pred subst h with
+  match Rewrite.Subst.find_pred subst h with
   | Some b -> (
     match Graph.find_term g (Wp b) with
     | Some c when c = Graph.find g cls -> [ subst ]
@@ -55,13 +55,13 @@ let bind_or_check_pred g subst h cls =
   | None -> (
     match Graph.witness g cls with
     | Wp w -> (
-      match Rewrite.Subst.H.bind_pred subst h w with
+      match Rewrite.Subst.bind_pred subst h w with
       | Some s -> [ s ]
       | None -> [])
     | _ -> [])
 
-let rec match_wterm g (subst : Rewrite.Subst.H.t) (pat : wterm) (cls : int) :
-    Rewrite.Subst.H.t list =
+let rec match_wterm g (subst : Rewrite.Subst.t) (pat : wterm) (cls : int) :
+    Rewrite.Subst.t list =
   match pat with
   | Wf { Hc.fshape = Hc.HFhole h; _ } ->
     if Graph.class_sort g cls = Func then bind_or_check_func g subst h cls
@@ -74,16 +74,15 @@ let rec match_wterm g (subst : Rewrite.Subst.H.t) (pat : wterm) (cls : int) :
        the BFS value matcher's own cases. *)
     match Graph.witness g cls with
     | Wv v -> (
-      match Rewrite.Match.hvalue subst vpat v with
+      match Rewrite.Match.value subst vpat v with
       | Some s -> [ s ]
       | None -> [])
     | _ -> [])
   | _ ->
     let pop, pcs = decompose pat in
+    let bit = head_bit pat in
     if Graph.class_sort g cls <> sort_of_op pop then []
-    else if
-      op_bit pop <> 0 && Graph.class_mask g cls land op_bit pop = 0
-    then []
+    else if bit <> 0 && Graph.class_mask g cls land bit = 0 then []
     else
       List.concat_map
         (fun (n : Graph.enode) ->
@@ -114,17 +113,17 @@ let rec match_wterm g (subst : Rewrite.Subst.H.t) (pat : wterm) (cls : int) :
    upgrade the binding to it — the instantiated sides are then built from
    precondition-passing terms and replay under the BFS checker. *)
 
-let rebind_func (s : Rewrite.Subst.H.t) h w =
-  { s with Rewrite.Subst.H.funcs = (h, w) :: List.remove_assoc h s.funcs }
+let rebind_func (s : Rewrite.Subst.t) h w =
+  { s with Rewrite.Subst.funcs = (h, w) :: List.remove_assoc h s.funcs }
 
-let check_preconditions g schema (er : erule) (subst : Rewrite.Subst.H.t) :
-    Rewrite.Subst.H.t option =
+let check_preconditions g schema (er : erule) (subst : Rewrite.Subst.t) :
+    Rewrite.Subst.t option =
   List.fold_left
     (fun acc { Rewrite.Rule.prop; hole } ->
       match acc with
       | None -> None
       | Some s -> (
-        match Rewrite.Subst.H.find_func s hole with
+        match Rewrite.Subst.find_func s hole with
         | Some f ->
           if Rewrite.Props.holds schema prop f.Hc.fterm then Some s
           else (
@@ -141,7 +140,7 @@ let check_preconditions g schema (er : erule) (subst : Rewrite.Subst.H.t) :
               in
               scan (Graph.nodes g c))
         | None -> (
-          match Rewrite.Subst.H.find_value s hole with
+          match Rewrite.Subst.find_value s hole with
           | Some v ->
             if Rewrite.Props.holds_value prop v.Hc.vterm then Some s
             else None
@@ -151,13 +150,13 @@ let check_preconditions g schema (er : erule) (subst : Rewrite.Subst.H.t) :
 (* ------------------------------------------------------------------ *)
 (* Instantiation: pattern under a complete substitution is ground. *)
 
-let inst (subst : Rewrite.Subst.H.t) (pat : wterm) : wterm =
+let inst (subst : Rewrite.Subst.t) (pat : wterm) : wterm =
   match pat with
-  | Wf f -> Wf (Rewrite.Subst.H.apply_func subst f)
-  | Wp p -> Wp (Rewrite.Subst.H.apply_pred subst p)
-  | Wv v -> Wv (Rewrite.Subst.H.apply_value subst v)
+  | Wf f -> Wf (Rewrite.Subst.apply_func subst f)
+  | Wp p -> Wp (Rewrite.Subst.apply_pred subst p)
+  | Wv v -> Wv (Rewrite.Subst.apply_value subst v)
   | Wq (f, v) ->
-    Wq (Rewrite.Subst.H.apply_func subst f, Rewrite.Subst.H.apply_value subst v)
+    Wq (Rewrite.Subst.apply_func subst f, Rewrite.Subst.apply_value subst v)
 
 (* ------------------------------------------------------------------ *)
 (* Compiling the catalog. *)
@@ -168,8 +167,8 @@ let prefix_hole = "·prefix·"
 
 let compile_rule ?(internal = false) (r : Rewrite.Rule.t) : erule list =
   let name = r.Rewrite.Rule.name in
-  match Rewrite.Rule.hbody r with
-  | Rewrite.Rule.HFun_rule (l, rhs) ->
+  match Rewrite.Rule.patterns r with
+  | Rewrite.Rule.Fun_pats (l, rhs) ->
     [
       {
         eid = 0;
@@ -177,11 +176,11 @@ let compile_rule ?(internal = false) (r : Rewrite.Rule.t) : erule list =
         esource = r;
         elhs = Wf l;
         erhs = Wf rhs;
-        emask = Rewrite.Index.rule_head_mask r;
+        emask = Rewrite.Rule.head_mask r;
         einternal = internal;
       };
     ]
-  | Rewrite.Rule.HPred_rule (l, rhs) ->
+  | Rewrite.Rule.Pred_pats (l, rhs) ->
     [
       {
         eid = 0;
@@ -189,11 +188,11 @@ let compile_rule ?(internal = false) (r : Rewrite.Rule.t) : erule list =
         esource = r;
         elhs = Wp l;
         erhs = Wp rhs;
-        emask = Rewrite.Index.rule_head_mask r;
+        emask = Rewrite.Rule.head_mask r;
         einternal = internal;
       };
     ]
-  | Rewrite.Rule.HQuery_rule ((lf, lv), (rf, rv)) ->
+  | Rewrite.Rule.Query_pats ((lf, lv), (rf, rv)) ->
     (* BFS matches a query rule against the tail of the body chain plus
        the argument.  At saturation every grouping of the body chain is a
        member of the body class, so two pattern forms cover all tails:
@@ -259,7 +258,7 @@ let matches_of_rule g schema (er : erule) (cls : int) : match_inst list =
        path below stays clock-free. *)
     let t0 = Telemetry.now () in
     let res =
-      match_wterm g Rewrite.Subst.H.empty er.elhs cls
+      match_wterm g Rewrite.Subst.empty er.elhs cls
       |> List.filter_map (fun s ->
              match check_preconditions g schema er s with
              | None -> None
@@ -272,7 +271,7 @@ let matches_of_rule g schema (er : erule) (cls : int) : match_inst list =
     res
   end
   else
-    match_wterm g Rewrite.Subst.H.empty er.elhs cls
+    match_wterm g Rewrite.Subst.empty er.elhs cls
     |> List.filter_map (fun s ->
            match check_preconditions g schema er s with
            | None -> None

@@ -1,6 +1,6 @@
 (** E-matching: firing the catalog's declarative patterns against
     e-classes.  Patterns are the rules' own interned bodies — no separate
-    pattern language; substitutions are ordinary {!Rewrite.Subst.H}
+    pattern language; substitutions are ordinary {!Rewrite.Subst}
     values, so preconditions and instantiation reuse the BFS machinery.
 
     Associativity is handled by two internal reassociation rules rather
@@ -17,7 +17,7 @@ type erule = {
   elhs : wterm;
   erhs : wterm;
   emask : int;
-      (** root-head bit a class must contain ({!Rewrite.Index.rule_head_mask});
+      (** root-head bit a class must contain ({!Rewrite.Rule.head_mask});
           [0] when the pattern has no fixed head *)
   einternal : bool;  (** reassociation scaffolding, invisible in proofs *)
 }

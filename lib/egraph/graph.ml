@@ -155,7 +155,7 @@ let rec add_term t (w : wterm) : int =
         {
           nodes = [ n ];
           parents = [];
-          cmask = op_bit op;
+          cmask = head_bit w;
           csort = sort_of_op op;
           cwitness = w;
         };

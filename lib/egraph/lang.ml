@@ -84,46 +84,6 @@ let op_hash = function
   | OPrimp s -> Hashtbl.hash ("p", s)
   | op -> Hashtbl.hash op
 
-(* Head-occurrence bit of an operator, in the {!Rewrite.Index.head_bit} /
-   {!Kola.Term.Hc.fshape_bit} layout (function heads at bits 0-19 in
-   declaration order, predicate heads at 20-31), so a rule's
-   [Index.rule_head_mask] prunes e-classes exactly as it prunes interned
-   subtrees.  Leaves and the query wrapper carry no head bit. *)
-let op_bit = function
-  | OId -> 1 lsl 0
-  | OPi1 -> 1 lsl 1
-  | OPi2 -> 1 lsl 2
-  | OPrim _ -> 1 lsl 3
-  | OCompose -> 1 lsl 4
-  | OPairf -> 1 lsl 5
-  | OTimes -> 1 lsl 6
-  | OKf -> 1 lsl 7
-  | OCf -> 1 lsl 8
-  | OCon -> 1 lsl 9
-  | OArith _ -> 1 lsl 10
-  | OAgg _ -> 1 lsl 11
-  | OSetop _ -> 1 lsl 12
-  | OSng -> 1 lsl 13
-  | OFlat -> 1 lsl 14
-  | OIterate -> 1 lsl 15
-  | OIter -> 1 lsl 16
-  | OJoin -> 1 lsl 17
-  | ONest -> 1 lsl 18
-  | OUnnest -> 1 lsl 19
-  | OEq -> 1 lsl 20
-  | OLeq -> 1 lsl 21
-  | OGt -> 1 lsl 22
-  | OIn -> 1 lsl 23
-  | OPrimp _ -> 1 lsl 24
-  | OOplus -> 1 lsl 25
-  | OAndp -> 1 lsl 26
-  | OOrp -> 1 lsl 27
-  | OInv -> 1 lsl 28
-  | OConv -> 1 lsl 29
-  | OKp _ -> 1 lsl 30
-  | OCp -> 1 lsl 31
-  | OVal _ | OQuery -> 0
-
 (* ------------------------------------------------------------------ *)
 (* Witness terms: concrete hash-consed terms spanning all sorts. *)
 
@@ -142,6 +102,15 @@ let wkey = function
   | Wp p -> KP p.Hc.pid
   | Wv v -> KV v.Hc.vid
   | Wq (f, v) -> KQ (f.Hc.fid, v.Hc.vid)
+
+(* Head-occurrence bit of a witness's root, read off the interned node
+   ({!Kola.Term.Hc.fshape_bit}/[pshape_bit]), so a rule's
+   {!Rewrite.Rule.head_mask} prunes e-classes exactly as it prunes
+   interned subtrees.  Values and the query wrapper carry no head bit. *)
+let head_bit = function
+  | Wf f -> Hc.fshape_bit f.Hc.fshape
+  | Wp p -> Hc.pshape_bit p.Hc.pshape
+  | Wv _ | Wq _ -> 0
 
 exception Hole_in_ground_term of string
 

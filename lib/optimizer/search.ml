@@ -124,12 +124,12 @@ let cache_of config =
    lacks the rule's head. *)
 let enumerate ?schema ~max_positions ~truncated (rules : Rewrite.Rule.t list)
     (hq : Term.Hc.hquery) : (string * Term.Hc.hquery) list =
-  let fun_rules, query_rules =
+  let query_rules, fun_rules =
     List.partition
       (fun r ->
-        match r.Rewrite.Rule.body with
-        | Rewrite.Rule.Fun_rule _ | Rewrite.Rule.Pred_rule _ -> true
-        | Rewrite.Rule.Query_rule _ -> false)
+        match Rewrite.Rule.patterns r with
+        | Rewrite.Rule.Query_pats _ -> true
+        | Rewrite.Rule.Fun_pats _ | Rewrite.Rule.Pred_pats _ -> false)
       rules
   in
   let from_query_rules =
@@ -138,7 +138,7 @@ let enumerate ?schema ~max_positions ~truncated (rules : Rewrite.Rule.t list)
         let res =
           Option.map
             (fun hq' -> (r.Rewrite.Rule.name, hq'))
-            (Rewrite.Rule.apply_hquery ?schema r hq)
+            (Rewrite.Rule.apply_query ?schema r hq)
         in
         note_rule_successors r.Rewrite.Rule.name
           (if res = None then 0 else 1);
@@ -149,7 +149,7 @@ let enumerate ?schema ~max_positions ~truncated (rules : Rewrite.Rule.t list)
     Telemetry.count "search.positions";
     let remaining = ref k in
     let s tgt =
-      match Rewrite.Strategy.H.of_rule ?schema r tgt with
+      match Rewrite.Strategy.of_rule ?schema r tgt with
       | Some t ->
         if !remaining = 0 then Some t
         else begin
@@ -160,17 +160,17 @@ let enumerate ?schema ~max_positions ~truncated (rules : Rewrite.Rule.t list)
     in
     Option.map
       (fun hbody -> { hq with Term.Hc.hbody })
-      (Rewrite.Strategy.H.apply_func
-         (Rewrite.Strategy.H.once_topdown_masked ~mask:rmask s)
+      (Rewrite.Strategy.apply_func
+         (Rewrite.Strategy.once_topdown ~mask:rmask s)
          hq.Term.Hc.hbody)
   in
   let mask = hq.Term.Hc.hbody.Term.Hc.fheads in
   let from_fun_rules =
     List.concat_map
       (fun r ->
-        if not (Rewrite.Index.mask_may_fire mask r) then []
+        if not (Rewrite.Rule.mask_may_fire mask r) then []
         else
-          let rmask = Rewrite.Index.rule_head_mask r in
+          let rmask = Rewrite.Rule.head_mask r in
           let rec collect k acc =
             if k >= max_positions then begin
               if Option.is_some (at_kth ~rmask r k) then begin
@@ -232,12 +232,6 @@ type outcome = {
   saturation : Saturate.stats option;
       (** e-graph statistics when [engine = Egraph]; [None] under BFS *)
 }
-
-(* Pretty-printed canonical form, kept for diagnostics and for the
-   equivalence property tests against [Term.Canonical]. *)
-let canonical q =
-  Pretty.query_to_string
-    { q with Term.body = Term.reassoc_func q.Term.body }
 
 (* [deadline_check config] returns a zero-argument predicate that turns
    true once the configured deadline has expired.  With no deadline the
@@ -668,25 +662,25 @@ let reaches ?(config = default_config) (q : Term.query)
    fired at, until the list is exhausted at the target. *)
 let replay_names ~config q (target : Term.query) (names : string list) :
     (string * Term.query) list option =
-  let target_key = Term.Canonical.of_query target in
-  let rec go q = function
-    | [] ->
-      if Term.Canonical.equal (Term.Canonical.of_query q) target_key then
-        Some []
-      else None
+  let target_key = Term.Hc.query_key (Term.Hc.of_query target) in
+  let rec go hq = function
+    | [] -> if Term.Hc.query_key hq = target_key then Some [] else None
     | name :: rest ->
       List.fold_left
-        (fun acc (n, q') ->
+        (fun acc (n, hq') ->
           match acc with
           | Some _ -> acc
           | None ->
             if String.equal n name then
-              Option.map (fun tl -> (name, q') :: tl) (go q' rest)
+              Option.map
+                (fun tl -> (name, Term.Hc.to_query hq') :: tl)
+                (go hq' rest)
             else None)
         None
-        (successors ~max_positions:config.max_positions config.rules q)
+        (enumerate ~max_positions:config.max_positions ~truncated:(ref false)
+           config.rules hq)
   in
-  go q names
+  go (Term.Hc.of_query q) names
 
 let reaches_steps ?(config = default_config) (q : Term.query)
     (target : Term.query) : (string * Term.query) list option =
@@ -715,10 +709,11 @@ let resolve_rule rules name =
 let validate_path ?schema ?(rules = default_config.rules) (q : Term.query)
     (steps : (string * Term.query) list) : bool =
   let fires src r dst =
-    let key = Term.Canonical.of_query dst in
+    let key = Term.Hc.query_key (Term.Hc.of_query dst) in
     List.exists
-      (fun (_, q2) -> Term.Canonical.equal (Term.Canonical.of_query q2) key)
-      (successors ?schema ~max_positions:max_int [ r ] src)
+      (fun (_, hq2) -> Term.Hc.query_key hq2 = key)
+      (enumerate ?schema ~max_positions:max_int ~truncated:(ref false) [ r ]
+         (Term.Hc.of_query src))
   in
   let ok_step q (name, q') =
     match resolve_rule rules name with

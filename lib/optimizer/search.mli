@@ -114,10 +114,6 @@ type outcome = {
           time, stop reason) when [engine = Egraph]; [None] under BFS *)
 }
 
-val canonical : Kola.Term.query -> string
-(** Pretty-printed canonical form, kept for diagnostics and the
-    equivalence tests against {!Kola.Term.Canonical}. *)
-
 val explore : ?config:config -> Kola.Term.query -> outcome
 (** Cheapest equivalent query found within the budget. *)
 

@@ -2,11 +2,14 @@
     recording a trace, so tests can check the paper's derivations (Figures
     4 and 6) step by step and the optimizer can explain itself.
 
-    Two dispatch paths exist.  {!step_once} attempts every rule of the
-    right sort at every node, in catalog order; COKO blocks fire through
-    it.  {!run} routes each node through {!Index} so only rules whose
-    pattern head can match are attempted — same firings, same trace,
-    fewer attempts. *)
+    One stepping function, {!step_once}, serves COKO blocks and {!run}.
+    It dispatches on heads: at each node it tries, in catalog order, only
+    the rules whose pattern head can match that node ({!offered}), and it
+    skips every subtree whose head bitmask shares no bit with the rule
+    list.  A rule that cannot match a node is never tried there, so the
+    firings are those of the naive semantics — every rule of the right
+    sort tried at every node, outermost first — which stays the
+    definition. *)
 
 type step = {
   rule_name : string;
@@ -18,34 +21,31 @@ type trace = step list
 type stats = {
   firings : int;
   attempts : int;
-      (** rules actually tried: for each node visited, each candidate rule
-          of the node's sort attempted before (and including) the one that
-          fired.  Rules of the wrong sort for a node — or, under the index,
-          rules whose head cannot match it — are dismissed by dispatch, not
-          tried, and not counted. *)
+      (** rules actually tried: for each node visited, each rule head
+          dispatch offers there, attempted before (and including) the one
+          that fired.  Query rules count once per step.  Rules dismissed
+          by dispatch are not tried and not counted. *)
 }
 
 type outcome = { query : Kola.Term.query; trace : trace; stats : stats }
 
-val pp_trace : trace Fmt.t
+val offered : Rule.t -> Strategy.target -> bool
+(** Head dispatch: function rules at function nodes and predicate rules
+    at predicate nodes, when the pattern's {!Rule.head_mask} is [0] (a
+    hole) or the node's own shape bit. *)
 
 val step_once :
   ?schema:Kola.Schema.t ->
   ?counter:int ref ->
-  Rule.t list -> Kola.Term.query -> (string * Kola.Term.query) option
-(** Fire the first rule (in catalog order) that applies anywhere, outermost
+  Rule.t list ->
+  Kola.Term.Hc.hquery ->
+  (string * Kola.Term.Hc.hquery) option
+(** Fire the first rule (in list order) that applies anywhere, outermost
     first; query rules are tried at the query level before function and
-    predicate rules.  Attempts every candidate rule at every node. *)
+    predicate rules.  [counter] accumulates attempts. *)
 
 val run :
   ?schema:Kola.Schema.t -> ?fuel:int ->
   Rule.t list -> Kola.Term.query -> outcome
-(** Normalize under the rule set, up to [fuel] firings.  Builds the
-    head-symbol index once and reuses it across firings; the firings and
-    trace are those of iterating {!step_once}, with fewer attempts. *)
-
-val run_func :
-  ?schema:Kola.Schema.t -> ?fuel:int ->
-  Rule.t list -> Kola.Term.func -> Kola.Term.func * trace
-
-val fired_rules : outcome -> string list
+(** Normalize under the rule set, up to [fuel] firings, by iterating
+    {!step_once} on the interned query. *)

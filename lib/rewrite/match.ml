@@ -1,113 +1,9 @@
-(* One-way matching of rule patterns against (sub)terms.
+(* One-way matching of rule patterns against interned (sub)terms.
 
    This is the "unification" of the paper's Section 2.3 discussion: because
    KOLA terms are variable-free, structural matching with consistent hole
    binding is the *entire* applicability test — no environmental analysis,
-   no head routines.  Matching is linear in the pattern size. *)
-
-open Kola
-open Kola.Term
-
-let rec func subst pat t =
-  match pat, t with
-  | Fhole h, _ -> Subst.bind_func subst h t
-  | Id, Id | Pi1, Pi1 | Pi2, Pi2 | Flat, Flat | Sng, Sng -> Some subst
-  | Prim a, Prim b when String.equal a b -> Some subst
-  (* Compositions match modulo associativity: both chains are flattened and
-     matched elementwise, except that a bare hole element may absorb any
-     non-empty run of consecutive target elements (the paper's rule 17 binds
-     g to whatever processing follows the inner loop, however long). *)
-  | Compose _, Compose _ -> chain_match subst (unchain pat) (unchain t)
-  | Pairf (p1, p2), Pairf (t1, t2)
-  | Times (p1, p2), Times (t1, t2)
-  | Nest (p1, p2), Nest (t1, t2)
-  | Unnest (p1, p2), Unnest (t1, t2) ->
-    Option.bind (func subst p1 t1) (fun s -> func s p2 t2)
-  | Kf pv, Kf tv -> value subst pv tv
-  | Cf (p1, pv), Cf (t1, tv) ->
-    Option.bind (func subst p1 t1) (fun s -> value s pv tv)
-  | Con (pp, p1, p2), Con (tp, t1, t2) ->
-    Option.bind (pred subst pp tp) (fun s ->
-        Option.bind (func s p1 t1) (fun s -> func s p2 t2))
-  | Arith a, Arith b when a = b -> Some subst
-  | Agg a, Agg b when a = b -> Some subst
-  | Setop a, Setop b when a = b -> Some subst
-  | Iterate (pp, p1), Iterate (tp, t1)
-  | Iter (pp, p1), Iter (tp, t1)
-  | Join (pp, p1), Join (tp, t1) ->
-    Option.bind (pred subst pp tp) (fun s -> func s p1 t1)
-  | ( ( Id | Pi1 | Pi2 | Prim _ | Compose _ | Pairf _ | Times _ | Kf _ | Cf _
-      | Con _ | Arith _ | Agg _ | Setop _ | Flat | Sng | Iterate _ | Iter _
-      | Join _ | Nest _ | Unnest _ ),
-      _ ) -> None
-
-(* Match a flattened pattern chain against a flattened target chain.  Bare
-   hole elements may absorb one or more consecutive target elements; all
-   other elements match exactly one.  Backtracks over absorption lengths. *)
-and chain_match subst lps tps =
-  match lps, tps with
-  | [], [] -> Some subst
-  | [], _ :: _ | _ :: _, [] -> None
-  | Fhole h :: lrest, _ ->
-    let n = List.length tps in
-    let max_take = n - List.length lrest in
-    let rec try_take k =
-      if k > max_take then None
-      else
-        let rec split i acc = function
-          | rest when i = 0 -> (List.rev acc, rest)
-          | [] -> (List.rev acc, [])
-          | x :: rest -> split (i - 1) (x :: acc) rest
-        in
-        let taken, rest = split k [] tps in
-        match Subst.bind_func subst h (chain taken) with
-        | Some s -> (
-          match chain_match s lrest rest with
-          | Some _ as res -> res
-          | None -> try_take (k + 1))
-        | None -> try_take (k + 1)
-    in
-    try_take 1
-  | lp :: lrest, tp :: trest ->
-    Option.bind (func subst lp tp) (fun s -> chain_match s lrest trest)
-
-and pred subst pat t =
-  match pat, t with
-  | Phole h, _ -> Subst.bind_pred subst h t
-  | Eq, Eq | Leq, Leq | Gt, Gt | In, In -> Some subst
-  | Primp a, Primp b when String.equal a b -> Some subst
-  | Oplus (pp, pf), Oplus (tp, tf) ->
-    Option.bind (pred subst pp tp) (fun s -> func s pf tf)
-  | Andp (p1, p2), Andp (t1, t2) | Orp (p1, p2), Orp (t1, t2) ->
-    Option.bind (pred subst p1 t1) (fun s -> pred s p2 t2)
-  | Inv p1, Inv t1 | Conv p1, Conv t1 -> pred subst p1 t1
-  | Kp a, Kp b when Bool.equal a b -> Some subst
-  | Cp (p1, pv), Cp (t1, tv) ->
-    Option.bind (pred subst p1 t1) (fun s -> value s pv tv)
-  | ( ( Eq | Leq | Gt | In | Primp _ | Oplus _ | Andp _ | Orp _ | Inv _
-      | Conv _ | Kp _ | Cp _ ),
-      _ ) -> None
-
-and value subst pat t =
-  match pat with
-  | Value.Hole h -> Subst.bind_value subst h t
-  | _ ->
-    (* Non-hole value patterns must match exactly; patterns do not descend
-       into the structure of sets and objects. *)
-    let pat = Subst.apply_value subst pat in
-    if Value.is_ground pat && Value.equal pat t then Some subst
-    else
-      match pat, t with
-      | Value.Pair (p1, p2), Value.Pair (t1, t2) ->
-        Option.bind (value subst p1 t1) (fun s -> value s p2 t2)
-      | _ -> None
-
-let func_matches pat t = Option.is_some (func Subst.empty pat t)
-let pred_matches pat t = Option.is_some (pred Subst.empty pat t)
-
-(* ------------------------------------------------------------------ *)
-(* Matching over hash-consed nodes: the same one-way matching, with two
-   short-circuits the interned representation makes sound.
+   no head routines.  Matching is linear in the pattern size.
 
    A hole-free pattern binds nothing, so it matches a target iff the two
    are equal modulo ∘-associativity.  Physically equal nodes therefore
@@ -119,45 +15,55 @@ let pred_matches pat t = Option.is_some (pred Subst.empty pat t)
    with a [Compose] fall through to the full walk, whose recursive calls
    re-enter the fast path at every level. *)
 
-let rec hfunc subst (pat : Hc.fnode) (t : Hc.fnode) =
+open Kola.Term
+
+let rec func subst (pat : Hc.fnode) (t : Hc.fnode) =
   if pat.Hc.fhole_free then
     if pat == t then Some subst
     else if pat.Hc.fheads land Hc.compose_mask = 0 then None
-    else hfunc_walk subst pat t
-  else hfunc_walk subst pat t
+    else func_walk subst pat t
+  else func_walk subst pat t
 
-and hfunc_walk subst pat t =
+and func_walk subst pat t =
   match pat.Hc.fshape, t.Hc.fshape with
-  | Hc.HFhole h, _ -> Subst.H.bind_func subst h t
+  | Hc.HFhole h, _ -> Subst.bind_func subst h t
   | Hc.HId, Hc.HId
   | Hc.HPi1, Hc.HPi1
   | Hc.HPi2, Hc.HPi2
   | Hc.HFlat, Hc.HFlat
   | Hc.HSng, Hc.HSng -> Some subst
   | Hc.HPrim a, Hc.HPrim b when String.equal a b -> Some subst
+  (* Compositions match modulo associativity: both chains are flattened
+     and matched elementwise, except that a bare hole element may absorb
+     any non-empty run of consecutive target elements (the paper's rule 17
+     binds g to whatever processing follows the inner loop, however
+     long). *)
   | Hc.HCompose _, Hc.HCompose _ ->
-    hchain_match subst (Hc.unchain pat) (Hc.unchain t)
+    chain_match subst (Hc.unchain pat) (Hc.unchain t)
   | Hc.HPairf (p1, p2), Hc.HPairf (t1, t2)
   | Hc.HTimes (p1, p2), Hc.HTimes (t1, t2)
   | Hc.HNest (p1, p2), Hc.HNest (t1, t2)
   | Hc.HUnnest (p1, p2), Hc.HUnnest (t1, t2) ->
-    Option.bind (hfunc subst p1 t1) (fun s -> hfunc s p2 t2)
-  | Hc.HKf pv, Hc.HKf tv -> hvalue subst pv tv
+    Option.bind (func subst p1 t1) (fun s -> func s p2 t2)
+  | Hc.HKf pv, Hc.HKf tv -> value subst pv tv
   | Hc.HCf (p1, pv), Hc.HCf (t1, tv) ->
-    Option.bind (hfunc subst p1 t1) (fun s -> hvalue s pv tv)
+    Option.bind (func subst p1 t1) (fun s -> value s pv tv)
   | Hc.HCon (pp, p1, p2), Hc.HCon (tp, t1, t2) ->
-    Option.bind (hpred subst pp tp) (fun s ->
-        Option.bind (hfunc s p1 t1) (fun s -> hfunc s p2 t2))
+    Option.bind (pred subst pp tp) (fun s ->
+        Option.bind (func s p1 t1) (fun s -> func s p2 t2))
   | Hc.HArith a, Hc.HArith b when a = b -> Some subst
   | Hc.HAgg a, Hc.HAgg b when a = b -> Some subst
   | Hc.HSetop a, Hc.HSetop b when a = b -> Some subst
   | Hc.HIterate (pp, p1), Hc.HIterate (tp, t1)
   | Hc.HIter (pp, p1), Hc.HIter (tp, t1)
   | Hc.HJoin (pp, p1), Hc.HJoin (tp, t1) ->
-    Option.bind (hpred subst pp tp) (fun s -> hfunc s p1 t1)
+    Option.bind (pred subst pp tp) (fun s -> func s p1 t1)
   | _, _ -> None
 
-and hchain_match subst lps tps =
+(* Match a flattened pattern chain against a flattened target chain.  Bare
+   hole elements may absorb one or more consecutive target elements; all
+   other elements match exactly one.  Backtracks over absorption lengths. *)
+and chain_match subst lps tps =
   match lps, tps with
   | [], [] -> Some subst
   | [], _ :: _ | _ :: _, [] -> None
@@ -175,9 +81,9 @@ and hchain_match subst lps tps =
             | x :: rest -> split (i - 1) (x :: acc) rest
           in
           let taken, rest = split k [] tps in
-          match Subst.H.bind_func subst h (Hc.chain taken) with
+          match Subst.bind_func subst h (Hc.chain taken) with
           | Some s -> (
-            match hchain_match s lrest rest with
+            match chain_match s lrest rest with
             | Some _ as res -> res
             | None -> try_take (k + 1))
           | None -> try_take (k + 1)
@@ -186,41 +92,43 @@ and hchain_match subst lps tps =
     | _ -> (
       match tps with
       | tp :: trest ->
-        Option.bind (hfunc subst lp tp) (fun s -> hchain_match s lrest trest)
+        Option.bind (func subst lp tp) (fun s -> chain_match s lrest trest)
       | [] -> None))
 
-and hpred subst (pat : Hc.pnode) (t : Hc.pnode) =
+and pred subst (pat : Hc.pnode) (t : Hc.pnode) =
   if pat.Hc.phole_free then
     if pat == t then Some subst
     else if pat.Hc.pheads land Hc.compose_mask = 0 then None
-    else hpred_walk subst pat t
-  else hpred_walk subst pat t
+    else pred_walk subst pat t
+  else pred_walk subst pat t
 
-and hpred_walk subst pat t =
+and pred_walk subst pat t =
   match pat.Hc.pshape, t.Hc.pshape with
-  | Hc.HPhole h, _ -> Subst.H.bind_pred subst h t
+  | Hc.HPhole h, _ -> Subst.bind_pred subst h t
   | Hc.HEq, Hc.HEq | Hc.HLeq, Hc.HLeq | Hc.HGt, Hc.HGt | Hc.HIn, Hc.HIn ->
     Some subst
   | Hc.HPrimp a, Hc.HPrimp b when String.equal a b -> Some subst
   | Hc.HOplus (pp, pf), Hc.HOplus (tp, tf) ->
-    Option.bind (hpred subst pp tp) (fun s -> hfunc s pf tf)
+    Option.bind (pred subst pp tp) (fun s -> func s pf tf)
   | Hc.HAndp (p1, p2), Hc.HAndp (t1, t2)
   | Hc.HOrp (p1, p2), Hc.HOrp (t1, t2) ->
-    Option.bind (hpred subst p1 t1) (fun s -> hpred s p2 t2)
-  | Hc.HInv p1, Hc.HInv t1 | Hc.HConv p1, Hc.HConv t1 -> hpred subst p1 t1
+    Option.bind (pred subst p1 t1) (fun s -> pred s p2 t2)
+  | Hc.HInv p1, Hc.HInv t1 | Hc.HConv p1, Hc.HConv t1 -> pred subst p1 t1
   | Hc.HKp a, Hc.HKp b when Bool.equal a b -> Some subst
   | Hc.HCp (p1, pv), Hc.HCp (t1, tv) ->
-    Option.bind (hpred subst p1 t1) (fun s -> hvalue s pv tv)
+    Option.bind (pred subst p1 t1) (fun s -> value s pv tv)
   | _, _ -> None
 
-and hvalue subst (pat : Hc.vnode) (t : Hc.vnode) =
+(* Non-hole value patterns must match exactly; patterns do not descend
+   into the structure of sets and objects. *)
+and value subst (pat : Hc.vnode) (t : Hc.vnode) =
   match pat.Hc.vshape with
-  | Hc.HVhole h -> Subst.H.bind_value subst h t
+  | Hc.HVhole h -> Subst.bind_value subst h t
   | _ -> (
-    let pat = Subst.H.apply_value subst pat in
+    let pat = Subst.apply_value subst pat in
     if pat.Hc.vhole_free && pat == t then Some subst
     else
       match pat.Hc.vshape, t.Hc.vshape with
       | Hc.HVpair (p1, p2), Hc.HVpair (t1, t2) ->
-        Option.bind (hvalue subst p1 t1) (fun s -> hvalue s p2 t2)
+        Option.bind (value subst p1 t1) (fun s -> value s p2 t2)
       | _ -> None)

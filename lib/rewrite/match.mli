@@ -1,48 +1,33 @@
-(** One-way matching of rule patterns against (sub)terms — the paper's
-    "unification" applicability test.
+(** One-way matching of rule patterns against interned (sub)terms — the
+    paper's "unification" applicability test.
 
     Because KOLA terms are variable-free, structural matching with
     consistent hole binding is the entire test: no environmental analysis,
     no head routines.  Compositions match modulo associativity: both chains
     are flattened and matched elementwise, and a bare hole element may
-    absorb any non-empty run of consecutive target elements. *)
+    absorb any non-empty run of consecutive target elements.
 
-val func : Subst.t -> Kola.Term.func -> Kola.Term.func -> Subst.t option
+    Two O(1) short-circuits come from interning: a hole-free pattern
+    physically equal to the target matches immediately, and a hole-free
+    pattern without any [Compose] (read off [fheads]) that is physically
+    distinct cannot match at all, because without reassociation matching
+    is structural and structural equality of interned nodes is physical. *)
+
+val func :
+  Subst.t -> Kola.Term.Hc.fnode -> Kola.Term.Hc.fnode -> Subst.t option
 (** [func subst pattern target] extends [subst] or fails. *)
 
-val pred : Subst.t -> Kola.Term.pred -> Kola.Term.pred -> Subst.t option
+val pred :
+  Subst.t -> Kola.Term.Hc.pnode -> Kola.Term.Hc.pnode -> Subst.t option
 
-val value : Subst.t -> Kola.Value.t -> Kola.Value.t -> Subst.t option
+val value :
+  Subst.t -> Kola.Term.Hc.vnode -> Kola.Term.Hc.vnode -> Subst.t option
 (** Value patterns are holes, pairs of patterns, or exact constants. *)
 
 val chain_match :
-  Subst.t -> Kola.Term.func list -> Kola.Term.func list -> Subst.t option
-(** Match a flattened pattern chain against a flattened target chain. *)
-
-val func_matches : Kola.Term.func -> Kola.Term.func -> bool
-val pred_matches : Kola.Term.pred -> Kola.Term.pred -> bool
-
-(** {1 Matching over hash-consed nodes}
-
-    Same one-way matching and binding order as the plain functions —
-    bindings accepted and rejected identically — with two O(1)
-    short-circuits: a hole-free pattern physically equal to the target
-    matches immediately, and a hole-free pattern without any [Compose]
-    (read off [fheads]) that is physically distinct cannot match at all,
-    because without reassociation matching is structural and structural
-    equality of interned nodes is physical. *)
-
-val hfunc :
-  Subst.H.t -> Kola.Term.Hc.fnode -> Kola.Term.Hc.fnode -> Subst.H.t option
-
-val hpred :
-  Subst.H.t -> Kola.Term.Hc.pnode -> Kola.Term.Hc.pnode -> Subst.H.t option
-
-val hvalue :
-  Subst.H.t -> Kola.Term.Hc.vnode -> Kola.Term.Hc.vnode -> Subst.H.t option
-
-val hchain_match :
-  Subst.H.t ->
+  Subst.t ->
   Kola.Term.Hc.fnode list ->
   Kola.Term.Hc.fnode list ->
-  Subst.H.t option
+  Subst.t option
+(** Match a flattened pattern chain against a flattened target chain
+    (what {!func} does at two compositions). *)

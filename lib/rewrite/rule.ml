@@ -4,7 +4,11 @@
    the functions its holes bind — never code, per the paper's thesis.  Rules
    come in three kinds: over functions, over predicates, and over whole
    queries (the paper's rule 19 rewrites [iterate(...) ! A] into a form that
-   changes the query argument, so it cannot be a pure function rule). *)
+   changes the query argument, so it cannot be a pure function rule).
+
+   Rules are declared on plain terms and fire on interned ones: the
+   patterns are interned once per rule and memoized, so pattern nodes are
+   shared across every match attempt the rule ever makes. *)
 
 open Kola
 open Kola.Term
@@ -14,12 +18,10 @@ type body =
   | Pred_rule of pred * pred
   | Query_rule of (func * Value.t) * (func * Value.t)
 
-(* The same patterns, interned (see {!Kola.Term.Hc}); memoized per rule so
-   pattern nodes are shared across every match attempt the rule ever makes. *)
-type hbody =
-  | HFun_rule of Hc.fnode * Hc.fnode
-  | HPred_rule of Hc.pnode * Hc.pnode
-  | HQuery_rule of (Hc.fnode * Hc.vnode) * (Hc.fnode * Hc.vnode)
+type patterns =
+  | Fun_pats of Hc.fnode * Hc.fnode
+  | Pred_pats of Hc.pnode * Hc.pnode
+  | Query_pats of (Hc.fnode * Hc.vnode) * (Hc.fnode * Hc.vnode)
 
 type precondition = { prop : Props.prop; hole : string }
 
@@ -28,14 +30,14 @@ type t = {
   description : string;
   body : body;
   preconditions : precondition list;
-  mutable hbody_memo : hbody option;
+  mutable patterns_memo : patterns option;
       (** lazily interned [body]; benignly racy under domains — every
           writer stores structurally identical tuples of physically
           identical interned nodes *)
 }
 
 let make ?(preconditions = []) ~name ~description body =
-  { name; description; body; preconditions; hbody_memo = None }
+  { name; description; body; preconditions; patterns_memo = None }
 
 let fun_rule ?preconditions ~name ~description lhs rhs =
   make ?preconditions ~name ~description (Fun_rule (lhs, rhs))
@@ -54,8 +56,35 @@ let flip t =
     | Pred_rule (l, r) -> Pred_rule (r, l)
     | Query_rule (l, r) -> Query_rule (r, l)
   in
-  (* The memo caches the unflipped body; it must not survive the flip. *)
-  { t with name = t.name ^ "-1"; body; hbody_memo = None }
+  (* The memo caches the unflipped patterns; it must not survive the flip. *)
+  { t with name = t.name ^ "-1"; body; patterns_memo = None }
+
+let patterns t =
+  match t.patterns_memo with
+  | Some p -> p
+  | None ->
+    let p =
+      match t.body with
+      | Fun_rule (l, r) -> Fun_pats (Hc.of_func l, Hc.of_func r)
+      | Pred_rule (l, r) -> Pred_pats (Hc.of_pred l, Hc.of_pred r)
+      | Query_rule ((l, la), (r, ra)) ->
+        Query_pats
+          ((Hc.of_func l, Hc.of_value la), (Hc.of_func r, Hc.of_value ra))
+    in
+    t.patterns_memo <- Some p;
+    p
+
+(* Holes carry no head bit, so a hole-rooted pattern has mask 0 and every
+   node remains a candidate. *)
+let head_mask t =
+  match patterns t with
+  | Fun_pats (l, _) -> Hc.fshape_bit l.Hc.fshape
+  | Pred_pats (l, _) -> Hc.pshape_bit l.Hc.pshape
+  | Query_pats _ -> 0
+
+let mask_may_fire mask t =
+  let m = head_mask t in
+  m = 0 || mask land m <> 0
 
 (* A precondition names a hole; the property is read against whatever the
    match bound it to — a function (injective, total, ...) or a value
@@ -64,10 +93,10 @@ let check_preconditions schema t subst =
   List.for_all
     (fun { prop; hole } ->
       match Subst.find_func subst hole with
-      | Some f -> Props.holds schema prop f
+      | Some f -> Props.holds schema prop (Hc.to_func f)
       | None -> (
         match Subst.find_value subst hole with
-        | Some v -> Props.holds_value prop v
+        | Some v -> Props.holds_value prop (Hc.to_value v)
         | None -> false))
     t.preconditions
 
@@ -79,19 +108,13 @@ let check_preconditions schema t subst =
    instantiated right-hand side is spliced back in.  This mirrors the
    paper's reading of f1 ∘ f2 ∘ ... ∘ fn "without parentheses (exploiting
    associativity)". *)
-let apply_func ?(schema = Schema.paper) t f =
-  match t.body with
-  | Pred_rule _ | Query_rule _ -> None
-  | Fun_rule (lhs, rhs) -> (
-    let rewrite_root () =
-      match Match.func Subst.empty lhs f with
-      | Some subst when check_preconditions schema t subst ->
-        Some (Subst.apply_func subst rhs)
-      | _ -> None
-    in
-    match lhs, f with
-    | Compose _, Compose _ ->
-      let tparts = unchain f in
+let apply_func ?(schema = Schema.paper) t (f : Hc.fnode) =
+  match patterns t with
+  | Pred_pats _ | Query_pats _ -> None
+  | Fun_pats (lhs, rhs) -> (
+    match lhs.Hc.fshape, f.Hc.fshape with
+    | Hc.HCompose _, Hc.HCompose _ ->
+      let lparts = Hc.unchain lhs and tparts = Hc.unchain f in
       let n = List.length tparts in
       let rec take n = function
         | [] -> []
@@ -102,39 +125,44 @@ let apply_func ?(schema = Schema.paper) t f =
         else match xs with [] -> [] | _ :: rest -> drop (n - 1) rest
       in
       (* Try every window of ≥ 2 consecutive chain elements, leftmost and
-         shortest first; Match.func handles absorption within the window. *)
+         shortest first, matched as element lists (no window node is
+         built); Match.chain_match handles absorption within the window. *)
       let rec try_at i len =
         if i + 2 > n then None
         else if i + len > n then try_at (i + 1) 2
         else
-          let window = chain (take len (drop i tparts)) in
-          match Match.func Subst.empty lhs window with
+          let window = take len (drop i tparts) in
+          match Match.chain_match Subst.empty lparts window with
           | Some subst when check_preconditions schema t subst ->
-            let rhs' = unchain (Subst.apply_func subst rhs) in
+            let rhs' = Hc.unchain (Subst.apply_func subst rhs) in
             let parts' = take i tparts @ rhs' @ drop (i + len) tparts in
-            Some (chain parts')
+            Some (Hc.chain parts')
           | _ -> try_at i (len + 1)
       in
       try_at 0 2
-    | _ -> rewrite_root ())
+    | _ -> (
+      match Match.func Subst.empty lhs f with
+      | Some subst when check_preconditions schema t subst ->
+        Some (Subst.apply_func subst rhs)
+      | _ -> None))
 
 (* Apply [t] at the root of a predicate term. *)
-let apply_pred ?(schema = Schema.paper) t p =
-  match t.body with
-  | Pred_rule (lhs, rhs) -> (
+let apply_pred ?(schema = Schema.paper) t (p : Hc.pnode) =
+  match patterns t with
+  | Pred_pats (lhs, rhs) -> (
     match Match.pred Subst.empty lhs p with
     | Some subst when check_preconditions schema t subst ->
       Some (Subst.apply_pred subst rhs)
     | _ -> None)
-  | Fun_rule _ | Query_rule _ -> None
+  | Fun_pats _ | Query_pats _ -> None
 
 (* Apply a query rule to a query.  The function part of the pattern is
    matched against the *tail* of the query's composition chain (the operator
    adjacent to the argument), as required by the paper's bottom-out step. *)
-let apply_query ?(schema = Schema.paper) t (q : query) =
-  match t.body with
-  | Query_rule ((lpat, lav), (rpat, rav)) ->
-    let parts = unchain q.body in
+let apply_query ?(schema = Schema.paper) t (hq : Hc.hquery) =
+  match patterns t with
+  | Query_pats ((lpat, lav), (rpat, rav)) ->
+    let parts = Hc.unchain hq.Hc.hbody in
     let rec split_last acc = function
       | [] -> None
       | [ last ] -> Some (List.rev acc, last)
@@ -143,111 +171,10 @@ let apply_query ?(schema = Schema.paper) t (q : query) =
     Option.bind (split_last [] parts) (fun (prefix, last) ->
         match Match.func Subst.empty lpat last with
         | Some subst -> (
-          match Match.value subst lav q.arg with
+          match Match.value subst lav hq.Hc.harg with
           | Some subst when check_preconditions schema t subst ->
             let last' = Subst.apply_func subst rpat in
             let arg' = Subst.apply_value subst rav in
-            Some (query (chain (prefix @ unchain last')) arg')
-          | _ -> None)
-        | None -> None)
-  | Fun_rule _ | Pred_rule _ -> None
-
-(* ------------------------------------------------------------------ *)
-(* Interned application, mirroring [apply_func]/[apply_pred]/[apply_query]
-   verbatim over hash-consed nodes: same window enumeration (leftmost,
-   shortest first), same absorption backtracking inside {!Match}, same
-   precondition reads — a rule fires on an interned node exactly when it
-   fires on the plain view, producing the interned image of the same
-   result. *)
-
-let hbody t =
-  match t.hbody_memo with
-  | Some hb -> hb
-  | None ->
-    let hb =
-      match t.body with
-      | Fun_rule (l, r) -> HFun_rule (Hc.of_func l, Hc.of_func r)
-      | Pred_rule (l, r) -> HPred_rule (Hc.of_pred l, Hc.of_pred r)
-      | Query_rule ((l, la), (r, ra)) ->
-        HQuery_rule
-          ((Hc.of_func l, Hc.of_value la), (Hc.of_func r, Hc.of_value ra))
-    in
-    t.hbody_memo <- Some hb;
-    hb
-
-let hcheck_preconditions schema t (subst : Subst.H.t) =
-  List.for_all
-    (fun { prop; hole } ->
-      match Subst.H.find_func subst hole with
-      | Some f -> Props.holds schema prop (Hc.to_func f)
-      | None -> (
-        match Subst.H.find_value subst hole with
-        | Some v -> Props.holds_value prop (Hc.to_value v)
-        | None -> false))
-    t.preconditions
-
-let apply_hfunc ?(schema = Schema.paper) t (f : Hc.fnode) =
-  match hbody t with
-  | HPred_rule _ | HQuery_rule _ -> None
-  | HFun_rule (lhs, rhs) -> (
-    let rewrite_root () =
-      match Match.hfunc Subst.H.empty lhs f with
-      | Some subst when hcheck_preconditions schema t subst ->
-        Some (Subst.H.apply_func subst rhs)
-      | _ -> None
-    in
-    match lhs.Hc.fshape, f.Hc.fshape with
-    | Hc.HCompose _, Hc.HCompose _ ->
-      let tparts = Hc.unchain f in
-      let n = List.length tparts in
-      let rec take n = function
-        | [] -> []
-        | x :: rest -> if n = 0 then [] else x :: take (n - 1) rest
-      in
-      let rec drop n xs =
-        if n = 0 then xs
-        else match xs with [] -> [] | _ :: rest -> drop (n - 1) rest
-      in
-      let rec try_at i len =
-        if i + 2 > n then None
-        else if i + len > n then try_at (i + 1) 2
-        else
-          let window = Hc.chain (take len (drop i tparts)) in
-          match Match.hfunc Subst.H.empty lhs window with
-          | Some subst when hcheck_preconditions schema t subst ->
-            let rhs' = Hc.unchain (Subst.H.apply_func subst rhs) in
-            let parts' = take i tparts @ rhs' @ drop (i + len) tparts in
-            Some (Hc.chain parts')
-          | _ -> try_at i (len + 1)
-      in
-      try_at 0 2
-    | _ -> rewrite_root ())
-
-let apply_hpred ?(schema = Schema.paper) t (p : Hc.pnode) =
-  match hbody t with
-  | HPred_rule (lhs, rhs) -> (
-    match Match.hpred Subst.H.empty lhs p with
-    | Some subst when hcheck_preconditions schema t subst ->
-      Some (Subst.H.apply_pred subst rhs)
-    | _ -> None)
-  | HFun_rule _ | HQuery_rule _ -> None
-
-let apply_hquery ?(schema = Schema.paper) t (hq : Hc.hquery) =
-  match hbody t with
-  | HQuery_rule ((lpat, lav), (rpat, rav)) ->
-    let parts = Hc.unchain hq.Hc.hbody in
-    let rec split_last acc = function
-      | [] -> None
-      | [ last ] -> Some (List.rev acc, last)
-      | x :: rest -> split_last (x :: acc) rest
-    in
-    Option.bind (split_last [] parts) (fun (prefix, last) ->
-        match Match.hfunc Subst.H.empty lpat last with
-        | Some subst -> (
-          match Match.hvalue subst lav hq.Hc.harg with
-          | Some subst when hcheck_preconditions schema t subst ->
-            let last' = Subst.H.apply_func subst rpat in
-            let arg' = Subst.H.apply_value subst rav in
             Some
               {
                 Hc.hbody = Hc.chain (prefix @ Hc.unchain last');
@@ -255,7 +182,7 @@ let apply_hquery ?(schema = Schema.paper) t (hq : Hc.hquery) =
               }
           | _ -> None)
         | None -> None)
-  | HFun_rule _ | HPred_rule _ -> None
+  | Fun_pats _ | Pred_pats _ -> None
 
 let pp ppf t =
   let arrow = " \u{2192} " in

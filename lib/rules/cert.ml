@@ -148,14 +148,29 @@ let rec value_of_ty rng (ty : Ty.t) : Value.t option =
     (* unconstrained: any concrete type will do *)
     value_of_ty rng Ty.Int
 
+(* A pool interned: holes bind interned nodes, and rule patterns are
+   instantiated through the engine's own {!Rewrite.Subst}. *)
+type fillers = {
+  ffuncs : Hc.fnode list;
+  fpreds : Hc.pnode list;
+  fvalues : Hc.vnode list;
+}
+
+let fillers_of (pool : pool) =
+  {
+    ffuncs = List.map Hc.of_func pool.funcs;
+    fpreds = List.map Hc.of_pred pool.preds;
+    fvalues = List.map Hc.of_value pool.values;
+  }
+
 (* Build a random substitution for the rule's holes. *)
-let random_subst rng pool (holes : string list) : Subst.t =
+let random_subst rng fillers (holes : string list) : Subst.t =
   List.fold_left
     (fun subst hole ->
       match String.split_on_char ':' hole with
-      | [ "f"; h ] -> { subst with Subst.funcs = (h, Store.pick rng pool.funcs) :: subst.Subst.funcs }
-      | [ "p"; h ] -> { subst with Subst.preds = (h, Store.pick rng pool.preds) :: subst.Subst.preds }
-      | [ "v"; h ] -> { subst with Subst.values = (h, Store.pick rng pool.values) :: subst.Subst.values }
+      | [ "f"; h ] -> { subst with Subst.funcs = (h, Store.pick rng fillers.ffuncs) :: subst.Subst.funcs }
+      | [ "p"; h ] -> { subst with Subst.preds = (h, Store.pick rng fillers.fpreds) :: subst.Subst.preds }
+      | [ "v"; h ] -> { subst with Subst.values = (h, Store.pick rng fillers.fvalues) :: subst.Subst.values }
       | _ -> subst)
     Subst.empty holes
 
@@ -193,9 +208,12 @@ let check_instance_with ~inputs_for schema (r : Rewrite.Rule.t)
     in
     go (inputs_for input_ty) 0
   in
-  match r.Rewrite.Rule.body with
-  | Rewrite.Rule.Fun_rule (l, rr) -> (
-    let l = Subst.apply_func subst l and rr = Subst.apply_func subst rr in
+  (* Typing and evaluation read the instantiated sides' plain views. *)
+  let inst_func f = Hc.to_func (Subst.apply_func subst f) in
+  let inst_value v = Hc.to_value (Subst.apply_value subst v) in
+  match Rewrite.Rule.patterns r with
+  | Rewrite.Rule.Fun_pats (l, rr) -> (
+    let l = inst_func l and rr = inst_func rr in
     match Typing.func_ty schema l, Typing.func_ty schema rr with
     | (lin, _), (rin, _) -> (
       (* require both sides to type; use the more specific input type *)
@@ -205,8 +223,9 @@ let check_instance_with ~inputs_for schema (r : Rewrite.Rule.t)
         (fun v -> Eval.eval_func ~db rr v)
         input_ty)
     | exception Typing.Type_error _ | exception Schema.Schema_error _ -> L 0)
-  | Rewrite.Rule.Pred_rule (l, rr) -> (
-    let l = Subst.apply_pred subst l and rr = Subst.apply_pred subst rr in
+  | Rewrite.Rule.Pred_pats (l, rr) -> (
+    let inst_pred p = Hc.to_pred (Subst.apply_pred subst p) in
+    let l = inst_pred l and rr = inst_pred rr in
     match Typing.pred_ty schema l, Typing.pred_ty schema rr with
     | lin, rin -> (
       let input_ty = match lin with Ty.Var _ -> rin | t -> t in
@@ -215,9 +234,9 @@ let check_instance_with ~inputs_for schema (r : Rewrite.Rule.t)
         (fun v -> Value.Bool (Eval.eval_pred ~db rr v))
         input_ty)
     | exception Typing.Type_error _ | exception Schema.Schema_error _ -> L 0)
-  | Rewrite.Rule.Query_rule ((lf, la), (rf, ra)) -> (
-    let lf = Subst.apply_func subst lf and rf = Subst.apply_func subst rf in
-    let la = Subst.apply_value subst la and ra = Subst.apply_value subst ra in
+  | Rewrite.Rule.Query_pats ((lf, la), (rf, ra)) -> (
+    let lf = inst_func lf and rf = inst_func rf in
+    let la = inst_value la and ra = inst_value ra in
     match
       ( Eval.eval_query ~db (Term.query lf la),
         Eval.eval_query ~db (Term.query rf ra) )
@@ -277,49 +296,48 @@ module Enum = struct
       vehicle ();
     ]
 
-  let memo_f : (int, func list) Hashtbl.t = Hashtbl.create 4
-  let memo_p : (int, pred list) Hashtbl.t = Hashtbl.create 4
+  (* The grammar interned once per depth: every instantiation binds holes
+     to these shared nodes. *)
+  let memo_f : (int, Hc.fnode list) Hashtbl.t = Hashtbl.create 4
+  let memo_p : (int, Hc.pnode list) Hashtbl.t = Hashtbl.create 4
+  let memo_v : (int, Hc.vnode list) Hashtbl.t = Hashtbl.create 4
+
+  let memo tbl d build =
+    match Hashtbl.find_opt tbl d with
+    | Some xs -> xs
+    | None ->
+      let xs = build () in
+      Hashtbl.add tbl d xs;
+      xs
 
   let rec funcs d =
-    if d <= 1 then funcs1
+    memo memo_f (max d 1) @@ fun () ->
+    if d <= 1 then List.map Hc.of_func funcs1
     else
-      match Hashtbl.find_opt memo_f d with
-      | Some fs -> fs
-      | None ->
-        let fs = funcs (d - 1) and ps = preds (d - 1) in
-        let all =
-          fs
-          @ List.concat_map (fun f -> List.map (fun g -> Compose (f, g)) fs) fs
-          @ List.concat_map (fun f -> List.map (fun g -> Pairf (f, g)) fs) fs
-          @ List.concat_map (fun p -> List.map (fun f -> Iterate (p, f)) fs) ps
-        in
-        Hashtbl.add memo_f d all;
-        all
+      let fs = funcs (d - 1) and ps = preds (d - 1) in
+      fs
+      @ List.concat_map (fun f -> List.map (fun g -> Hc.compose f g) fs) fs
+      @ List.concat_map (fun f -> List.map (fun g -> Hc.pairf f g) fs) fs
+      @ List.concat_map (fun p -> List.map (fun f -> Hc.iterate p f) fs) ps
 
   and preds d =
-    if d <= 1 then preds1
+    memo memo_p (max d 1) @@ fun () ->
+    if d <= 1 then List.map Hc.of_pred preds1
     else
-      match Hashtbl.find_opt memo_p d with
-      | Some ps -> ps
-      | None ->
-        let fs = funcs (d - 1) and ps = preds (d - 1) in
-        let all =
-          ps
-          @ List.concat_map (fun p -> List.map (fun f -> Oplus (p, f)) fs) ps
-          @ List.map (fun p -> Inv p) ps
-          @ List.map (fun p -> Conv p) ps
-        in
-        Hashtbl.add memo_p d all;
-        all
+      let fs = funcs (d - 1) and ps = preds (d - 1) in
+      ps
+      @ List.concat_map (fun p -> List.map (fun f -> Hc.oplus p f) fs) ps
+      @ List.map Hc.inv ps
+      @ List.map Hc.conv ps
 
   let values d =
-    if d <= 1 then values1
+    memo memo_v (if d <= 1 then 1 else 2) @@ fun () ->
+    let vs = List.map Hc.of_value values1 in
+    if d <= 1 then vs
     else
-      values1
-      @ List.concat_map
-          (fun a -> List.map (fun b -> Value.Pair (a, b)) values1)
-          values1
-      @ List.map (fun v -> Value.set [ v ]) values1
+      vs
+      @ List.concat_map (fun a -> List.map (fun b -> Hc.vpair a b) vs) vs
+      @ List.map (fun v -> Hc.of_value (Value.set [ v ])) values1
 
   let take n l = List.filteri (fun i _ -> i < n) l
 
@@ -413,13 +431,14 @@ let certify ?(schema = Schema.paper) ?(samples = 60) ?(inputs = 12)
     ?(scope = 2) ?(budget = 50_000) (r : Rewrite.Rule.t) : result =
   let holes = holes_of_rule r in
   let sampled () =
+    let fillers = fillers_of pool in
     let rng = Store.rng (seed lxor Hashtbl.hash r.Rewrite.Rule.name) in
     let inputs_for = sampled_inputs rng ~inputs in
     let rec go tries instances checks =
       if instances >= samples || tries >= samples * 20 then
         { rule = r; instances; checks; counterexample = None; mode = Sampled }
       else
-        let subst = random_subst rng pool holes in
+        let subst = random_subst rng fillers holes in
         if not (Rewrite.Rule.check_preconditions schema r subst) then
           go (tries + 1) instances checks
         else
@@ -543,11 +562,11 @@ let verdict_of_result ?(from_cache = false) (res : result) : verdict =
     reason =
       (match res.counterexample with
       | Some (subst, v) ->
-        let binding pp ppf (h, x) = Fmt.pf ppf "?%s := %a" h pp x in
+        let binding pp view ppf (h, x) = Fmt.pf ppf "?%s := %a" h pp (view x) in
         let bindings =
-          List.map (Fmt.str "%a" (binding Pretty.pp_func)) subst.Subst.funcs
-          @ List.map (Fmt.str "%a" (binding Pretty.pp_pred)) subst.Subst.preds
-          @ List.map (Fmt.str "%a" (binding Value.pp)) subst.Subst.values
+          List.map (Fmt.str "%a" (binding Pretty.pp_func Hc.to_func)) subst.Subst.funcs
+          @ List.map (Fmt.str "%a" (binding Pretty.pp_pred Hc.to_pred)) subst.Subst.preds
+          @ List.map (Fmt.str "%a" (binding Value.pp Hc.to_value)) subst.Subst.values
         in
         Some
           (Fmt.str "input %a under %s" Value.pp v

@@ -45,8 +45,10 @@ let default_params =
   }
 
 (* ------------------------------------------------------------------ *)
-(* Outcome cache: response cores keyed by canonical query + every
-   outcome-affecting knob.  Clear-on-full keeps it trivially bounded
+(* Outcome cache: response cores keyed by the query's dedup key
+   ([Hc.query_key]: equal modulo ∘-associativity) + every
+   outcome-affecting knob.  Intern tables live as long as the process, so
+   a query keeps its key for the daemon's lifetime.  Clear-on-full keeps it trivially bounded
    (entries are small; the interesting reuse is exact repeats, which
    re-warm in one miss each). *)
 
@@ -351,8 +353,8 @@ let config_of ?pack t (r : Protocol.optimize) =
    valid answer for a deadlined request; deadline-truncated outcomes are
    never inserted). *)
 let outcome_key ?pack ~config q =
-  Printf.sprintf "%s|%s|%d|%d|%d|%d|%s"
-    (Search.canonical q)
+  let body, arg = Kola.Term.Hc.query_key (Kola.Term.Hc.of_query q) in
+  Printf.sprintf "%d.%d|%s|%d|%d|%d|%d|%s" body arg
     (Protocol.engine_label config.Search.engine)
     config.Search.max_depth config.Search.max_states
     config.Search.egraph_budgets.Kola_egraph.Saturate.max_enodes

@@ -34,6 +34,8 @@ let () =
       ("engine-soundness", Test_engine_sound.tests);
       ("search (COKO motivation)", Test_search.tests);
       ("search-golden (CLI-default outcomes)", Test_golden_search.tests);
+      ("rewrite-golden (frozen derivations, head dispatch)",
+       Test_golden_rewrite.tests);
       ("engine-index (perf layer)", Test_index.tests);
       ("engine-hashcons (interned core)", Test_hashcons.tests);
       ("engine-parallel (domain pool)", Test_parallel.tests);

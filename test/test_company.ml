@@ -67,10 +67,10 @@ let tests =
         in
         Alcotest.check Alcotest.bool "fires on ename" true
           (Option.is_some
-             (Rewrite.Rule.apply_func ~schema:C.schema rule (lhs (Term.Prim "ename"))));
+             (fire_func ~schema:C.schema rule (lhs (Term.Prim "ename"))));
         Alcotest.check Alcotest.bool "blocked on salary" true
           (Option.is_none
-             (Rewrite.Rule.apply_func ~schema:C.schema rule (lhs (Term.Prim "salary")))));
+             (fire_func ~schema:C.schema rule (lhs (Term.Prim "salary")))));
     case "aggregate workload: total salary per department" (fun () ->
         let src =
           "select [d, sum(select e.salary from e in E where e.dept = d)] from d in D"

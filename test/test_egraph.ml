@@ -46,9 +46,10 @@ let masked_chain =
 
 (* The unpruned oracle for [Search.successors]: query rules first, then
    every function and predicate rule at each of its first [max_positions]
-   positions, found by a plain [once_topdown] with a skip counter — no
-   head index, no masks, no interning. *)
-let plain_successors ~max_positions rules q =
+   positions, found by an unmasked [once_topdown] with a skip counter — no
+   head masks, no rule skipping. *)
+let unpruned_successors ~max_positions rules q =
+  let hq = Term.Hc.of_query q in
   let at_kth r k =
     let remaining = ref k in
     let s tgt =
@@ -60,23 +61,21 @@ let plain_successors ~max_positions rules q =
       | None -> None
     in
     Option.map
-      (fun body -> { q with Term.body })
+      (fun hbody -> Term.Hc.to_query { hq with Term.Hc.hbody })
       (Rewrite.Strategy.apply_func (Rewrite.Strategy.once_topdown s)
-         q.Term.body)
+         hq.Term.Hc.hbody)
   in
   let query_rules, other_rules =
     List.partition
       (fun r ->
-        match r.Rewrite.Rule.body with
-        | Rewrite.Rule.Query_rule _ -> true
+        match Rewrite.Rule.patterns r with
+        | Rewrite.Rule.Query_pats _ -> true
         | _ -> false)
       rules
   in
   List.filter_map
     (fun r ->
-      Option.map
-        (fun q' -> (r.Rewrite.Rule.name, q'))
-        (Rewrite.Rule.apply_query r q))
+      Option.map (fun q' -> (r.Rewrite.Rule.name, q')) (fire_query r q))
     query_rules
   @ List.concat_map
       (fun r ->
@@ -389,7 +388,7 @@ let tests =
     case "mask-pruned successors match an unpruned plain walk" (fun () ->
         let check name mp q =
           let pruned = Search.successors ~max_positions:mp Rules.Catalog.all q in
-          let plain = plain_successors ~max_positions:mp Rules.Catalog.all q in
+          let plain = unpruned_successors ~max_positions:mp Rules.Catalog.all q in
           Alcotest.(check int)
             (Fmt.str "%s: same count at cap %d" name mp)
             (List.length plain) (List.length pruned);

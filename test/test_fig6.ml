@@ -48,7 +48,7 @@ let tests =
         let o = Coko.Block.run b Paper.k3 in
         let r15 = Rules.Catalog.find_exn "r15" in
         let applied_somewhere =
-          Rewrite.Engine.step_once [ r15 ] o.Coko.Block.query
+          Rewrite.Engine.step_once [ r15 ] (Term.Hc.of_query o.Coko.Block.query)
         in
         Alcotest.check Alcotest.bool "rule 15 cannot fire" true
           (Option.is_none applied_somewhere));

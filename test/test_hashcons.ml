@@ -2,14 +2,13 @@
    physical equality), O(1) hash/size/canonical keys and head bitmasks.
    Correctness is equivalence once more: converters must round-trip,
    interned fields must agree with the plain recursive functions, and
-   id-pair dedup must partition queries exactly like canonical keys.  The
+   id-pair dedup must partition queries exactly like [equal_query_assoc].  The
    search built on them is pinned by golden outcomes (test_golden_search)
    and by jobs-count equivalence (test_parallel). *)
 
 open Kola
 open Util
 module Hc = Term.Hc
-module Index = Rewrite.Index
 module Subst = Rewrite.Subst
 module Search = Optimizer.Search
 
@@ -37,11 +36,10 @@ let rec right_assoc f =
 
 (* Head bits of every node of a plain term, walked the way the rewriter
    descends (no descent into Kf/Cf/Cp constants): the reference for the
-   interned [fheads] masks. *)
-let head_bit_of = function Some h -> Index.head_bit h | None -> 0
-
+   interned [fheads] masks, which aggregate each node's own shape bit over
+   its subtree as the node is built. *)
 let rec plain_heads_func f =
-  head_bit_of (Index.head_of_func f)
+  Hc.fshape_bit (Hc.of_func f).Hc.fshape
   lor
   match f with
   | Term.Id | Term.Pi1 | Term.Pi2 | Term.Prim _ | Term.Flat | Term.Sng
@@ -57,7 +55,7 @@ let rec plain_heads_func f =
     plain_heads_pred p lor plain_heads_func a
 
 and plain_heads_pred p =
-  head_bit_of (Index.head_of_pred p)
+  Hc.pshape_bit (Hc.of_pred p).Hc.pshape
   lor
   match p with
   | Term.Eq | Term.Leq | Term.Gt | Term.In | Term.Primp _ | Term.Kp _
@@ -111,7 +109,7 @@ let tests =
               "associativity variants canon to the same node" true
               (Hc.canon (Hc.of_func b) == c))
           paper_bodies);
-    case "query_key partitions states exactly like canonical keys"
+    case "query_key partitions states exactly like equal_query_assoc"
       (fun () ->
         List.iter
           (fun q1 ->
@@ -121,12 +119,8 @@ let tests =
                 let keys_equal =
                   Hc.query_key (Hc.of_query q1) = Hc.query_key (Hc.of_query v2)
                 in
-                let canon_equal =
-                  Term.Canonical.equal
-                    (Term.Canonical.of_query q1)
-                    (Term.Canonical.of_query v2)
-                in
-                Alcotest.check Alcotest.bool "same partition" canon_equal
+                Alcotest.check Alcotest.bool "same partition"
+                  (Term.equal_query_assoc q1 v2)
                   keys_equal)
               paper_queries)
           paper_queries);
@@ -146,25 +140,20 @@ let tests =
                 if Search.successors [ r ] q <> [] then
                   Alcotest.(check bool)
                     ("rule " ^ r.Rewrite.Rule.name)
-                    true (Index.mask_may_fire mask r))
+                    true (Rewrite.Rule.mask_may_fire mask r))
               Rules.Catalog.all)
           paper_queries);
     case "substitution returns the input subtree physically unchanged"
       (fun () ->
+        let irrelevant = Option.get (Subst.bind_func Subst.empty "zz" Hc.id) in
         List.iter
           (fun b ->
-            (* plain: no binding applies to a hole-free term *)
-            Alcotest.check Alcotest.bool "plain, empty subst" true
-              (Subst.apply_func Subst.empty b == b);
-            let irrelevant =
-              Option.get (Subst.bind_func Subst.empty "zz" Term.Id)
-            in
-            Alcotest.check Alcotest.bool "plain, irrelevant binding" true
-              (Subst.apply_func irrelevant b == b);
-            (* interned: the hole-free bit short-circuits *)
+            (* the hole-free bit short-circuits *)
             let n = Hc.of_func b in
-            Alcotest.check Alcotest.bool "interned, empty subst" true
-              (Subst.H.apply_func Subst.H.empty n == n))
+            Alcotest.check Alcotest.bool "empty subst" true
+              (Subst.apply_func Subst.empty n == n);
+            Alcotest.check Alcotest.bool "irrelevant binding" true
+              (Subst.apply_func irrelevant n == n))
           paper_bodies);
   ]
 
@@ -202,7 +191,7 @@ let props =
         let b = (random_query i 3).Term.body in
         (Hc.of_func b).Hc.fheads = plain_heads_func b);
     Test.make ~count:120
-      ~name:"id-pair dedup classifies pairs like canonical keys"
+      ~name:"id-pair dedup classifies pairs like equal_query_assoc"
       (pair (arb 3) (pair (arb 3) bool))
       (fun (i, (j, use_variant)) ->
         let q1 = random_query i 3 in
@@ -213,10 +202,7 @@ let props =
         let keys_equal =
           Hc.query_key (Hc.of_query q1) = Hc.query_key (Hc.of_query q2)
         in
-        Term.Canonical.equal
-          (Term.Canonical.of_query q1)
-          (Term.Canonical.of_query q2)
-        = keys_equal);
+        Term.equal_query_assoc q1 q2 = keys_equal);
   ]
 
 let tests = tests @ List.map (QCheck_alcotest.to_alcotest ~long:false) props

@@ -77,7 +77,7 @@ let tests =
               (Term.Iterate (Term.Kp true, Term.Pairf (Term.Id, Term.Kf (Value.Named "P"))))
               (Value.Named "V")
           in
-          match Rewrite.Rule.apply_query r19 q with
+          match fire_query r19 q with
           | Some q' ->
             Alcotest.check value "argument becomes [V, P]"
               (Value.Pair (Value.Named "V", Value.Named "P"))
@@ -92,7 +92,7 @@ let tests =
               (Value.Named "P")
           in
           Alcotest.check Alcotest.bool "refused" true
-            (Option.is_none (Rewrite.Rule.apply_query r19 q)));
+            (Option.is_none (fire_query r19 q)));
       case "figure-7 shape: translated hidden joins have the iter chain"
         (fun () ->
           let e = Aqua.Examples.hidden_join_depth 4 in

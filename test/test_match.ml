@@ -1,5 +1,7 @@
 (* The matching engine: one-way unification with consistent hole binding,
-   chain segment matching, and the substitution laws rules rely on. *)
+   chain segment matching, and the substitution laws rules rely on.
+   Patterns and targets are written as plain terms and interned at the
+   call. *)
 
 open Kola
 open Kola.Term
@@ -11,32 +13,44 @@ let f = Fhole "f"
 let g = Fhole "g"
 let p = Phole "p"
 
+(* Matching and binding lookups on plain terms, through interning. *)
+let mfunc s pat t = M.func s (Hc.of_func pat) (Hc.of_func t)
+let mpred s pat t = M.pred s (Hc.of_pred pat) (Hc.of_pred t)
+let find_func s h = Option.map Hc.to_func (S.find_func s h)
+
 let must = function
   | Some s -> s
   | None -> Alcotest.fail "expected a match"
 
+(* Kf(?k) → Kf(c [?k; 3]) for a collection constructor [c]. *)
+let collect_rule name c =
+  Rewrite.Rule.fun_rule ~name ~description:"hole inside a collection"
+    (Kf (Value.Hole "k"))
+    (Kf (c [ Value.Hole "k"; int 3 ]))
+
 let tests =
   [
     case "hole binds anything" (fun () ->
-        let s = must (M.func S.empty f (Prim "age")) in
+        let s = must (mfunc S.empty f (Prim "age")) in
         Alcotest.check (Alcotest.option func) "bound" (Some (Prim "age"))
-          (S.find_func s "f"));
+          (find_func s "f"));
     case "repeated holes must bind consistently" (fun () ->
         Alcotest.check Alcotest.bool "same" true
-          (Option.is_some (M.func S.empty (Pairf (f, f)) (Pairf (Id, Id))));
+          (Option.is_some (mfunc S.empty (Pairf (f, f)) (Pairf (Id, Id))));
         Alcotest.check Alcotest.bool "different" false
-          (Option.is_some (M.func S.empty (Pairf (f, f)) (Pairf (Id, Pi1)))));
+          (Option.is_some (mfunc S.empty (Pairf (f, f)) (Pairf (Id, Pi1)))));
     case "match then substitute reproduces the target" (fun () ->
         let pat = Iterate (p, Compose (f, g)) in
         let target =
           Iterate (Kp true, Compose (Prim "city", Prim "addr"))
         in
-        let s = must (M.func S.empty pat target) in
-        Alcotest.check func "round-trip" target (S.apply_func s pat));
+        let s = must (mfunc S.empty pat target) in
+        Alcotest.check func "round-trip" target
+          (Hc.to_func (S.apply_func s (Hc.of_func pat))));
     case "structural mismatch fails" (fun () ->
         Alcotest.check Alcotest.bool "iterate vs iter" false
           (Option.is_some
-             (M.func S.empty (Iterate (p, f)) (Iter (Kp true, Id)))));
+             (mfunc S.empty (Iterate (p, f)) (Iter (Kp true, Id)))));
     case "chains match modulo associativity" (fun () ->
         let pat = Compose (Iterate (p, f), Iterate (Phole "q", g)) in
         let target =
@@ -47,35 +61,62 @@ let tests =
         (* pattern must match the [iterate ∘ iterate] window inside *)
         Alcotest.check Alcotest.bool "window" true
           (Option.is_some
-             (M.func S.empty (Compose (pat, Fhole "rest")) target)));
+             (mfunc S.empty (Compose (pat, Fhole "rest")) target)));
     case "a bare hole absorbs a run of chain elements" (fun () ->
         let pat = Compose (g, Pairf (Id, f)) in
         let target =
           chain [ Flat; Iter (Kp true, Pi2); Pairf (Id, Prim "child") ]
         in
-        let s = must (M.func S.empty pat target) in
+        let s = must (mfunc S.empty pat target) in
         Alcotest.check (Alcotest.option func) "g absorbed two"
           (Some (Compose (Flat, Iter (Kp true, Pi2))))
-          (S.find_func s "g"));
+          (find_func s "g"));
     case "value holes bind constants" (fun () ->
-        let s = must (M.func S.empty (Kf (Value.Hole "k")) (Kf (int 25))) in
+        let s = must (mfunc S.empty (Kf (Value.Hole "k")) (Kf (int 25))) in
         Alcotest.check (Alcotest.option value) "k" (Some (int 25))
-          (S.find_value s "k"));
+          (Option.map Hc.to_value (S.find_value s "k")));
     case "predicate patterns descend into functions" (fun () ->
         let pat = Oplus (p, Pairf (f, Kf (Value.Hole "k"))) in
         let target = Oplus (Gt, Pairf (Prim "age", Kf (int 25))) in
-        let s = must (M.pred S.empty pat target) in
-        Alcotest.check (Alcotest.option pred) "p" (Some Gt) (S.find_pred s "p");
+        let s = must (mpred S.empty pat target) in
+        Alcotest.check (Alcotest.option pred) "p" (Some Gt)
+          (Option.map Hc.to_pred (S.find_pred s "p"));
         Alcotest.check (Alcotest.option func) "f" (Some (Prim "age"))
-          (S.find_func s "f"));
+          (find_func s "f"));
     case "apply on unbound holes is the identity" (fun () ->
-        Alcotest.check func "id" (Pairf (f, g)) (S.apply_func S.empty (Pairf (f, g))));
+        let n = Hc.of_func (Pairf (f, g)) in
+        Alcotest.check Alcotest.bool "same node" true (S.apply_func S.empty n == n));
     case "binding twice with equal terms is accepted" (fun () ->
-        let s = must (S.bind_func S.empty "f" Id) in
+        let s = must (S.bind_func S.empty "f" Hc.id) in
         Alcotest.check Alcotest.bool "same ok" true
-          (Option.is_some (S.bind_func s "f" Id));
+          (Option.is_some (S.bind_func s "f" (Hc.of_func Id)));
         Alcotest.check Alcotest.bool "conflict rejected" false
-          (Option.is_some (S.bind_func s "f" Pi1)));
+          (Option.is_some (S.bind_func s "f" Hc.pi1)));
+    case "a hole substituted into a set constant re-canonicalizes it"
+      (fun () ->
+        let r = collect_rule "set-k" Value.set in
+        Alcotest.check (Alcotest.option func) "{3, 3} collapses"
+          (Some (Kf (Value.set [ int 3 ])))
+          (fire_func r (Kf (int 3)));
+        Alcotest.check (Alcotest.option func) "{1, 3}"
+          (Some (Kf (Value.set [ int 1; int 3 ])))
+          (fire_func r (Kf (int 1)));
+        (* the constant is stored in canonical (sorted) order *)
+        match fire_func r (Kf (int 5)) with
+        | Some (Kf (Value.Set [ Value.Int 3; Value.Int 5 ])) -> ()
+        | other ->
+          Alcotest.failf "unexpected %a" Fmt.(Dump.option Pretty.pp_func) other);
+    case "a hole substituted into a bag constant keeps duplicates" (fun () ->
+        match fire_func (collect_rule "bag-k" Value.bag) (Kf (int 3)) with
+        | Some (Kf (Value.Bag [ Value.Int 3; Value.Int 3 ])) -> ()
+        | other ->
+          Alcotest.failf "unexpected %a" Fmt.(Dump.option Pretty.pp_func) other);
+    case "a hole substituted into a list constant keeps element order"
+      (fun () ->
+        match fire_func (collect_rule "list-k" Value.list) (Kf (int 5)) with
+        | Some (Kf (Value.List [ Value.Int 5; Value.Int 3 ])) -> ()
+        | other ->
+          Alcotest.failf "unexpected %a" Fmt.(Dump.option Pretty.pp_func) other);
   ]
 
 let props =
@@ -103,18 +144,18 @@ let props =
   [
     Test.make ~name:"any ground term matches a bare hole and round-trips"
       ~count:300 arb (fun t ->
-        match M.func S.empty (Fhole "x") t with
+        match mfunc S.empty (Fhole "x") t with
         | Some s -> (
-          match S.find_func s "x" with
+          match find_func s "x" with
           | Some t' -> equal_func t t'
           | None -> false)
         | None -> false);
     Test.make ~name:"self-match: every ground term matches itself" ~count:300
-      arb (fun t -> Option.is_some (M.func S.empty t t));
+      arb (fun t -> Option.is_some (mfunc S.empty t t));
     Test.make ~name:"matching is stable under reassociation" ~count:300 arb
       (fun t ->
-        Option.is_some (M.func S.empty (reassoc_func t) t)
-        && Option.is_some (M.func S.empty t (reassoc_func t)));
+        Option.is_some (mfunc S.empty (reassoc_func t) t)
+        && Option.is_some (mfunc S.empty t (reassoc_func t)));
   ]
 
 let tests = tests @ List.map (QCheck_alcotest.to_alcotest ~long:false) props

@@ -184,13 +184,13 @@ let tests =
         let cache = Cost.cache ~size:4 () in
         (* ten canonically distinct plans *)
         let qs =
-          let seen = Term.Canonical.Table.create 16 in
+          let seen = Term.Hc.Qtable.create 16 in
           List.filter
             (fun q ->
-              let k = Term.Canonical.of_query q in
-              if Term.Canonical.Table.mem seen k then false
+              let k = Term.Hc.query_key (Term.Hc.of_query q) in
+              if Term.Hc.Qtable.mem seen k then false
               else begin
-                Term.Canonical.Table.replace seen k ();
+                Term.Hc.Qtable.replace seen k ();
                 true
               end)
             (List.init 40 (fun i -> random_query i 2))

@@ -44,10 +44,10 @@ let tests =
         in
         (* name is injective: fires *)
         Alcotest.check Alcotest.bool "injective case" true
-          (Option.is_some (Rewrite.Rule.apply_func rule (lhs_with (Prim "name"))));
+          (Option.is_some (fire_func rule (lhs_with (Prim "name"))));
         (* age is not: blocked *)
         Alcotest.check Alcotest.bool "non-injective case" false
-          (Option.is_some (Rewrite.Rule.apply_func rule (lhs_with (Prim "age")))));
+          (Option.is_some (fire_func rule (lhs_with (Prim "age")))));
     case "the unguarded union rule fires for any f" (fun () ->
         let rule = Rules.Catalog.find_exn "map-union" in
         let lhs =
@@ -56,7 +56,7 @@ let tests =
               Times (Iterate (Kp true, Prim "age"), Iterate (Kp true, Prim "age")) )
         in
         Alcotest.check Alcotest.bool "fires" true
-          (Option.is_some (Rewrite.Rule.apply_func rule lhs)));
+          (Option.is_some (fire_func rule lhs)));
     case "the injective rule is semantically valid where it fires" (fun () ->
         (* intersection of name-images = image of intersection, on stores *)
         let f = Prim "name" in

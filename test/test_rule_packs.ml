@@ -198,4 +198,69 @@ let tests =
           "order preserved, new rules appended"
           [ "r1"; "r2"; "r3"; "r5"; "r11" ]
           (List.map (fun (r : Rewrite.Rule.t) -> r.Rewrite.Rule.name) shadowed));
+    case "a truncated, malformed, random or version-skewed cache recovers"
+      (fun () ->
+        let pack = Pack.load (find_pack "hidden_join.coko") in
+        let n = List.length (Pack.rules pack) in
+        let admit cache =
+          match Pack.admit ~cache pack with
+          | Ok _ -> ()
+          | Error _ -> Alcotest.fail "admission failed"
+        in
+        let write path s =
+          Out_channel.with_open_bin path (fun oc -> output_string oc s)
+        in
+        (* A good cache file to cut up and re-header. *)
+        let good = Filename.temp_file "kola-cert" ".cache" in
+        let c = Cert.Cache.load good in
+        admit c;
+        Cert.Cache.save c;
+        let text = In_channel.with_open_bin good In_channel.input_all in
+        Sys.remove good;
+        let header, entries =
+          match String.index_opt text '\n' with
+          | Some i ->
+            (String.sub text 0 (i + 1),
+             String.sub text (i + 1) (String.length text - i - 1))
+          | None -> Alcotest.fail "saved cache has no header line"
+        in
+        let first_entry_len =
+          Option.value ~default:(String.length entries)
+            (String.index_opt entries '\n')
+        in
+        let rng = Random.State.make [| 7 |] in
+        let bad =
+          [
+            ("cut off mid-entry",
+             header ^ String.sub entries 0 (first_entry_len / 2));
+            ("malformed entries",
+             header
+             ^ "not an entry\n\
+                0123abcd certified exhaustive@x 1 2 \"\"\n\
+                0123abcd maybe sampled 1 2 \"\"\n\
+                0123abcd certified sampled one two \"\"\n");
+            ("random bytes",
+             String.init 4096 (fun _ -> Char.chr (Random.State.int rng 256)));
+            ("another cert_version", "kola-cert-cache 999\n" ^ entries);
+          ]
+        in
+        List.iter
+          (fun (what, contents) ->
+            let path = Filename.temp_file "kola-cert" ".cache" in
+            write path contents;
+            let cold = Cert.Cache.load path in
+            admit cold;
+            Alcotest.(check int) (what ^ ": every rule misses") n
+              (Cert.Cache.misses cold);
+            Alcotest.(check int) (what ^ ": nothing hits") 0
+              (Cert.Cache.hits cold);
+            Cert.Cache.save cold;
+            let warm = Cert.Cache.load path in
+            admit warm;
+            Alcotest.(check int) (what ^ ": rewritten file hits") n
+              (Cert.Cache.hits warm);
+            Alcotest.(check int) (what ^ ": rewritten file never misses") 0
+              (Cert.Cache.misses warm);
+            Sys.remove path)
+          bad);
   ]

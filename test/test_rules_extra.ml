@@ -5,8 +5,8 @@ open Kola
 open Kola.Term
 open Util
 
-let apply name f = Rewrite.Rule.apply_func (Rules.Catalog.find_exn name) f
-let applyp name p = Rewrite.Rule.apply_pred (Rules.Catalog.find_exn name) p
+let apply name f = fire_func (Rules.Catalog.find_exn name) f
+let applyp name p = fire_pred (Rules.Catalog.find_exn name) p
 
 let age_gt k = Oplus (Gt, Pairf (Prim "age", Kf (int k)))
 

@@ -8,12 +8,12 @@ open Kola.Term
 open Util
 
 let fire name f =
-  match Rewrite.Rule.apply_func (Rules.Catalog.find_exn name) f with
+  match fire_func (Rules.Catalog.find_exn name) f with
   | Some f' -> f'
   | None -> Alcotest.failf "%s did not fire" name
 
 let firep name p =
-  match Rewrite.Rule.apply_pred (Rules.Catalog.find_exn name) p with
+  match fire_pred (Rules.Catalog.find_exn name) p with
   | Some p' -> p'
   | None -> Alcotest.failf "%s did not fire" name
 
@@ -120,7 +120,7 @@ let figure8 =
         let q =
           Term.query (Iterate (Kp true, Pairf (Id, Kf persons))) (Value.Named "V")
         in
-        match Rewrite.Rule.apply_query (Rules.Catalog.find_exn "r19") q with
+        match fire_query (Rules.Catalog.find_exn "r19") q with
         | Some q' ->
           Alcotest.check query "shape"
             (Term.query

@@ -276,6 +276,22 @@ let behaviour_tests =
           (str_field b "plan");
         Alcotest.(check (option (float 0.))) "same cost" (num_field a "cost")
           (num_field b "cost"));
+    case "alpha-renamed OQL hits the outcome cache" (fun () ->
+        (* Both spellings translate to the same KOLA query, so they share
+           one outcome-cache entry. *)
+        let req q = Json.Obj [ ("query", Json.Str q) ] in
+        let a = handle_json (req "select x.age from x in P where x.age > 25") in
+        let b =
+          handle_json (req "select  y.age  from y in P where y.age > 25")
+        in
+        check_ok "first" a;
+        check_ok "second" b;
+        Alcotest.(check (option string)) "hit" (Some "hit")
+          (str_field b "outcome_cache");
+        Alcotest.(check (option string)) "same plan" (str_field a "plan")
+          (str_field b "plan");
+        Alcotest.(check (option (float 0.))) "same cost" (num_field a "cost")
+          (num_field b "cost"));
     case "deadline-truncated outcomes are never cached" (fun () ->
         ignore (handle_json (Json.Obj [ ("cmd", Json.Str "flush") ]));
         let truncated =

@@ -1,4 +1,5 @@
-(* The strategy combinators underlying the engine. *)
+(* The traversal underlying the engine: rules at the root, and the
+   leftmost-outermost position search over interned terms. *)
 
 open Kola
 open Kola.Term
@@ -6,12 +7,11 @@ module S = Rewrite.Strategy
 open Util
 
 (* A strategy rewriting Prim "age" to Prim "name". *)
-let age_to_name : S.t =
-  S.of_fun_rewrite (function
-    | Prim "age" -> Some (Prim "name")
-    | _ -> None)
+let age_to_name : S.t = function
+  | S.F f when f == Hc.prim "age" -> Some (S.F (Hc.prim "name"))
+  | _ -> None
 
-let never : S.t = S.fail
+let apply s f = Option.map Hc.to_func (S.apply_func s (Hc.of_func f))
 
 let tests =
   [
@@ -19,80 +19,31 @@ let tests =
         let s = S.of_rule (Rules.Catalog.find_exn "r2") in
         Alcotest.check (Alcotest.option func) "root"
           (Some (Prim "age"))
-          (S.apply_func s (Compose (Id, Prim "age")));
+          (apply s (Compose (Id, Prim "age")));
         (* nested occurrence: root application fails *)
         Alcotest.check (Alcotest.option func) "nested" None
-          (S.apply_func s (Pairf (Compose (Id, Prim "age"), Id))));
+          (apply s (Pairf (Compose (Id, Prim "age"), Id))));
     case "once_topdown reaches nested positions" (fun () ->
         let t = Pairf (Iterate (Kp true, Prim "age"), Id) in
         Alcotest.check (Alcotest.option func) "nested"
           (Some (Pairf (Iterate (Kp true, Prim "name"), Id)))
-          (S.apply_func (S.once_topdown age_to_name) t));
+          (apply (S.once_topdown age_to_name) t));
     case "once_topdown rewrites the leftmost-outermost occurrence" (fun () ->
         let t = Pairf (Prim "age", Prim "age") in
         Alcotest.check (Alcotest.option func) "left one"
           (Some (Pairf (Prim "name", Prim "age")))
-          (S.apply_func (S.once_topdown age_to_name) t));
+          (apply (S.once_topdown age_to_name) t));
     case "strategies descend into predicate positions" (fun () ->
         let t = Iterate (Oplus (Gt, Pairf (Prim "age", Kf (int 1))), Id) in
         Alcotest.check (Alcotest.option func) "inside ⊕"
           (Some (Iterate (Oplus (Gt, Pairf (Prim "name", Kf (int 1))), Id)))
-          (S.apply_func (S.once_topdown age_to_name) t));
+          (apply (S.once_topdown age_to_name) t));
     case "predicates descend into function positions and back" (fun () ->
         let p = Andp (Kp true, Oplus (Eq, Pairf (Prim "age", Prim "age"))) in
-        match S.apply_pred (S.once_topdown age_to_name) p with
-        | Some (Andp (Kp true, Oplus (Eq, Pairf (Prim "name", Prim "age")))) -> ()
-        | other ->
-          Alcotest.failf "unexpected %a" Fmt.(Dump.option Pretty.pp_pred) other);
-    case "seq composes; choice falls through; attempt never fails" (fun () ->
-        let t = Prim "age" in
-        Alcotest.check (Alcotest.option func) "seq"
-          None
-          (S.apply_func (S.seq age_to_name age_to_name) t);
-        Alcotest.check (Alcotest.option func) "choice"
-          (Some (Prim "name"))
-          (S.apply_func (S.choice never age_to_name) t);
-        Alcotest.check (Alcotest.option func) "attempt on failure"
-          (Some t)
-          (S.apply_func (S.attempt never) t));
-    case "repeat applies to exhaustion and reports non-application" (fun () ->
-        let dec : S.t =
-          S.of_fun_rewrite (function
-            | Kf (Value.Int n) when n > 0 -> Some (Kf (Value.Int (n - 1)))
-            | _ -> None)
-        in
-        Alcotest.check (Alcotest.option func) "counts down"
-          (Some (Kf (int 0)))
-          (S.apply_func (S.repeat dec) (Kf (int 5)));
-        Alcotest.check (Alcotest.option func) "fails when never applied" None
-          (S.apply_func (S.repeat dec) (Kf (int 0))));
-    case "repeat honours its fuel bound" (fun () ->
-        let spin : S.t =
-          S.of_fun_rewrite (function
-            | Kf (Value.Int n) -> Some (Kf (Value.Int (n + 1)))
-            | _ -> None)
-        in
-        match S.apply_func (S.repeat ~fuel:7 spin) (Kf (int 0)) with
-        | Some (Kf (Value.Int n)) -> Alcotest.check Alcotest.int "fuel" 7 n
-        | other ->
-          Alcotest.failf "unexpected %a" Fmt.(Dump.option Pretty.pp_func) other);
-    case "fixpoint normalizes everywhere" (fun () ->
-        let t = Pairf (Prim "age", Iterate (Kp true, Prim "age")) in
-        Alcotest.check (Alcotest.option func) "all rewritten"
-          (Some (Pairf (Prim "name", Iterate (Kp true, Prim "name"))))
-          (S.apply_func (S.fixpoint age_to_name) t));
-    case "once_bottomup rewrites an innermost occurrence first" (fun () ->
-        (* a rule matching both a node and its child: bottom-up picks the
-           child *)
-        let collapse : S.t =
-          S.of_fun_rewrite (function
-            | Compose (Id, f) -> Some f
-            | _ -> None)
-        in
-        let t = Compose (Id, Compose (Id, Prim "age")) in
-        (* chains flatten: use a non-chain nesting instead *)
-        let t2 = Pairf (t, Id) in
-        match S.apply_func (S.once_bottomup collapse) t2 with
-        | Some _ -> ()
-        | None -> Alcotest.fail "should apply somewhere");
+        match S.once_topdown age_to_name (S.P (Hc.of_pred p)) with
+        | Some (S.P p') -> (
+          match Hc.to_pred p' with
+          | Andp (Kp true, Oplus (Eq, Pairf (Prim "name", Prim "age"))) -> ()
+          | other -> Alcotest.failf "unexpected %a" Pretty.pp_pred other)
+        | _ -> Alcotest.fail "expected a rewritten predicate");
   ]

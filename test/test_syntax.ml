@@ -45,9 +45,9 @@ let tests =
               Term.Times (Term.Iterate (Term.Kp true, f), Term.Iterate (Term.Kp true, f)) )
         in
         Alcotest.check Alcotest.bool "injective fires" true
-          (Option.is_some (Rewrite.Rule.apply_func r (lhs (Term.Prim "name"))));
+          (Option.is_some (fire_func r (lhs (Term.Prim "name"))));
         Alcotest.check Alcotest.bool "non-injective blocked" true
-          (Option.is_none (Rewrite.Rule.apply_func r (lhs (Term.Prim "age")))));
+          (Option.is_none (fire_func r (lhs (Term.Prim "age")))));
     case "rule kind inference: function, predicate, query" (fun () ->
         let p =
           Coko.Syntax.parse_program

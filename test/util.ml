@@ -57,3 +57,17 @@ let check_translation ?(db = tiny_db) msg e =
   Alcotest.check value msg
     (resolved db (Aqua.Eval.eval_closed ~db e))
     (resolved db (Eval.eval_query ~db q))
+
+(* Rules fire on interned terms; these convert a plain target at the test
+   boundary and hand back the plain view of the result. *)
+let fire_func ?schema r f =
+  Option.map Term.Hc.to_func
+    (Rewrite.Rule.apply_func ?schema r (Term.Hc.of_func f))
+
+let fire_pred ?schema r p =
+  Option.map Term.Hc.to_pred
+    (Rewrite.Rule.apply_pred ?schema r (Term.Hc.of_pred p))
+
+let fire_query ?schema r q =
+  Option.map Term.Hc.to_query
+    (Rewrite.Rule.apply_query ?schema r (Term.Hc.of_query q))
