@@ -564,11 +564,11 @@ let search_cmd =
         | None -> ());
         Fmt.pr
           "explored %d states, stop: %s (cost cache: %d hits, %d misses, %d \
-           evictions)@."
+           evictions, %d cuts)@."
           o.Optimizer.Search.explored
           (Optimizer.Search.stop_reason_label o.Optimizer.Search.stop)
           o.Optimizer.Search.cache_hits o.Optimizer.Search.cache_misses
-          o.Optimizer.Search.cache_evictions;
+          o.Optimizer.Search.cache_evictions o.Optimizer.Search.cache_cuts;
         Fmt.pr "dedup: %d distinct states@." o.Optimizer.Search.seen_states;
         Fmt.pr "interning: %d hits, %d fresh nodes (sharing ratio %.3f)@."
           o.Optimizer.Search.intern_hits o.Optimizer.Search.intern_misses

@@ -8,7 +8,9 @@
      with hash indexes, and executes nest by hash grouping.  The hidden-join
      optimisation of Section 4 exists precisely to expose such join structure.
    - counters recording work done, used by the benchmarks as an
-     implementation-independent cost measure. *)
+     implementation-independent cost measure;
+   - an optional work budget on the weighted blend of those counters:
+     evaluation stops with [Over_budget] once the blend exceeds it. *)
 
 open Term
 
@@ -34,15 +36,42 @@ type counters = {
 
 let fresh_counters () = { func_calls = 0; pred_calls = 0; tuples = 0 }
 
+(* The one definition of the weighted blend the optimizer ranks plans by.
+   Each term is non-decreasing in its counter, and float addition and
+   multiplication by a positive constant are monotone under rounding, so
+   the blend of a run's counters at any point is <= the blend at its end,
+   bit for bit.  That is what makes a budget cut sound. *)
+let weighted ~tuples ~func_calls ~pred_calls =
+  float_of_int tuples +. (0.1 *. float_of_int func_calls)
+  +. (0.1 *. float_of_int pred_calls)
+
+let weighted_of c =
+  weighted ~tuples:c.tuples ~func_calls:c.func_calls ~pred_calls:c.pred_calls
+
+exception Over_budget
+
 type ctx = {
   db : (string * Value.t) list;
   backend : backend;
   dedup : dedup;
   counters : counters;
+  budget : float;
 }
 
-let ctx ?(db = []) ?(backend = Naive) ?(dedup = Eager) () =
-  { db; backend; dedup; counters = fresh_counters () }
+let ctx ?(db = []) ?(backend = Naive) ?(dedup = Eager) ?(budget = infinity) ()
+    =
+  { db; backend; dedup; counters = fresh_counters (); budget }
+
+(* Charge [n] tuples, then stop the run if the blend is now over budget.
+   Tuple charges are the only places checked: they are far fewer than
+   function and predicate calls, and the naive join and nest charge their
+   whole nested loop before running it.  An unbudgeted run pays one float
+   comparison. *)
+let charge ctx n =
+  let c = ctx.counters in
+  c.tuples <- c.tuples + n;
+  if ctx.budget < infinity && weighted_of c > ctx.budget then
+    raise Over_budget
 
 (* Build an intermediate collection under the context's discipline. *)
 let collection ctx elems =
@@ -117,7 +146,7 @@ let rec func ctx f v =
     Value.Int (match op with Add -> a + b | Sub -> a - b | Mul -> a * b)
   | Agg op -> (
     let xs = as_set ctx v in
-    ctx.counters.tuples <- ctx.counters.tuples + List.length xs;
+    charge ctx (List.length xs);
     match op with
     | Count -> Value.Int (List.length xs)
     | Sum -> Value.Int (List.fold_left (fun acc x -> acc + as_int ctx x) 0 xs)
@@ -134,7 +163,7 @@ let rec func ctx f v =
   | Setop op -> (
     let a, b = as_pair ctx v in
     let xs = as_set ctx a and ys = as_set ctx b in
-    ctx.counters.tuples <- ctx.counters.tuples + List.length xs + List.length ys;
+    charge ctx (List.length xs + List.length ys);
     match op with
     | Union -> collection ctx (xs @ ys)
     | Inter ->
@@ -145,11 +174,11 @@ let rec func ctx f v =
   | Sng -> Value.set [ resolve ctx v ]
   | Flat ->
     let outer = as_set ctx v in
-    ctx.counters.tuples <- ctx.counters.tuples + List.length outer;
+    charge ctx (List.length outer);
     collection ctx (List.concat_map (fun s -> as_set ctx s) outer)
   | Iterate (p, f) ->
     let xs = as_set ctx v in
-    ctx.counters.tuples <- ctx.counters.tuples + List.length xs;
+    charge ctx (List.length xs);
     collection ctx
       (List.filter_map
          (fun x -> if pred ctx p x then Some (func ctx f x) else None)
@@ -157,7 +186,7 @@ let rec func ctx f v =
   | Iter (p, f) ->
     let e, set = as_pair ctx v in
     let ys = as_set ctx set in
-    ctx.counters.tuples <- ctx.counters.tuples + List.length ys;
+    charge ctx (List.length ys);
     collection ctx
       (List.filter_map
          (fun y ->
@@ -168,13 +197,13 @@ let rec func ctx f v =
   | Nest (f, g) -> nest ctx f g v
   | Unnest (f, g) ->
     let xs = as_set ctx v in
-    ctx.counters.tuples <- ctx.counters.tuples + List.length xs;
+    charge ctx (List.length xs);
     collection ctx
       (List.concat_map
          (fun x ->
            let key = func ctx f x in
            let inner = as_set ctx (func ctx g x) in
-           ctx.counters.tuples <- ctx.counters.tuples + List.length inner;
+           charge ctx (List.length inner);
            List.map (fun y -> Value.Pair (key, y)) inner)
          xs)
   | Fhole h -> error "evaluated a pattern hole ?%s" h
@@ -195,7 +224,7 @@ and pred ctx p v =
     let a, b = as_pair ctx v in
     let a = resolve ctx a in
     let ys = as_set ctx b in
-    ctx.counters.tuples <- ctx.counters.tuples + List.length ys;
+    charge ctx (List.length ys);
     List.exists (Value.equal a) ys
   | Primp name -> (
     match resolve ctx v with
@@ -224,8 +253,7 @@ and join ctx p f v =
   let a, b = as_pair ctx v in
   let xs = as_set ctx a and ys = as_set ctx b in
   let naive () =
-    ctx.counters.tuples <-
-      ctx.counters.tuples + (List.length xs * (1 + List.length ys));
+    charge ctx (List.length xs * (1 + List.length ys));
     collection ctx
       (List.concat_map
          (fun x ->
@@ -242,8 +270,7 @@ and join ctx p f v =
     match hash_joinable p with
     | None -> naive ()
     | Some (kind, g1, g2, residual) ->
-      ctx.counters.tuples <-
-        ctx.counters.tuples + List.length xs + List.length ys;
+      charge ctx (List.length xs + List.length ys);
       let index : Value.t list VH.t = VH.create (2 * List.length ys) in
       let add key y =
         let prev = Option.value ~default:[] (VH.find_opt index key) in
@@ -255,7 +282,7 @@ and join ctx p f v =
           | `Eq -> add (func ctx g2 y) y
           | `In ->
             let elems = as_set ctx (func ctx g2 y) in
-            ctx.counters.tuples <- ctx.counters.tuples + List.length elems;
+            charge ctx (List.length elems);
             List.iter (fun e -> add e y) elems)
         ys;
       let out =
@@ -322,8 +349,7 @@ and nest ctx f g v =
   let xs = as_set ctx a and ys = as_set ctx b in
   match ctx.backend with
   | Naive ->
-    ctx.counters.tuples <-
-      ctx.counters.tuples + (List.length ys * (1 + List.length xs));
+    charge ctx (List.length ys * (1 + List.length xs));
     collection ctx
       (List.map
          (fun y ->
@@ -337,7 +363,7 @@ and nest ctx f g v =
            Value.Pair (y, collection ctx group))
          ys)
   | Hashed ->
-    ctx.counters.tuples <- ctx.counters.tuples + List.length xs + List.length ys;
+    charge ctx (List.length xs + List.length ys);
     let groups : Value.t list VH.t = VH.create (2 * List.length ys) in
     List.iter
       (fun x ->
@@ -370,8 +396,11 @@ let rec finalize v =
   | Value.Pair (a, b) -> Value.Pair (finalize a, finalize b)
   | v -> v
 
+(* A budgeted run is also cut when its finished blend is over budget, so a
+   plan is cut exactly when its cost exceeds the budget. *)
 let run ctx (q : query) =
   let v = func ctx q.body q.arg in
+  if weighted_of ctx.counters > ctx.budget then raise Over_budget;
   match ctx.dedup with Eager -> v | Deferred -> finalize v
 
 (* Convenience entry points. *)

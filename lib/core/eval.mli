@@ -2,8 +2,9 @@
 
     The evaluator is parameterised by a database environment (resolving
     {!Value.Named} extents), an execution backend, a duplicate-elimination
-    discipline, and work counters used by the benchmarks as an
-    implementation-independent cost measure. *)
+    discipline, work counters used by the benchmarks as an
+    implementation-independent cost measure, and an optional budget on
+    those counters' weighted blend. *)
 
 exception Error of string
 
@@ -29,15 +30,36 @@ type counters = {
 
 val fresh_counters : unit -> counters
 
+val weighted : tuples:int -> func_calls:int -> pred_calls:int -> float
+(** [tuples + 0.1 * func_calls + 0.1 * pred_calls]: the blend plans are
+    ranked by.  It is monotone in each counter, bit for bit, so the blend
+    of a run's counters part way through never exceeds the final one. *)
+
+val weighted_of : counters -> float
+
+exception Over_budget
+(** Raised by a budgeted evaluation once the weighted blend of its
+    counters exceeds the budget.  The counters then hold the partial
+    work, whose blend is a lower bound on the plan's cost that is above
+    the budget. *)
+
 type ctx = {
   db : (string * Value.t) list;
   backend : backend;
   dedup : dedup;
   counters : counters;
+  budget : float;
+      (** checked after every tuple charge and when {!run} finishes;
+          [infinity] (the default) never cuts *)
 }
 
 val ctx :
-  ?db:(string * Value.t) list -> ?backend:backend -> ?dedup:dedup -> unit -> ctx
+  ?db:(string * Value.t) list ->
+  ?backend:backend ->
+  ?dedup:dedup ->
+  ?budget:float ->
+  unit ->
+  ctx
 
 val func : ctx -> Term.func -> Value.t -> Value.t
 (** [func ctx f v] is [f ! v].
@@ -47,7 +69,9 @@ val pred : ctx -> Term.pred -> Value.t -> bool
 (** [pred ctx p v] is [p ? v]. *)
 
 val run : ctx -> Term.query -> Value.t
-(** Evaluate a query; under [Deferred] dedup, finalizes the result. *)
+(** Evaluate a query; under [Deferred] dedup, finalizes the result.
+    @raise Over_budget exactly when the query's weighted cost exceeds
+    the context's budget. *)
 
 val hash_joinable :
   Term.pred ->

@@ -12,20 +12,18 @@ type t = {
   func_calls : int;
   pred_calls : int;
   weighted : float;
+  cut : bool;
 }
 
-let weighted ~tuples ~func_calls ~pred_calls =
-  float_of_int tuples +. (0.1 *. float_of_int func_calls)
-  +. (0.1 *. float_of_int pred_calls)
+let weighted = Eval.weighted
 
 let of_counters (c : Eval.counters) =
   {
     tuples = c.Eval.tuples;
     func_calls = c.Eval.func_calls;
     pred_calls = c.Eval.pred_calls;
-    weighted =
-      weighted ~tuples:c.Eval.tuples ~func_calls:c.Eval.func_calls
-        ~pred_calls:c.Eval.pred_calls;
+    weighted = Eval.weighted_of c;
+    cut = false;
   }
 
 (* Evaluate [q] against [db] under [backend]; return its result and cost. *)
@@ -35,9 +33,24 @@ let measure ?(backend = Eval.Naive) ?(dedup = Eval.Eager) ~db (q : Term.query)
   let v = Eval.run ctx q in
   (v, of_counters ctx.Eval.counters)
 
+(* Branch and bound: evaluate [q] only as far as [budget].  A plan whose
+   cost is within the budget gets its exact cost; any other is cut, and
+   its partial counters blend to a lower bound above the budget. *)
+let measure_within ?(backend = Eval.Naive) ?(dedup = Eval.Eager) ~budget ~db
+    (q : Term.query) : t =
+  let ctx = Eval.ctx ~db ~backend ~dedup ~budget () in
+  match Eval.run ctx q with
+  | _ -> of_counters ctx.Eval.counters
+  | exception Eval.Over_budget ->
+    { (of_counters ctx.Eval.counters) with cut = true }
+
 let pp ppf t =
-  Fmt.pf ppf "tuples=%d funcs=%d preds=%d (weighted %.1f)" t.tuples
-    t.func_calls t.pred_calls t.weighted
+  if t.cut then
+    Fmt.pf ppf "tuples>=%d funcs>=%d preds>=%d (weighted > %.1f, cut)"
+      t.tuples t.func_calls t.pred_calls t.weighted
+  else
+    Fmt.pf ppf "tuples=%d funcs=%d preds=%d (weighted %.1f)" t.tuples
+      t.func_calls t.pred_calls t.weighted
 
 (* Compiled-backend costing.  The fused loops count tuples emitted and
    hash builds/probes; builds and probes stand in for the interpreter's
@@ -48,7 +61,7 @@ let of_exec_stats (s : Kola_exec.Exec.stats) =
   and func_calls = s.Kola_exec.Exec.builds
   and pred_calls = s.Kola_exec.Exec.probes in
   { tuples; func_calls; pred_calls;
-    weighted = weighted ~tuples ~func_calls ~pred_calls }
+    weighted = weighted ~tuples ~func_calls ~pred_calls; cut = false }
 
 let measure_exec ?(backend = Kola_exec.Exec.Compiled) ?(dedup = Eval.Eager)
     ~db (q : Term.query) : Value.t * t * Kola_exec.Exec.stats =
@@ -79,24 +92,43 @@ let measure_exec ?(backend = Kola_exec.Exec.Compiled) ?(dedup = Eval.Eager)
    sweep; if every entry was live the whole table is dropped (a full
    clear beats thrashing sweep-per-insert).  Sweep cost is O(capacity)
    but amortized O(1) per insert as long as a constant fraction of
-   entries is cold between sweeps. *)
+   entries is cold between sweeps.
+
+   Exact costs and lower bounds: a lookup carries the caller's budget B
+   (the best cost it knows; [infinity] for none), and an evaluation under
+   B that is cut stores its bound P > B instead of an exact cost.  A later
+   lookup under budget B' is answered by an exact entry, or by a bound
+   with P > B' (the plan costs more than B' whatever its exact cost);
+   otherwise the plan is evaluated again, counted as one miss. *)
+
+(* Per-call accounting: what one search or one optimize did to a cache
+   that other callers may share.  Defined before [stats] so that the
+   shared label names resolve to [stats] by default. *)
+type tally = {
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
+  mutable cuts : int;
+}
+
+let tally () = { hits = 0; misses = 0; evictions = 0; cuts = 0 }
 
 type stats = {
   hits : int;
   misses : int;
   evictions : int;
+  cuts : int;
   entries : int;
   capacity : int;
 }
-
-type 'v entry = { w : 'v; mutable live : bool }
 
 (* The memoization machinery — capacity bound, second-chance sweep,
    per-database validity — is independent of how entries are keyed and of
    what they store, so it is written once over any hashtable and
    instantiated twice: over interned query keys storing weighted floats
    (the search cache), and over (plan, backend, dedup) triples storing
-   full cost records (the pipeline's plan cache).
+   full cost records (the pipeline's plan cache).  [V.weight] reads the
+   weighted cost a stored value stands for.
 
    Concurrency: the daemon (lib/server) shares one cache of each kind
    across worker domains, so every table operation — probe, insert,
@@ -105,18 +137,30 @@ type 'v entry = { w : 'v; mutable live : bool }
    never observes a torn count.  The critical sections are a hashtable
    probe or insert; the expensive part of a miss (evaluating the plan)
    always happens outside the lock.  Two domains racing on the same
-   missing key may both evaluate it and insert twice — the evaluations
-   are deterministic, so the second insert is idempotent.  At one domain
-   (the CLI) the lock is uncontended and costs a few nanoseconds per
-   probe. *)
-module Memo (T : Hashtbl.S) = struct
-  type 'v memo = {
-    table : 'v entry T.t;  (* mutated only under [lock] *)
+   missing key may both evaluate it, possibly under different budgets,
+   and insert twice.  So an insert never replaces an exact entry with a
+   bound, nor a bound with a lower one: whatever order racing inserts
+   land in, an entry only ever gets more precise.  At one domain (the
+   CLI) the lock is uncontended and costs a few nanoseconds per probe. *)
+module Memo
+    (T : Hashtbl.S)
+    (V : sig
+      type t
+
+      val weight : t -> float
+    end) =
+struct
+  (* [exact] is false when [w] records an evaluation cut at a budget. *)
+  type entry = { w : V.t; exact : bool; mutable live : bool }
+
+  type memo = {
+    table : entry T.t;  (* mutated only under [lock] *)
     capacity : int;
     lock : Mutex.t;
     hits : int Atomic.t;
     misses : int Atomic.t;
     evictions : int Atomic.t;
+    cuts : int Atomic.t;
     mutable cached_db : (string * Value.t) list option;  (* under [lock] *)
   }
 
@@ -129,15 +173,17 @@ module Memo (T : Hashtbl.S) = struct
       hits = Atomic.make 0;
       misses = Atomic.make 0;
       evictions = Atomic.make 0;
+      cuts = Atomic.make 0;
       cached_db = None;
     }
 
-  let stats c =
+  let stats c : stats =
     Mutex.protect c.lock @@ fun () ->
     {
       hits = Atomic.get c.hits;
       misses = Atomic.get c.misses;
       evictions = Atomic.get c.evictions;
+      cuts = Atomic.get c.cuts;
       entries = T.length c.table;
       capacity = c.capacity;
     }
@@ -157,24 +203,26 @@ module Memo (T : Hashtbl.S) = struct
       c.cached_db <- Some db
     | None -> c.cached_db <- Some db
 
-  (* Hit: refresh the second-chance bit and count. *)
-  let find_memo c key =
+  (* Hit: an exact entry, or a bound above [budget].  Refresh the
+     second-chance bit and count. *)
+  let find_memo c ~(tally : tally) ~budget key =
     let found =
       Mutex.protect c.lock @@ fun () ->
       match T.find_opt c.table key with
-      | Some e ->
+      | Some e when e.exact || V.weight e.w > budget ->
         e.live <- true;
         Some e.w
-      | None -> None
+      | Some _ | None -> None
     in
     (match found with
     | Some _ ->
       Atomic.incr c.hits;
+      tally.hits <- tally.hits + 1;
       Kola_telemetry.Telemetry.count "cost.cache_hit"
     | None -> ());
     found
 
-  (* Caller holds [c.lock]. *)
+  (* Caller holds [c.lock]; returns the number of entries evicted. *)
   let sweep c =
     let doomed =
       T.fold
@@ -198,73 +246,96 @@ module Memo (T : Hashtbl.S) = struct
         List.length doomed
     in
     Atomic.fetch_and_add c.evictions evicted |> ignore;
-    Kola_telemetry.Telemetry.count ~n:evicted "cost.cache_evict"
+    Kola_telemetry.Telemetry.count ~n:evicted "cost.cache_evict";
+    evicted
 
   (* Miss: count, make room, insert.  New entries start with the reference
-     bit clear — only a hit earns the second chance. *)
-  let insert_memo c key w =
+     bit clear — only a hit earns the second chance.  A key already
+     present (another worker's insert, or a bound the lookup could not
+     use) is upgraded in place when [w] is more precise. *)
+  let insert_memo c ~(tally : tally) ~exact key w =
     Atomic.incr c.misses;
+    tally.misses <- tally.misses + 1;
     Kola_telemetry.Telemetry.count "cost.cache_miss";
-    Mutex.protect c.lock @@ fun () ->
-    if T.length c.table >= c.capacity then sweep c;
-    T.replace c.table key { w; live = false }
+    if not exact then begin
+      Atomic.incr c.cuts;
+      tally.cuts <- tally.cuts + 1;
+      Kola_telemetry.Telemetry.count "cost.cut"
+    end;
+    let evicted =
+      Mutex.protect c.lock @@ fun () ->
+      match T.find_opt c.table key with
+      | Some e ->
+        if (not e.exact) && (exact || V.weight w > V.weight e.w) then
+          T.replace c.table key { w; exact; live = e.live };
+        0
+      | None ->
+        let evicted = if T.length c.table >= c.capacity then sweep c else 0 in
+        T.replace c.table key { w; exact; live = false };
+        evicted
+    in
+    tally.evictions <- tally.evictions + evicted
 end
 
-module QueryMemo = Memo (Term.Hc.Qtable)
+module QueryMemo =
+  Memo
+    (Term.Hc.Qtable)
+    (struct
+      type t = float
 
-type cache = float QueryMemo.memo
+      let weight w = w
+    end)
+
+type cache = QueryMemo.memo
 
 let cache ?size () = QueryMemo.create ?size ()
 let cache_stats = QueryMemo.stats
 let cache_clear = QueryMemo.clear
 
-(* Weighted cost of [q] on [db] under the default backend, with plans that
-   fail to evaluate (e.g. ill-typed intermediate states) costed at
-   infinity — the convention search uses to prune them. *)
-let measure_weighted ~db (q : Term.query) : float =
-  match measure ~db q with
-  | _, t -> t.weighted
-  | exception Eval.Error _ -> infinity
-
-let weighted_memo c ~db (hq : Term.Hc.hquery) : float =
-  QueryMemo.prepare c ~db;
-  let key = Term.Hc.query_key hq in
-  match QueryMemo.find_memo c key with
-  | Some w -> w
-  | None ->
-    let w = measure_weighted ~db (Term.Hc.to_query hq) in
-    QueryMemo.insert_memo c key w;
-    w
+(* Weighted cost of [q] on [db] under the default backend and [budget],
+   paired with whether it is exact (false: cut, a lower bound).  Plans
+   that fail to evaluate (e.g. ill-typed intermediate states) cost an
+   exact infinity — the convention search uses to prune them.  Both
+   exceptions stop here, so none crosses a pool domain. *)
+let measure_weighted ~budget ~db (q : Term.query) : float * bool =
+  match measure_within ~budget ~db q with
+  | t -> (t.weighted, not t.cut)
+  | exception Eval.Error _ -> (infinity, true)
 
 (* Batch lookup for the level-synchronous search: probe every key
    sequentially (counting hits), evaluate the misses through [map] — the
    only step a caller parallelizes — then insert the results sequentially
-   in item order.  The evaluations themselves never touch the cache, and
-   hit, miss, and eviction accounting is the same as feeding the items to
-   [weighted_memo] one by one. *)
-let weighted_memo_batch c ~db ?(map = Array.map)
-    (items : ((int * int) * Term.Hc.hquery) array) : float array =
+   in item order.  The evaluations themselves never touch the cache, so
+   with distinct keys the accounting is that of costing the items one by
+   one under the same budget. *)
+let weighted_memo_batch c ~db ?(map = Array.map) ?(budget = infinity)
+    ?(tally = tally ()) (items : ((int * int) * Term.Hc.hquery) array) :
+    float array =
   QueryMemo.prepare c ~db;
   let out = Array.make (Array.length items) infinity in
   let missing = ref [] in
   Array.iteri
     (fun i (key, hq) ->
-      match QueryMemo.find_memo c key with
+      match QueryMemo.find_memo c ~tally ~budget key with
       | Some w -> out.(i) <- w
       | None -> missing := (i, key, hq) :: !missing)
     items;
   let missing = Array.of_list (List.rev !missing) in
   let ws =
     map
-      (fun q -> measure_weighted ~db q)
+      (fun q -> measure_weighted ~budget ~db q)
       (Array.map (fun (_, _, hq) -> Term.Hc.to_query hq) missing)
   in
   Array.iteri
     (fun j (i, key, _) ->
-      QueryMemo.insert_memo c key ws.(j);
-      out.(i) <- ws.(j))
+      let w, exact = ws.(j) in
+      QueryMemo.insert_memo c ~tally ~exact key w;
+      out.(i) <- w)
     missing;
   out
+
+let weighted_memo c ?budget ?tally ~db (hq : Term.Hc.hquery) : float =
+  (weighted_memo_batch c ~db ?budget ?tally [| (Term.Hc.query_key hq, hq) |]).(0)
 
 (* ------------------------------------------------------------------ *)
 (* The plan cache: full cost records per evaluation setting.
@@ -283,21 +354,28 @@ module PlanTbl = Hashtbl.Make (struct
   let hash = Hashtbl.hash
 end)
 
-module PlanMemo = Memo (PlanTbl)
+module PlanMemo =
+  Memo
+    (PlanTbl)
+    (struct
+      type nonrec t = t
 
-type plan_cache = t PlanMemo.memo
+      let weight t = t.weighted
+    end)
+
+type plan_cache = PlanMemo.memo
 
 let plan_cache ?size () = PlanMemo.create ?size ()
 let plan_cache_stats = PlanMemo.stats
 let plan_cache_clear = PlanMemo.clear
 
-let measure_memo c ?(backend = Eval.Naive) ?(dedup = Eval.Eager) ~db
-    (q : Term.query) : t =
+let measure_memo c ?(backend = Eval.Naive) ?(dedup = Eval.Eager)
+    ?(budget = infinity) ?(tally = tally ()) ~db (q : Term.query) : t =
   PlanMemo.prepare c ~db;
   let key = (Term.Hc.query_key (Term.Hc.of_query q), backend, dedup) in
-  match PlanMemo.find_memo c key with
+  match PlanMemo.find_memo c ~tally ~budget key with
   | Some cost -> cost
   | None ->
-    let _, cost = measure ~backend ~dedup ~db q in
-    PlanMemo.insert_memo c key cost;
+    let cost = measure_within ~backend ~dedup ~budget ~db q in
+    PlanMemo.insert_memo c ~tally ~exact:(not cost.cut) key cost;
     cost

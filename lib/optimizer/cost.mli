@@ -1,15 +1,32 @@
 (** A calibration-based cost model: run the candidate plan on a sample
     database and charge it for the evaluator's work counters.  Tuples
-    touched dominate; combinator dispatch is cheap. *)
+    touched dominate; combinator dispatch is cheap.
+
+    {1 Branch and bound}
+
+    Only the cheapest of several candidates is kept, so a candidate need
+    only be run until it costs more than the best one known.
+    {!measure_within} and the memoized entry points take a [budget] (the
+    memoized ones default it to [infinity]): evaluation stops once its
+    weighted cost exceeds the budget ({!Kola.Eval.Over_budget}).  The
+    weighted cost only grows while a plan runs, so a plan cut at budget
+    [b] costs more than [b] and can never become the best of candidates
+    that cost [<= b].  Choices made under budgets are therefore the
+    choices unbudgeted costing makes, bit for bit. *)
 
 type t = {
   tuples : int;
   func_calls : int;
   pred_calls : int;
   weighted : float;
+  cut : bool;
+      (** evaluation stopped at a budget: the counters are the partial
+          work, and [weighted] is a lower bound above that budget *)
 }
 
 val weighted : tuples:int -> func_calls:int -> pred_calls:int -> float
+(** {!Kola.Eval.weighted}, the one definition of the blend. *)
+
 val of_counters : Kola.Eval.counters -> t
 
 val measure :
@@ -18,8 +35,23 @@ val measure :
   db:(string * Kola.Value.t) list ->
   Kola.Term.query ->
   Kola.Value.t * t
+(** Run the plan to the end and return its result and exact cost. *)
+
+val measure_within :
+  ?backend:Kola.Eval.backend ->
+  ?dedup:Kola.Eval.dedup ->
+  budget:float ->
+  db:(string * Kola.Value.t) list ->
+  Kola.Term.query ->
+  t
+(** The plan's exact cost when it is [<= budget]; otherwise a [cut]
+    cost whose [weighted] lies in (budget, exact cost].
+    @raise Kola.Eval.Error when the plan fails to evaluate within the
+    budget. *)
 
 val pp : t Fmt.t
+(** A cut cost prints its counters as lower bounds and its weighted cost
+    as [> b]. *)
 
 val of_exec_stats : Kola_exec.Exec.stats -> t
 (** Compiled-loop counters on the interpreter's cost scale: tuples map to
@@ -46,6 +78,15 @@ val measure_exec :
     against a different database (by physical identity) flushes the
     cache.
 
+    {2 Exact costs and lower bounds}
+
+    An entry holds either an exact cost or, when its evaluation was cut
+    at a budget, a lower bound P: the plan costs at least P.  A lookup
+    under budget B is answered by an exact entry, or by a bound with
+    P > B; otherwise the plan is evaluated again, which counts as one
+    miss.  An insert never replaces an exact entry with a bound, nor a
+    bound with a lower bound, so entries only get more precise.
+
     {2 Capacity and eviction}
 
     [size] is a hard bound on resident entries, enforced by
@@ -62,22 +103,37 @@ val measure_exec :
     {2 Concurrency}
 
     Caches may be shared across domains (the serving daemon shares one
-    cost cache and one plan cache across its workers): every table operation runs under the
-    cache's mutex and the hit/miss/eviction counters are atomic, so
-    {!cache_stats} never observes a torn count.  Plan evaluation on a
-    miss happens outside the lock; two domains racing on one missing key
-    may evaluate it twice, which is harmless — the evaluations are
-    deterministic and the second insert idempotent. *)
+    cost cache and one plan cache across its workers): every table
+    operation runs under the cache's mutex and the cache-wide counters
+    are atomic, so {!cache_stats} never observes a torn count.  Plan
+    evaluation on a miss happens outside the lock; two domains racing on
+    one missing key may evaluate it twice, which is harmless — the
+    evaluations are deterministic and the more precise insert wins.
+    What one caller did to a shared cache is counted in its own
+    {!tally}, never as a difference of the cache-wide counters, which
+    other callers move. *)
 
 type cache
+
+type tally = {
+  mutable hits : int;
+  mutable misses : int;  (** evaluations run *)
+  mutable evictions : int;  (** entries this caller's inserts evicted *)
+  mutable cuts : int;  (** evaluations stopped at their budget *)
+}
+(** One caller's lookups on a possibly shared cache. *)
+
+val tally : unit -> tally
 
 type stats = {
   hits : int;
   misses : int;
   evictions : int;  (** entries removed by capacity sweeps and clears *)
+  cuts : int;  (** evaluations stopped at their budget *)
   entries : int;    (** resident entries; always [<= capacity] *)
   capacity : int;
 }
+(** Cache-wide counters, across every caller. *)
 
 val cache : ?size:int -> unit -> cache
 (** A fresh cache holding at most [size] entries (default 65536,
@@ -88,27 +144,41 @@ val cache_stats : cache -> stats
 val cache_clear : cache -> unit
 
 val weighted_memo :
-  cache -> db:(string * Kola.Value.t) list -> Kola.Term.Hc.hquery -> float
-(** Weighted cost under the default backend; plans that fail to evaluate
-    cost [infinity].  Never re-evaluates a resident query with the same
-    {!Kola.Term.Hc.query_key}. *)
+  cache ->
+  ?budget:float ->
+  ?tally:tally ->
+  db:(string * Kola.Value.t) list ->
+  Kola.Term.Hc.hquery ->
+  float
+(** Weighted cost under the default backend, exact when it is
+    [<= budget] (default [infinity]) and otherwise a lower bound above
+    [budget]; plans that fail to evaluate cost [infinity].  Never
+    re-evaluates a resident query with the same
+    {!Kola.Term.Hc.query_key} unless its entry is a bound [<= budget].
+    The lookup is counted in [tally]. *)
 
 val weighted_memo_batch :
   cache ->
   db:(string * Kola.Value.t) list ->
-  ?map:((Kola.Term.query -> float) -> Kola.Term.query array -> float array) ->
+  ?map:
+    ((Kola.Term.query -> float * bool) ->
+    Kola.Term.query array ->
+    (float * bool) array) ->
+  ?budget:float ->
+  ?tally:tally ->
   ((int * int) * Kola.Term.Hc.hquery) array ->
   float array
-(** [weighted_memo_batch c ~db ~map items] costs a batch of interned
-    queries, each paired with its precomputed {!Kola.Term.Hc.query_key}:
-    resident keys are served from the cache, the misses are evaluated
-    through [map] (default [Array.map] — pass a parallel map to evaluate
-    them across domains; the evaluations are pure), and the results are
-    inserted sequentially in item order.  The evaluations never touch the
-    cache, and when the item keys are distinct the hit/miss/eviction
-    accounting is identical to calling {!weighted_memo} on each item in
-    order.  Duplicate keys in one batch are evaluated once per occurrence
-    instead of hitting. *)
+(** [weighted_memo_batch c ~db ~map ~budget items] costs a batch of
+    interned queries under one budget, each paired with its precomputed
+    {!Kola.Term.Hc.query_key}: keys the cache can answer are served from
+    it, the misses are evaluated through [map] (default [Array.map] —
+    pass a parallel map to evaluate them across domains; each evaluation
+    is pure and returns its weighted cost and whether it is exact), and
+    the results are inserted sequentially in item order.  The
+    evaluations never touch the cache, and when the item keys are
+    distinct the accounting is identical to calling {!weighted_memo} on
+    each item in order.  Duplicate keys in one batch are evaluated once
+    per occurrence instead of hitting. *)
 
 (** {2 Plan cache}
 
@@ -129,8 +199,12 @@ val measure_memo :
   plan_cache ->
   ?backend:Kola.Eval.backend ->
   ?dedup:Kola.Eval.dedup ->
+  ?budget:float ->
+  ?tally:tally ->
   db:(string * Kola.Value.t) list ->
   Kola.Term.query ->
   t
-(** Like {!measure} without the result value, serving repeats from the
-    cache.  Evaluation failures propagate and are never cached. *)
+(** Like {!measure_within} (under [budget], default [infinity]), serving
+    repeats from the cache: the result is [cut] only when it is a bound
+    above [budget].  Evaluation failures propagate and are never
+    cached. *)

@@ -1,6 +1,7 @@
 (* The end-to-end optimizer: OQL → AQUA → KOLA → COKO normalization and
    hidden-join untangling → cost-based plan choice (original vs untangled,
-   each costed on the hashed interpreter with eager dedup).
+   each costed on the hashed interpreter with eager dedup, the untangled
+   plan first and the original only as far as the untangled plan's cost).
 
    The output [report] is an explanation artifact: each phase records what
    it produced, and the rewrite trace names every rule fired — the paper's
@@ -46,9 +47,9 @@ let shared_plan_cache = Cost.plan_cache ()
 
 (* Only the hashed/eager physical variant is costed; pipeline.mli says
    why the naive backend and deferred dedup do not win. *)
-let candidate ?(cache = shared_plan_cache) ~db label q =
+let candidate ~cache ~tally ?budget ~db label q =
   let backend = Eval.Hashed and dedup = Eval.Eager in
-  let cost = Cost.measure_memo cache ~backend ~dedup ~db q in
+  let cost = Cost.measure_memo cache ~backend ~dedup ?budget ~tally ~db q in
   { label; query = q; backend; dedup; cost }
 
 let optimize ?source ?(plan_cache = shared_plan_cache) ~db
@@ -60,15 +61,18 @@ let optimize ?source ?(plan_cache = shared_plan_cache) ~db
     if List.for_all snd blocks then Some untangle_outcome.Coko.Block.query
     else None
   in
-  let before = Cost.plan_cache_stats plan_cache in
+  let tally = Cost.tally () in
+  let candidate = candidate ~cache:plan_cache ~tally ~db in
+  (* Branch and bound: the untangled plan is usually far cheaper, so it
+     is costed first and the original only as far as its cost.  The cut
+     is strict, so an original that ties still wins below. *)
   let candidates =
-    candidate ~cache:plan_cache ~db "original" normalized
-    ::
-    (match untangled with
-    | Some q -> [ candidate ~cache:plan_cache ~db "untangled" q ]
-    | None -> [])
+    match untangled with
+    | None -> [ candidate "original" normalized ]
+    | Some q ->
+      let u = candidate "untangled" q in
+      [ candidate ~budget:u.cost.Cost.weighted "original" normalized; u ]
   in
-  let after = Cost.plan_cache_stats plan_cache in
   let chosen =
     List.fold_left
       (fun best c -> if c.cost.Cost.weighted < best.cost.Cost.weighted then c else best)
@@ -84,8 +88,8 @@ let optimize ?source ?(plan_cache = shared_plan_cache) ~db
     blocks;
     candidates;
     chosen;
-    cost_cache_hits = after.Cost.hits - before.Cost.hits;
-    cost_cache_misses = after.Cost.misses - before.Cost.misses;
+    cost_cache_hits = tally.Cost.hits;
+    cost_cache_misses = tally.Cost.misses;
   }
 
 let optimize_oql ?extents ?plan_cache ~db src =

@@ -3,8 +3,12 @@
     the untangled plan.
 
     Each logical plan is costed once, on the hashed interpreter with
-    eager dedup ({!Cost.measure_memo}).  Under the counter cost model the
-    other physical variants cannot win:
+    eager dedup ({!Cost.measure_memo}), by branch and bound: the
+    untangled plan is run to the end first, then the original only until
+    it costs more than the untangled plan.  The cut is strict, so an
+    original that ties is still chosen, and the chosen plan's cost is
+    always exact.  Under the counter cost model the other physical
+    variants cannot win:
     - the naive backend differs from the hashed one only on joins and
       nests it can index.  There it charges |xs|·(1+|ys|) tuples and a
       predicate call per pair, where the hashed index charges |xs|+|ys|
@@ -26,6 +30,8 @@ type plan = {
   backend : Kola.Eval.backend;  (** the backend the cost was measured on *)
   dedup : Kola.Eval.dedup;
   cost : Cost.t;
+      (** exact, or [cut] for an original plan that lost to the untangled
+          one: then its counters are the work done before the cut *)
 }
 
 type report = {
@@ -54,8 +60,9 @@ val optimize :
   report
 (** [plan_cache] defaults to one cache shared across calls, so repeated
     measurements of canonically-equal plans hit the memo; the report
-    carries this call's hit/miss deltas.  [candidates] holds at most two
-    plans: the original, then the untangled one when untangling
+    carries this call's own hit and miss counts, which concurrent
+    callers sharing the cache do not move.  [candidates] holds at most
+    two plans: the original, then the untangled one when untangling
     applied. *)
 
 val optimize_oql :
@@ -88,3 +95,4 @@ val execute :
     store and fans pure kernels out over morsels. *)
 
 val pp_report : report Fmt.t
+(** A cut candidate's cost prints as [> b], [b] its lower bound. *)

@@ -17,7 +17,14 @@
    phases — fan-out, stable-order merge, batch costing — inline at
    [jobs = 1] and across a Kola_parallel.Pool at [jobs > 1], so [best],
    [path], [explored] and [frontier_exhausted] are bit-identical whatever
-   the domain count. *)
+   the domain count.
+
+   Costing is branch and bound (DESIGN.md, "Branch-and-bound costing"):
+   a state's cost is only ever compared with the best so far, so each
+   batch is costed under the best cost at the batch's start, and a state
+   that runs past it is cut.  Its cost would exceed that best, so it
+   could never have been chosen: outcomes are those of costing every
+   state to the end. *)
 
 open Kola
 module Pool = Kola_parallel.Pool
@@ -218,11 +225,11 @@ type outcome = {
       (** [stop = Exhausted], kept for existing callers: neither the
           state budget, the position cap, nor a deadline truncated
           anything *)
-  cache_hits : int;     (** cost-cache hits during this exploration *)
+  cache_hits : int;     (** this exploration's cost-cache hits *)
   cache_misses : int;
   cache_evictions : int;
-      (** cost-cache entries evicted by capacity sweeps during this
-          exploration *)
+      (** cost-cache entries evicted by this exploration's inserts *)
+  cache_cuts : int;     (** evaluations stopped at their budget *)
   seen_states : int;    (** distinct states (dedup classes) recorded *)
   intern_hits : int;    (** intern-table hits during this exploration *)
   intern_misses : int;  (** nodes freshly interned during this exploration *)
@@ -254,11 +261,12 @@ let stop_of ~hit_deadline ~exhausted =
    accumulation in the BFS loop. *)
 type istate = { ihq : Term.Hc.hquery; rev_path : string list; icost : float }
 
-(* Turn the winner into an outcome; cost-cache and intern counters are
-   reported as deltas against the snapshots taken when the search began. *)
-let outcome_of ?saturation ~cache ~(cstats0 : Cost.stats)
-    ~(istats0 : Hashcons.stats) ~seen_states ~best ~expanded ~stop () =
-  let cstats1 = Cost.cache_stats cache in
+(* Turn the winner into an outcome.  Cost-cache counts are this call's
+   own [tally] (the cache may be shared with concurrent searches); intern
+   counters are deltas against the snapshot taken when the search
+   began. *)
+let outcome_of ?saturation ~(tally : Cost.tally) ~(istats0 : Hashcons.stats)
+    ~seen_states ~best ~expanded ~stop () =
   let istats1 = Term.Hc.intern_counters () in
   let intern_hits = istats1.Hashcons.hits - istats0.Hashcons.hits
   and intern_misses = istats1.Hashcons.misses - istats0.Hashcons.misses in
@@ -273,9 +281,10 @@ let outcome_of ?saturation ~cache ~(cstats0 : Cost.stats)
     explored = expanded;
     stop;
     frontier_exhausted = stop = Exhausted;
-    cache_hits = cstats1.Cost.hits - cstats0.Cost.hits;
-    cache_misses = cstats1.Cost.misses - cstats0.Cost.misses;
-    cache_evictions = cstats1.Cost.evictions - cstats0.Cost.evictions;
+    cache_hits = tally.Cost.hits;
+    cache_misses = tally.Cost.misses;
+    cache_evictions = tally.Cost.evictions;
+    cache_cuts = tally.Cost.cuts;
     seen_states;
     intern_hits;
     intern_misses;
@@ -304,14 +313,19 @@ let outcome_of ?saturation ~cache ~(cstats0 : Cost.stats)
    3. costing — [Cost.weighted_memo_batch] probes the cache sequentially,
       evaluates the misses through the same map, and inserts the results
       in item order, so the cache is never mutated concurrently either.
+      The batch is costed under the best cost at its start: a state cut
+      there costs more than that best and is never chosen.
 
    At [jobs = 1] there is no pool and the phases run per state rather
    than per level, in the same item order.  Because every merge walks
    results in the order their states were enqueued, [best] (ties broken
    by first discovery), [path], [explored], and [frontier_exhausted] are
-   independent of the domain count and of scheduling.  Cost-cache hit/miss totals can only shift when a capacity
-   sweep lands mid-level; that changes accounting, never costs or
-   outcomes. *)
+   independent of the domain count and of scheduling.  A batch is one
+   parent's successors at [jobs = 1] and a whole level at [jobs > 1], so
+   which states are cut (and the bound a cut state reports) depends on
+   the domain count; the best state does not.  Cost-cache hit/miss
+   totals can also shift when a capacity sweep lands mid-level; that
+   changes accounting, never costs or outcomes. *)
 
 (* Take the first [n] elements (the level's budget slice). *)
 let rec take_n n = function
@@ -379,7 +393,7 @@ let explore_bfs ~config (q : Term.query) : outcome =
   let db = config.sample_db in
   let cache = cache_of config in
   let pool = pool_of config in
-  let cstats0 = Cost.cache_stats cache in
+  let tally = Cost.tally () in
   let istats0 = Term.Hc.intern_counters () in
   let seen = Term.Hc.Qtable.create 256 in
   let truncated = ref false in
@@ -388,7 +402,8 @@ let explore_bfs ~config (q : Term.query) : outcome =
   let hq0 = Term.Hc.of_query q in
   Term.Hc.Qtable.replace seen (Term.Hc.query_key hq0) ();
   let best =
-    ref { ihq = hq0; rev_path = []; icost = Cost.weighted_memo cache ~db hq0 }
+    ref
+      { ihq = hq0; rev_path = []; icost = Cost.weighted_memo cache ~tally ~db hq0 }
   in
   let expanded = ref 0 in
   let exhausted = ref true in
@@ -407,13 +422,15 @@ let explore_bfs ~config (q : Term.query) : outcome =
       if take < n then exhausted := false;
       if take > 0 then begin
         (* phase 3: batch costing of the states merged since the last
-           call; misses evaluate through the same map *)
+           call, under the best cost so far; misses evaluate through the
+           same map *)
         let pending = ref [] and next = ref [] in
         let cost_pending () =
           let fresh = Array.of_list (List.rev !pending) in
           pending := [];
           let costs =
             Cost.weighted_memo_batch cache ~db ~map:(pool_map pool)
+              ~budget:!best.icost ~tally
               (Array.map (fun (_, _, hq', key) -> (key, hq')) fresh)
           in
           Array.iteri
@@ -459,7 +476,7 @@ let explore_bfs ~config (q : Term.query) : outcome =
   in
   level [ !best ] 0;
   if !truncated then exhausted := false;
-  outcome_of ~cache ~cstats0 ~istats0
+  outcome_of ~tally ~istats0
     ~seen_states:(Term.Hc.Qtable.length seen)
     ~best:!best ~expanded:!expanded
     ~stop:(stop_of ~hit_deadline:!hit_deadline ~exhausted:!exhausted) ()
@@ -496,7 +513,7 @@ let stop_of_saturation config = function
 let explore_egraph ~config (q : Term.query) : outcome =
   let db = config.sample_db in
   let cache = cache_of config in
-  let cstats0 = Cost.cache_stats cache in
+  let tally = Cost.tally () in
   let istats0 = Term.Hc.intern_counters () in
   let hq0 = Term.Hc.of_query q in
   let sp =
@@ -508,18 +525,20 @@ let explore_egraph ~config (q : Term.query) : outcome =
      cheapest spellings overall (k-best DP cost grows as k² per node)
      plus both deviation neighborhoods (around the weight optimum and
      around the source).  The source itself always stays a candidate —
-     extraction can therefore never be worse than doing nothing. *)
+     extraction can therefore never be worse than doing nothing.  Each
+     candidate is costed under the best cost so far: one cut there could
+     not have won. *)
   let measure_front best cands =
     List.fold_left
       (fun (bq, bc) hq ->
-        let c = Cost.weighted_memo cache ~db hq in
+        let c = Cost.weighted_memo cache ~budget:bc ~tally ~db hq in
         if c < bc then (hq, c) else (bq, bc))
       best cands
   in
   let front = Saturate.extraction_front ~k:2 sp in
   let best0 =
     measure_front
-      (hq0, Cost.weighted_memo cache ~db hq0)
+      (hq0, Cost.weighted_memo cache ~tally ~db hq0)
       (List.filter_map Saturate.hquery_of_wterm front)
   in
   (* Measured-cost descent inside the e-graph: re-anchor the witness
@@ -555,7 +574,7 @@ let explore_egraph ~config (q : Term.query) : outcome =
     | None -> []
   in
   let stats = sp.Saturate.stats in
-  outcome_of ~saturation:stats ~cache ~cstats0 ~istats0
+  outcome_of ~saturation:stats ~tally ~istats0
     ~seen_states:stats.Saturate.e_classes
     ~best:{ ihq = best_hq; rev_path; icost = best_cost }
     ~expanded:stats.Saturate.e_nodes

@@ -16,10 +16,14 @@
     Each level fans out successor enumeration, merges the results in
     stable item order, then costs the fresh states in one batch — inline
     at [jobs = 1], across a fixed pool of OCaml 5 domains
-    ({!Kola_parallel.Pool}) at [jobs > 1].  [explore] and [reaches] return
-    bit-identical outcomes whatever the domain count; only cost-cache
-    hit/miss accounting may shift when a capacity sweep lands
-    mid-level. *)
+    ({!Kola_parallel.Pool}) at [jobs > 1].  Costing is branch and bound:
+    each batch, and each candidate of the e-graph's re-measured front,
+    is costed under the best cost known when it starts, and a state that
+    costs more is cut short ({!Cost.measure_within}).  [explore] and
+    [reaches] return bit-identical outcomes whatever the domain count;
+    only cost-cache accounting (hits, misses, cuts) may shift: which
+    states are cut depends on how states are batched, and a capacity
+    sweep may land mid-level. *)
 
 (** Which engine answers [explore]/[reaches]: bounded breadth-first
     search over single firings, or equality saturation on the e-graph
@@ -98,10 +102,15 @@ type outcome = {
       (** [stop = Exhausted], kept for existing callers: neither the
           state budget, the position cap, nor a deadline truncated
           anything *)
-  cache_hits : int;   (** cost-cache hits during this call *)
-  cache_misses : int;
+  cache_hits : int;
+      (** cost-cache hits during this call, counted by the call itself:
+          searches sharing the cache do not move each other's counts *)
+  cache_misses : int;  (** evaluations run during this call *)
   cache_evictions : int;
-      (** cost-cache entries evicted by capacity sweeps during this call *)
+      (** cost-cache entries evicted by this call's inserts *)
+  cache_cuts : int;
+      (** evaluations during this call stopped at their budget: each
+          such state costs more than the best known at the time *)
   seen_states : int;
       (** distinct states (dedup equivalence classes) recorded, including
           the start state *)

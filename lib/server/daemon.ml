@@ -185,6 +185,7 @@ let cost_stats_json (s : Cost.stats) =
       ("hits", jint s.Cost.hits);
       ("misses", jint s.Cost.misses);
       ("evictions", jint s.Cost.evictions);
+      ("cuts", jint s.Cost.cuts);
       ("entries", jint s.Cost.entries);
       ("capacity", jint s.Cost.capacity);
     ]
@@ -418,6 +419,7 @@ let search_core ?pack t (r : Protocol.optimize) q :
               ("hits", jint o.Search.cache_hits);
               ("misses", jint o.Search.cache_misses);
               ("evictions", jint o.Search.cache_evictions);
+              ("cuts", jint o.Search.cache_cuts);
             ] );
         ("sharing_ratio", jnum o.Search.sharing_ratio);
       ]

@@ -34,6 +34,7 @@ let () =
       ("engine-soundness", Test_engine_sound.tests);
       ("search (COKO motivation)", Test_search.tests);
       ("search-golden (CLI-default outcomes)", Test_golden_search.tests);
+      ("budget (branch-and-bound costing)", Test_budget.tests);
       ("rewrite-golden (frozen derivations, head dispatch)",
        Test_golden_rewrite.tests);
       ("engine-index (perf layer)", Test_index.tests);

@@ -52,25 +52,42 @@ let tests =
           (resolved tiny_db (Optimizer.Pipeline.run ~db:tiny_db r)));
     case "the untangled chosen cost is far below the original naive cost"
       (fun () ->
-        let db =
-          Datagen.Store.db
-            (Datagen.Store.generate
-               { Datagen.Store.default_params with people = 150; vehicles = 90; seed = 13 })
-        in
+        let db = store ~people:150 ~vehicles:90 ~seed:13 in
         let r = Optimizer.Pipeline.optimize_oql ~db garage_src in
-        let cost_of label backend =
-          let c =
-            List.find
-              (fun (c : Optimizer.Pipeline.plan) ->
-                c.label = label && c.backend = backend)
-              r.candidates
-          in
-          c.cost.Optimizer.Cost.weighted
+        let plan label =
+          List.find
+            (fun (c : Optimizer.Pipeline.plan) ->
+              c.label = label && c.backend = Eval.Hashed)
+            r.candidates
         in
-        (* every candidate is costed on the hashed backend; the original
-           garage plan has no join or nest, so that is its naive cost too *)
-        let naive = cost_of "original" Eval.Hashed in
-        let hashed = cost_of "untangled" Eval.Hashed in
+        let original = plan "original" and untangled = plan "untangled" in
+        let exact (c : Optimizer.Pipeline.plan) =
+          (snd (Optimizer.Cost.measure ~backend:Eval.Hashed ~db c.query))
+            .Optimizer.Cost.weighted
+        in
+        (* the original lost, so the report only costed it as far as the
+           untangled plan's cost; its exact cost comes from running it to
+           the end.  It has no join or nest, so its hashed cost is its
+           naive cost too.  The chosen plan's cost is always exact. *)
+        Alcotest.(check (list string)) "candidate order"
+          [ "original"; "untangled" ]
+          (List.map (fun (c : Optimizer.Pipeline.plan) -> c.label)
+             r.candidates);
+        Alcotest.check Alcotest.bool "the report marks the original as cut"
+          true original.cost.Optimizer.Cost.cut;
+        Alcotest.check Alcotest.bool "the untangled plan is chosen, uncut"
+          true
+          (r.chosen == untangled && not untangled.cost.Optimizer.Cost.cut);
+        let naive = exact original in
+        let hashed = untangled.cost.Optimizer.Cost.weighted in
+        Alcotest.(check (float 0.)) "the chosen cost is exact" (exact untangled)
+          hashed;
+        Alcotest.check Alcotest.bool
+          (Fmt.str "the original's bound %.0f lies in (%.0f, %.0f]"
+             original.cost.Optimizer.Cost.weighted hashed naive)
+          true
+          (original.cost.Optimizer.Cost.weighted > hashed
+          && original.cost.Optimizer.Cost.weighted <= naive);
         Alcotest.check Alcotest.bool
           (Fmt.str "hashed %.0f at least 5x below naive %.0f" hashed naive)
           true

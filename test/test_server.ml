@@ -450,24 +450,37 @@ let behaviour_tests =
             (field "hits" >= 0 && field "misses" >= 0 && field "evictions" >= 0)
         | None -> Alcotest.fail "no cache stats");
     case "stats cost_cache counts the misses of a fresh search" (fun () ->
-        let misses () =
+        let cost_cache field =
           let s = handle_json (Json.Obj [ ("cmd", Json.Str "stats") ]) in
           Option.get
             (Option.bind (Json.mem "cost_cache" s) (fun c ->
-                 Option.bind (Json.mem "misses" c) Json.int))
+                 Option.bind (Json.mem field c) Json.int))
         in
         ignore (handle_json (Json.Obj [ ("cmd", Json.Str "flush") ]));
-        let before = misses () in
-        check_ok "fresh search"
-          (handle_json
-             (Json.Obj
-                [
-                  ( "query",
-                    Json.Str "select p.addr.city from p in P where p.age > 71" );
-                ]));
+        let before = cost_cache "misses" and cuts_before = cost_cache "cuts" in
+        let resp =
+          handle_json
+            (Json.Obj
+               [
+                 ( "query",
+                   Json.Str "select p.addr.city from p in P where p.age > 71" );
+               ])
+        in
+        check_ok "fresh search" resp;
         Alcotest.(check bool) "the search costed through the reported cache"
           true
-          (misses () > before));
+          (cost_cache "misses" > before);
+        (* the answer's own counts: its cuts are among its misses, and
+           the cache-wide count grew by at least as many *)
+        let own field =
+          Option.get
+            (Option.bind (Json.mem "cache" resp) (fun c ->
+                 Option.bind (Json.mem field c) Json.int))
+        in
+        Alcotest.(check bool) "the answer reports cuts among its misses" true
+          (own "cuts" >= 0 && own "cuts" <= own "misses");
+        Alcotest.(check bool) "stats counts the answer's cuts" true
+          (cost_cache "cuts" - cuts_before >= own "cuts"));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -8,6 +8,17 @@ let tiny_db = Datagen.Store.db tiny
 let gen_store = Datagen.Store.generate Datagen.Store.default_params
 let gen_db = Datagen.Store.db gen_store
 
+let store ~people ~vehicles ~seed =
+  Datagen.Store.db
+    (Datagen.Store.generate
+       { Datagen.Store.default_params with people; vehicles; seed })
+
+(* kolaopt's default sample store *)
+let cli_db = store ~people:40 ~vehicles:30 ~seed:42
+
+(* a small store on which generated queries cost in the tens to hundreds *)
+let seed_db = store ~people:12 ~vehicles:8 ~seed:7
+
 let value : Value.t Alcotest.testable =
   Alcotest.testable Value.pp Value.equal
 
