@@ -16,8 +16,8 @@
    explorations by the id-keyed {!Cost.cache}.  Each level runs in three
    phases — fan-out, stable-order merge, batch costing — inline at
    [jobs = 1] and across a Kola_parallel.Pool at [jobs > 1], so [best],
-   [path], [explored] and [frontier_exhausted] are bit-identical whatever
-   the domain count.
+   [path], [explored] and [stop] are bit-identical whatever the domain
+   count.
 
    Costing is branch and bound (DESIGN.md, "Branch-and-bound costing"):
    a state's cost is only ever compared with the best so far, so each
@@ -52,7 +52,7 @@ type config = {
   max_states : int;    (** exploration budget (states expanded) *)
   max_positions : int;
       (** positions per rule enumerated by {!successors}; truncation is
-          reported through [frontier_exhausted], never silent *)
+          reported through [stop = Budget], never silent *)
   cost_cache : Cost.cache option;
       (** [None] uses a cache shared by every exploration *)
   sample_db : (string * Value.t) list;  (** database used for costing *)
@@ -221,10 +221,6 @@ type outcome = {
       (** why the search returned: [Exhausted] (whole space within depth
           covered), [Budget] (state budget or position cap), or
           [Deadline] (wall-clock deadline expired) *)
-  frontier_exhausted : bool;
-      (** [stop = Exhausted], kept for existing callers: neither the
-          state budget, the position cap, nor a deadline truncated
-          anything *)
   cache_hits : int;     (** this exploration's cost-cache hits *)
   cache_misses : int;
   cache_evictions : int;
@@ -280,7 +276,6 @@ let outcome_of ?saturation ~(tally : Cost.tally) ~(istats0 : Hashcons.stats)
       };
     explored = expanded;
     stop;
-    frontier_exhausted = stop = Exhausted;
     cache_hits = tally.Cost.hits;
     cache_misses = tally.Cost.misses;
     cache_evictions = tally.Cost.evictions;
@@ -319,7 +314,7 @@ let outcome_of ?saturation ~(tally : Cost.tally) ~(istats0 : Hashcons.stats)
    At [jobs = 1] there is no pool and the phases run per state rather
    than per level, in the same item order.  Because every merge walks
    results in the order their states were enqueued, [best] (ties broken
-   by first discovery), [path], [explored], and [frontier_exhausted] are
+   by first discovery), [path], [explored], and [stop] are
    independent of the domain count and of scheduling.  A batch is one
    parent's successors at [jobs = 1] and a whole level at [jobs > 1], so
    which states are cut (and the bound a cut state reports) depends on

@@ -53,7 +53,7 @@ type config = {
   max_states : int;  (** states expanded before giving up *)
   max_positions : int;
       (** positions per rule enumerated by {!successors} (default 64);
-          truncation clears [frontier_exhausted], it is never silent *)
+          truncation makes [stop = Budget], it is never silent *)
   cost_cache : Cost.cache option;
       (** [None] (the default) shares one cache across explorations *)
   sample_db : (string * Kola.Value.t) list;  (** database used for costing *)
@@ -96,12 +96,10 @@ type outcome = {
   best : state;
   explored : int;
   stop : stop_reason;
-      (** why the search returned; [Deadline] outcomes still carry the
-          best state found before the clock expired *)
-  frontier_exhausted : bool;
-      (** [stop = Exhausted], kept for existing callers: neither the
-          state budget, the position cap, nor a deadline truncated
-          anything *)
+      (** why the search returned; [Exhausted] means neither the state
+          budget, the position cap, nor a deadline truncated anything.
+          [Deadline] outcomes still carry the best state found before the
+          clock expired *)
   cache_hits : int;
       (** cost-cache hits during this call, counted by the call itself:
           searches sharing the cache do not move each other's counts *)

@@ -10,7 +10,8 @@
      and garage workloads, under the dedup the optimizer chose;
    - morsel determinism: the columnar result is BIT-identical (not just
      agree-modulo-ordering) at jobs 1, 2 and 4 — morsel boundaries and
-     merge order never depend on the pool size. *)
+     merge order never depend on the pool size;
+   - below one morsel, asking for jobs > 1 spawns no pool. *)
 
 open Kola
 open Util
@@ -26,6 +27,12 @@ let check_agree ~db msg a b =
 let company = Datagen.Company.scaled ~seed:77 500
 let company_db = Datagen.Company.db company
 let company_coldb = Datagen.Company.columnar company
+
+(* the 10^3 store of `make bench-exec`'s smallest size, whose plans are
+   also chosen on it *)
+let company_1k = Datagen.Company.scaled ~seed:77 1_000
+let company_1k_db = Datagen.Company.db company_1k
+let company_1k_coldb = Datagen.Company.columnar company_1k
 
 let store_coldb = Datagen.Store.columnar gen_store
 
@@ -198,29 +205,36 @@ let colstore_tests =
 
 (* --- differential: columnar ≡ row ≡ interpreter --- *)
 
-let columnar_differential ~db ~coldb name q dedup =
+let columnar_differential ?(jobs = [ 1 ]) ~db ~coldb name q dedup =
   let vi = Eval.eval_query ~db ~backend:Eval.Hashed ~dedup q in
   let vr, sr = Exec.run ~backend:Exec.Compiled ~dedup ~db q in
-  let vc, sc =
-    Exec.run ~backend:Exec.Compiled ~dedup ~layout:Exec.Columnar ~coldb ~db q
-  in
   Alcotest.check Alcotest.bool (name ^ ": row no fallback") false
     sr.Exec.fell_back;
-  Alcotest.check Alcotest.bool (name ^ ": columnar no fallback") false
-    sc.Exec.fell_back;
   check_agree ~db (name ^ ": row ≡ interp") vr vi;
-  check_agree ~db (name ^ ": columnar ≡ interp") vc vi;
-  check_agree ~db (name ^ ": columnar ≡ row") vc vr
+  List.iter
+    (fun j ->
+      let vc, sc =
+        Exec.run ~backend:Exec.Compiled ~dedup ~layout:Exec.Columnar ~jobs:j
+          ~coldb ~db q
+      in
+      let name = Fmt.str "%s (columnar, jobs %d)" name j in
+      Alcotest.check Alcotest.bool (name ^ ": no fallback") false
+        sc.Exec.fell_back;
+      check_agree ~db (name ^ ": ≡ interp") vc vi;
+      check_agree ~db (name ^ ": ≡ row") vc vr)
+    jobs
 
 let differential_tests =
   [
     case "company workload: columnar ≡ row ≡ interp, chosen dedup" (fun () ->
         List.iter
-          (fun (name, src) ->
-            let q, dedup = plan_of ~db:company_db src in
-            columnar_differential ~db:company_db ~coldb:company_coldb name q
-              dedup)
-          company_queries);
+          (fun (db, coldb) ->
+            List.iter
+              (fun (name, src) ->
+                let q, dedup = plan_of ~db src in
+                columnar_differential ~jobs:[ 1; 2 ] ~db ~coldb name q dedup)
+              company_queries)
+          [ (company_db, company_coldb); (company_1k_db, company_1k_coldb) ]);
     case "company workload under both dedups" (fun () ->
         List.iter
           (fun (name, src) ->
@@ -362,6 +376,30 @@ let bitid_tests =
               (Value.compare v1 v2 = 0);
             Alcotest.check Alcotest.bool (name ^ ": jobs 1 = jobs 4") true
               (Value.compare v1 v4 = 0))
+          company_queries);
+    case "below one morsel, jobs 2 dispatches exactly like jobs 1" (fun () ->
+        (* no relation spans more than one morsel, so no kernel can fan
+           out: [Exec.run] must not spawn a transient pool at all *)
+        List.iter
+          (fun (_, (r : C.relation)) ->
+            Alcotest.check Alcotest.bool
+              (r.C.name ^ " fits in one morsel")
+              true
+              (Array.length r.C.rows <= 65_536))
+          (C.relations company_1k_coldb);
+        List.iter
+          (fun (name, src) ->
+            let q, dedup = plan_of ~db:company_1k_db src in
+            let stats jobs =
+              snd
+                (Exec.run ~backend:Exec.Compiled ~dedup ~layout:Exec.Columnar
+                   ~jobs ~coldb:company_1k_coldb ~db:company_1k_db q)
+            in
+            let s1 = stats 1 and s2 = stats 2 in
+            Alcotest.(check int) (name ^ ": jobs 2 runs without a pool") 1
+              s2.Exec.jobs;
+            Alcotest.(check int) (name ^ ": same morsels as jobs 1")
+              s1.Exec.morsels s2.Exec.morsels)
           company_queries);
     case "a shared pool gives the same bits as transient pools" (fun () ->
         Pool.with_pool ~jobs:3 (fun pool ->

@@ -77,6 +77,8 @@ let tests =
         let buggy = buggy_unnested 25 tiny_db in
         Alcotest.check Alcotest.bool "cardinality dropped" true
           (cardinality buggy < cardinality reference);
+        Alcotest.(check (pair int int)) "cardinalities (buggy, nested)" (1, 4)
+          (cardinality buggy, cardinality reference);
         Alcotest.check Alcotest.bool "results differ" false
           (Value.equal (resolved tiny_db reference) (resolved tiny_db buggy)));
     case "nest relative to P reproduces the nested semantics" (fun () ->

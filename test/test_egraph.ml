@@ -3,8 +3,8 @@
    extraction measured against BFS exploration, and saturation-based
    reaches whose replayed derivations the BFS checker validates step by
    step.  Also pins the masked-truncation frontier contract: only the
-   truncation of *viable* positions clears [frontier_exhausted]; subtrees
-   the head-symbol mask already pruned never do. *)
+   truncation of *viable* positions turns [stop] from [Exhausted] to
+   [Budget]; subtrees the head-symbol mask already pruned never do. *)
 
 open Kola
 open Util
@@ -377,7 +377,7 @@ let tests =
                  max_states = 1_000;
                }
              masked_chain)
-            .Search.frontier_exhausted
+            .Search.stop = Search.Exhausted
         in
         (* the mask-pruned ⟨Kf 1, Kf 2⟩ subtree holds no position, so a cap
            at exactly the viable count truncates nothing *)

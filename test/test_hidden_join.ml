@@ -8,20 +8,37 @@ open Util
 
 let untangle q = Coko.Programs.hidden_join q
 
+(* A row of the E-F8 table (EXPERIMENTS.md): per depth, the translated
+   query's size, the untangled query's size and the number of rule
+   firings. *)
+let depth_case (depth, size_in, size_out, firings) =
+  case (Fmt.str "depth-%d hidden join untangles and agrees" depth) (fun () ->
+      let e = Aqua.Examples.hidden_join_depth depth in
+      let q = Translate.Compile.query e in
+      let o, blocks = untangle q in
+      Alcotest.check Alcotest.bool "all blocks applied" true
+        (List.for_all snd blocks);
+      Alcotest.(check int) "size in" size_in (Term.size_func q.Term.body);
+      Alcotest.(check int) "size out" size_out
+        (Term.size_func o.Coko.Block.query.Term.body);
+      Alcotest.(check int) "firings" firings (List.length o.Coko.Block.trace);
+      Alcotest.check value "semantics preserved"
+        (resolved tiny_db (Aqua.Eval.eval_closed ~db:tiny_db e))
+        (resolved tiny_db (eval_tiny o.Coko.Block.query)))
+
+(* New cases are appended, never inserted, so the index Alcotest prints for
+   each existing case stays stable. *)
 let tests =
-  List.map
-    (fun depth ->
-      case (Fmt.str "depth-%d hidden join untangles and agrees" depth)
-        (fun () ->
-          let e = Aqua.Examples.hidden_join_depth depth in
-          let q = Translate.Compile.query e in
-          let o, blocks = untangle q in
-          Alcotest.check Alcotest.bool "all blocks applied" true
-            (List.for_all snd blocks);
-          Alcotest.check value "semantics preserved"
-            (resolved tiny_db (Aqua.Eval.eval_closed ~db:tiny_db e))
-            (resolved tiny_db (eval_tiny o.Coko.Block.query))))
-    [ 1; 2; 3; 4; 5; 6; 7 ]
+  List.map depth_case
+    [
+      (1, 18, 13, 13);
+      (2, 24, 13, 24);
+      (3, 36, 19, 37);
+      (4, 42, 19, 48);
+      (5, 54, 25, 63);
+      (6, 60, 25, 74);
+      (7, 72, 31, 91);
+    ]
   @ [
       case "untangled form ends in a nest over a join" (fun () ->
           let e = Aqua.Examples.hidden_join_depth 3 in
@@ -101,4 +118,5 @@ let tests =
           match q.Term.body with
           | Term.Iterate (Term.Kp true, Term.Pairf (Term.Id, _)) -> ()
           | f -> Alcotest.failf "unexpected shape %a" Pretty.pp_func f);
+      depth_case (8, 78, 31, 102);
     ]

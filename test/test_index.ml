@@ -115,7 +115,7 @@ let tests =
           (compose <> []);
         Alcotest.check Alcotest.bool "a leaf is offered fewer" true
           (List.length (offered Term.Pi1) < List.length compose));
-    case "position cap truncation clears frontier_exhausted" (fun () ->
+    case "position cap truncation reports stop = Budget" (fun () ->
         (* three iterate-fusion windows; with max_positions = 1 the
            successor enumeration provably truncates *)
         let q =
@@ -137,10 +137,10 @@ let tests =
         in
         let capped = Search.explore ~config:{ base with max_positions = 1 } q in
         Alcotest.check Alcotest.bool "truncation reported" false
-          capped.Search.frontier_exhausted;
+          (capped.Search.stop = Search.Exhausted);
         let full = Search.explore ~config:base q in
         Alcotest.check Alcotest.bool "no truncation at the default cap" true
-          full.Search.frontier_exhausted);
+          (full.Search.stop = Search.Exhausted));
     case "successors honours max_positions" (fun () ->
         let q =
           Term.query

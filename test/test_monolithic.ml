@@ -40,7 +40,7 @@ let tests =
               (Fmt.str "depth %d rejected" depth)
               true
               (Option.is_none (Baseline.Monolithic.transform (translated depth))))
-          [ 3; 4; 5; 6 ]);
+          [ 3; 4; 5; 6; 8 ]);
     case "the gradual strategy handles every depth the monolithic cannot"
       (fun () ->
         List.iter
@@ -61,7 +61,16 @@ let tests =
         let c6 = Baseline.Monolithic.match_cost (translated 6) in
         Alcotest.check Alcotest.bool
           (Fmt.str "cost grows (%d < %d)" c3 c6)
-          true (c3 < c6));
+          true (c3 < c6);
+        (* the head-routine cost column of EXPERIMENTS.md's ablation
+           table: 3 nodes per layer plus one *)
+        List.iter
+          (fun (depth, cost) ->
+            Alcotest.(check int)
+              (Fmt.str "depth %d head-routine cost" depth)
+              cost
+              (Baseline.Monolithic.match_cost (translated depth)))
+          [ (1, 4); (2, 7); (3, 10); (4, 13); (6, 19); (8, 25) ]);
     case "a failed monolithic rule leaves the query unsimplified" (fun () ->
         let q = translated 4 in
         (* monolithic: no transformation at all *)

@@ -37,7 +37,7 @@ let reaches_at ?(rules = with_flips) ~max_depth ~max_states jobs q target =
     q target
 
 (* The determinism contract: best query, derivation, cost, explored
-   count, frontier flag and distinct-state count all agree.  (Cost-cache
+   count, stop reason and distinct-state count all agree.  (Cost-cache
    accounting is deliberately excluded: hit/miss totals may legally shift
    when a capacity sweep lands mid-level.) *)
 let check_same_outcome name (a : Search.outcome) (b : Search.outcome) =
@@ -48,8 +48,10 @@ let check_same_outcome name (a : Search.outcome) (b : Search.outcome) =
   Alcotest.(check (float 0.))
     (name ^ ": cost") a.Search.best.Search.cost b.Search.best.Search.cost;
   Alcotest.(check int) (name ^ ": explored") a.Search.explored b.Search.explored;
-  Alcotest.(check bool)
-    (name ^ ": frontier") a.Search.frontier_exhausted b.Search.frontier_exhausted;
+  Alcotest.(check string)
+    (name ^ ": stop")
+    (Search.stop_reason_label a.Search.stop)
+    (Search.stop_reason_label b.Search.stop);
   Alcotest.(check int)
     (name ^ ": distinct states") a.Search.seen_states b.Search.seen_states
 
@@ -303,7 +305,7 @@ let props =
         && seq.Search.best.Search.path = par.Search.best.Search.path
         && seq.Search.best.Search.cost = par.Search.best.Search.cost
         && seq.Search.explored = par.Search.explored
-        && seq.Search.frontier_exhausted = par.Search.frontier_exhausted);
+        && seq.Search.stop = par.Search.stop);
   ]
 
 let tests = tests @ List.map (QCheck_alcotest.to_alcotest ~long:false) props

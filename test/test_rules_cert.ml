@@ -6,6 +6,8 @@ open Util
 
 let results = lazy (Rules.Cert.certify_all ~samples:30 ~inputs:8 Rules.Catalog.all)
 
+(* New cases are appended, never inserted, so the index Alcotest prints for
+   each existing case stays stable. *)
 let tests =
   [
     case "every catalog rule is certified" (fun () ->
@@ -22,7 +24,13 @@ let tests =
             Alcotest.check Alcotest.bool
               (Fmt.str "%s has instances" r.rule.Rewrite.Rule.name)
               true (r.instances > 0))
-          (Lazy.force results));
+          (Lazy.force results);
+        (* the sampler is seeded: the E-C2 totals (EXPERIMENTS.md) *)
+        let total f = List.fold_left (fun a r -> a + f r) 0 (Lazy.force results) in
+        Alcotest.(check int) "rules" 90 (List.length (Lazy.force results));
+        Alcotest.(check int) "instantiations" 2_527
+          (total (fun r -> r.Rules.Cert.instances));
+        Alcotest.(check int) "checks" 20_006 (total (fun r -> r.Rules.Cert.checks)));
     case "the catalog carries every Figure 5 and Figure 8 rule" (fun () ->
         List.iter
           (fun name ->
@@ -64,4 +72,18 @@ let tests =
         match Rules.Catalog.rules [ "r12-1" ] with
         | [ r ] -> Alcotest.check Alcotest.string "name" "r12-1" r.Rewrite.Rule.name
         | _ -> Alcotest.fail "expected one rule");
+    case "small-scope certification of the catalog: 78 exhaustive, 12 sampled"
+      (fun () ->
+        let results = Rules.Cert.certify_all ~strategy:`Auto Rules.Catalog.all in
+        let modes = List.map (fun r -> Rules.Cert.mode_name r.Rules.Cert.mode) results in
+        let count m = List.length (List.filter (String.equal m) modes) in
+        Alcotest.(check int) "exhaustive at scope 2" 40 (count "exhaustive@2");
+        Alcotest.(check int) "exhaustive at scope 1" 38 (count "exhaustive@1");
+        Alcotest.(check int) "sampled" 12 (count "sampled");
+        Alcotest.(check bool) "all certified" true
+          (List.for_all Rules.Cert.certified results);
+        let total f = List.fold_left (fun a r -> a + f r) 0 results in
+        Alcotest.(check int) "instantiations" 8_301
+          (total (fun r -> r.Rules.Cert.instances));
+        Alcotest.(check int) "checks" 76_093 (total (fun r -> r.Rules.Cert.checks)));
   ]

@@ -148,7 +148,7 @@ let deadline_tests =
         Alcotest.(check string) "stop reason" "deadline"
           (Search.stop_reason_label o.Search.stop);
         Alcotest.(check bool) "frontier not exhausted" false
-          o.Search.frontier_exhausted;
+          (o.Search.stop = Search.Exhausted);
         (* the best-so-far derivation must replay and validate *)
         match replay Rules.Catalog.all Paper.kg1 o.Search.best.Search.path with
         | None -> Alcotest.fail "best path does not replay"
@@ -174,7 +174,8 @@ let deadline_tests =
         in
         Alcotest.(check string) "exhausted" "exhausted"
           (Search.stop_reason_label o.Search.stop);
-        Alcotest.(check bool) "flag agrees" true o.Search.frontier_exhausted);
+        Alcotest.(check bool) "flag agrees" true
+          (o.Search.stop = Search.Exhausted));
     case "a state budget reports Budget, not Deadline" (fun () ->
         let o =
           Search.explore
@@ -241,7 +242,6 @@ let bfs_signature (o : Search.outcome) =
     o.Search.best.Search.cost,
     o.Search.explored,
     o.Search.seen_states,
-    o.Search.frontier_exhausted,
     Search.stop_reason_label o.Search.stop )
 
 let egraph_signature (o : Search.outcome) =
