@@ -23,10 +23,14 @@ ledger-smoke:
 	dune build ./bench/ledger/ledger.exe ./bin/kolaoptd.exe
 	./_build/default/bench/ledger/ledger.exe --smoke
 
-# Cold-cache certification of every committed COKO rule pack: exhaustive
-# small-scope checking, exit 3 on the first pack with an uncertified rule.
+# Cold-cache certification of every committed COKO rule pack and of the
+# catalog (coko/catalog): exhaustive small-scope checking, exit 3 on the
+# first pack with an uncertified rule.  The paper's printed rule 13 is
+# unsound, so its pack must be rejected with exit code 3.
 certify-packs:
-	dune exec bin/kolaopt.exe -- certify coko/*.coko
+	dune exec bin/kolaopt.exe -- certify coko/*.coko coko/catalog/*.coko
+	@echo "coko/unsound/r13_paper.coko must be rejected (exit 3):"
+	dune exec bin/kolaopt.exe -- certify coko/unsound/r13_paper.coko; test $$? -eq 3
 
 # In-process daemon smoke: one request per engine plus a malformed line
 # and a deterministic overload, asserting a clean shutdown.

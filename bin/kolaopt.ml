@@ -30,7 +30,7 @@ let query_arg =
 
 let handle_errors f =
   try f () with
-  | Oql.Parser.Error msg | Oql.Lexer.Error msg ->
+  | Oql.Parser.Error msg | Oql.Lexer.Error msg | Kola.Parse.Error msg ->
     Fmt.epr "parse error: %s@." msg;
     exit 1
   | Translate.Compile.Untranslatable msg ->
@@ -270,18 +270,13 @@ let coko_cmd =
           | Some text -> Kola.Parse.query text
           | None -> Kola.Paper.kg1
         in
-        try
-          let o = Coko.Syntax.run_source src ~transformation q in
-          Fmt.pr "input:   %a@." Kola.Pretty.pp_query q;
-          Fmt.pr "applied: %b@." o.Coko.Block.applied;
-          Fmt.pr "rules:   %a@."
-            Fmt.(list ~sep:comma string)
-            (List.map (fun s -> s.Rewrite.Engine.rule_name) o.Coko.Block.trace);
-          Fmt.pr "output:  %a@." Kola.Pretty.pp_query o.Coko.Block.query
-        with
-        | Coko.Syntax.Error msg | Kola.Parse.Error msg ->
-          Fmt.epr "error: %s@." msg;
-          exit 1)
+        let o = Coko.Syntax.run_source src ~transformation q in
+        Fmt.pr "input:   %a@." Kola.Pretty.pp_query q;
+        Fmt.pr "applied: %b@." o.Coko.Block.applied;
+        Fmt.pr "rules:   %a@."
+          Fmt.(list ~sep:comma string)
+          (List.map (fun s -> s.Rewrite.Engine.rule_name) o.Coko.Block.trace);
+        Fmt.pr "output:  %a@." Kola.Pretty.pp_query o.Coko.Block.query)
   in
   Cmd.v
     (Cmd.info "coko" ~doc:"Run a transformation from a COKO source file.")

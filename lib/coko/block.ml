@@ -28,10 +28,7 @@ type outcome = {
 
 (* Rule names are resolved through a lookup so that text-defined COKO files
    (see {!Syntax}) can add rules beyond the built-in catalog. *)
-let default_lookup name =
-  match Rules.Catalog.rules [ name ] with
-  | [ r ] -> r
-  | _ -> invalid_arg name
+let default_lookup = Rules.Catalog.find_exn
 
 (* Steps run on the interned query, handed from firing to firing; the
    trace records each result's plain view (an O(1) field read). *)

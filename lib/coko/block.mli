@@ -23,7 +23,7 @@ type outcome = {
 }
 
 val default_lookup : string -> Rewrite.Rule.t
-(** Resolve against the built-in catalog; ["-1"] suffixes flip. *)
+(** {!Rules.Catalog.find_exn}: the catalog; ["-1"] suffixes flip. *)
 
 val run :
   ?schema:Kola.Schema.t ->

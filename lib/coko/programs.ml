@@ -1,111 +1,33 @@
-(* The conceptual transformations of the paper, as COKO blocks.
+(* The conceptual transformations of the paper, as COKO blocks: the text of
+   coko/hidden_join.coko, embedded at build time and parsed once.
 
    [hidden_join] is the five-step strategy of Section 4.1; [code_motion]
    drives the Figure 6 derivation; [simplify] is the general cleanup block
    every step relies on (rules 1-10 plus housekeeping). *)
 
-open Block
+let program = Syntax.parse_program Programs_text.source
 
-(* Housekeeping normalization: identities, projections, constant folding. *)
-let simplify_rules =
-  [
-    "r1"; "r2"; "r3"; "r4"; "r5"; "r5c"; "r6t"; "r6f"; "r8"; "r9"; "r10";
-    "hk-times-id"; "hk-and-false"; "hk-or-true"; "hk-or-false"; "hk-inv-inv";
-    "hk-conv-conv"; "hk-con-true"; "hk-con-false"; "hk-con-same";
-  ]
+let by_name =
+  List.map (fun b -> (b.Block.block_name, b)) program.Syntax.transformations
 
-let simplify = block "simplify" (Try (Repeat (Use simplify_rules)))
+let block name =
+  match List.assoc_opt name by_name with
+  | Some b -> b
+  | None -> invalid_arg ("Programs: coko/hidden_join.coko has no " ^ name)
 
-(* Reach the paper's printed ×-forms: ⟨f ∘ π1, g ∘ π2⟩ ⇒ f × g. *)
-let times_forms =
-  block "times-forms"
-    (Try (Repeat (Use [ "hk-times"; "hk-times-l"; "hk-times-r"; "hk-times-id" ])))
+let simplify = block "simplify"
+let times_forms = block "times-forms"
+let breakup = block "breakup"
+let bottom_out = block "bottom-out"
+let pullup_nest = block "pullup-nest"
+let pullup_unnest = block "pullup-unnest"
+let absorb_join = block "absorb-join"
+let code_motion = block "code-motion"
+let compose_iterates = block "compose-iterates"
+let decompose_predicate = block "decompose-predicate"
+let to_cnf = block "to-cnf"
 
-(* Step 1: break up complex iterates (rules 17/17b/18 + cleanup). *)
-let breakup =
-  block "breakup"
-    (Seq
-       [
-         Repeat (Use [ "r17"; "r17b" ]);
-         Try (Repeat (Use ("r18" :: simplify_rules)));
-       ])
-
-(* Step 2: bottom out iterate(Kp T, ⟨id, Kf(B)⟩) ! A with a nest of a join. *)
-let bottom_out = block "bottom-out" (Use [ "r19"; "r19f" ])
-
-(* Step 3: pull the nest to the top (rules 20/21 + cleanup). *)
-let pullup_nest =
-  block "pullup-nest"
-    (Seq
-       [
-         Repeat (Use [ "r20"; "r21" ]);
-         Try (Repeat (Use ("r3" :: simplify_rules)));
-       ])
-
-(* Step 4: pull unnests up, just below the nest (rules 22/22b/23). *)
-let pullup_unnest =
-  block "pullup-unnest" (Try (Repeat (Use [ "r22"; "r22b"; "r23" ])))
-
-(* Step 5: absorb iterates into the join (rule 24 + cleanup + ×-forms). *)
-let absorb_join =
-  block "absorb-join"
-    (Seq
-       [
-         Repeat (Use [ "r24" ]);
-         Try (Repeat (Use simplify_rules));
-         Try (Repeat (Use [ "hk-times"; "hk-times-l"; "hk-times-r" ]));
-       ])
-
-(* The full five-step hidden-join untangler. *)
 let hidden_join_steps =
   [ breakup; bottom_out; pullup_nest; pullup_unnest; absorb_join ]
 
 let hidden_join (q : Kola.Term.query) = Block.run_pipeline hidden_join_steps q
-
-(* Figure 6: code motion for nested queries whose inner predicate examines
-   only the environment.  Rules 13, 14, 15, 16 then cleanup (the final steps
-   of Figure 6 are 14⁻¹, 9, 4, 10, 8). *)
-let code_motion =
-  block "code-motion"
-    (Seq
-       [
-         Try (Repeat (Use [ "r13"; "r14" ]));
-         Use [ "r15" ];
-         Try (Repeat (Use [ "r16" ]));
-         Try (Repeat (Use ("r14-1" :: simplify_rules)));
-       ])
-
-(* Figure 4's two derivations as blocks. *)
-let compose_iterates =
-  block "compose-iterates"
-    (Seq [ Repeat (Use [ "r11" ]); Try (Repeat (Use simplify_rules)) ])
-
-let decompose_predicate =
-  block "decompose-predicate"
-    (Seq [ Try (Repeat (Use [ "r13" ])); Try (Repeat (Use [ "r12-1" ])) ])
-
-(* "Convert predicates to CNF" — one of the paper's example rule blocks. *)
-let to_cnf =
-  block "to-cnf"
-    (Try
-       (Repeat
-          (Use
-             [
-               "hk-demorgan-and"; "hk-demorgan-or"; "hk-inv-inv";
-               "hk-oplus-and"; "hk-oplus-or";
-             ])))
-
-let by_name =
-  [
-    ("simplify", simplify);
-    ("times-forms", times_forms);
-    ("breakup", breakup);
-    ("bottom-out", bottom_out);
-    ("pullup-nest", pullup_nest);
-    ("pullup-unnest", pullup_unnest);
-    ("absorb-join", absorb_join);
-    ("code-motion", code_motion);
-    ("compose-iterates", compose_iterates);
-    ("decompose-predicate", decompose_predicate);
-    ("to-cnf", to_cnf);
-  ]

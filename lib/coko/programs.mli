@@ -1,9 +1,9 @@
-(** The paper's conceptual transformations as COKO blocks. *)
+(** The paper's conceptual transformations as COKO blocks, parsed from
+    coko/hidden_join.coko (embedded at build time). *)
 
-val simplify_rules : string list
-(** Identity/projection/constant-folding housekeeping rule names. *)
-
+(** Identity/projection/constant-folding housekeeping. *)
 val simplify : Block.t
+
 val times_forms : Block.t
 
 (** {1 The five steps of the Section 4.1 hidden-join strategy} *)
@@ -11,7 +11,7 @@ val times_forms : Block.t
 (** Step 1: rules 17/17b/18 + cleanup. *)
 val breakup : Block.t
 
-(** Step 2: rule 19. *)
+(** Step 2: rules 19/19f. *)
 val bottom_out : Block.t
 
 (** Step 3: rules 20/21 + cleanup. *)
@@ -42,3 +42,4 @@ val decompose_predicate : Block.t
 val to_cnf : Block.t
 
 val by_name : (string * Block.t) list
+(** Every block of the file, in file order. *)

@@ -3,12 +3,8 @@
    sets of rules that are used together, together with strategies for their
    firing").
 
-   A COKO file contains rule definitions and transformations:
-
-     -- comments run to end of line
-     GIVEN injective(?f)
-     RULE my-inter: inter o (iterate(Kp(T), ?f) x iterate(Kp(T), ?f))
-                    --> iterate(Kp(T), ?f) o inter
+   A COKO file contains rule definitions ({!Rules.Text}) and
+   transformations:
 
      RULE unit-left: id o ?f --> ?f
 
@@ -21,382 +17,115 @@
    Step connectives: ';' sequencing (atomic: a failing tail aborts the
    whole), '|' inside braces = first applicable rule, 'REPEAT' = while
    applicable, 'TRY' = don't fail, 'CHOICE { s1 / s2 }' = first applicable
-   step.  Rule sides are KOLA terms in {!Kola.Parse} notation; the side
-   kind (function / predicate / query) is inferred from the left-hand
-   side. *)
+   step.  Every rule name a step uses is resolved once the whole file is
+   parsed, against the file's own rules and then the catalog. *)
 
-exception Error of string
+module T = Rules.Text
 
-let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
+exception Error = T.Error
+
+let error = T.error
 
 type program = {
   rules : Rewrite.Rule.t list;
   transformations : Block.t list;
+  resolve : string -> Rewrite.Rule.t option;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Lexing: word-level tokens; rule bodies are re-lexed by Kola.Parse.   *)
-
-let comment_start line =
-  let n = String.length line in
-  let rec go i =
-    if i + 1 >= n then None
-    else if line.[i] = '-' && line.[i + 1] = '-'
-            && not (i + 2 < n && line.[i + 2] = '>') then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let strip_comments src =
-  String.split_on_char '\n' src
-  |> List.map (fun line ->
-         match comment_start line with
-         | Some i -> String.sub line 0 i
-         | None -> line)
-  |> String.concat "\n"
-
-(* ------------------------------------------------------------------ *)
-
-let keywords =
-  [ "RULE"; "GIVEN"; "TRANSFORMATION"; "BEGIN"; "END"; "REPEAT"; "TRY";
-    "USE"; "CHOICE" ]
-
-type tok =
-  | Word of string     (* rule / transformation names, keywords *)
-  | Sym of char        (* ; | { } ( ) , : / *)
-  | Arrow              (* --> *)
-  | Body of string     (* raw term text, only produced inside rule sides *)
-
-let pp_tok ppf = function
-  | Word w -> Fmt.string ppf w
-  | Sym c -> Fmt.pf ppf "%c" c
-  | Arrow -> Fmt.string ppf "-->"
-  | Body s -> Fmt.pf ppf "<%s>" s
-
-(* Tokenize the structural level.  Rule sides (between ':' and '-->', and
-   between '-->' and the end of the rule) are captured verbatim as [Body]
-   so Kola.Parse handles them.  Every token carries its 1-based source
-   line so parse- and elaboration-time rejections can point at it. *)
-let tokenize src =
-  let src = strip_comments src in
-  let n = String.length src in
-  (* prefix newline counts: line_at i = 1 + newlines in src.[0..i) *)
-  let line_at =
-    let lines = Array.make (n + 1) 1 in
-    for i = 0 to n - 1 do
-      lines.(i + 1) <- (lines.(i) + if src.[i] = '\n' then 1 else 0)
-    done;
-    fun i -> lines.(min (max i 0) n)
-  in
-  let toks = ref [] in
-  let push t i = toks := (t, line_at i) :: !toks in
-  let is_word c =
-    (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-    || c = '-' || c = '_' || c = '?'
-  in
-  let rec structural i =
-    if i >= n then ()
-    else
-      let c = src.[i] in
-      if c = ' ' || c = '\t' || c = '\n' || c = '\r' then structural (i + 1)
-      else if c = ';' || c = '{' || c = '}' || c = '(' || c = ')' || c = ','
-              || c = '|' || c = '/' then begin
-        push (Sym c) i;
-        structural (i + 1)
-      end
-      else if c = ':' then begin
-        push (Sym ':') i;
-        (* capture a rule side: up to --> *)
-        side (i + 1)
-      end
-      else if is_word c then begin
-        let j = ref i in
-        while !j < n && is_word src.[!j] do incr j done;
-        let w = String.sub src i (!j - i) in
-        push (Word w) i;
-        structural !j
-      end
-      else error "line %d: unexpected character %C in COKO source" (line_at i) c
-  and side i =
-    (* everything up to --> is the LHS body; then everything up to the next
-       RULE/GIVEN/TRANSFORMATION keyword or end of input is the RHS body *)
-    let rec find_arrow j =
-      if j + 2 >= n then error "line %d: rule without -->" (line_at i)
-      else if src.[j] = '-' && src.[j + 1] = '-' && src.[j + 2] = '>' then j
-      else find_arrow (j + 1)
-    in
-    let a = find_arrow i in
-    push (Body (String.trim (String.sub src i (a - i)))) i;
-    push Arrow a;
-    (* RHS: scan forward for a keyword at word-boundary *)
-    let rec find_end j =
-      if j >= n then n
-      else if is_word src.[j] then begin
-        let k = ref j in
-        while !k < n && is_word src.[!k] do incr k done;
-        let w = String.sub src j (!k - j) in
-        if List.mem w keywords then j else find_end !k
-      end
-      else find_end (j + 1)
-    in
-    let e = find_end (a + 3) in
-    push (Body (String.trim (String.sub src (a + 3) (e - (a + 3))))) (a + 3);
-    structural e
-  in
-  structural 0;
-  List.rev !toks
-
-(* ------------------------------------------------------------------ *)
-(* Parsing                                                              *)
-
-type pstate = {
-  mutable toks : (tok * int) list;
-  mutable line : int;  (** line of the most recently peeked token *)
-}
-
-let peek st =
-  match st.toks with
-  | [] -> None
-  | (t, l) :: _ ->
-    st.line <- l;
-    Some t
-
-let advance st = match st.toks with [] -> () | _ :: r -> st.toks <- r
-
-let expect st t what =
-  match peek st with
-  | Some t' when t' = t -> advance st
-  | Some other -> error "line %d: expected %s, found %a" st.line what pp_tok other
-  | None -> error "line %d: expected %s, found end of input" st.line what
-
-let expect_word st what =
-  match peek st with
-  | Some (Word w) ->
-    advance st;
-    w
-  | Some other -> error "line %d: expected %s, found %a" st.line what pp_tok other
-  | None -> error "line %d: expected %s, found end of input" st.line what
-
-(* Rule sides: infer the kind from the LHS text. *)
-let looks_like_pred src =
-  match Kola.Parse.pred src with
-  | _ -> (
-    (* prefer the predicate reading unless the function reading is clearly
-       richer (a bare Prim of a non-predicate name parses as both) *)
-    match Kola.Parse.func src with
-    | exception Kola.Parse.Error _ -> true
-    | Kola.Term.Prim _ -> true
-    | _ -> false)
-  | exception Kola.Parse.Error _ -> false
-
-let parse_rule_body ~name ~preconditions lhs_src rhs_src =
-  let has_bang s = String.contains s '!' in
-  if has_bang lhs_src && has_bang rhs_src then
-    let lq = Kola.Parse.query lhs_src and rq = Kola.Parse.query rhs_src in
-    Rewrite.Rule.query_rule ~preconditions ~name ~description:name
-      (lq.Kola.Term.body, lq.Kola.Term.arg)
-      (rq.Kola.Term.body, rq.Kola.Term.arg)
-  else if looks_like_pred lhs_src then
-    Rewrite.Rule.pred_rule ~preconditions ~name ~description:name
-      (Kola.Parse.pred lhs_src) (Kola.Parse.pred rhs_src)
-  else
-    Rewrite.Rule.fun_rule ~preconditions ~name ~description:name
-      (Kola.Parse.func lhs_src) (Kola.Parse.func rhs_src)
-
-let prop_of_string = function
-  | "injective" -> Some Rewrite.Props.Injective
-  | "total" -> Some Rewrite.Props.Total
-  | "constant" -> Some Rewrite.Props.Constant
-  | "preserves-pair" -> Some Rewrite.Props.Preserves_pair
-  | "set-valued" -> Some Rewrite.Props.Set_valued
-  | _ -> None
-
-let drop_question h =
-  if String.length h > 0 && h.[0] = '?' then String.sub h 1 (String.length h - 1)
-  else h
-
-let parse_given st =
-  (* GIVEN prop(?h) [, prop(?h)]* *)
+(* [used] collects each rule name a step mentions, with its line. *)
+let rec parse_step ~used st : Block.step =
+  let first = parse_alt ~used st in
   let rec go acc =
-    let prop_w = expect_word st "property name" in
-    let prop_line = st.line in
-    let prop =
-      match prop_of_string prop_w with
-      | Some p -> p
-      | None ->
-        error
-          "line %d: unknown property %s (expected injective, total, \
-           constant, preserves-pair or set-valued)"
-          prop_line prop_w
-    in
-    expect st (Sym '(') "(";
-    let hole =
-      match peek st with
-      | Some (Word w) ->
-        advance st;
-        w
-      | _ -> error "line %d: expected a hole name in GIVEN" st.line
-    in
-    expect st (Sym ')') ")";
-    let pre = { Rewrite.Rule.prop; hole = drop_question hole } in
-    match peek st with
-    | Some (Sym ',') ->
-      advance st;
-      go (pre :: acc)
-    | _ -> List.rev (pre :: acc)
-  in
-  go []
-
-let parse_rule st preconditions =
-  let name = expect_word st "rule name" in
-  let rule_line = st.line in
-  expect st (Sym ':') ":";
-  let lhs =
-    match peek st with
-    | Some (Body b) ->
-      advance st;
-      b
-    | _ -> error "line %d: expected a rule left-hand side" st.line
-  in
-  expect st Arrow "-->";
-  let rhs =
-    match peek st with
-    | Some (Body b) ->
-      advance st;
-      b
-    | _ -> error "line %d: expected a rule right-hand side" st.line
-  in
-  let rule =
-    try parse_rule_body ~name ~preconditions lhs rhs
-    with Kola.Parse.Error msg ->
-      error "line %d: in rule %s: %s" rule_line name msg
-  in
-  (* Reject ill-scoped rules at load time: an RHS hole the pattern never
-     binds would survive substitution as a hole in the rewritten program
-     (Subst leaves unbound holes in place), and a precondition naming an
-     absent hole could never be checked.  Schema-dependent validation
-     (typing, semantics) is certification's job, not the loader's. *)
-  (match Rules.Lint.scoping rule with
-  | [] -> ()
-  | p :: _ ->
-    error "line %d: rule %s: %a" rule_line name Rules.Lint.pp_problem p);
-  rule
-
-(* steps *)
-let rec parse_step st : Block.step =
-  let first = parse_alt st in
-  let rec go acc =
-    match peek st with
-    | Some (Sym ';') ->
-      advance st;
-      go (parse_alt st :: acc)
+    match T.peek st with
+    | Some (T.Sym ';') ->
+      T.advance st;
+      go (parse_alt ~used st :: acc)
     | _ -> (
       match acc with [ s ] -> s | steps -> Block.Seq (List.rev steps))
   in
   go [ first ]
 
-and parse_alt st : Block.step =
-  match peek st with
-  | Some (Word "REPEAT") ->
-    advance st;
-    Block.Repeat (parse_alt st)
-  | Some (Word "TRY") ->
-    advance st;
-    Block.Try (parse_alt st)
-  | Some (Word "CHOICE") ->
-    advance st;
-    expect st (Sym '{') "{";
+and parse_alt ~used st : Block.step =
+  let rule_name () =
+    let w = T.expect_word st "rule name" in
+    used := (w, T.line st) :: !used;
+    w
+  in
+  (* names separated by [sep] up to a non-separator *)
+  let rec names sep acc =
+    let w = rule_name () in
+    match T.peek st with
+    | Some (T.Sym c) when c = sep ->
+      T.advance st;
+      names sep (w :: acc)
+    | _ -> List.rev (w :: acc)
+  in
+  match T.peek st with
+  | Some (T.Word "REPEAT") ->
+    T.advance st;
+    Block.Repeat (parse_alt ~used st)
+  | Some (T.Word "TRY") ->
+    T.advance st;
+    Block.Try (parse_alt ~used st)
+  | Some (T.Word "CHOICE") ->
+    T.advance st;
+    T.expect st (T.Sym '{') "{";
     let rec alts acc =
-      let s = parse_step st in
-      match peek st with
-      | Some (Sym '/') ->
-        advance st;
+      let s = parse_step ~used st in
+      match T.peek st with
+      | Some (T.Sym '/') ->
+        T.advance st;
         alts (s :: acc)
       | _ ->
-        expect st (Sym '}') "}";
+        T.expect st (T.Sym '}') "}";
         Block.Choice (List.rev (s :: acc))
     in
     alts []
-  | Some (Sym '{') ->
-    advance st;
+  | Some (T.Sym '{') ->
     (* { r1 | r2 | ... } — one firing from a rule set *)
-    let rec names acc =
-      let w = expect_word st "rule name" in
-      match peek st with
-      | Some (Sym '|') ->
-        advance st;
-        names (w :: acc)
-      | _ ->
-        expect st (Sym '}') "}";
-        Block.Use (List.rev (w :: acc))
-    in
-    names []
-  | Some (Word "USE") ->
-    advance st;
-    let rec names acc =
-      let w = expect_word st "rule name" in
-      match peek st with
-      | Some (Sym ',') ->
-        advance st;
-        names (w :: acc)
-      | _ -> Block.Use (List.rev (w :: acc))
-    in
-    names []
-  | Some (Word name) when not (List.mem name keywords) ->
-    advance st;
-    Block.Use [ name ]
+    T.advance st;
+    let rules = names '|' [] in
+    T.expect st (T.Sym '}') "}";
+    Block.Use rules
+  | Some (T.Word "USE") ->
+    T.advance st;
+    Block.Use (names ',' [])
+  | Some (T.Word name) when not (T.is_keyword name) -> Block.Use [ rule_name () ]
   | Some other ->
-    error "line %d: unexpected %a in a transformation body" st.line pp_tok other
+    error "line %d: unexpected %a in a transformation body" (T.line st)
+      T.pp_tok other
   | None ->
-    error "line %d: unexpected end of input in a transformation body" st.line
+    error "line %d: unexpected end of input in a transformation body"
+      (T.line st)
 
-let parse_transformation st =
-  let name = expect_word st "transformation name" in
-  expect st (Word "BEGIN") "BEGIN";
-  let step = parse_step st in
-  expect st (Word "END") "END";
+let parse_transformation ~used st =
+  let name = T.expect_word st "transformation name" in
+  T.expect st (T.Word "BEGIN") "BEGIN";
+  let step = parse_step ~used st in
+  T.expect st (T.Word "END") "END";
   Block.block name step
 
 let parse_program (src : string) : program =
-  let st = { toks = tokenize src; line = 1 } in
-  let rec go rules transformations =
-    match peek st with
-    | None -> { rules = List.rev rules; transformations = List.rev transformations }
-    | Some (Word "GIVEN") ->
-      advance st;
-      let preconditions = parse_given st in
-      expect st (Word "RULE") "RULE";
-      go (parse_rule st preconditions :: rules) transformations
-    | Some (Word "RULE") ->
-      advance st;
-      go (parse_rule st [] :: rules) transformations
-    | Some (Word "TRANSFORMATION") ->
-      advance st;
-      go rules (parse_transformation st :: transformations)
-    | Some other ->
-      error "line %d: expected RULE, GIVEN or TRANSFORMATION, found %a"
-        st.line pp_tok other
+  let used = ref [] in
+  let rules, transformations =
+    T.parse ~transformation:(parse_transformation ~used) src
   in
-  go [] []
+  (* program rules shadow catalog rules of the same name *)
+  let own = T.resolver rules in
+  let resolve name =
+    match own name with Some _ as r -> r | None -> Rules.Catalog.find name
+  in
+  List.iter
+    (fun (name, line) ->
+      if Option.is_none (resolve name) then
+        error "line %d: unknown rule %s" line name)
+    (List.rev !used);
+  { rules; transformations; resolve }
 
-(* A lookup covering both the built-in catalog and a program's own rules
-   (program rules shadow catalog rules of the same name; "-1" flips). *)
-let lookup_of (p : program) : string -> Rewrite.Rule.t =
- fun name ->
-  let base, flip =
-    match Filename.chop_suffix_opt ~suffix:"-1" name with
-    | Some b -> (b, true)
-    | None -> (name, false)
-  in
-  let found =
-    match List.find_opt (fun r -> r.Rewrite.Rule.name = base) p.rules with
-    | Some r -> r
-    | None -> (
-      match Rules.Catalog.find base with
-      | Some r -> r
-      | None -> error "unknown rule %s" name)
-  in
-  if flip then Rewrite.Rule.flip found else found
+let lookup_of (p : program) name =
+  match p.resolve name with
+  | Some r -> r
+  | None -> error "unknown rule %s" name
 
 let find_transformation (p : program) name =
   List.find_opt (fun b -> b.Block.block_name = name) p.transformations

@@ -1,6 +1,6 @@
 (** The COKO surface language (the follow-on language the paper announces).
 
-    A COKO file holds textual rule definitions and transformations:
+    A COKO file holds rule definitions ({!Rules.Text}) and transformations:
     {v
     -- comments run to end of line
     GIVEN injective(?f)
@@ -13,12 +13,12 @@
       USE r3
     END
     v}
-    Rule sides are KOLA terms in {!Kola.Parse} notation; the side kind
-    (function / predicate / query) is inferred from the left-hand side.
     Step connectives: [;] atomic sequencing, [{ a | b }] one firing from a
-    rule set, [REPEAT], [TRY], [CHOICE { s1 / s2 }]. *)
+    rule set, [REPEAT], [TRY], [CHOICE { s1 / s2 }].  Rule names resolve
+    against the file's own rules, then the catalog; ["-1"] flips. *)
 
 exception Error of string
+(** The same exception as {!Rules.Text.Error}. *)
 
 val error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Error} with a formatted message. *)
@@ -26,12 +26,17 @@ val error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 type program = {
   rules : Rewrite.Rule.t list;
   transformations : Block.t list;
+  resolve : string -> Rewrite.Rule.t option;
+      (** program rules shadow same-named catalog rules *)
 }
 
 val parse_program : string -> program
+(** @raise Error on a syntax or scoping problem, and on a step naming a
+    rule that resolves nowhere ([line N: unknown rule ...]), reached or
+    not. *)
 
 val lookup_of : program -> string -> Rewrite.Rule.t
-(** Program rules shadow same-named catalog rules; ["-1"] flips. *)
+(** [resolve], raising {!Error} on an unknown name. *)
 
 val find_transformation : program -> string -> Block.t option
 

@@ -228,10 +228,8 @@ let assoc_rules =
   let a = Fhole "·a·" and b = Fhole "·b·" and c = Fhole "·c·" in
   let left = Compose (Compose (a, b), c)
   and right = Compose (a, Compose (b, c)) in
-  let mk name l r =
-    Rewrite.Rule.fun_rule ~name ~description:"internal ∘-reassociation" l r
-  in
-  [ mk "assoc" left right; mk "assoc-1" right left ]
+  [ Rewrite.Rule.fun_rule ~name:"assoc" left right;
+    Rewrite.Rule.fun_rule ~name:"assoc-1" right left ]
 
 let compile (rules : Rewrite.Rule.t list) : erule list =
   List.concat_map (compile_rule ~internal:false) rules

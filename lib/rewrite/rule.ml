@@ -27,7 +27,6 @@ type precondition = { prop : Props.prop; hole : string }
 
 type t = {
   name : string;  (** e.g. "r11"; paper rules are numbered as printed *)
-  description : string;
   body : body;
   preconditions : precondition list;
   mutable patterns_memo : patterns option;
@@ -36,17 +35,17 @@ type t = {
           identical interned nodes *)
 }
 
-let make ?(preconditions = []) ~name ~description body =
-  { name; description; body; preconditions; patterns_memo = None }
+let make ?(preconditions = []) ~name body =
+  { name; body; preconditions; patterns_memo = None }
 
-let fun_rule ?preconditions ~name ~description lhs rhs =
-  make ?preconditions ~name ~description (Fun_rule (lhs, rhs))
+let fun_rule ?preconditions ~name lhs rhs =
+  make ?preconditions ~name (Fun_rule (lhs, rhs))
 
-let pred_rule ?preconditions ~name ~description lhs rhs =
-  make ?preconditions ~name ~description (Pred_rule (lhs, rhs))
+let pred_rule ?preconditions ~name lhs rhs =
+  make ?preconditions ~name (Pred_rule (lhs, rhs))
 
-let query_rule ?preconditions ~name ~description lhs rhs =
-  make ?preconditions ~name ~description (Query_rule (lhs, rhs))
+let query_rule ?preconditions ~name lhs rhs =
+  make ?preconditions ~name (Query_rule (lhs, rhs))
 
 (* A rule read right-to-left, as the paper does with its "i⁻¹" references. *)
 let flip t =

@@ -25,30 +25,24 @@ type precondition = { prop : Props.prop; hole : string }
 
 type t = {
   name : string;
-  description : string;
   body : body;
   preconditions : precondition list;
   mutable patterns_memo : patterns option;
       (** lazily interned [body]; managed by {!patterns}, reset by {!flip} *)
 }
 
-val make :
-  ?preconditions:precondition list ->
-  name:string -> description:string -> body -> t
+val make : ?preconditions:precondition list -> name:string -> body -> t
 
 val fun_rule :
-  ?preconditions:precondition list ->
-  name:string -> description:string ->
+  ?preconditions:precondition list -> name:string ->
   Kola.Term.func -> Kola.Term.func -> t
 
 val pred_rule :
-  ?preconditions:precondition list ->
-  name:string -> description:string ->
+  ?preconditions:precondition list -> name:string ->
   Kola.Term.pred -> Kola.Term.pred -> t
 
 val query_rule :
-  ?preconditions:precondition list ->
-  name:string -> description:string ->
+  ?preconditions:precondition list -> name:string ->
   Kola.Term.func * Kola.Value.t -> Kola.Term.func * Kola.Value.t -> t
 
 val flip : t -> t

@@ -2,35 +2,26 @@
 
    The paper reports a pool of 500 LP-verified rules from which an optimizer
    draws; this catalog is our pool, and {!Cert} is our verification
-   analogue.  [r13_paper] is deliberately excluded from [all]: it is the
-   boundary-unsound printed form kept only to show the harness rejecting
-   it. *)
+   analogue.  Its rules are COKO text (coko/catalog/*.coko), embedded at
+   build time and parsed once, here, by the same parser and scope check as
+   every runtime pack. *)
 
-let figure5 = Basic.figure5
-let figure8 = Hidden_join.figure8
-let housekeeping = Basic.housekeeping
-let preconditioned = Precond.all
-let extended = Extra.all
+let parse src = fst (Text.parse src)
+let figure5 = parse Catalog_text.figure5
+let figure8 = parse Catalog_text.figure8
+let housekeeping = parse Catalog_text.housekeeping
+let preconditioned = parse Catalog_text.preconditioned
+let extended = parse Catalog_text.extended
 
 let all = figure5 @ figure8 @ housekeeping @ preconditioned @ extended
 
-let find name =
-  List.find_opt (fun r -> String.equal r.Rewrite.Rule.name name) all
+let find = Text.resolver all
 
 let find_exn name =
   match find name with
   | Some r -> r
   | None -> invalid_arg (Fmt.str "Catalog.find_exn: unknown rule %s" name)
 
-(* Look up several rules at once, flipping those suffixed with "-1"
-   ("right-to-left interpretations", as the paper calls them). *)
-let rules names =
-  List.map
-    (fun name ->
-      match Filename.chop_suffix_opt ~suffix:"-1" name with
-      | Some base when Option.is_some (find base) ->
-        Rewrite.Rule.flip (find_exn base)
-      | _ -> find_exn name)
-    names
+let rules names = List.map find_exn names
 
 let names () = List.map (fun r -> r.Rewrite.Rule.name) all

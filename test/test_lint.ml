@@ -18,7 +18,7 @@ let tests =
             problems);
     case "an unbound right-hand-side hole is flagged" (fun () ->
         let bad =
-          Rewrite.Rule.fun_rule ~name:"bad" ~description:"bad"
+          Rewrite.Rule.fun_rule ~name:"bad"
             (Compose (Fhole "f", Id))
             (Compose (Fhole "f", Fhole "ghost"))
         in
@@ -27,14 +27,13 @@ let tests =
         | ps -> Alcotest.failf "unexpected %a" Fmt.(Dump.list L.pp_problem) ps);
     case "a bare-hole left-hand side is flagged" (fun () ->
         let bad =
-          Rewrite.Rule.fun_rule ~name:"bad" ~description:"bad" (Fhole "f")
-            (Fhole "f")
+          Rewrite.Rule.fun_rule ~name:"bad" (Fhole "f") (Fhole "f")
         in
         Alcotest.check Alcotest.bool "flagged" true
           (List.mem L.Lhs_is_a_bare_hole (L.check bad)));
     case "untypable sides are flagged" (fun () ->
         let bad =
-          Rewrite.Rule.fun_rule ~name:"bad" ~description:"bad"
+          Rewrite.Rule.fun_rule ~name:"bad"
             (Compose (Prim "age", Prim "age"))
             Id
         in
@@ -44,7 +43,7 @@ let tests =
              (L.check bad)));
     case "preconditions must name pattern holes" (fun () ->
         let bad =
-          Rewrite.Rule.fun_rule ~name:"bad" ~description:"bad"
+          Rewrite.Rule.fun_rule ~name:"bad"
             ~preconditions:[ { Rewrite.Rule.prop = Rewrite.Props.Injective; hole = "zz" } ]
             (Compose (Fhole "f", Id))
             (Fhole "f")

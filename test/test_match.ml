@@ -24,8 +24,7 @@ let must = function
 
 (* Kf(?k) → Kf(c [?k; 3]) for a collection constructor [c]. *)
 let collect_rule name c =
-  Rewrite.Rule.fun_rule ~name ~description:"hole inside a collection"
-    (Kf (Value.Hole "k"))
+  Rewrite.Rule.fun_rule ~name (Kf (Value.Hole "k"))
     (Kf (c [ Value.Hole "k"; int 3 ]))
 
 let tests =

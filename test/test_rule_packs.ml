@@ -8,15 +8,6 @@ module Cert = Rules.Cert
 module Pack = Coko.Pack
 module Search = Optimizer.Search
 
-let find_pack name =
-  List.find Sys.file_exists
-    [
-      "coko/" ^ name;
-      "../coko/" ^ name;
-      "../../coko/" ^ name;
-      "../../../coko/" ^ name;
-    ]
-
 let exhaustive (v : Cert.verdict) =
   match v.Cert.vmode with Cert.Exhaustive _ -> true | Cert.Sampled -> false
 
@@ -36,17 +27,25 @@ let r13_pack_src =
 
 let tests =
   [
-    case "the shipped hidden_join.coko admits as a pack" (fun () ->
-        let pack = Pack.load (find_pack "hidden_join.coko") in
+    case "the shipped catalog/figure8.coko file admits as a pack" (fun () ->
+        let pack = Pack.load (coko_file "catalog/figure8.coko") in
         match Pack.admit pack with
         | Error _ -> Alcotest.fail "expected admission"
         | Ok a ->
+          Alcotest.(check (list string)) "the catalog's Figure 8 rules"
+            (List.map (fun (r : Rewrite.Rule.t) -> r.Rewrite.Rule.name)
+               Rules.Catalog.figure8)
+            (List.map (fun (v : Cert.verdict) -> v.Cert.name) a.Pack.verdicts);
           Alcotest.check Alcotest.bool "all verdicts ok" true
             (List.for_all (fun (v : Cert.verdict) -> v.Cert.ok) a.Pack.verdicts);
-          Alcotest.check Alcotest.bool "certified exhaustively" true
-            (List.for_all exhaustive a.Pack.verdicts));
+          Alcotest.(check (list string)) "sampled where the scope is too large"
+            [ "r17"; "r17b"; "r24" ]
+            (List.filter_map
+               (fun (v : Cert.verdict) ->
+                 if exhaustive v then None else Some v.Cert.name)
+               a.Pack.verdicts));
     case "a precondition-using pack certifies exhaustively" (fun () ->
-        let pack = Pack.load (find_pack "inj_inter.coko") in
+        let pack = Pack.load (coko_file "inj_inter.coko") in
         match Pack.admit pack with
         | Error _ -> Alcotest.fail "expected admission"
         | Ok a -> (
@@ -107,7 +106,7 @@ let tests =
           | [ v ] ->
             Alcotest.check Alcotest.bool "refuted" false v.Cert.ok;
             Alcotest.check Alcotest.string "same defect the catalog records"
-              (Cert.fingerprint Rules.Basic.r13_paper)
+              (Cert.fingerprint (r13_paper ()))
               v.Cert.fingerprint;
             (match v.Cert.reason with
             | Some reason ->
@@ -118,7 +117,7 @@ let tests =
             Alcotest.failf "expected one rejection, got %d" (List.length vs)));
     case "certificates persist: cold misses, warm load hits" (fun () ->
         let path = Filename.temp_file "kola-cert" ".cache" in
-        let pack = Pack.load (find_pack "inj_inter.coko") in
+        let pack = Pack.load (coko_file "inj_inter.coko") in
         let cold = Cert.Cache.load path in
         (match Pack.admit ~cache:cold pack with
         | Ok _ -> ()
@@ -200,8 +199,9 @@ let tests =
           (List.map (fun (r : Rewrite.Rule.t) -> r.Rewrite.Rule.name) shadowed));
     case "a truncated, malformed, random or version-skewed cache recovers"
       (fun () ->
-        let pack = Pack.load (find_pack "hidden_join.coko") in
+        let pack = Pack.load (coko_file "catalog/figure8.coko") in
         let n = List.length (Pack.rules pack) in
+        Alcotest.(check int) "the Figure 8 rules" 11 n;
         let admit cache =
           match Pack.admit ~cache pack with
           | Ok _ -> ()

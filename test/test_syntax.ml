@@ -77,23 +77,26 @@ RULE q-rule: iterate(Kp(T), <id, Kf(?B)>) ! ?A --> nest(pi1, pi2) o <join(Kp(T),
               (Rules.Cert.certified result))
           p.Coko.Syntax.rules);
     case "the shipped coko/hidden_join.coko file works" (fun () ->
-        let path =
-          List.find Sys.file_exists
-            [
-              "coko/hidden_join.coko";
-              "../coko/hidden_join.coko";
-              "../../coko/hidden_join.coko";
-              "../../../coko/hidden_join.coko";
-            ]
-        in
         let src =
-          let ic = open_in path in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s
+          In_channel.with_open_bin (coko_file "hidden_join.coko")
+            In_channel.input_all
         in
-        let o = Coko.Syntax.run_source src ~transformation:"untangle" Paper.kg1 in
+        let p = Coko.Syntax.parse_program src in
+        let steps =
+          List.map
+            (fun name ->
+              match Coko.Syntax.find_transformation p name with
+              | Some b -> b
+              | None -> Alcotest.failf "no transformation %s" name)
+            [ "breakup"; "bottom-out"; "pullup-nest"; "pullup-unnest"; "absorb-join" ]
+        in
+        Alcotest.check Alcotest.bool "the untangler the pipeline runs" true
+          (steps = Coko.Programs.hidden_join_steps);
+        let o, applied =
+          Coko.Block.run_pipeline ~lookup:(Coko.Syntax.lookup_of p) steps Paper.kg1
+        in
+        Alcotest.check Alcotest.bool "all five steps applied" true
+          (List.for_all snd applied);
         Alcotest.check query "kg2" Paper.kg2 o.Coko.Block.query;
         let o = Coko.Syntax.run_source src ~transformation:"breakup" Paper.kg1 in
         Alcotest.check query "kg1a" Paper.kg1a o.Coko.Block.query);
@@ -122,4 +125,19 @@ RULE q-rule: iterate(Kp(T), <id, Kf(?B)>) ! ?A --> nest(pi1, pi2) o <join(Kp(T),
         match o.Coko.Block.trace with
         | [ s ] -> Alcotest.check Alcotest.string "r11" "r11" s.Rewrite.Engine.rule_name
         | _ -> Alcotest.fail "expected one firing");
+    case "rule names resolve once the whole file is parsed" (fun () ->
+        (* a rule defined after the transformation that uses it *)
+        let src = "TRANSFORMATION t BEGIN USE later END\nRULE later: ?f o id --> ?f" in
+        let q = Term.query (Term.Compose (Term.Prim "age", Term.Id)) (Value.Named "P") in
+        let o = Coko.Syntax.run_source src ~transformation:"t" q in
+        Alcotest.check query "fired" (Term.query (Term.Prim "age") (Value.Named "P"))
+          o.Coko.Block.query;
+        (* a misspelled name in a branch no query reaches *)
+        match
+          Coko.Syntax.parse_program
+            "TRANSFORMATION t\nBEGIN\n  CHOICE { USE r11 / USE no-such-rule }\nEND"
+        with
+        | exception Coko.Syntax.Error msg ->
+          Alcotest.check Alcotest.string "positioned" "line 3: unknown rule no-such-rule" msg
+        | _ -> Alcotest.fail "expected an unknown-rule error");
   ]

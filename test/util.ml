@@ -82,3 +82,17 @@ let fire_pred ?schema r p =
 let fire_query ?schema r q =
   Option.map Term.Hc.to_query
     (Rewrite.Rule.apply_query ?schema r (Term.Hc.of_query q))
+
+(* A file under the repository's coko/ directory, from wherever dune runs
+   the tests. *)
+let coko_file name =
+  List.find Sys.file_exists
+    (List.map
+       (fun up -> up ^ "coko/" ^ name)
+       [ ""; "../"; "../../"; "../../../" ])
+
+(* The paper's printed rule 13, kept as a pack the certifier must reject. *)
+let r13_paper () =
+  match Coko.Pack.rules (Coko.Pack.load (coko_file "unsound/r13_paper.coko")) with
+  | [ r ] -> r
+  | rs -> Alcotest.failf "r13_paper.coko: expected one rule, got %d" (List.length rs)
