@@ -6,9 +6,10 @@
    Scalar attributes become unboxed [int array] / [string array] /
    [bool array]; object-valued attributes whose targets all live in
    another extent of the same class are dictionary-encoded as row
-   indexes into that extent ([Refs]); anything else (set-valued fields,
-   mixed types, missing fields in some rows) keeps a [Boxed] column of
-   the original values.
+   indexes into that extent ([Refs]); attributes holding, in every row, a
+   set of objects of one such class are encoded the same way element by
+   element, in CSR form ([Sets]); anything else (mixed types, missing
+   fields in some rows) keeps a [Boxed] column of the original values.
 
    Two soundness flags matter for the execution layer:
 
@@ -19,12 +20,14 @@
      a probe-side row index, which is exactly the hash-join miss the
      boxed path produces — so joins may use non-total refs, equality
      between two ref columns may not.
-   - [exact]: additionally, every embedded object is structurally equal
-     to the target row it resolves to.  Only then may a projection
-     *through* the ref (e.g. [dcity ∘ dept]) read the target's columns:
-     with [exact] false the embedded copy could carry different fields
-     than the extent row, and field access must stay on the boxed
-     value. *)
+   - [exact] (refs only): additionally, every embedded object is
+     structurally equal, field by field, to the target row it resolves
+     to.  Only then may a projection *through* the ref (e.g.
+     [dcity ∘ dept]) read the target's columns: with [exact] false the
+     embedded copy could carry different fields than the extent row, and
+     field access must stay on the boxed value.  [Sets] need no such
+     flag: kernels over them read the embedded elements themselves, and
+     match elements by identity only. *)
 
 module Column = struct
   type t =
@@ -37,6 +40,13 @@ module Column = struct
         total : bool;     (** no [-1] entries *)
         exact : bool;     (** embedded values structurally equal target rows *)
       }
+    | Sets of {
+        target : string;  (** extent name the element indexes point into *)
+        off : int array;  (** row [i]'s elements are [idx.(off.(i)) ..] *)
+        idx : int array;  (** element row in target, [-1] = unresolved *)
+        total : bool;     (** no [-1] entries *)
+        sets : Value.t array;  (** the boxed sets, for emission *)
+      }
     | Boxed of Value.t array
 
   let kind_name = function
@@ -44,6 +54,7 @@ module Column = struct
     | Strs _ -> "str"
     | Bools _ -> "bool"
     | Refs _ -> "ref"
+    | Sets _ -> "sets"
     | Boxed _ -> "boxed"
 
   let length = function
@@ -51,6 +62,7 @@ module Column = struct
     | Strs a -> Array.length a
     | Bools a -> Array.length a
     | Refs { idx; _ } -> Array.length idx
+    | Sets { sets; _ } -> Array.length sets
     | Boxed a -> Array.length a
 end
 
@@ -68,8 +80,8 @@ type db = {
 
 let source t = t.source
 let relations t = t.rels
-let relation t name = List.assoc_opt name t.rels
-let column (r : relation) name = List.assoc_opt name r.cols
+let relation t name = Value.assoc name t.rels
+let column (r : relation) name = Value.assoc name r.cols
 
 (* ------------------------------------------------------------------ *)
 (* Materialization. *)
@@ -90,75 +102,169 @@ let extent_rows (v : Value.t) : (string * Value.t array) option =
 let oid_of_row (v : Value.t) =
   match v with Value.Obj o -> o.Value.oid | _ -> assert false
 
+(* A dictionary target: an extent's rows and their oid -> row index.
+   Generated extents give object [k] oid [k] ([dense], checked once in one
+   sequential pass), so an oid is its own row index; other extents build
+   a hash index on first use. *)
+type target = {
+  tname : string;
+  tcls : string;
+  trows : Value.t array;
+  dense : bool Lazy.t;
+  index : (int, int) Hashtbl.t Lazy.t;
+}
+
+let row_of t oid =
+  if Lazy.force t.dense then
+    if oid >= 0 && oid < Array.length t.trows then oid else -1
+  else
+    match Hashtbl.find_opt (Lazy.force t.index) oid with
+    | Some i -> i
+    | None -> -1
+
+(* Structural equality that also compares objects field by field (and
+   sets element by element): what a read through an embedded value
+   sees.  [Value.equal] compares objects by (cls, oid) only. *)
+let rec same_value (a : Value.t) (b : Value.t) =
+  a == b
+  ||
+  match (a, b) with
+  | Value.Obj x, Value.Obj y ->
+    String.equal x.cls y.cls && x.oid = y.oid
+    && List.equal
+         (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && same_value v1 v2)
+         x.fields y.fields
+  | Value.Pair (a1, b1), Value.Pair (a2, b2) ->
+    same_value a1 a2 && same_value b1 b2
+  | Value.Set xs, Value.Set ys
+  | Value.Bag xs, Value.Bag ys
+  | Value.List xs, Value.List ys ->
+    List.equal same_value xs ys
+  | _ -> Value.equal a b
+
 type field_class =
   | FInt
   | FStr
   | FBool
   | FObj of string  (** all objects of this class *)
+  | FSet of string option
+      (** all sets of objects of this class ([None]: every set seen so far
+          was empty); the elements are checked as they are encoded *)
   | FOther
 
-exception Missing_field
+let kind_of = function
+  | Value.Int _ -> FInt
+  | Value.Str _ -> FStr
+  | Value.Bool _ -> FBool
+  | Value.Obj o -> FObj o.Value.cls
+  | Value.Set [] -> FSet None
+  | Value.Set (Value.Obj o :: _) -> FSet (Some o.Value.cls)
+  | _ -> FOther
 
-let classify_field (rows : Value.t array) (field : string) : field_class option =
-  (* [None] = field missing in some row: no column at all (accessors fall
-     back to boxed row reads, which return the same absence the
-     interpreter sees). *)
-  let kind_of = function
-    | Value.Int _ -> FInt
-    | Value.Str _ -> FStr
-    | Value.Bool _ -> FBool
-    | Value.Obj o -> FObj o.Value.cls
-    | _ -> FOther
+let merge a b =
+  match (a, b) with
+  | FInt, FInt | FStr, FStr | FBool, FBool -> a
+  | FObj x, FObj y when String.equal x y -> a
+  | FSet None, FSet _ -> b
+  | FSet _, FSet None -> a
+  | FSet (Some x), FSet (Some y) when String.equal x y -> a
+  | _ -> FOther
+
+exception Not_uniform
+
+(* Sets of objects of class [t.tcls] as CSR row indexes into [t], one walk
+   per element.  Raises [Not_uniform] on an element of another class or
+   kind. *)
+let encode_sets t (cells : Value.t array) : Column.t =
+  let n = Array.length cells in
+  let elems = function Value.Set xs -> xs | _ -> raise Not_uniform in
+  let off = Array.make (n + 1) 0 in
+  Array.iteri (fun i c -> off.(i + 1) <- off.(i) + List.length (elems c)) cells;
+  let idx = Array.make off.(n) (-1) in
+  let total = ref true in
+  Array.iteri
+    (fun i c ->
+      List.iteri
+        (fun k e ->
+          match e with
+          | Value.Obj o when String.equal o.Value.cls t.tcls ->
+            let r = row_of t o.Value.oid in
+            if r < 0 then total := false;
+            idx.(off.(i) + k) <- r
+          | _ -> raise Not_uniform)
+        (elems c))
+    cells;
+  Column.Sets { target = t.tname; off; idx; total = !total; sets = cells }
+
+let encode_refs t (cells : Value.t array) : Column.t =
+  let total = ref true and exact = ref true in
+  let idx =
+    Array.map
+      (fun v ->
+        let r = row_of t (oid_of_row v) in
+        if r < 0 then begin
+          total := false;
+          exact := false
+        end
+        else if not (same_value v t.trows.(r)) then exact := false;
+        r)
+      cells
   in
-  try
-    let acc = ref None in
-    Array.iter
-      (fun r ->
-        match Value.field field r with
-        | None -> raise Missing_field
-        | Some v ->
-          let k = kind_of v in
-          acc :=
-            (match !acc with
-            | None -> Some k
-            | Some a when a = k -> Some a
-            | Some _ -> Some FOther))
-      rows;
-    !acc
-  with Missing_field -> None
+  Column.Refs { target = t.tname; idx; total = !total; exact = !exact }
 
-let get_field ~rel ~field row =
-  match Value.field field row with
-  | Some v -> v
-  | None ->
-    invalid_arg
-      (Fmt.str "Colstore: field %s vanished from relation %s" field rel)
+(* One column from the cells of one field: typed when every cell has the
+   same kind, boxed otherwise. *)
+let encode ~target_of (cells : Value.t array) : Column.t =
+  let boxed () = Column.Boxed cells in
+  let cls =
+    if Array.length cells = 0 then FOther
+    else
+      Array.fold_left (fun acc c -> merge acc (kind_of c)) (kind_of cells.(0))
+        cells
+  in
+  let unbox f = Array.map f cells in
+  match cls with
+  | FInt -> Column.Ints (unbox (function Value.Int i -> i | _ -> assert false))
+  | FStr -> Column.Strs (unbox (function Value.Str s -> s | _ -> assert false))
+  | FBool ->
+    Column.Bools (unbox (function Value.Bool b -> b | _ -> assert false))
+  | FObj c -> (
+    match target_of c with Some t -> encode_refs t cells | None -> boxed ())
+  | FSet (Some c) -> (
+    match target_of c with
+    | Some t -> ( try encode_sets t cells with Not_uniform -> boxed ())
+    | None -> boxed ())
+  | FSet None | FOther -> boxed ()
 
 let of_db (source : (string * Value.t) list) : db =
-  (* Pass 1: which extents materialize, and an oid -> row-index table per
-     extent for ref encoding.  A class maps to the first extent (in db
-     order) that holds it, mirroring how the generators lay stores out. *)
+  (* Which extents materialize, and the dictionary target of each class:
+     a class maps to the first extent (in db order) that holds it,
+     mirroring how the generators lay stores out. *)
   let rels_raw =
     List.filter_map
       (fun (name, v) ->
         Option.map (fun (cls, rows) -> (name, cls, rows)) (extent_rows v))
       source
   in
-  let target_of_cls cls =
-    List.find_opt (fun (_, c, _) -> String.equal c cls) rels_raw
-  in
-  let oid_index =
+  let targets =
     List.map
-      (fun (name, _, rows) ->
-        let t = Hashtbl.create (2 * Array.length rows + 1) in
-        Array.iteri (fun i row -> Hashtbl.replace t (oid_of_row row) i) rows;
-        (name, t))
+      (fun (tname, tcls, trows) ->
+        let n = Array.length trows in
+        let rec dense_from i = i = n || (oid_of_row trows.(i) = i && dense_from (i + 1)) in
+        let index =
+          lazy
+            (let t = Hashtbl.create ((2 * n) + 1) in
+             Array.iteri (fun i row -> Hashtbl.replace t (oid_of_row row) i) trows;
+             t)
+        in
+        let dense = lazy (dense_from 0) in
+        { tname; tcls; trows; dense; index })
       rels_raw
   in
+  let target_of cls = List.find_opt (fun t -> String.equal t.tcls cls) targets in
   let materialize (name, cls, rows) =
-    let n = Array.length rows in
     let fields =
-      if n = 0 then []
+      if Array.length rows = 0 then []
       else
         match rows.(0) with
         | Value.Obj o -> List.map fst o.Value.fields
@@ -167,67 +273,19 @@ let of_db (source : (string * Value.t) list) : db =
     let cols =
       List.filter_map
         (fun field ->
-          match classify_field rows field with
-          | None -> None
-          | Some FInt ->
-            let a =
-              Array.map
-                (fun r ->
-                  match get_field ~rel:name ~field r with
-                  | Value.Int i -> i
-                  | _ -> assert false)
-                rows
-            in
-            Some (field, Column.Ints a)
-          | Some FStr ->
-            let a =
-              Array.map
-                (fun r ->
-                  match get_field ~rel:name ~field r with
-                  | Value.Str s -> s
-                  | _ -> assert false)
-                rows
-            in
-            Some (field, Column.Strs a)
-          | Some FBool ->
-            let a =
-              Array.map
-                (fun r ->
-                  match get_field ~rel:name ~field r with
-                  | Value.Bool b -> b
-                  | _ -> assert false)
-                rows
-            in
-            Some (field, Column.Bools a)
-          | Some (FObj target_cls) -> (
-            match target_of_cls target_cls with
-            | None ->
-              Some
-                (field, Column.Boxed (Array.map (get_field ~rel:name ~field) rows))
-            | Some (tname, _, trows) ->
-              let tindex = List.assoc tname oid_index in
-              let total = ref true and exact = ref true in
-              let idx =
-                Array.map
-                  (fun r ->
-                    let v = get_field ~rel:name ~field r in
-                    match Hashtbl.find_opt tindex (oid_of_row v) with
-                    | Some i ->
-                      if not (v == trows.(i) || Value.equal v trows.(i)) then
-                        exact := false;
-                      i
-                    | None ->
-                      total := false;
-                      exact := false;
-                      -1)
-                  rows
-              in
-              Some
-                ( field,
-                  Column.Refs
-                    { target = tname; idx; total = !total; exact = !exact } ))
-          | Some FOther ->
-            Some (field, Column.Boxed (Array.map (get_field ~rel:name ~field) rows)))
+          (* a field missing in some row gets no column: accessors fall
+             back to boxed row reads, which return the same absence the
+             interpreter sees *)
+          match
+            Array.map
+              (fun r ->
+                match Value.field field r with
+                | Some v -> v
+                | None -> raise_notrace Not_found)
+              rows
+          with
+          | cells -> Some (field, encode ~target_of cells)
+          | exception Not_found -> None)
         fields
     in
     (name, { name; cls; rows; cols })
@@ -239,7 +297,7 @@ let of_db (source : (string * Value.t) list) : db =
 type stats = {
   relations : int;
   rows : int;
-  typed_cols : int;  (** Ints/Strs/Bools/Refs columns *)
+  typed_cols : int;  (** Ints/Strs/Bools/Refs/Sets columns *)
   boxed_cols : int;
 }
 

@@ -4,8 +4,10 @@
     class) becomes a {!relation} — boxed rows in canonical set order
     plus one typed column per uniformly-typed attribute; object-valued
     attributes are dictionary-encoded as row indexes into the extent
-    holding their class ({!Column.Refs}).  Extents that do not fit the
-    shape are simply absent and execute on the boxed row path. *)
+    holding their class ({!Column.Refs}), and set-of-object attributes
+    the same way element by element ({!Column.Sets}).  Extents that do
+    not fit the shape are simply absent and execute on the boxed row
+    path. *)
 
 module Column : sig
   type t =
@@ -19,10 +21,23 @@ module Column : sig
             (** no [-1] entries; only then may two ref columns into the
                 same target be compared by index *)
         exact : bool;
-            (** every embedded value is structurally equal to the target
-                row it resolves to; only then may projections read
-                through the ref into the target's columns *)
+            (** every embedded value is structurally equal, field by
+                field, to the target row it resolves to; only then may
+                projections read through the ref into the target's
+                columns *)
       }
+    | Sets of {
+        target : string;  (** extent name the element indexes point into *)
+        off : int array;
+            (** [n + 1] offsets: row [i]'s elements are
+                [idx.(off.(i))] to [idx.(off.(i + 1) - 1)], in the set's
+                canonical order *)
+        idx : int array;  (** element row in target, [-1] = unresolved *)
+        total : bool;  (** no [-1] entries *)
+        sets : Value.t array;  (** the boxed sets, for emission *)
+      }
+        (** an attribute holding, in every row, a set of objects of the
+            class [target] holds (empty sets included) *)
     | Boxed of Value.t array
 
   val kind_name : t -> string
@@ -54,7 +69,7 @@ val column : relation -> string -> Column.t option
 type stats = {
   relations : int;
   rows : int;
-  typed_cols : int;  (** Ints/Strs/Bools/Refs columns *)
+  typed_cols : int;  (** Ints/Strs/Bools/Refs/Sets columns *)
   boxed_cols : int;
 }
 

@@ -112,7 +112,6 @@ let tokenize (s : string) : token list =
 type state = { mutable toks : token list }
 
 let peek st = match st.toks with [] -> TEof | t :: _ -> t
-let peek2 st = match st.toks with _ :: t :: _ -> t | _ -> TEof
 let advance st = match st.toks with [] -> () | _ :: r -> st.toks <- r
 
 let expect st tok what =
@@ -380,8 +379,3 @@ let query (src : string) : Term.query =
   let v = parse_value st in
   finish st "query";
   Term.query f v
-
-(* Used by the COKO surface syntax: a rule written as "lhs --> rhs" (or with
-   == for bidirectional reading).  Predicate rules are detected by trying
-   the predicate parser first. *)
-let _ = peek2

@@ -100,13 +100,13 @@ let bool b = Bool b
 
 let obj ~cls ~oid fields = Obj { cls; oid; fields }
 
-let field name v =
-  match v with
-  | Obj o -> (
-    match List.assoc_opt name o.fields with
-    | Some x -> Some x
-    | None -> None)
-  | _ -> None
+(* [String.equal] rather than [List.assoc_opt]'s polymorphic compare:
+   attribute reads are the hottest lookup in every evaluator. *)
+let rec assoc name = function
+  | [] -> None
+  | (k, x) :: rest -> if String.equal k name then Some x else assoc name rest
+
+let field name v = match v with Obj o -> assoc name o.fields | _ -> None
 
 let set_elements = function
   | Set xs -> Some xs

@@ -51,6 +51,9 @@ val obj : cls:string -> oid:int -> (string * t) list -> t
 val field : string -> t -> t option
 (** [field name v] reads an object attribute. *)
 
+val assoc : string -> (string * 'a) list -> 'a option
+(** [List.assoc_opt] on string keys, comparing with [String.equal]. *)
+
 val set_elements : t -> t list option
 
 val is_ground : t -> bool

@@ -77,6 +77,13 @@ let as_pair ctx v =
   | Value.Pair (a, b) -> (a, b)
   | v -> error "expected a pair, got %a" Value.pp v
 
+(* [cmp] on a pair's resolved legs.  Matching the pair in place, rather
+   than through [as_pair], allocates no tuple per comparison. *)
+let compare_legs ctx v cmp =
+  match resolve ctx v with
+  | Value.Pair (a, b) -> cmp (resolve ctx a) (resolve ctx b)
+  | v -> error "expected a pair, got %a" Value.pp v
+
 let as_set ctx v =
   match resolve ctx v with
   | Value.Set xs | Value.Bag xs | Value.List xs -> xs
@@ -168,6 +175,16 @@ and pred_env_free : Term.pred -> bool = function
 type src = (Value.t -> unit) -> unit
 
 let of_list xs : src = fun k -> List.iter k xs
+
+(* [Value.set xs].  Column kernels emit in row order, so [xs] is often
+   strictly ascending already: then one compare per element replaces the
+   sort, with the same result. *)
+let canonical_set xs =
+  let rec ascending = function
+    | a :: (b :: _ as rest) -> Value.compare a b < 0 && ascending rest
+    | _ -> true
+  in
+  if ascending xs then Value.Set xs else Value.set xs
 
 (* Elements gathered newest-first into a collection under the ambient
    discipline.  [Eager] sorts anyway, so only a bag needs the reversal. *)
@@ -444,18 +461,10 @@ and k_agg ?(canonical = false) op : rctx -> src -> Value.t =
 
 and pc (p : Term.pred) : rctx -> Value.t -> bool =
   match p with
-  | Term.Eq ->
-    fun ctx v ->
-      let a, b = as_pair ctx v in
-      Value.equal (resolve ctx a) (resolve ctx b)
+  | Term.Eq -> fun ctx v -> compare_legs ctx v Value.equal
   | Term.Leq ->
-    fun ctx v ->
-      let a, b = as_pair ctx v in
-      Value.compare (resolve ctx a) (resolve ctx b) <= 0
-  | Term.Gt ->
-    fun ctx v ->
-      let a, b = as_pair ctx v in
-      value_gt (resolve ctx a) (resolve ctx b)
+    fun ctx v -> compare_legs ctx v (fun a b -> Value.compare a b <= 0)
+  | Term.Gt -> fun ctx v -> compare_legs ctx v value_gt
   | Term.In ->
     (* Membership hashes the right operand instead of scanning it per
        probe.  The member table is memoized on the operand's physical
@@ -638,7 +647,8 @@ let rec aproj coldb (f : Term.func) (p : proj) : proj option =
       match C.relation coldb target with
       | Some t -> Some (PRow (t, fun i -> idx.(ix i)))
       | None -> None)
-    | Some (C.Column.Boxed arr) -> Some (PVal (fun i -> arr.(ix i)))
+    | Some (C.Column.Sets { sets = arr; _ }) | Some (C.Column.Boxed arr) ->
+      Some (PVal (fun i -> arr.(ix i)))
     | Some (C.Column.Refs _) | None -> None)
   | _ -> None
 
@@ -725,39 +735,176 @@ let rec cpred coldb (p : Term.pred) (input : proj) : (int -> bool) option =
     | None -> None)
   | _ -> None
 
-(* Rebase a func/pred applied to an [iter] element [Pair (env, row)] onto
-   the row alone: π2 becomes the identity, constants pass through, and
-   anything touching the environment refuses (the row kernel keeps it
-   correct). *)
-let rec func_reroot : Term.func -> Term.func option = function
-  | Term.Pi2 -> Some Term.Id
+(* Rebase a func/pred applied to a pair onto one of its legs ([leg] is
+   π1 or π2): an [iter] element [Pair (env, row)] onto the row, or a
+   nested select's [Pair (row, element)] onto the row.  [leg] becomes the
+   identity, constants pass through, and anything touching the other leg
+   refuses (the row kernel keeps it correct).  A nested
+   [iter(p, h) ∘ ⟨id, x⟩] whose [p] and [h] read only their element
+   rebases through [x] alone: the pair its [id] carries is never read. *)
+let rec func_reroot ~leg : Term.func -> Term.func option = function
+  | f when f = leg -> Some Term.Id
   | Term.Kf _ as f -> Some f
+  | Term.Compose ((Term.Iter (p, h) as it), Term.Pairf (Term.Id, x))
+    when pred_env_free p && func_env_free h ->
+    Option.map
+      (fun x' -> Term.Compose (it, Term.Pairf (Term.Id, x')))
+      (func_reroot ~leg x)
   | Term.Compose (a, b) -> (
-    match func_reroot b with
+    match func_reroot ~leg b with
     | Some Term.Id -> Some a
     | Some b' -> Some (Term.Compose (a, b'))
     | None -> None)
   | Term.Pairf (a, b) -> (
-    match (func_reroot a, func_reroot b) with
+    match (func_reroot ~leg a, func_reroot ~leg b) with
     | Some a', Some b' -> Some (Term.Pairf (a', b'))
     | _ -> None)
   | _ -> None
 
-let rec pred_reroot : Term.pred -> Term.pred option = function
+let rec pred_reroot ~leg : Term.pred -> Term.pred option = function
   | Term.Kp b -> Some (Term.Kp b)
   | Term.Andp (p, q) -> (
-    match (pred_reroot p, pred_reroot q) with
+    match (pred_reroot ~leg p, pred_reroot ~leg q) with
     | Some p', Some q' -> Some (Term.Andp (p', q'))
     | _ -> None)
   | Term.Orp (p, q) -> (
-    match (pred_reroot p, pred_reroot q) with
+    match (pred_reroot ~leg p, pred_reroot ~leg q) with
     | Some p', Some q' -> Some (Term.Orp (p', q'))
     | _ -> None)
-  | Term.Inv p -> Option.map (fun p' -> Term.Inv p') (pred_reroot p)
+  | Term.Inv p -> Option.map (fun p' -> Term.Inv p') (pred_reroot ~leg p)
   | Term.Oplus (q, f) ->
     (* [q] applies to [f]'s output, which no longer sees the pair. *)
-    Option.map (fun f' -> Term.Oplus (q, f')) (func_reroot f)
+    Option.map (fun f' -> Term.Oplus (q, f')) (func_reroot ~leg f)
   | _ -> None
+
+(* Nested selects over a set attribute.  The translator writes
+   [select m from m in e.a where p] as [iter(p, h) ∘ ⟨id, a⟩]; over a
+   columnar scan that is a loop over row [i]'s set, each element [y]
+   meeting [p] and [h] as [Pair (row, y)].  π1 reads the row's typed
+   columns.  π2 reads the embedded element itself through the row
+   closures — exactly what the row path reads, so it needs neither typed
+   nor exact columns, and [Boxed] set columns work too.  A term that
+   reads the pair other than through its legs (a bare [id], a join)
+   refuses, and the map degrades to the row kernel. *)
+
+(* A func of the row alone, through its columns. *)
+let row_proj coldb rel f =
+  Option.bind (func_reroot ~leg:Term.Pi1 f) (fun f1 ->
+      aproj coldb f1 (PRow (rel, fun i -> i)))
+
+(* A func of [Pair (row i, y)], run as the row path runs it: the parts
+   that read only π1 through the row's columns, π2 as [y] itself
+   (unresolved), and the rest with the row closures. *)
+let rec pair_func coldb rel (f : Term.func) :
+    (rctx -> int -> Value.t -> Value.t) option =
+  match (row_proj coldb rel f, f) with
+  | Some pr, _ ->
+    let out = proj_emit pr in
+    Some (fun _ i _ -> out i)
+  | None, Term.Pi2 -> Some (fun _ _ y -> y)
+  | None, Term.Kf _ ->
+    let f' = fc f in
+    Some (fun ctx _ y -> f' ctx y)
+  | None, Term.Compose (a, b) ->
+    Option.map
+      (fun fb ->
+        let a' = fc a in
+        fun ctx i y -> a' ctx (fb ctx i y))
+      (pair_func coldb rel b)
+  | None, Term.Pairf (a, b) -> (
+    match (pair_func coldb rel a, pair_func coldb rel b) with
+    | Some fa, Some fb -> Some (fun ctx i y -> Value.Pair (fa ctx i y, fb ctx i y))
+    | _ -> None)
+  | None, _ -> None
+
+(* A predicate on [Pair (row i, y)]: [Whole] when it reads only the row
+   (it then keeps or drops the whole set), [Each] otherwise. *)
+type npred = Whole of (int -> bool) | Each of (rctx -> int -> Value.t -> bool)
+
+let rec pair_pred coldb rel (p : Term.pred) : npred option =
+  let each p =
+    match pair_pred coldb rel p with
+    | Some (Whole k) -> Some (fun _ i _ -> k i)
+    | Some (Each e) -> Some e
+    | None -> None
+  in
+  match
+    Option.bind (pred_reroot ~leg:Term.Pi1 p) (fun p1 ->
+        cpred coldb p1 (PRow (rel, fun i -> i)))
+  with
+  | Some keep -> Some (Whole keep)
+  | None -> (
+    match p with
+    | Term.Andp (a, b) -> (
+      match (each a, each b) with
+      | Some ea, Some eb -> Some (Each (fun ctx i y -> ea ctx i y && eb ctx i y))
+      | _ -> None)
+    | Term.Orp (a, b) -> (
+      match (each a, each b) with
+      | Some ea, Some eb -> Some (Each (fun ctx i y -> ea ctx i y || eb ctx i y))
+      | _ -> None)
+    | Term.Inv a ->
+      Option.map (fun ea -> Each (fun ctx i y -> not (ea ctx i y))) (each a)
+    | Term.Oplus (q, f) ->
+      Option.map
+        (fun ff ->
+          let q' = pc q in
+          Each (fun ctx i y -> q' ctx (ff ctx i y)))
+        (pair_func coldb rel f)
+    | _ -> None)
+
+(* [iter(p, h) ∘ ⟨id, a⟩] on row [i], [a]'s value given by [set_of]: the
+   collection the row path's iter kernel builds.  With [h = π2] the kept
+   elements of a canonical set stay in order, so [canonical_set] skips the
+   sort. *)
+let nested_select coldb rel p h (set_of : rctx -> int -> Value.t) :
+    (rctx -> int -> Value.t) option =
+  match (pair_pred coldb rel p, pair_func coldb rel h) with
+  | Some (Whole keep), Some _ when h = Term.Pi2 ->
+    (* the predicate keeps or drops row [i]'s set as it stands *)
+    Some
+      (fun ctx i ->
+        let s = resolve ctx (set_of ctx i) in
+        let ys = as_set ctx s in
+        match ctx.dedup with
+        | Eval.Deferred -> Value.Bag (if keep i then ys else [])
+        | Eval.Eager -> (
+          match s with
+          | Value.Set _ when keep i -> s
+          | _ -> Value.set (if keep i then ys else [])))
+  | Some pred, Some head ->
+    let test = match pred with Whole k -> fun _ i _ -> k i | Each e -> e in
+    (* in source order, with no per-row accumulator or closure *)
+    let[@tail_mod_cons] rec kept ctx i = function
+      | [] -> []
+      | y :: ys ->
+        ctx.c.tuples <- ctx.c.tuples + 1;
+        if test ctx i y then
+          let x = head ctx i y in
+          x :: kept ctx i ys
+        else kept ctx i ys
+    in
+    Some
+      (fun ctx i ->
+        let xs = kept ctx i (as_set ctx (resolve ctx (set_of ctx i))) in
+        if ctx.dedup = Eval.Eager then canonical_set xs
+        else collection ctx xs)
+  | _ -> None
+
+(* The value a map's func yields on row [i] of a columnar scan: a typed
+   projection, a pair of such values, or a nested select. *)
+let rec row_emit coldb rel (f : Term.func) : (rctx -> int -> Value.t) option =
+  match (proj_of_row coldb f rel, f) with
+  | Some pr, _ ->
+    let out = proj_emit pr in
+    Some (fun _ i -> out i)
+  | None, Term.Pairf (a, b) -> (
+    match (row_emit coldb rel a, row_emit coldb rel b) with
+    | Some ea, Some eb -> Some (fun ctx i -> Value.Pair (ea ctx i, eb ctx i))
+    | _ -> None)
+  | None, Term.Compose (Term.Iter (p, h), Term.Pairf (Term.Id, a)) ->
+    Option.bind (row_emit coldb rel a) (nested_select coldb rel p h)
+  | None, _ -> None
 
 (* Join-key compilation: the spaces two compiled keys may be matched in.
    [KRow] keys are row indexes into a named relation; [-1] marks a ref
@@ -770,6 +917,13 @@ type ckey =
   | KStr of (int -> string)
   | KRow of string * (int -> int) * bool  (** target, index, total *)
 
+(* [g] as its last attribute step and the path before it. *)
+let last_prim (g : Term.func) =
+  match g with
+  | Term.Prim a -> Some (a, Term.Id)
+  | Term.Compose (Term.Prim a, rest) -> Some (a, rest)
+  | _ -> None
+
 let ckey_of coldb (g : Term.func) (rel : C.relation) : ckey option =
   match proj_of_row coldb g rel with
   | Some (PInt get) -> Some (KInt get)
@@ -779,13 +933,7 @@ let ckey_of coldb (g : Term.func) (rel : C.relation) : ckey option =
   | None -> (
     (* Allow one final ref step that is total-or-not and inexact: identity
        joins only need the (cls, oid) index, not field equality. *)
-    let split =
-      match g with
-      | Term.Prim a -> Some (a, Term.Id)
-      | Term.Compose (Term.Prim a, rest) -> Some (a, rest)
-      | _ -> None
-    in
-    match split with
+    match last_prim g with
     | Some (a, rest) -> (
       match proj_of_row coldb rest rel with
       | Some (PRow (r, ix)) -> (
@@ -795,6 +943,45 @@ let ckey_of coldb (g : Term.func) (rel : C.relation) : ckey option =
         | _ -> None)
       | _ -> None)
     | None -> None)
+
+(* The target rows a group-join build row's key names, as a loop over
+   them: the one row an equality key's ref names, or the row of every
+   element of a membership key's set ([Sets]).  Membership compares
+   objects by (cls, oid), which is exactly what a row index encodes.
+   [-1] codes are skipped: a guaranteed miss when the probe side is
+   total, which the caller checks against the returned flag. *)
+let build_codes coldb kind (g : Term.func) (rel : C.relation) :
+    (string * (int -> (int -> unit) -> unit) * bool) option =
+  match kind with
+  | `Eq -> (
+    match ckey_of coldb g rel with
+    | Some (KRow (t, ix, total)) ->
+      Some
+        ( t,
+          (fun j k ->
+            let c = ix j in
+            if c >= 0 then k c),
+          total )
+    | _ -> None)
+  | `In -> (
+    match last_prim g with
+    | None -> None
+    | Some (a, rest) -> (
+      match proj_of_row coldb rest rel with
+      | Some (PRow (r, ix)) -> (
+        match C.column r a with
+        | Some (C.Column.Sets { target; off; idx; total; _ }) ->
+          Some
+            ( target,
+              (fun j k ->
+                let r = ix j in
+                for e = off.(r) to off.(r + 1) - 1 do
+                  let c = idx.(e) in
+                  if c >= 0 then k c
+                done),
+              total )
+        | _ -> None)
+      | _ -> None))
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline lowering.  A compiled spine value is a collection (either a
@@ -1044,7 +1231,7 @@ let rec lower st (f : Term.func) (input : cv) : cv =
       (* Env-free body: rebase π2-rooted paths onto the row and run the
          columnar scan; the environment is still forced once per run so
          its errors surface exactly as on the row path. *)
-      match (pred_reroot p, func_reroot f) with
+      match (pred_reroot ~leg:Term.Pi2 p, func_reroot ~leg:Term.Pi2 f) with
       | Some p_r, Some f_r ->
         let v = vec_add_pre v (fun ctx -> ignore (force ctx e_cv)) in
         lower_scan_cols st p_r f_r v ir
@@ -1138,6 +1325,12 @@ and lower_join st p f input =
           (Fmt.str "join keys over %s/%s not columnar" va.rel.C.name
              vb.rel.C.name);
         row ir)
+    | `In, Cols va, Cols vb, Some _ ->
+      (* only the fused group-join runs a membership key on the columns *)
+      degrade st
+        (Fmt.str "membership join over %s/%s not columnar" va.rel.C.name
+           vb.rel.C.name);
+      row ir
     | _ -> row ir)
 
 (* Columnar feeds get unboxed kernels: an int projection aggregates with
@@ -1323,17 +1516,28 @@ and lower_scan_cols st (p : Term.pred) (f : Term.func) (v : vec) ir : cv =
                      emit x))
                 chunks)
           ir
-      | None ->
-        degrade st (Fmt.str "map over %s not columnar" v.rel.C.name);
-        row_stage (k_iterate (Term.Kp true) f) (Cols v) ir))
+      | None -> (
+        match row_emit coldb v.rel f with
+        | Some out ->
+          pipe
+            (fun ctx emit ->
+              vec_iter ctx v (fun i ->
+                  ctx.c.tuples <- ctx.c.tuples + 1;
+                  emit (out ctx i)))
+            ir
+        | None ->
+          degrade st (Fmt.str "map over %s not columnar" v.rel.C.name);
+          row_stage (k_iterate (Term.Kp true) f) (Cols v) ir)))
 
 (* The fused group-join kernel: [nest(π1,π2) ∘ (unnest(π1,π2) × id) ∘
    ⟨join(p, id × g), π1⟩] over a pair of columnar scans (probe side D,
-   build side E).  One pass over E appends each payload to a dense bucket
-   array indexed by the join key's target row; one pass over D emits every
-   probe row with its group — no boxed hashing anywhere.  The build fans
-   out over morsels when the payload is context-read-only; bucket lists
-   merge in morsel order. *)
+   build side E), for an equality [p] on a ref key or a membership [p]
+   on a set-of-refs key ([in ⊕ (g1 × a)], the Garage Query's).  One pass
+   over E appends each payload to a dense bucket array at every target
+   row its key names; one pass over D emits every probe row with its
+   group — no boxed hashing anywhere.  The build fans out over morsels
+   when the payload is context-read-only; bucket lists merge in morsel
+   order into exactly the lists one inline chunk builds. *)
 and lower_fused_group st (p : Term.pred) (g : Term.func) (input : cv) :
     cv option =
   match (st.coldb, input.shape) with
@@ -1341,9 +1545,9 @@ and lower_fused_group st (p : Term.pred) (g : Term.func) (input : cv) :
     match (a_cv.shape, b_cv.shape) with
     | Coll (Cols vd), Coll (Cols ve) -> (
       match Eval.hash_joinable p with
-      | Some (`Eq, g1, g2, None) -> (
-        match (ckey_of coldb g1 vd.rel, ckey_of coldb g2 ve.rel) with
-        | Some (KRow (t1, gd, tot_d)), Some (KRow (t2, ge, tot_e))
+      | Some (kind, g1, g2, None) -> (
+        match (ckey_of coldb g1 vd.rel, build_codes coldb kind g2 ve.rel) with
+        | Some (KRow (t1, gd, tot_d)), Some (t2, codes, tot_e)
           when String.equal t1 t2 && (tot_d || tot_e) -> (
           match C.relation coldb t1 with
           | None -> None
@@ -1385,7 +1589,10 @@ and lower_fused_group st (p : Term.pred) (g : Term.func) (input : cv) :
                         Term.Pi2,
                         Ir.HashJoin
                           {
-                            kind = Ir.Eq;
+                            kind =
+                              (match kind with
+                              | `Eq -> Ir.Eq
+                              | `In -> Ir.Membership);
                             probe_key = g1;
                             build_key = g2;
                             residual = None;
@@ -1416,12 +1623,18 @@ and lower_fused_group st (p : Term.pred) (g : Term.func) (input : cv) :
                          for j = lo to hi - 1 do
                            if keep j then begin
                              incr built;
-                             let k = ge j in
-                             if k >= 0 then begin
-                               let xs = pay bctx j in
-                               flowed := !flowed + List.length xs;
-                               b.(k) <- List.rev_append xs b.(k)
-                             end
+                             let xs = ref None in
+                             codes j (fun k ->
+                                 let l =
+                                   match !xs with
+                                   | Some l -> l
+                                   | None ->
+                                     let l = pay bctx j in
+                                     xs := Some l;
+                                     l
+                                 in
+                                 flowed := !flowed + List.length l;
+                                 b.(k) <- List.rev_append l b.(k))
                            end
                          done;
                          (b, !built, !flowed))
@@ -1436,12 +1649,13 @@ and lower_fused_group st (p : Term.pred) (g : Term.func) (input : cv) :
                      | [ (b, _, _) ] -> b
                      | _ ->
                        let buckets = Array.make nd [] in
+                       (* each chunk's lists are newest-first, so later
+                          chunks go in front *)
                        List.iter
                          (fun (b, _, _) ->
                            Array.iteri
                              (fun k l ->
-                               if l <> [] then
-                                 buckets.(k) <- List.rev_append l buckets.(k))
+                               if l <> [] then buckets.(k) <- l @ buckets.(k))
                              b)
                          chunks;
                        buckets
@@ -1538,9 +1752,10 @@ let execute ?(dedup = Eval.Eager) ?pool ~db (c : compiled) :
            nothing, so the duplicate ratio is checked on geometrically
            growing prefixes (256, 512, ...): a distinct-heavy stream
            drops the table within the first few hundred elements instead
-           of hashing a 4k prefix first, and the final [Value.set]
-           sort-uniqs the raw stream, which is exactly the interpreter's
-           cost. *)
+           of hashing a 4k prefix first.  Column kernels emit in row
+           order, so the stream is often canonical already and
+           [canonical_set] skips the final sort; otherwise it sort-uniqs
+           the raw stream, which is exactly the interpreter's cost. *)
         let seen = VH.create 1024 in
         let deduping = ref true in
         let inspected = ref 0 in
@@ -1561,7 +1776,7 @@ let execute ?(dedup = Eval.Eager) ?pool ~db (c : compiled) :
               end
             end
             else acc := x :: !acc);
-        Value.set !acc
+        canonical_set (List.rev !acc)
       | Eval.Deferred -> Eval.finalize (Value.Bag (drain ctx p)))
     | _ -> (
       (* [force] canonicalises columnar terminals under Eager too *)

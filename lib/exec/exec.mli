@@ -33,7 +33,8 @@ val compile : ?coldb:Colstore.db -> Term.query -> compiled
 (** Lower a query into closures + an {!Ir.node} description.  With
     [coldb], extent scans bind to its columnar relations and eligible
     operators lower to column kernels (vectorised filters, unboxed
-    aggregates, int-keyed joins, the fused group-join); everything else
+    aggregates, int-keyed joins, the fused equality and membership
+    group-joins, nested selects over a set attribute); everything else
     runs the same row kernel as under the row layout, counted in
     {!col_degrades}.
     @raise Unsupported on holes; never raises on ground plans. *)
@@ -53,7 +54,8 @@ val execute :
   ?dedup:Eval.dedup -> ?pool:Kola_parallel.Pool.t ->
   db:(string * Value.t) list -> compiled -> Value.t * counters
 (** Run a compiled plan.  Under [Eager] the final set is built by a
-    streaming hash dedup (only distinct elements are sorted); under
+    streaming hash dedup (only distinct elements are sorted, and a
+    stream that arrives in canonical order is not sorted at all); under
     [Deferred] the raw stream is finalized exactly like {!Eval.run}.
     With [pool], pure columnar kernels fan out over fixed-size morsels;
     morsel boundaries and merge order never depend on the pool size, so

@@ -11,7 +11,10 @@
    - morsel determinism: the columnar result is BIT-identical (not just
      agree-modulo-ordering) at jobs 1, 2 and 4 — morsel boundaries and
      merge order never depend on the pool size;
-   - below one morsel, asking for jobs > 1 spawns no pool. *)
+   - below one morsel, asking for jobs > 1 spawns no pool;
+   - set-valued attributes: the membership group-join and the nested
+     select emit exactly the objects the row path emits, field by field,
+     including stale embedded copies and elements outside every extent. *)
 
 open Kola
 open Util
@@ -21,6 +24,30 @@ module Pool = Kola_parallel.Pool
 
 let check_agree ~db msg a b =
   Alcotest.check Alcotest.bool msg true (Exec.agree ~db a b)
+
+(* Field-by-field equality.  [Value.equal] (and so {!Exec.agree})
+   compares objects by (cls, oid) only, so it cannot see an emitted object
+   that is the wrong copy: a column kernel that read the extent row where
+   the row path reads an embedded copy. *)
+let rec deep_equal (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Value.Obj x, Value.Obj y ->
+    String.equal x.cls y.cls && x.oid = y.oid
+    && List.equal
+         (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && deep_equal v1 v2)
+         x.fields y.fields
+  | Value.Pair (a1, b1), Value.Pair (a2, b2) -> deep_equal a1 a2 && deep_equal b1 b2
+  | Value.Set xs, Value.Set ys
+  | Value.Bag xs, Value.Bag ys
+  | Value.List xs, Value.List ys ->
+    List.equal deep_equal xs ys
+  | _ -> Value.equal a b
+
+(* [Exec.agree]'s normalisation (set order, deferred bags, [Named]), then
+   the deep comparison. *)
+let check_deep ~db msg a b =
+  let canon v = Eval.finalize (Eval.deep_resolve (Eval.ctx ~db ()) v) in
+  Alcotest.check Alcotest.bool msg true (deep_equal (canon a) (canon b))
 
 (* --- fixtures: the company store at a size with multi-element groups --- *)
 
@@ -70,10 +97,8 @@ and pred_contains_agg (p : Term.pred) =
   | Term.Inv q | Term.Conv q | Term.Cp (q, _) -> pred_contains_agg q
   | _ -> false
 
-let plan_of ~db src =
-  let report =
-    Optimizer.Pipeline.optimize_oql ~extents:[ "E"; "D" ] ~db src
-  in
+let plan_of ?(extents = [ "E"; "D" ]) ~db src =
+  let report = Optimizer.Pipeline.optimize_oql ~extents ~db src in
   let chosen = report.Optimizer.Pipeline.chosen in
   (chosen.Optimizer.Pipeline.query, chosen.Optimizer.Pipeline.dedup)
 
@@ -84,47 +109,83 @@ let field ~context row name =
   | Value.Obj { fields; _ } -> List.assoc name fields
   | _ -> Alcotest.fail (context ^ ": row is not an object")
 
+(* A dictionary code decodes to the embedded value: same class and oid. *)
+let check_decodes ~coldb what target code boxed =
+  match C.relation coldb target with
+  | None -> Alcotest.fail (what ^ ": target missing")
+  | Some trel -> (
+    match (boxed, trel.C.rows.(code)) with
+    | Value.Obj { cls = c1; oid = o1; _ }, Value.Obj { cls = c2; oid = o2; _ }
+      ->
+      Alcotest.check Alcotest.string (what ^ ": class") c1 c2;
+      Alcotest.check Alcotest.int (what ^ ": oid") o1 o2
+    | _ -> Alcotest.fail (what ^ ": cell is not an object"))
+
+(* Every column of every relation mirrors the boxed rows: typed cells
+   equal the field, ref codes decode to the embedded object, and a set
+   column holds the boxed set itself with one code per element, in the
+   set's order ([-1] exactly for elements outside the target extent). *)
+let check_mirrors coldb =
+  List.iter
+    (fun ((name : string), (rel : C.relation)) ->
+      Alcotest.check Alcotest.string "relation name" name rel.C.name;
+      List.iter
+        (fun (attr, col) ->
+          let what = name ^ "." ^ attr in
+          Alcotest.check Alcotest.int (what ^ ": column length")
+            (Array.length rel.C.rows) (C.Column.length col);
+          Array.iteri
+            (fun i row ->
+              let boxed = field ~context:name row attr in
+              match col with
+              | C.Column.Ints a ->
+                Alcotest.check value "int cell" boxed (Value.Int a.(i))
+              | C.Column.Strs a ->
+                Alcotest.check value "str cell" boxed (Value.Str a.(i))
+              | C.Column.Bools a ->
+                Alcotest.check value "bool cell" boxed (Value.Bool a.(i))
+              | C.Column.Boxed a -> Alcotest.check value "boxed cell" boxed a.(i)
+              | C.Column.Refs { target; idx; _ } ->
+                if idx.(i) >= 0 then
+                  check_decodes ~coldb (what ^ " ref") target idx.(i) boxed
+              | C.Column.Sets { target; off; idx; total; sets } -> (
+                Alcotest.check Alcotest.bool (what ^ ": the boxed set") true
+                  (sets.(i) == boxed);
+                match boxed with
+                | Value.Set elems ->
+                  Alcotest.check Alcotest.int (what ^ ": one code per element")
+                    (List.length elems)
+                    (off.(i + 1) - off.(i));
+                  List.iteri
+                    (fun k e ->
+                      let code = idx.(off.(i) + k) in
+                      if code >= 0 then
+                        check_decodes ~coldb (what ^ " element") target code e
+                      else begin
+                        Alcotest.check Alcotest.bool (what ^ ": -1 clears total")
+                          false total;
+                        match (e, C.relation coldb target) with
+                        | Value.Obj o, Some trel ->
+                          Alcotest.check Alcotest.bool
+                            (what ^ ": -1 only outside the extent") false
+                            (Array.exists
+                               (function
+                                 | Value.Obj r -> r.Value.oid = o.Value.oid
+                                 | _ -> false)
+                               trel.C.rows)
+                        | _ -> Alcotest.fail (what ^ ": element is not an object")
+                      end)
+                    elems
+                | _ -> Alcotest.fail (what ^ ": cell is not a set")))
+            rel.C.rows)
+        rel.C.cols)
+    (C.relations coldb)
+
 let colstore_tests =
   [
     case "columns mirror the boxed rows field-for-field" (fun () ->
-        List.iter
-          (fun ((name : string), (rel : C.relation)) ->
-            Alcotest.check Alcotest.string "relation name" name rel.C.name;
-            List.iter
-              (fun (attr, col) ->
-                Alcotest.check Alcotest.int
-                  (name ^ "." ^ attr ^ ": column length")
-                  (Array.length rel.C.rows)
-                  (C.Column.length col);
-                Array.iteri
-                  (fun i row ->
-                    let boxed = field ~context:name row attr in
-                    match col with
-                    | C.Column.Ints a ->
-                      Alcotest.check value "int cell" boxed (Value.Int a.(i))
-                    | C.Column.Strs a ->
-                      Alcotest.check value "str cell" boxed (Value.Str a.(i))
-                    | C.Column.Bools a ->
-                      Alcotest.check value "bool cell" boxed
-                        (Value.Bool a.(i))
-                    | C.Column.Boxed a ->
-                      Alcotest.check value "boxed cell" boxed a.(i)
-                    | C.Column.Refs { target; idx; _ } -> (
-                      match C.relation company_coldb target with
-                      | None -> Alcotest.fail "ref target missing"
-                      | Some trel ->
-                        if idx.(i) >= 0 then
-                          (* dictionary decode = the embedded value,
-                             resolved: same oid and class *)
-                          match (boxed, trel.C.rows.(idx.(i))) with
-                          | ( Value.Obj { cls = c1; oid = o1; _ },
-                              Value.Obj { cls = c2; oid = o2; _ } ) ->
-                            Alcotest.check Alcotest.string "ref class" c1 c2;
-                            Alcotest.check Alcotest.int "ref oid" o1 o2
-                          | _ -> Alcotest.fail "ref cell is not an object"))
-                  rel.C.rows)
-              rel.C.cols)
-          (C.relations company_coldb));
+        check_mirrors company_coldb;
+        check_mirrors store_coldb);
     case "rows are in canonical set order" (fun () ->
         List.iter
           (fun ((name : string), (rel : C.relation)) ->
@@ -270,15 +331,15 @@ let differential_tests =
         (* and the matching database still runs *)
         ignore (Exec.execute ~dedup ~db:company_db c));
     case "degrade reasons are reported, not silent" (fun () ->
-        let q, dedup = plan_of ~db:company_db Datagen.Company.rich_mentors_oql in
+        let q, dedup = plan_of ~db:company_db Datagen.Company.local_staff_oql in
         let _, st =
           Exec.run ~backend:Exec.Compiled ~dedup ~layout:Exec.Columnar
             ~coldb:company_coldb ~db:company_db q
         in
-        Alcotest.check Alcotest.bool "rich_mentors partially degrades" true
-          (st.Exec.col_degrades <> []);
-        Alcotest.check Alcotest.bool "but still lowers a kernel" true
-          (st.Exec.col_kernels > 0));
+        Alcotest.(check (list string))
+          "local_staff's membership filter degrades"
+          [ "filter over E not columnar" ] st.Exec.col_degrades;
+        Alcotest.check Alcotest.bool "and runs compiled" false st.Exec.fell_back);
     case
       "bare equi-joins of two extents run col_join on int, string and ref keys"
       (fun () ->
@@ -356,6 +417,382 @@ let differential_tests =
           Alcotest.check Alcotest.bool "names the input" true
             (contains msg "paxish")
         | Ok _ -> Alcotest.fail "expected an error");
+  ]
+
+(* --- set-valued attributes: Sets columns and the kernels over them --- *)
+
+let paper_1k = Datagen.Store.scaled ~seed:77 1_000
+let paper_1k_db = Datagen.Store.db paper_1k
+let paper_1k_coldb = Datagen.Store.columnar paper_1k
+
+let garage_oql =
+  "select [v, flatten(select p.grgs from p in P where v in p.cars)] from v in V"
+
+let a4_oql =
+  "select [p, (select c from c in p.child where p.age > 25)] from p in P"
+
+(* The four plans that read a set-valued attribute, chosen as the ledger
+   chooses them: [garage] untangles to the membership group-join, [a4]
+   and [rich_mentors] map a nested select, [mentor_elite] iterates one. *)
+let set_plans =
+  lazy
+    [
+      ("garage", plan_of ~extents:[ "P"; "V"; "A" ] ~db:paper_1k_db garage_oql);
+      ("a4", plan_of ~extents:[ "P"; "V"; "A" ] ~db:paper_1k_db a4_oql);
+      ( "rich_mentors",
+        plan_of ~db:company_db Datagen.Company.rich_mentors_oql );
+      ( "mentor_elite",
+        plan_of ~db:company_db Datagen.Company.mentor_elite_oql );
+    ]
+
+let is_paper name = name = "garage" || name = "a4"
+
+(* columnar at jobs 1 and 2 ≡ row ≡ interp, compared field by field, with
+   every columnar input kept on a column kernel unless [degrades] names
+   the reasons expected *)
+let deep_differential ?(degrades = []) ?kernels ~db ~coldb name q dedup =
+  let vi = Eval.eval_query ~db ~backend:Eval.Hashed ~dedup q in
+  let vr, sr = Exec.run ~backend:Exec.Compiled ~dedup ~db q in
+  Alcotest.check Alcotest.bool (name ^ ": row no fallback") false
+    sr.Exec.fell_back;
+  check_deep ~db (name ^ ": row ≡ interp") vr vi;
+  List.iter
+    (fun jobs ->
+      let vc, sc =
+        Exec.run ~backend:Exec.Compiled ~dedup ~layout:Exec.Columnar ~jobs
+          ~coldb ~db q
+      in
+      let name = Fmt.str "%s (columnar, jobs %d)" name jobs in
+      Alcotest.(check (list string)) (name ^ ": degrades") degrades
+        sc.Exec.col_degrades;
+      Option.iter
+        (fun k ->
+          Alcotest.(check int) (name ^ ": column kernels") k
+            sc.Exec.col_kernels)
+        kernels;
+      check_deep ~db (name ^ ": ≡ interp") vc vi;
+      check_deep ~db (name ^ ": ≡ row") vc vr)
+    [ 1; 2 ]
+
+(* Stores whose set elements are stale copies (same identity, other
+   fields than the extent row) or lie outside every extent.  Each stale
+   object has one copy, used everywhere, so dedup cannot choose between
+   copies. *)
+let stale_paper_db () =
+  let addr i city =
+    Value.obj ~cls:"Address" ~oid:i [ ("city", Value.str city) ]
+  in
+  let addrs = List.init 4 (fun i -> addr i (Fmt.str "city-%d" i)) in
+  let stale_addr = addr 1 "stale-city" in
+  let vehicle i =
+    Value.obj ~cls:"Vehicle" ~oid:i [ ("make", Value.str (Fmt.str "m%d" i)) ]
+  in
+  let vehicles = List.init 5 vehicle in
+  let ghost_car = vehicle 99 (* in no extent *) in
+  let person ?(name = "") i ~age ~child ~cars ~grgs =
+    Value.obj ~cls:"Person" ~oid:i
+      [
+        ("name", Value.str (if name = "" then Fmt.str "p%d" i else name));
+        ("age", Value.int age);
+        ("child", Value.set child);
+        ("cars", Value.set cars);
+        ("grgs", Value.set grgs);
+      ]
+  in
+  let kid i = person ~name:"stale-kid" i ~age:1 ~child:[] ~cars:[] ~grgs:[] in
+  let v = List.nth vehicles and a = List.nth addrs in
+  let persons =
+    [
+      person 0 ~age:40 ~child:[ kid 2; kid 3 ] ~cars:[ v 0; v 1 ]
+        ~grgs:[ a 0; stale_addr ];
+      person 1 ~age:20 ~child:[ kid 3 ] ~cars:[ v 1; ghost_car ]
+        ~grgs:[ stale_addr ];
+      person 2 ~age:30 ~child:[] ~cars:[ ghost_car ] ~grgs:[ a 2 ];
+      person 3 ~age:50 ~child:[ kid 0 ] ~cars:[ v 1; v 4 ] ~grgs:[];
+      person 4 ~age:60 ~child:[] ~cars:[] ~grgs:[ a 3; stale_addr ];
+    ]
+  in
+  [
+    ("P", Value.set persons);
+    ("V", Value.set vehicles);
+    ("A", Value.set addrs);
+  ]
+
+let stale_company_db () =
+  let base = Datagen.Company.scaled ~seed:77 300 in
+  let employees =
+    match List.assoc "E" (Datagen.Company.db base) with
+    | Value.Set es -> es
+    | _ -> assert false
+  in
+  let field o k = List.assoc k o.Value.fields in
+  (* odd mentors are stale (another salary, another name), even ones keep
+     their name but not their salary; oid 100 000 is in no extent *)
+  let stale = Hashtbl.create 64 in
+  let stale_copy (m : Value.t) =
+    match m with
+    | Value.Obj o -> (
+      match Hashtbl.find_opt stale o.Value.oid with
+      | Some c -> c
+      | None ->
+        let c =
+          Value.obj ~cls:"Employee" ~oid:o.Value.oid
+            [
+              ( "ename",
+                if o.Value.oid mod 2 = 1 then Value.str "stale"
+                else field o "ename" );
+              ("salary", Value.int (160_000 - (o.Value.oid * 97 mod 120_000)));
+              ("dept", field o "dept");
+              ("mentors", Value.set []);
+            ]
+        in
+        Hashtbl.replace stale o.Value.oid c;
+        c)
+    | _ -> assert false
+  in
+  let ghost =
+    Value.obj ~cls:"Employee" ~oid:100_000
+      [
+        ("ename", Value.str "ghost");
+        ("salary", Value.int 200_000);
+        ("dept", Value.Unit);
+        ("mentors", Value.set []);
+      ]
+  in
+  let employees =
+    List.map
+      (function
+        | Value.Obj o ->
+          let mentors =
+            match field o "mentors" with
+            | Value.Set ms -> List.map stale_copy ms
+            | _ -> assert false
+          in
+          let mentors = if o.Value.oid mod 5 = 0 then ghost :: mentors else mentors in
+          Value.obj ~cls:"Employee" ~oid:o.Value.oid
+            (List.map
+               (fun (k, v) ->
+                 if k = "mentors" then (k, Value.set mentors) else (k, v))
+               o.Value.fields)
+        | _ -> assert false)
+      employees
+  in
+  [ ("E", Value.set employees); List.nth (Datagen.Company.db base) 1 ]
+
+let sets_column coldb rel attr =
+  match Option.bind (C.relation coldb rel) (fun r -> C.column r attr) with
+  | Some (C.Column.Sets { target; total; _ }) -> (target, total)
+  | Some c -> Alcotest.failf "%s.%s is %s, expected sets" rel attr (C.Column.kind_name c)
+  | None -> Alcotest.failf "%s.%s: no column" rel attr
+
+let set_tests =
+  [
+    case "set-of-object attributes are Sets columns into their extents"
+      (fun () ->
+        List.iter
+          (fun (coldb, rel, attr, target) ->
+            let t, total = sets_column coldb rel attr in
+            Alcotest.check Alcotest.string (rel ^ "." ^ attr ^ " target") target t;
+            Alcotest.check Alcotest.bool (rel ^ "." ^ attr ^ " total") true total)
+          [
+            (store_coldb, "P", "cars", "V");
+            (store_coldb, "P", "grgs", "A");
+            (store_coldb, "P", "child", "P");
+            (company_coldb, "E", "mentors", "E");
+          ]);
+    case "out-of-extent elements encode as -1 and clear total; empty sets"
+      (fun () ->
+        let pdb = stale_paper_db () and cdb = stale_company_db () in
+        let pcol = C.of_db pdb and ccol = C.of_db cdb in
+        (* [check_mirrors] checks every code, -1s included *)
+        check_mirrors pcol;
+        check_mirrors ccol;
+        Alcotest.(check bool) "P.cars: ghost car clears total" false
+          (snd (sets_column pcol "P" "cars"));
+        Alcotest.(check bool) "P.grgs: stale copies resolve" true
+          (snd (sets_column pcol "P" "grgs"));
+        Alcotest.(check bool) "E.mentors: ghost mentor clears total" false
+          (snd (sets_column ccol "E" "mentors"));
+        match Option.bind (C.relation pcol "P") (fun r -> C.column r "child") with
+        | Some (C.Column.Sets { off; _ }) ->
+          (* persons 2 and 4 have no children *)
+          Alcotest.(check int) "empty set: empty range" off.(2) off.(3);
+          Alcotest.(check int) "empty last set" off.(4) off.(5)
+        | _ -> Alcotest.fail "P.child is not a Sets column");
+    case "a stale embedded object makes its ref column inexact" (fun () ->
+        (* X#0.r is a copy of Y#0 whose name is "stale"; the extent row
+           says "real".  Reading name through the ref must read the copy,
+           as the interpreter and the row backend do. *)
+        let y name = Value.obj ~cls:"Y" ~oid:0 [ ("name", Value.str name) ] in
+        let db =
+          [
+            ("X", Value.set [ Value.obj ~cls:"X" ~oid:0 [ ("r", y "stale") ] ]);
+            ("Y", Value.set [ y "real" ]);
+          ]
+        in
+        let coldb = C.of_db db in
+        (match Option.bind (C.relation coldb "X") (fun r -> C.column r "r") with
+        | Some (C.Column.Refs { exact; total; _ }) ->
+          Alcotest.(check bool) "resolves" true total;
+          Alcotest.(check bool) "inexact" false exact
+        | _ -> Alcotest.fail "X.r is not a ref column");
+        let q =
+          Term.query
+            (Term.Iterate
+               (Term.Kp true, Term.Compose (Term.Prim "name", Term.Prim "r")))
+            (Value.Named "X")
+        in
+        let expect = Value.set [ Value.str "stale" ] in
+        let vi = Eval.eval_query ~db ~backend:Eval.Hashed q in
+        let vr, _ = Exec.run ~backend:Exec.Compiled ~db q in
+        let vc, _ =
+          Exec.run ~backend:Exec.Compiled ~layout:Exec.Columnar ~coldb ~db q
+        in
+        Alcotest.check value "interp" expect vi;
+        Alcotest.check value "row" expect vr;
+        Alcotest.check value "columnar" expect vc);
+    case "set plans: columnar ≡ row ≡ interp field by field, both dedups"
+      (fun () ->
+        List.iter
+          (fun (name, (q, _)) ->
+            let stores =
+              if is_paper name then [ (paper_1k_db, paper_1k_coldb) ]
+              else
+                [ (company_db, company_coldb); (company_1k_db, company_1k_coldb) ]
+            in
+            List.iter
+              (fun (db, coldb) ->
+                List.iter
+                  (fun dedup -> deep_differential ~db ~coldb name q dedup)
+                  [ Eval.Eager; Eval.Deferred ])
+              stores)
+          (Lazy.force set_plans));
+    case "set plans on stale copies and out-of-extent elements" (fun () ->
+        let pdb = stale_paper_db () and cdb = stale_company_db () in
+        let pcol = C.of_db pdb and ccol = C.of_db cdb in
+        List.iter
+          (fun (name, (q, _)) ->
+            let db, coldb = if is_paper name then (pdb, pcol) else (cdb, ccol) in
+            List.iter
+              (fun dedup -> deep_differential ~db ~coldb name q dedup)
+              [ Eval.Eager; Eval.Deferred ])
+          (Lazy.force set_plans));
+    case "nested selects compile either leg, and refuse the whole pair"
+      (fun () ->
+        let nested p h =
+          Parse.query
+            (Fmt.str "iterate(Kp(T), <id, iter(%s, %s) o <id, mentors>>) ! E" p
+               h)
+        in
+        let plans =
+          [
+            ( "mixed and row-only conjuncts",
+              nested
+                "(gt (+) <salary o pi2, salary o pi1>) & (leq (+) <salary o \
+                 pi1, Kf(150000)>)"
+                "pi2",
+              [] );
+            ( "object equality or a negated element test",
+              nested
+                "(eq (+) <dept o pi2, dept o pi1>) | ((gt (+) <salary o pi2, \
+                 Kf(100000)>)^-1)"
+                "pi2",
+              [] );
+            ("membership against a row column", nested "in (+) <pi2, mentors o pi1>" "pi2", []);
+            ("a head over both legs", nested "Kp(T)" "<ename o pi1, ename o pi2>", []);
+            ( "a row-only filter under another head",
+              nested "gt (+) <salary o pi1, Kf(100000)>" "salary o pi2",
+              [] );
+            ("the whole pair", nested "eq" "pi2", [ "map over E not columnar" ]);
+          ]
+        in
+        let cdb = stale_company_db () in
+        List.iter
+          (fun (db, coldb) ->
+            List.iter
+              (fun (name, q, degrades) ->
+                List.iter
+                  (fun dedup ->
+                    (* the Kp(T) scan lowers a kernel even where the map
+                       degrades: a degrade leaves the rest columnar *)
+                    deep_differential ~degrades ~kernels:1 ~db ~coldb name q
+                      dedup)
+                  [ Eval.Eager; Eval.Deferred ])
+              plans)
+          [ (company_db, company_coldb); (cdb, C.of_db cdb) ];
+        (* a set of ints stays a Boxed column, and the loop still runs *)
+        let x i ks =
+          Value.obj ~cls:"X" ~oid:i
+            [ ("k", Value.int i); ("ks", Value.set (List.map Value.int ks)) ]
+        in
+        let db = [ ("X", Value.set [ x 0 [ 1; 2 ]; x 1 []; x 2 [ 1; 3; 5 ] ]) ] in
+        let coldb = C.of_db db in
+        (match Option.bind (C.relation coldb "X") (fun r -> C.column r "ks") with
+        | Some (C.Column.Boxed _) -> ()
+        | _ -> Alcotest.fail "X.ks is not a Boxed column");
+        let q =
+          Parse.query
+            "iterate(Kp(T), <id, iter(gt (+) <pi2, k o pi1>, pi2) o <id, ks>>) ! X"
+        in
+        List.iter
+          (fun dedup -> deep_differential ~db ~coldb "boxed ints" q dedup)
+          [ Eval.Eager; Eval.Deferred ]);
+    case "the garage plan lowers to the membership group-join" (fun () ->
+        let q, _ = List.assoc "garage" (Lazy.force set_plans) in
+        let c = Exec.compile ~coldb:paper_1k_coldb q in
+        (match Exec.ir c with
+        | Kola_exec.Ir.HashGroup
+            {
+              src =
+                Kola_exec.Ir.UnnestStage
+                  (_, _, Kola_exec.Ir.HashJoin { kind = Kola_exec.Ir.Membership; _ });
+              _;
+            } ->
+          ()
+        | ir -> Alcotest.failf "not a membership group-join: %a" Kola_exec.Ir.pp ir);
+        Alcotest.(check int) "one column kernel" 1 (Exec.col_kernels c);
+        (* drop vehicle 1 from V: every car set naming it now holds a -1,
+           a guaranteed miss against the total probe side V *)
+        let pdb = stale_paper_db () in
+        let pdb =
+          List.map
+            (fun (n, v) ->
+              if n = "V" then
+                ( n,
+                  match v with
+                  | Value.Set vs -> Value.set (List.filteri (fun i _ -> i <> 1) vs)
+                  | v -> v )
+              else (n, v))
+            pdb
+        in
+        let vi = Eval.eval_query ~db:pdb ~backend:Eval.Hashed q in
+        let vc, st =
+          Exec.run ~backend:Exec.Compiled ~layout:Exec.Columnar
+            ~coldb:(C.of_db pdb) ~db:pdb q
+        in
+        check_deep ~db:pdb "fewer vehicles: columnar ≡ interp" vc vi;
+        Alcotest.(check int) "still the group-join" 1 st.Exec.col_kernels;
+        Alcotest.(check (list string)) "no degrade" [] st.Exec.col_degrades);
+    case "the membership build is bit-identical across morsels" (fun () ->
+        (* more persons than one morsel, so jobs 2 fans the build out *)
+        let big = Datagen.Store.scaled ~seed:77 70_000 in
+        let db = Datagen.Store.db big and coldb = Datagen.Store.columnar big in
+        let q, _ = List.assoc "garage" (Lazy.force set_plans) in
+        List.iter
+          (fun dedup ->
+            let run jobs =
+              Exec.run ~backend:Exec.Compiled ~dedup ~layout:Exec.Columnar
+                ~jobs ~coldb ~db q
+            in
+            let v1, s1 = run 1 and v2, s2 = run 2 in
+            Alcotest.(check int) "jobs 1: one inline morsel" 1 s1.Exec.morsels;
+            Alcotest.(check bool) "jobs 2: the build fans out" true
+              (s2.Exec.morsels > 1);
+            Alcotest.(check bool) "jobs 1 = jobs 2" true (Value.compare v1 v2 = 0);
+            check_deep ~db "deep: jobs 1 = jobs 2" v1 v2;
+            let vr, _ = Exec.run ~backend:Exec.Compiled ~dedup ~db q in
+            check_deep ~db "columnar ≡ row" v1 vr)
+          [ Eval.Eager; Eval.Deferred ]);
   ]
 
 (* --- morsel determinism: bit-identical across jobs --- *)
@@ -464,3 +901,4 @@ let qcheck_props =
 let tests =
   colstore_tests @ differential_tests @ bitid_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props
+  @ set_tests
