@@ -12,11 +12,15 @@ test:
 
 # The default verify path: build, unit tests, the rule-pack gate, the
 # serving smoke (daemon end-to-end: engines, malformed and oversized
-# input, overload rejection, telemetry, clean shutdown), and the ledger's
-# gates (one second per workload; fails on any gate, including
-# compiled-vs-interpreter agreement and search path validation).
+# input, overload rejection, telemetry, clean shutdown), a company-schema
+# query run columnar from the CLI and checked against the interpreter,
+# and the ledger's gates (one second per workload; fails on any gate,
+# including compiled-vs-interpreter agreement and search path
+# validation).
 check:
-	dune build && dune runtest && $(MAKE) certify-packs && $(MAKE) serve-smoke && $(MAKE) ledger-smoke
+	dune build && dune runtest && $(MAKE) certify-packs && $(MAKE) serve-smoke
+	dune exec bin/kolaopt.exe -- run "select [e, (select m from m in e.mentors where m.salary > e.salary)] from e in E" --schema company --execute compiled --layout columnar --verify --exec-stats
+	$(MAKE) ledger-smoke
 
 # The OQL → result ledger at smoke size, every gate on.
 ledger-smoke:
@@ -43,8 +47,9 @@ serve-smoke:
 # structurally quadratic queries are skipped at 10^6 and replaced by a
 # 10^4 sampled agreement check); writes BENCH_exec.json and fails on a
 # disagreement, an unchecked cell, rich_mentors row-compiled below the
-# interpreter at >= 10^5, or columnar jobs > 1 over 2x jobs = 1 below
-# one morsel.  `dune exec bench/main.exe -- --fast` stops at 10^5.
+# interpreter at >= 10^5 (medians of 5 interleaved runs each), or
+# columnar jobs > 1 over 2x jobs = 1 below one morsel.
+# `dune exec bench/main.exe -- --fast` stops at 10^5.
 bench-exec:
 	dune exec bench/main.exe
 

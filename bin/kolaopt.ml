@@ -2,31 +2,73 @@
 
      kolaopt explain "select p.age from p in P where p.age > 25"
      kolaopt run     "select p.addr.city from p in P" --people 100
+     kolaopt run     "select e.ename from e in E" --schema company
      kolaopt rules --certify
      kolaopt untangle
 *)
 
 open Cmdliner
 
-let store_term =
-  let people =
-    Arg.(value & opt int 40 & info [ "people" ] ~doc:"Number of persons in P.")
+let people =
+  Arg.(
+    value & opt int 40
+    & info [ "people" ]
+        ~doc:"Number of persons in P (employees in E under $(b,--schema company)).")
+
+let vehicles =
+  Arg.(value & opt int 30 & info [ "vehicles" ] ~doc:"Number of vehicles in V.")
+
+let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Generator seed.")
+
+let paper_store people vehicles seed =
+  Datagen.Store.generate
+    { Datagen.Store.default_params with people; vehicles; seed }
+
+let store_term = Term.(const paper_store $ people $ vehicles $ seed)
+
+(* A generated store of either schema, built when a command runs (inside
+   [handle_errors]), with the extents its queries range over. *)
+type schema_store = {
+  db : (string * Kola.Value.t) list;
+  columnar : unit -> Kola.Colstore.db;
+  extents : string list option;  (** [None]: the parser's P, V, A *)
+}
+
+let schema_store_term =
+  let schema =
+    Arg.(
+      value
+      & opt (enum [ ("paper", `Paper); ("company", `Company) ]) `Paper
+      & info [ "schema" ] ~docv:"SCHEMA"
+          ~doc:
+            "Schema of the generated store: $(b,paper) (extents P, V, A) or \
+             $(b,company) (extents E and D, with $(b,--people) employees).")
   in
-  let vehicles =
-    Arg.(value & opt int 30 & info [ "vehicles" ] ~doc:"Number of vehicles in V.")
+  let make schema people vehicles seed () =
+    match schema with
+    | `Paper ->
+      let s = paper_store people vehicles seed in
+      {
+        db = Datagen.Store.db s;
+        columnar = (fun () -> Datagen.Store.columnar s);
+        extents = None;
+      }
+    | `Company ->
+      let c = Datagen.Company.scaled ~seed people in
+      {
+        db = Datagen.Company.db c;
+        columnar = (fun () -> Datagen.Company.columnar c);
+        extents = Some [ "E"; "D" ];
+      }
   in
-  let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Generator seed.") in
-  let make people vehicles seed =
-    Datagen.Store.generate
-      { Datagen.Store.default_params with people; vehicles; seed }
-  in
-  Term.(const make $ people $ vehicles $ seed)
+  Term.(const make $ schema $ people $ vehicles $ seed)
 
 let query_arg =
   Arg.(
     required
     & pos 0 (some string) None
-    & info [] ~docv:"OQL" ~doc:"An OQL query over extents P, V, A.")
+    & info [] ~docv:"OQL"
+        ~doc:"An OQL query over extents P, V, A (E, D under $(b,--schema company)).")
 
 let handle_errors f =
   try f () with
@@ -41,6 +83,9 @@ let handle_errors f =
     exit 1
   | Coko.Syntax.Error msg ->
     Fmt.epr "coko error: %s@." msg;
+    exit 1
+  | Invalid_argument msg ->
+    Fmt.epr "invalid argument: %s@." msg;
     exit 1
 
 (* Load a .coko rule pack and gate it through the certifier (persisted
@@ -64,13 +109,13 @@ let admit_pack ?cache_path ?strategy path =
 let explain_cmd =
   let run src store =
     handle_errors (fun () ->
-        let db = Datagen.Store.db store in
-        let report = Optimizer.Pipeline.optimize_oql ~db src in
+        let { db; extents; _ } = store () in
+        let report = Optimizer.Pipeline.optimize_oql ?extents ~db src in
         Optimizer.Pipeline.pp_report Fmt.stdout report)
   in
   Cmd.v
     (Cmd.info "explain" ~doc:"Show the full optimization report for a query.")
-    Term.(const run $ query_arg $ store_term)
+    Term.(const run $ query_arg $ schema_store_term)
 
 let run_cmd =
   (* Validated at the cmdliner layer: an unknown backend is a usage error
@@ -167,14 +212,14 @@ let run_cmd =
   in
   let run src store execute verify stats exec_stats layout jobs =
     handle_errors (fun () ->
-        let db = Datagen.Store.db store in
+        let { db; columnar; extents } = store () in
         let stats = stats || exec_stats in
         let coldb =
           match layout with
-          | Some Kola_exec.Exec.Columnar -> Some (Datagen.Store.columnar store)
+          | Some Kola_exec.Exec.Columnar -> Some (columnar ())
           | Some Kola_exec.Exec.Row | None -> None
         in
-        let report = Optimizer.Pipeline.optimize_oql ~db src in
+        let report = Optimizer.Pipeline.optimize_oql ?extents ~db src in
         let result, st =
           Optimizer.Pipeline.execute ?backend:execute ?layout ~jobs ?coldb ~db
             report
@@ -200,7 +245,7 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run" ~doc:"Optimize and execute a query against a generated store.")
     Term.(
-      const run $ query_arg $ store_term $ execute $ verify $ stats
+      const run $ query_arg $ schema_store_term $ execute $ verify $ stats
       $ exec_stats $ layout $ jobs)
 
 let rules_cmd =

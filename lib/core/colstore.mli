@@ -5,9 +5,10 @@
     plus one typed column per uniformly-typed attribute; object-valued
     attributes are dictionary-encoded as row indexes into the extent
     holding their class ({!Column.Refs}), and set-of-object attributes
-    the same way element by element ({!Column.Sets}).  Extents that do
-    not fit the shape are simply absent and execute on the boxed row
-    path. *)
+    the same way element by element ({!Column.Sets}), each with an
+    element relation ({!elements}) whose rows are the embedded elements.
+    Extents that do not fit the shape are simply absent and execute on
+    the boxed row path. *)
 
 module Column : sig
   type t =
@@ -37,7 +38,8 @@ module Column : sig
         sets : Value.t array;  (** the boxed sets, for emission *)
       }
         (** an attribute holding, in every row, a set of objects of the
-            class [target] holds (empty sets included) *)
+            class [target] holds (empty sets included); its elements
+            form a relation of their own, see {!elements} *)
     | Boxed of Value.t array
 
   val kind_name : t -> string
@@ -45,17 +47,40 @@ module Column : sig
 end
 
 type relation = {
-  name : string;  (** the extent name this relation materializes *)
+  name : string;
+      (** the extent name this relation materializes; ["E.mentors"] for
+          the element relation of [E]'s [mentors] *)
   cls : string;
-  rows : Value.t array;  (** boxed rows in canonical set order *)
+  rows : Value.t array;
+      (** boxed rows: an extent's in canonical set order, an element
+          relation's the embedded elements in CSR order *)
   cols : (string * Column.t) list;
+      (** an extent's columns; [[]] for an element relation, whose
+          columns {!column} builds on first use *)
+  of_set : of_set option;  (** [Some] exactly for element relations *)
 }
+
+(** How the rows of an element relation relate to the extents. *)
+and of_set = {
+  target : string;  (** the extent the elements are objects of *)
+  codes : int array;
+      (** each element's row in [target], [-1] outside it: the [Sets]
+          column's [idx] *)
+  total : bool;  (** no [-1] codes *)
+  owner : int array;
+      (** each element's row in the relation whose set holds it *)
+  memo : memo;
+}
+
+and memo
+(** The element columns built so far. *)
 
 type db
 
 val of_db : (string * Value.t) list -> db
 (** Materialize every extent that is a set of same-class objects.
-    Deterministic in the input; O(rows × fields). *)
+    Deterministic in the input; O(rows × fields).  Element relations
+    are not built here. *)
 
 val source : db -> (string * Value.t) list
 (** The boxed database this view was materialized from — execution
@@ -64,13 +89,27 @@ val source : db -> (string * Value.t) list
 
 val relations : db -> (string * relation) list
 val relation : db -> string -> relation option
+
 val column : relation -> string -> Column.t option
+(** A named column.  On an element relation the column is encoded from
+    the elements' own fields, exactly as an extent's from its rows (a
+    field missing in some element gives [None], a non-uniform one a
+    [Boxed] column), on first use, once per store even when several
+    domains ask at the same time. *)
+
+val elements : db -> relation -> string -> relation option
+(** [elements db r a]: the element relation of [r]'s [Sets] column [a]
+    ([None] when [a] is not one).  Row [e] is the [e]-th element in CSR
+    order, the very value the boxed set holds, so a read through it sees
+    what the row path sees even where the copy differs from its target
+    row.  Built on first use and memoized, domain-safe like {!column}. *)
 
 type stats = {
   relations : int;
   rows : int;
   typed_cols : int;  (** Ints/Strs/Bools/Refs/Sets columns *)
   boxed_cols : int;
+  element_cols : int;  (** element columns built so far *)
 }
 
 val stats : db -> stats

@@ -85,8 +85,9 @@ let generate (p : params) : t =
 
 let db t = t.db
 
-(* The columnar view: E with unboxed [salary] ints, [ename] strings and
-   [dept] dictionary-encoded into D; [mentors] stays a boxed column. *)
+(* The columnar view: E with unboxed [salary] ints, [ename] strings,
+   [dept] dictionary-encoded into D and [mentors] a [Sets] column into E,
+   whose element relation holds the embedded mentor copies. *)
 let columnar t = Kola.Colstore.of_db t.db
 
 (* Benchmark-scale company store: array-backed O(1) sampling (the

@@ -32,8 +32,9 @@ val scaled : ?seed:int -> int -> t
 val db : t -> (string * Kola.Value.t) list
 
 val columnar : t -> Kola.Colstore.db
-(** The columnar view of {!db}: E with unboxed salary/ename columns and
-    dept dictionary-encoded into D; rows shared with the boxed store. *)
+(** The columnar view of {!db}: E with unboxed salary/ename columns,
+    dept dictionary-encoded into D and mentors a [Sets] column into E;
+    rows shared with the boxed store. *)
 
 val dept_roster_oql : string
 (** A hidden join over this schema (the Garage Query's shape). *)

@@ -557,10 +557,6 @@ type vec = {
   pre : (rctx -> unit) option;   (** forced once per scan, before rows *)
 }
 
-(* An unboxed int projection over a selection — the feed for aggregate
-   fast paths. *)
-type icol = { src : vec; iget : int -> int }
-
 let vec_pre ctx v = match v.pre with Some f -> f ctx | None -> ()
 
 let vec_conj v p =
@@ -625,10 +621,20 @@ type proj =
   | PBool of (int -> bool)
   | PRow of C.relation * (int -> int)  (** a row of another relation *)
   | PVal of (int -> Value.t)           (** boxed column read (pure) *)
+  | PPair of proj * proj
+      (** a pair of projections: [⟨f, g⟩] over any leaf, and the leaf a
+          nested select's [p] and [h] see (π1 the parent row, π2 the
+          element row) *)
 
 let rec aproj coldb (f : Term.func) (p : proj) : proj option =
   match (f, p) with
   | Term.Id, p -> Some p
+  | Term.Pi1, PPair (a, _) -> Some a
+  | Term.Pi2, PPair (_, b) -> Some b
+  | Term.Pairf (f, g), p -> (
+    match (aproj coldb f p, aproj coldb g p) with
+    | Some a, Some b -> Some (PPair (a, b))
+    | _ -> None)
   | Term.Compose (a, b), p -> (
     match aproj coldb b p with
     | Some q -> aproj coldb a q
@@ -656,18 +662,34 @@ let proj_of_row coldb f rel = aproj coldb f (PRow (rel, fun i -> i))
 
 (* The raw value a projection denotes — exactly what the row path's
    attribute closure returns (field values are not resolved). *)
-let proj_emit (p : proj) : int -> Value.t =
+let rec proj_emit (p : proj) : int -> Value.t =
   match p with
   | PInt g -> fun i -> Value.Int (g i)
   | PStr g -> fun i -> Value.Str (g i)
   | PBool g -> fun i -> Value.Bool (g i)
   | PRow (rel, ix) -> fun i -> rel.C.rows.(ix i)
   | PVal g -> g
+  | PPair (a, b) ->
+    let ea = proj_emit a and eb = proj_emit b in
+    fun i -> Value.Pair (ea i, eb i)
+
+(* A row's identity as an extent row: the extent, the row index, and
+   whether every index is one.  An extent's rows are themselves; an
+   element row is the target row its code names ([-1] outside it), so
+   two positions holding copies of one object compare equal. *)
+let row_ident (rel : C.relation) ix =
+  match rel.C.of_set with
+  | None -> (rel.C.name, ix, true)
+  | Some e ->
+    let codes = e.C.codes in
+    (e.C.target, (fun i -> codes.(ix i)), e.C.total)
 
 (* Comparator compilation.  Same-kind typed comparisons only: rows of one
    relation are stored in canonical ([Value.compare]) order with distinct
    oids, so index order is value order and all three comparisons agree
-   with the row path.  Mixed-type or boxed comparisons keep the row
+   with the row path.  Rows compare through {!row_ident}: a [-1] code
+   never equals an extent row, so equality needs one side total and
+   ordering both.  Mixed-type or boxed comparisons keep the row
    closures. *)
 let ccmp (cmp : [ `Eq | `Leq | `Gt ]) (a : proj) (b : proj) :
     (int -> bool) option =
@@ -690,12 +712,15 @@ let ccmp (cmp : [ `Eq | `Leq | `Gt ]) (a : proj) (b : proj) :
       | `Eq -> fun i -> x i = y i
       | `Leq -> fun i -> Stdlib.compare (x i) (y i) <= 0
       | `Gt -> fun i -> Stdlib.compare (x i) (y i) > 0)
-  | PRow (r1, ix1), PRow (r2, ix2) when String.equal r1.C.name r2.C.name ->
-    Some
-      (match cmp with
-      | `Eq -> fun i -> ix1 i = ix2 i
-      | `Leq -> fun i -> ix1 i <= ix2 i
-      | `Gt -> fun i -> ix1 i > ix2 i)
+  | PRow (r1, ix1), PRow (r2, ix2) -> (
+    let t1, c1, total1 = row_ident r1 ix1 and t2, c2, total2 = row_ident r2 ix2 in
+    if not (String.equal t1 t2) then None
+    else
+      match cmp with
+      | `Eq when total1 || total2 -> Some (fun i -> c1 i = c2 i)
+      | `Leq when total1 && total2 -> Some (fun i -> c1 i <= c2 i)
+      | `Gt when total1 && total2 -> Some (fun i -> c1 i > c2 i)
+      | _ -> None)
   | _ -> None
 
 let rec cpred coldb (p : Term.pred) (input : proj) : (int -> bool) option =
@@ -718,21 +743,21 @@ let rec cpred coldb (p : Term.pred) (input : proj) : (int -> bool) option =
       | Some (C.Column.Bools arr) -> Some (fun i -> arr.(ix i))
       | _ -> None)
     | _ -> None)
-  | Term.Oplus (((Term.Eq | Term.Leq | Term.Gt) as cmp), Term.Pairf (a, b))
-    -> (
-    match (aproj coldb a input, aproj coldb b input) with
-    | Some pa, Some pb ->
+  | (Term.Eq | Term.Leq | Term.Gt) as cmp -> (
+    match input with
+    | PPair (a, b) ->
       ccmp
         (match cmp with
         | Term.Eq -> `Eq
         | Term.Leq -> `Leq
         | _ -> `Gt)
-        pa pb
+        a b
     | _ -> None)
-  | Term.Oplus (q, f) -> (
-    match aproj coldb f input with
-    | Some j -> cpred coldb q j
-    | None -> None)
+  | Term.Conv q -> (
+    match input with
+    | PPair (a, b) -> cpred coldb q (PPair (b, a))
+    | _ -> None)
+  | Term.Oplus (q, f) -> Option.bind (aproj coldb f input) (cpred coldb q)
   | _ -> None
 
 (* Rebase a func/pred applied to a pair onto one of its legs ([leg] is
@@ -780,12 +805,20 @@ let rec pred_reroot ~leg : Term.pred -> Term.pred option = function
 (* Nested selects over a set attribute.  The translator writes
    [select m from m in e.a where p] as [iter(p, h) ∘ ⟨id, a⟩]; over a
    columnar scan that is a loop over row [i]'s set, each element [y]
-   meeting [p] and [h] as [Pair (row, y)].  π1 reads the row's typed
-   columns.  π2 reads the embedded element itself through the row
-   closures — exactly what the row path reads, so it needs neither typed
-   nor exact columns, and [Boxed] set columns work too.  A term that
-   reads the pair other than through its legs (a bare [id], a join)
-   refuses, and the map degrades to the row kernel. *)
+   meeting [p] and [h] as [Pair (row, y)].
+
+   When [a] is a [Sets] column the loop runs over row [i]'s range of its
+   element relation ({!C.elements}), whose row [e] is the embedded
+   element itself, and [p] and [h] compile through [aproj]/[cpred] on
+   the pair leaf [PPair (parent row, element row)]: π1 reads the row's
+   typed columns, π2 the element's own, so a stale copy reads as the
+   copy it is.  A [p] or [h] the typed compiler refuses, and every set
+   attribute without an element relation ([Boxed] columns), run the
+   closures below instead: their π1 paths read the row's typed columns,
+   and their π2 paths run the row closures on the embedded element —
+   again exactly what the row path reads.  A term that reads the pair
+   other than through its legs (comparing the pair itself with a value,
+   a join) refuses, and the map degrades to the row kernel. *)
 
 (* A func of the row alone, through its columns. *)
 let row_proj coldb rel f =
@@ -854,56 +887,127 @@ let rec pair_pred coldb rel (p : Term.pred) : npred option =
     | _ -> None)
 
 (* [iter(p, h) ∘ ⟨id, a⟩] on row [i], [a]'s value given by [set_of]: the
-   collection the row path's iter kernel builds.  With [h = π2] the kept
-   elements of a canonical set stay in order, so [canonical_set] skips the
-   sort. *)
-let nested_select coldb rel p h (set_of : rctx -> int -> Value.t) :
-    (rctx -> int -> Value.t) option =
-  match (pair_pred coldb rel p, pair_func coldb rel h) with
-  | Some (Whole keep), Some _ when h = Term.Pi2 ->
+   collection the row path's iter kernel builds, and whether [p] and [h]
+   both compiled on the pair leaf.  [elems] gives the element relation,
+   its offsets and owners when [a] is a [Sets] column; it is only asked
+   for when the whole set cannot be reused.  With [h = π2] the kept
+   elements of a canonical set stay in order, so [canonical_set] skips
+   the sort. *)
+let nested_select coldb rel ~elems p h (set_of : rctx -> int -> Value.t) :
+    (bool * (rctx -> int -> Value.t)) option =
+  let pred = pair_pred coldb rel p in
+  let each = function Whole k -> fun _ i _ -> k i | Each e -> e in
+  let finish_kept ctx xs =
+    if ctx.dedup = Eval.Eager then canonical_set xs else collection ctx xs
+  in
+  match pred with
+  | Some (Whole keep) when h = Term.Pi2 ->
     (* the predicate keeps or drops row [i]'s set as it stands *)
     Some
-      (fun ctx i ->
-        let s = resolve ctx (set_of ctx i) in
-        let ys = as_set ctx s in
-        match ctx.dedup with
-        | Eval.Deferred -> Value.Bag (if keep i then ys else [])
-        | Eval.Eager -> (
-          match s with
-          | Value.Set _ when keep i -> s
-          | _ -> Value.set (if keep i then ys else [])))
-  | Some pred, Some head ->
-    let test = match pred with Whole k -> fun _ i _ -> k i | Each e -> e in
-    (* in source order, with no per-row accumulator or closure *)
-    let[@tail_mod_cons] rec kept ctx i = function
-      | [] -> []
-      | y :: ys ->
-        ctx.c.tuples <- ctx.c.tuples + 1;
-        if test ctx i y then
-          let x = head ctx i y in
-          x :: kept ctx i ys
-        else kept ctx i ys
-    in
-    Some
-      (fun ctx i ->
-        let xs = kept ctx i (as_set ctx (resolve ctx (set_of ctx i))) in
-        if ctx.dedup = Eval.Eager then canonical_set xs
-        else collection ctx xs)
-  | _ -> None
+      ( false,
+        fun ctx i ->
+          let s = resolve ctx (set_of ctx i) in
+          let ys = as_set ctx s in
+          match ctx.dedup with
+          | Eval.Deferred -> Value.Bag (if keep i then ys else [])
+          | Eval.Eager -> (
+            match s with
+            | Value.Set _ when keep i -> s
+            | _ -> Value.set (if keep i then ys else [])) )
+  | _ -> (
+    match elems () with
+    | Some ((erel : C.relation), off, owner) -> (
+      let leaf =
+        PPair (PRow (rel, fun e -> owner.(e)), PRow (erel, fun e -> e))
+      in
+      let rows = erel.C.rows in
+      let test =
+        match cpred coldb p leaf with
+        | Some k -> Some (true, fun _ _ e -> k e)
+        | None ->
+          Option.map
+            (fun pr ->
+              let t = each pr in
+              (false, fun ctx i e -> t ctx i rows.(e)))
+            pred
+      in
+      let head =
+        match aproj coldb h leaf with
+        | Some pr ->
+          let out = proj_emit pr in
+          Some (true, fun _ _ e -> out e)
+        | None ->
+          Option.map
+            (fun f -> (false, fun ctx i e -> f ctx i rows.(e)))
+            (pair_func coldb rel h)
+      in
+      match (test, head) with
+      | Some (typed_p, test), Some (typed_h, head) ->
+        (* row [i]'s elements [e] to [stop - 1], in source order, with no
+           per-row accumulator or closure *)
+        let[@tail_mod_cons] rec kept ctx i e stop =
+          if e = stop then []
+          else begin
+            ctx.c.tuples <- ctx.c.tuples + 1;
+            if test ctx i e then
+              let x = head ctx i e in
+              x :: kept ctx i (e + 1) stop
+            else kept ctx i (e + 1) stop
+          end
+        in
+        Some
+          ( typed_p && typed_h,
+            fun ctx i -> finish_kept ctx (kept ctx i off.(i) off.(i + 1)) )
+      | _ -> None)
+    | None -> (
+      match (pred, pair_func coldb rel h) with
+      | Some pred, Some head ->
+        let test = each pred in
+        let[@tail_mod_cons] rec kept ctx i = function
+          | [] -> []
+          | y :: ys ->
+            ctx.c.tuples <- ctx.c.tuples + 1;
+            if test ctx i y then
+              let x = head ctx i y in
+              x :: kept ctx i ys
+            else kept ctx i ys
+        in
+        Some
+          ( false,
+            fun ctx i ->
+              finish_kept ctx
+                (kept ctx i (as_set ctx (resolve ctx (set_of ctx i)))) )
+      | _ -> None))
 
-(* The value a map's func yields on row [i] of a columnar scan: a typed
-   projection, a pair of such values, or a nested select. *)
-let rec row_emit coldb rel (f : Term.func) : (rctx -> int -> Value.t) option =
+(* The value a map's func yields on row [i] of a columnar scan — a typed
+   projection, a pair of such values, or a nested select — and how many
+   nested selects in it run typed on an element relation. *)
+let rec row_emit coldb rel (f : Term.func) :
+    (int * (rctx -> int -> Value.t)) option =
   match (proj_of_row coldb f rel, f) with
   | Some pr, _ ->
     let out = proj_emit pr in
-    Some (fun _ i -> out i)
+    Some (0, fun _ i -> out i)
   | None, Term.Pairf (a, b) -> (
     match (row_emit coldb rel a, row_emit coldb rel b) with
-    | Some ea, Some eb -> Some (fun ctx i -> Value.Pair (ea ctx i, eb ctx i))
+    | Some (ka, ea), Some (kb, eb) ->
+      Some (ka + kb, fun ctx i -> Value.Pair (ea ctx i, eb ctx i))
     | _ -> None)
   | None, Term.Compose (Term.Iter (p, h), Term.Pairf (Term.Id, a)) ->
-    Option.bind (row_emit coldb rel a) (nested_select coldb rel p h)
+    let elems () =
+      match a with
+      | Term.Prim attr -> (
+        match (C.column rel attr, C.elements coldb rel attr) with
+        | ( Some (C.Column.Sets { off; _ }),
+            Some ({ C.of_set = Some { C.owner; _ }; _ } as erel) ) ->
+          Some (erel, off, owner)
+        | _ -> None)
+      | _ -> None
+    in
+    Option.bind (row_emit coldb rel a) (fun (k, set_of) ->
+        Option.map
+          (fun (typed, out) -> ((if typed then k + 1 else k), out))
+          (nested_select coldb rel ~elems p h set_of))
   | None, _ -> None
 
 (* Join-key compilation: the spaces two compiled keys may be matched in.
@@ -928,8 +1032,10 @@ let ckey_of coldb (g : Term.func) (rel : C.relation) : ckey option =
   match proj_of_row coldb g rel with
   | Some (PInt get) -> Some (KInt get)
   | Some (PStr get) -> Some (KStr get)
-  | Some (PRow (t, ix)) -> Some (KRow (t.C.name, ix, true))
-  | Some (PBool _) | Some (PVal _) -> None
+  | Some (PRow (t, ix)) ->
+    let t, code, total = row_ident t ix in
+    Some (KRow (t, code, total))
+  | Some (PBool _ | PVal _ | PPair _) -> None
   | None -> (
     (* Allow one final ref step that is total-or-not and inexact: identity
        joins only need the (cls, oid) index, not field equality. *)
@@ -991,11 +1097,18 @@ let build_codes coldb kind (g : Term.func) (rel : C.relation) :
 
 type producer = rctx -> src
 
+(* A columnar scan read through a typed projection: a map over [Cols]
+   and every map after it, composed onto [p].  [charge] is the tuples one
+   selected row costs, one per map stage the projection replaced — except
+   that an int projection straight off the scan has always charged its
+   rows in the aggregate it feeds, so it starts at 0. *)
+type pscan = { src : vec; p : proj; charge : int }
+
 type coll =
   | Whole of (rctx -> Value.t)
   | Pipe of producer
-  | Cols of vec   (** columnar scan: selected rows of one relation *)
-  | ICol of icol  (** columnar scan projected to unboxed ints *)
+  | Cols of vec    (** columnar scan: selected rows of one relation *)
+  | Proj of pscan  (** columnar scan read through a typed projection *)
 
 type cv = { shape : shape; ir : Ir.node }
 and shape = Coll of coll | Duo of cv * cv | Sca of (rctx -> Value.t)
@@ -1010,12 +1123,78 @@ type cstate = {
 
 let degrade st reason = st.degrades <- reason :: st.degrades
 
+(* A projected scan's values in row order.  With a pool, production fans
+   out over morsels (it is pure); emission stays sequential, in morsel
+   order. *)
+let pscan_iter ctx { src = v; p; charge } emit =
+  let out = proj_emit p in
+  let step x =
+    ctx.c.tuples <- ctx.c.tuples + charge;
+    emit x
+  in
+  match ctx.pool with
+  | None -> vec_iter ctx v (fun i -> step (out i))
+  | Some _ ->
+    vec_pre ctx v;
+    let chunks =
+      morsel_fold ctx ~n:(Array.length v.rel.C.rows) (fun lo hi ->
+          let acc = ref [] in
+          (match v.vp with
+          | None -> for i = hi - 1 downto lo do acc := out i :: !acc done
+          | Some keep ->
+            for i = hi - 1 downto lo do
+              if keep i then acc := out i :: !acc
+            done);
+          !acc)
+    in
+    List.iter (List.iter step) chunks
+
+(* A projected scan's distinct values in canonical order, deduplicated
+   before anything is boxed: each morsel gathers its unboxed keys (ints,
+   strings, bools, row codes) in a table, the tables merge, and only the
+   sorted distinct keys are boxed.  Rows of an extent are stored in
+   canonical order, so sorted codes are sorted rows.  [None] for
+   projections without an unboxed key (boxed reads, pairs, element
+   rows). *)
+let pscan_set ctx { src = v; p; charge } : Value.t list option =
+  let distinct : 'k. (int -> 'k) -> ('k -> Value.t) -> Value.t list option =
+   fun get box ->
+    vec_pre ctx v;
+    let keep = match v.vp with None -> fun _ -> true | Some k -> k in
+    let chunks =
+      morsel_fold ctx ~n:(Array.length v.rel.C.rows) (fun lo hi ->
+          let t = Hashtbl.create 64 and c = ref 0 in
+          for i = lo to hi - 1 do
+            if keep i then begin
+              incr c;
+              Hashtbl.replace t (get i) ()
+            end
+          done;
+          (t, !c))
+    in
+    let all = Hashtbl.create 64 in
+    List.iter
+      (fun (t, c) ->
+        ctx.c.tuples <- ctx.c.tuples + (charge * c);
+        Hashtbl.iter (fun k () -> Hashtbl.replace all k ()) t)
+      chunks;
+    let keys = Hashtbl.fold (fun k () acc -> k :: acc) all [] in
+    Some (List.map box (List.sort compare keys))
+  in
+  match p with
+  | PInt g -> distinct g (fun k -> Value.Int k)
+  | PStr g -> distinct g (fun s -> Value.Str s)
+  | PBool g -> distinct g (fun b -> Value.Bool b)
+  | PRow (rel, ix) when Option.is_none rel.C.of_set ->
+    distinct ix (fun k -> rel.C.rows.(k))
+  | PRow _ | PVal _ | PPair _ -> None
+
 let iter_coll ctx (c : coll) emit =
   match c with
   | Whole f -> List.iter emit (as_set ctx (f ctx))
   | Pipe p -> p ctx emit
   | Cols v -> vec_iter ctx v (fun i -> emit v.rel.C.rows.(i))
-  | ICol { src; iget } -> vec_iter ctx src (fun i -> emit (Value.Int (iget i)))
+  | Proj ps -> pscan_iter ctx ps emit
 
 let drain ctx (p : producer) =
   let acc = ref [] in
@@ -1027,10 +1206,16 @@ let rec force ctx (v : cv) : Value.t =
   | Sca f -> f ctx
   | Duo (a, b) -> Value.Pair (force ctx a, force ctx b)
   | Coll (Whole f) -> f ctx
-  | Coll ((Pipe _ | ICol _) as c) ->
-    let acc = ref [] in
-    iter_coll ctx c (fun x -> acc := x :: !acc);
-    finish ctx !acc
+  | Coll ((Pipe _ | Proj _) as c) -> (
+    let boxed () =
+      let acc = ref [] in
+      iter_coll ctx c (fun x -> acc := x :: !acc);
+      finish ctx !acc
+    in
+    match c with
+    | Proj ps when ctx.dedup = Eval.Eager -> (
+      match pscan_set ctx ps with Some xs -> Value.Set xs | None -> boxed ())
+    | _ -> boxed ())
   | Coll (Cols v) -> (
     (* selection preserves canonical row order, so [Eager] needs no sort *)
     match ctx.dedup with
@@ -1083,7 +1268,7 @@ let rec share st (v : cv) : cv =
     }
   (* Columnar scans re-run their (pure) selection per consumption — cheaper
      than materializing, and [pre] effects are memoized via value slots. *)
-  | Coll (Whole _) | Coll (Cols _) | Coll (ICol _) -> v
+  | Coll (Whole _) | Coll (Cols _) | Coll (Proj _) -> v
 
 let as_duo st (v : cv) : cv * cv =
   match v.shape with
@@ -1168,7 +1353,7 @@ let rec lower st (f : Term.func) (input : cv) : cv =
     | Sca f -> { input with shape = Sca (fun ctx -> resolve ctx (f ctx)) }
     | Coll (Whole f) ->
       { input with shape = Coll (Whole (fun ctx -> resolve ctx (f ctx))) }
-    | Coll (Pipe _) | Coll (Cols _) | Coll (ICol _) | Duo _ -> input)
+    | Coll (Pipe _) | Coll (Cols _) | Coll (Proj _) | Duo _ -> input)
   | Term.Pi1 -> fst (as_duo st input)
   | Term.Pi2 -> snd (as_duo st input)
   | Term.Times (a, b) ->
@@ -1216,9 +1401,16 @@ let rec lower st (f : Term.func) (input : cv) : cv =
       | q, Term.Id -> Ir.Filter (q, input.ir)
       | q, g -> Ir.Map (g, Ir.Filter (q, input.ir))
     in
-    match as_coll input with
-    | Cols v -> lower_scan_cols st p f v ir
-    | c -> row_stage (k_iterate p f) c ir)
+    match (as_coll input, p) with
+    | Cols v, _ -> lower_scan_cols st p f v ir
+    | Proj ps, Term.Kp true -> (
+      (* a map after a projected scan composes onto its projection *)
+      match aproj (Option.get st.coldb) f ps.p with
+      | Some q ->
+        st.kernels <- st.kernels + 1;
+        { shape = Coll (Proj { ps with p = q; charge = ps.charge + 1 }); ir }
+      | None -> row_stage (k_iterate p f) (Proj ps) ir)
+    | c, _ -> row_stage (k_iterate p f) c ir)
   | Term.Iter (p, f) -> (
     let e_cv, b_cv = as_duo st input in
     let ir = Ir.IterEnv (p, f, e_cv.ir, b_cv.ir) in
@@ -1342,9 +1534,9 @@ and lower_join st p f input =
 and lower_agg st op input =
   let ir = Ir.AggStage (op, input.ir) in
   match as_coll input with
-  | ICol { src; iget } ->
+  | Proj { src; p = PInt iget; charge } ->
     st.kernels <- st.kernels + 1;
-    { shape = Sca (icol_agg op src iget); ir }
+    { shape = Sca (icol_agg op ~charge src iget); ir }
   | Cols v when op = Term.Count ->
     st.kernels <- st.kernels + 1;
     {
@@ -1373,8 +1565,11 @@ and lower_agg st op input =
     let k = k_agg op in
     { shape = Sca (fun ctx -> k ctx (iter_coll ctx c)); ir }
 
-and icol_agg op (src : vec) (iget : int -> int) : rctx -> Value.t =
+(* [charge] is the projection's own tuples per row, on top of the one the
+   aggregate charges. *)
+and icol_agg op ~charge (src : vec) (iget : int -> int) : rctx -> Value.t =
  fun ctx ->
+  let charged c = ctx.c.tuples <- ctx.c.tuples + ((charge + 1) * c) in
   vec_pre ctx src;
   let n = Array.length src.rel.C.rows in
   let keep = match src.vp with None -> (fun _ -> true) | Some k -> k in
@@ -1396,7 +1591,7 @@ and icol_agg op (src : vec) (iget : int -> int) : rctx -> Value.t =
       let c, s =
         List.fold_left (fun (c, s) (c', s') -> (c + c', s + s')) (0, 0) chunks
       in
-      ctx.c.tuples <- ctx.c.tuples + c;
+      charged c;
       Value.Int (match op with Term.Count -> c | _ -> s)
     | Eval.Eager ->
       (* the interpreter aggregates a canonical set: distinct values only *)
@@ -1416,7 +1611,7 @@ and icol_agg op (src : vec) (iget : int -> int) : rctx -> Value.t =
       let sum = ref 0 and distinct = ref 0 in
       List.iter
         (fun (t, c) ->
-          ctx.c.tuples <- ctx.c.tuples + c;
+          charged c;
           Hashtbl.iter
             (fun k () ->
               if not (Hashtbl.mem seen k) then begin
@@ -1446,7 +1641,7 @@ and icol_agg op (src : vec) (iget : int -> int) : rctx -> Value.t =
     let best =
       List.fold_left
         (fun acc (m, c) ->
-          ctx.c.tuples <- ctx.c.tuples + c;
+          charged c;
           match (acc, m) with
           | None, m -> m
           | Some a, Some b -> Some (if better b a then b else a)
@@ -1461,10 +1656,10 @@ and icol_agg op (src : vec) (iget : int -> int) : rctx -> Value.t =
 
 (* Filter/map over a columnar scan.  The predicate folds into the scan's
    selection (chained filters become one conjunction, tested in a single
-   pass at consumption); the projection becomes an unboxed int feed or a
-   typed emit loop (morsel-parallel — production is pure, emission is
-   sequential in morsel order).  A predicate or projection the columns
-   cannot express runs the row iterate kernel over the scan, counted as a
+   pass at consumption); a typed projection makes a projected scan
+   ([Proj]), and any other map — pairs, nested selects — an emit loop
+   over the selected rows.  A predicate or projection the columns cannot
+   express runs the row iterate kernel over the scan, counted as a
    degrade. *)
 and lower_scan_cols st (p : Term.pred) (f : Term.func) (v : vec) ir : cv =
   let coldb =
@@ -1483,42 +1678,13 @@ and lower_scan_cols st (p : Term.pred) (f : Term.func) (v : vec) ir : cv =
     | Term.Id -> { shape = Coll (Cols v); ir }
     | f -> (
       match proj_of_row coldb f v.rel with
-      | Some (PInt g) -> { shape = Coll (ICol { src = v; iget = g }); ir }
       | Some pr ->
-        let out = proj_emit pr in
-        pipe
-          (fun ctx emit ->
-            match ctx.pool with
-            | None ->
-              vec_iter ctx v (fun i ->
-                  ctx.c.tuples <- ctx.c.tuples + 1;
-                  emit (out i))
-            | Some _ ->
-              vec_pre ctx v;
-              let n = Array.length v.rel.C.rows in
-              let chunks =
-                morsel_fold ctx ~n (fun lo hi ->
-                    let acc = ref [] in
-                    (match v.vp with
-                    | None ->
-                      for i = hi - 1 downto lo do
-                        acc := out i :: !acc
-                      done
-                    | Some keep ->
-                      for i = hi - 1 downto lo do
-                        if keep i then acc := out i :: !acc
-                      done);
-                    !acc)
-              in
-              List.iter
-                (List.iter (fun x ->
-                     ctx.c.tuples <- ctx.c.tuples + 1;
-                     emit x))
-                chunks)
-          ir
+        let charge = match pr with PInt _ -> 0 | _ -> 1 in
+        { shape = Coll (Proj { src = v; p = pr; charge }); ir }
       | None -> (
         match row_emit coldb v.rel f with
-        | Some out ->
+        | Some (typed, out) ->
+          st.kernels <- st.kernels + typed;
           pipe
             (fun ctx emit ->
               vec_iter ctx v (fun i ->
@@ -1740,44 +1906,53 @@ let execute ?(dedup = Eval.Eager) ?pool ~db (c : compiled) :
     }
   in
   Telemetry.span ~cat:"exec" "exec.run" @@ fun () ->
+  (* A streamed root, deduplicated as it arrives. *)
+  let stream (p : producer) =
+    match dedup with
+    | Eval.Eager ->
+      (* Stream through a hash dedup so a duplicate-heavy stream sorts
+         only its distinct elements — the canonical set comes out
+         identical to the interpreter's either way.  On a mostly
+         distinct stream the table pays a hash per element and saves
+         nothing, so the duplicate ratio is checked on geometrically
+         growing prefixes (256, 512, ...): a distinct-heavy stream
+         drops the table within the first few hundred elements instead
+         of hashing a 4k prefix first.  Column kernels emit in row
+         order, so the stream is often canonical already and
+         [canonical_set] skips the final sort; otherwise it sort-uniqs
+         the raw stream, which is exactly the interpreter's cost. *)
+      let seen = VH.create 1024 in
+      let deduping = ref true in
+      let inspected = ref 0 in
+      let next_check = ref 256 in
+      let acc = ref [] in
+      p ctx (fun x ->
+          if !deduping then begin
+            let before = VH.length seen in
+            VH.replace seen x ();
+            if VH.length seen <> before then acc := x :: !acc;
+            incr inspected;
+            if !inspected = !next_check then begin
+              if 4 * VH.length seen > 3 * !inspected then begin
+                deduping := false;
+                VH.reset seen
+              end
+              else next_check := 2 * !next_check
+            end
+          end
+          else acc := x :: !acc);
+      canonical_set (List.rev !acc)
+    | Eval.Deferred -> Eval.finalize (Value.Bag (drain ctx p))
+  in
   let v =
     match c.plan.shape with
-    | Coll (Pipe p) -> (
-      match dedup with
-      | Eval.Eager ->
-        (* Stream through a hash dedup so a duplicate-heavy stream sorts
-           only its distinct elements — the canonical set comes out
-           identical to the interpreter's either way.  On a mostly
-           distinct stream the table pays a hash per element and saves
-           nothing, so the duplicate ratio is checked on geometrically
-           growing prefixes (256, 512, ...): a distinct-heavy stream
-           drops the table within the first few hundred elements instead
-           of hashing a 4k prefix first.  Column kernels emit in row
-           order, so the stream is often canonical already and
-           [canonical_set] skips the final sort; otherwise it sort-uniqs
-           the raw stream, which is exactly the interpreter's cost. *)
-        let seen = VH.create 1024 in
-        let deduping = ref true in
-        let inspected = ref 0 in
-        let next_check = ref 256 in
-        let acc = ref [] in
-        p ctx (fun x ->
-            if !deduping then begin
-              let before = VH.length seen in
-              VH.replace seen x ();
-              if VH.length seen <> before then acc := x :: !acc;
-              incr inspected;
-              if !inspected = !next_check then begin
-                if 4 * VH.length seen > 3 * !inspected then begin
-                  deduping := false;
-                  VH.reset seen
-                end
-                else next_check := 2 * !next_check
-              end
-            end
-            else acc := x :: !acc);
-        canonical_set (List.rev !acc)
-      | Eval.Deferred -> Eval.finalize (Value.Bag (drain ctx p)))
+    | Coll (Pipe p) -> stream p
+    | Coll (Proj ps) -> (
+      (* A typed root is deduplicated on its unboxed values under either
+         dedup: Deferred finalizes its bag to the same canonical set. *)
+      match pscan_set ctx ps with
+      | Some xs -> Value.Set xs
+      | None -> stream (fun ctx -> pscan_iter ctx ps))
     | _ -> (
       (* [force] canonicalises columnar terminals under Eager too *)
       let v = force ctx c.plan in

@@ -32,11 +32,14 @@ type compiled
 val compile : ?coldb:Colstore.db -> Term.query -> compiled
 (** Lower a query into closures + an {!Ir.node} description.  With
     [coldb], extent scans bind to its columnar relations and eligible
-    operators lower to column kernels (vectorised filters, unboxed
+    operators lower to column kernels (vectorised filters, typed
+    projections with the maps after them composed in, unboxed
     aggregates, int-keyed joins, the fused equality and membership
-    group-joins, nested selects over a set attribute); everything else
-    runs the same row kernel as under the row layout, counted in
-    {!col_degrades}.
+    group-joins, nested selects over a set attribute, typed over its
+    element relation); everything else runs the same row kernel as
+    under the row layout, counted in {!col_degrades}.  Compiling a
+    nested select may build an element relation or column of [coldb]
+    on first use ({!Kola.Colstore.elements}).
     @raise Unsupported on holes; never raises on ground plans. *)
 
 val compile_opt : ?coldb:Colstore.db -> Term.query -> (compiled, string) result
@@ -45,7 +48,10 @@ val ir : compiled -> Ir.node
 val compiled_query : compiled -> Term.query
 
 val col_kernels : compiled -> int
-(** Operators lowered to column kernels (0 on row-layout plans). *)
+(** Operators lowered to column kernels (0 on row-layout plans): each
+    columnar filter/map, composed map, aggregate, join, group-join, and
+    nested select whose predicate and head both run typed on an element
+    relation. *)
 
 val col_degrades : compiled -> string list
 (** Reasons columnar inputs stayed on row kernels, in lowering order. *)
@@ -57,6 +63,10 @@ val execute :
     streaming hash dedup (only distinct elements are sorted, and a
     stream that arrives in canonical order is not sorted at all); under
     [Deferred] the raw stream is finalized exactly like {!Eval.run}.
+    A plan whose result is a typed projection of a columnar scan (ints,
+    strings, bools or extent rows) is deduplicated on its unboxed
+    values under either dedup, and only the distinct values are
+    boxed.
     With [pool], pure columnar kernels fan out over fixed-size morsels;
     morsel boundaries and merge order never depend on the pool size, so
     results are bit-identical at any [jobs].
