@@ -26,11 +26,14 @@ type erule = {
       (** root-head bit a class must contain ({!Rewrite.Rule.head_mask});
           [0] when the pattern has no fixed head *)
   einternal : bool;  (** reassociation scaffolding, invisible in proofs *)
+  etimer : string;  (** telemetry name of its match-time distribution *)
 }
 
 (* ------------------------------------------------------------------ *)
 (* Matching a pattern against an e-class.  Returns every extension of
-   [subst] under which some member matches. *)
+   [subst] under which some member matches.  Members are read through
+   {!Graph.match_view}: a congruent copy would only repeat its first
+   twin's matches, once more at every pattern level it sits under. *)
 
 let bind_or_check_func g subst h cls =
   match Rewrite.Subst.find_func subst h with
@@ -103,7 +106,7 @@ let rec match_wterm g (subst : Rewrite.Subst.t) (pat : wterm) (cls : int) :
             in
             go [ subst ] 0 pcs
           else [])
-        (Graph.nodes g cls)
+        (Graph.match_view g cls)
 
 (* ------------------------------------------------------------------ *)
 (* Preconditions.  The BFS engine checks properties of the exact subterm
@@ -167,6 +170,7 @@ let prefix_hole = "·prefix·"
 
 let compile_rule ?(internal = false) (r : Rewrite.Rule.t) : erule list =
   let name = r.Rewrite.Rule.name in
+  let etimer = "egraph.match_ms." ^ name in
   match Rewrite.Rule.patterns r with
   | Rewrite.Rule.Fun_pats (l, rhs) ->
     [
@@ -178,6 +182,7 @@ let compile_rule ?(internal = false) (r : Rewrite.Rule.t) : erule list =
         erhs = Wf rhs;
         emask = Rewrite.Rule.head_mask r;
         einternal = internal;
+        etimer;
       };
     ]
   | Rewrite.Rule.Pred_pats (l, rhs) ->
@@ -190,6 +195,7 @@ let compile_rule ?(internal = false) (r : Rewrite.Rule.t) : erule list =
         erhs = Wp rhs;
         emask = Rewrite.Rule.head_mask r;
         einternal = internal;
+        etimer;
       };
     ]
   | Rewrite.Rule.Query_pats ((lf, lv), (rf, rv)) ->
@@ -207,6 +213,7 @@ let compile_rule ?(internal = false) (r : Rewrite.Rule.t) : erule list =
         erhs = Wq (rf, rv);
         emask = 0;
         einternal = internal;
+        etimer;
       };
       {
         eid = 0;
@@ -216,6 +223,7 @@ let compile_rule ?(internal = false) (r : Rewrite.Rule.t) : erule list =
         erhs = Wq (Hc.compose ph rf, rv);
         emask = 0;
         einternal = internal;
+        etimer;
       };
     ]
 
@@ -263,9 +271,7 @@ let matches_of_rule g schema (er : erule) (cls : int) : match_inst list =
              | Some s ->
                Some { mrule = er; mlhs = inst s er.elhs; mrhs = inst s er.erhs })
     in
-    Telemetry.observe
-      ("egraph.match_ms." ^ er.ename)
-      ((Telemetry.now () -. t0) *. 1000.);
+    Telemetry.observe er.etimer ((Telemetry.now () -. t0) *. 1000.);
     res
   end
   else

@@ -20,6 +20,9 @@ type erule = {
       (** root-head bit a class must contain ({!Rewrite.Rule.head_mask});
           [0] when the pattern has no fixed head *)
   einternal : bool;  (** reassociation scaffolding, invisible in proofs *)
+  etimer : string;
+      (** ["egraph.match_ms." ^ ename], built once: the telemetry name of
+          the rule's match-time distribution *)
 }
 
 val compile : Rewrite.Rule.t list -> erule list
@@ -36,8 +39,9 @@ type match_inst = {
 val matches_of_rule :
   Graph.t -> Kola.Schema.t -> erule -> int -> match_inst list
 (** One rule against one class: every precondition-passing instance.
-    Reads only — safe from pool domains between rebuilds (after
-    {!Graph.canonicalize}). *)
+    Reads only — safe from pool domains between rebuilds.  Call it only
+    while the graph is unchanged since the last {!Graph.canonicalize}:
+    it walks {!Graph.match_view}, which raises otherwise. *)
 
 val matches_in_class :
   Graph.t -> Kola.Schema.t -> erule list -> int -> match_inst list

@@ -41,7 +41,7 @@ type enode = {
 }
 
 type eclass = {
-  mutable nodes : enode list;
+  mutable nodes : enode list;  (** every member, congruent copies included *)
   mutable parents : enode list;  (** e-nodes with this class as a child *)
   mutable cmask : int;  (** OR of member operators' head bits *)
   csort : sort;
@@ -76,6 +76,11 @@ type t = {
   mutable touched : int list;  (** classes changed since last [take_touched] *)
   mutable n_nodes : int;
   mutable n_unions : int;
+  mutable views : enode list array;
+      (** root id → matcher view (see [canonicalize]); read only while
+          [viewable] *)
+  mutable viewable : bool;
+      (** set by [canonicalize], cleared by every new e-node and union *)
 }
 
 let create () =
@@ -89,6 +94,8 @@ let create () =
     touched = [];
     n_nodes = 0;
     n_unions = 0;
+    views = [||];
+    viewable = false;
   }
 
 let find t i = Uf.find t.uf i
@@ -117,11 +124,47 @@ let take_touched t =
   t.touched <- [];
   roots
 
-let canonicalize t = Uf.compress t.uf
-
 let canon_key t (n : enode) : Key.t =
   Array.iteri (fun i c -> n.children.(i) <- find t c) n.children;
   (n.op, n.children)
+
+(* Rebuild leaves congruent copies in their class: every e-node whose key
+   collided with an existing one is united into its class and kept, with
+   its own witness.  A copy matches exactly like the first member with
+   the same canonical key, so the matcher's view keeps only that first
+   member, in list order: the distinct matches and the order in which
+   each first appears are those of the full list. *)
+let first_of_each_key t (ns : enode list) : enode list =
+  match ns with
+  | [] | [ _ ] -> ns
+  | _ ->
+    let seen = Ktbl.create 16 in
+    let kept =
+      List.filter
+        (fun n ->
+          let key = canon_key t n in
+          if Ktbl.mem seen key then false
+          else begin
+            Ktbl.replace seen key ();
+            true
+          end)
+        ns
+    in
+    if List.compare_lengths kept ns = 0 then ns else kept
+
+let canonicalize t =
+  Uf.compress t.uf;
+  let views = Array.make (Uf.length t.uf) [] in
+  Hashtbl.iter
+    (fun root c -> views.(root) <- first_of_each_key t c.nodes)
+    t.classes;
+  t.views <- views;
+  t.viewable <- true
+
+let match_view t i =
+  if not t.viewable then
+    invalid_arg "Graph.match_view: the graph changed since canonicalize";
+  t.views.(find t i)
 
 (* ------------------------------------------------------------------ *)
 (* Adding terms.  Memoized per term: re-adding any term previously added
@@ -164,6 +207,7 @@ let rec add_term t (w : wterm) : int =
       Hashtbl.replace t.term_class k id;
       t.touched <- id :: t.touched;
       t.n_nodes <- t.n_nodes + 1;
+      t.viewable <- false;
       (* Register as a parent of each distinct child class. *)
       let seen = ref [] in
       Array.iter
@@ -221,6 +265,7 @@ let union t ~ja ~jb ~just a b : bool =
     t.dirty <- root :: t.dirty;
     t.touched <- root :: t.touched;
     t.n_unions <- t.n_unions + 1;
+    t.viewable <- false;
     true
   end
 

@@ -33,7 +33,7 @@ type enode = {
 }
 
 type eclass = {
-  mutable nodes : enode list;
+  mutable nodes : enode list;  (** every member, congruent copies included *)
   mutable parents : enode list;  (** e-nodes with this class as a child *)
   mutable cmask : int;  (** OR of member operators' head bits *)
   csort : sort;
@@ -70,9 +70,17 @@ val take_touched : t -> int list
     saturation loop's freshness stamps. *)
 
 val canonicalize : t -> unit
-(** Fully compress the union-find: until the next mutation, {!find} is a
-    write-free array read, so the graph may be shared read-only across
-    domains. *)
+(** Fully compress the union-find and build every class's {!match_view}:
+    until the next mutation, {!find} is a write-free array read, so the
+    graph may be shared read-only across domains. *)
+
+val match_view : t -> int -> enode list
+(** The class's members with every later congruent copy dropped: the
+    first member of each canonical (operator, child classes) key, in
+    {!nodes} order.  A copy matches exactly like its first twin, so
+    e-matching iterates this view while {!nodes} keeps every member and
+    its witness.  Raises [Invalid_argument] once an e-node was added or
+    two classes united since the last {!canonicalize}. *)
 
 val add_term : t -> wterm -> int
 (** Class of [w], inserting e-nodes for any unseen subterms.  Memoized

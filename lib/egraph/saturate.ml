@@ -9,7 +9,7 @@
    batch.  Budgets bound e-nodes, iterations and wall-clock; the stop
    reason is always reported, never silent.
 
-   Three throughput levers, all outcome-preserving:
+   Four throughput levers, all outcome-preserving:
 
    - Parallel e-matching.  Between rebuilds the graph is read-only (the
      union-find is fully compressed first, so [find] writes nothing);
@@ -31,7 +31,14 @@
      wall-clock match-time distributions (those still flow to telemetry):
      outcomes must not depend on timer noise or the jobs count.  An
      uneventful iteration only proves saturation if no rule was deferred;
-     otherwise every rule is forced back in for one full round first. *)
+     otherwise every rule is forced back in for one full round first.
+
+   - One match per canonical e-node.  The matcher walks each class's
+     {!Graph.match_view}, built when the rebuild's [canonicalize] closes
+     the mutation phase: a congruent copy would only repeat its first
+     twin's matches, so the first occurrence of every instance, and with
+     it union order, stays where it was.  [instances] counts what the
+     matcher produces before the dedup against earlier iterations. *)
 
 open Kola
 open Lang
@@ -70,6 +77,9 @@ type stats = {
   e_nodes : int;
   e_classes : int;
   unions : int;
+  instances : int;
+      (** match instances produced, before dropping those fired in
+          earlier iterations *)
   matches_skipped : int;
       (** (rule, class) pairs skipped because the class was unchanged
           since the rule's last run *)
@@ -82,10 +92,12 @@ type stats = {
 
 let pp_stats ppf (s : stats) =
   Fmt.pf ppf
-    "%d e-nodes, %d e-classes, %d unions, %d iterations, %d matches \
-     skipped, %d rules deferred, rebuild %.3fms, total %.1fms, stop: %s"
-    s.e_nodes s.e_classes s.unions s.iterations s.matches_skipped
-    s.rules_deferred s.rebuild_ms s.total_ms (stop_reason_label s.stop)
+    "%d e-nodes, %d e-classes, %d unions, %d iterations, %d instances, \
+     %d matches skipped, %d rules deferred, rebuild %.3fms, total %.1fms, \
+     stop: %s"
+    s.e_nodes s.e_classes s.unions s.iterations s.instances
+    s.matches_skipped s.rules_deferred s.rebuild_ms s.total_ms
+    (stop_reason_label s.stop)
 
 type space = {
   graph : Graph.t;
@@ -191,6 +203,7 @@ let saturate ?(schema = Schema.paper) ?(budgets = default_budgets) ?pool
   in
   let rebuild_ms = ref 0. in
   let iterations = ref 0 in
+  let instances = ref 0 in
   let matches_skipped = ref 0 in
   let rules_deferred = ref 0 in
   let timed_rebuild () =
@@ -297,6 +310,7 @@ let saturate ?(schema = Schema.paper) ?(budgets = default_budgets) ?pool
       let fresh = ref [] in
       Array.iter
         (fun (insts, skipped) ->
+          instances := !instances + List.length insts;
           matches_skipped := !matches_skipped + skipped;
           List.iter
             (fun (m : Ematch.match_inst) ->
@@ -401,6 +415,7 @@ let saturate ?(schema = Schema.paper) ?(budgets = default_budgets) ?pool
         e_nodes = Graph.n_nodes g;
         e_classes = Graph.n_classes g;
         unions = Graph.n_unions g;
+        instances = !instances;
         matches_skipped = !matches_skipped;
         rules_deferred = !rules_deferred;
         rebuild_ms = !rebuild_ms;

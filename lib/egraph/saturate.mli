@@ -3,13 +3,15 @@
     questions by extraction and equivalence questions by same-class
     checks.
 
-    Three throughput levers, all outcome-preserving: parallel e-matching
+    Four throughput levers, all outcome-preserving: parallel e-matching
     (per-class queries fan out over an optional domain pool and merge
     back in class order, so every stat is bit-identical at any jobs
     count), incremental matching (freshness stamps skip (rule, class)
-    pairs unchanged since the rule's last run), and deterministic rule
+    pairs unchanged since the rule's last run), deterministic rule
     scheduling (rules that fired before but now run fruitlessly back off
-    exponentially, capped and never excluded). *)
+    exponentially, capped and never excluded), and matching each
+    canonical e-node once ({!Graph.match_view} drops congruent copies,
+    which only repeat their first twin's matches). *)
 
 open Kola
 open Lang
@@ -32,6 +34,9 @@ type stats = {
   e_nodes : int;
   e_classes : int;
   unions : int;
+  instances : int;
+      (** match instances produced, before dropping those fired in
+          earlier iterations *)
   matches_skipped : int;
       (** (rule, class) pairs skipped because the class was unchanged
           since the rule's last run *)

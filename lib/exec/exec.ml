@@ -40,7 +40,9 @@ type counters = {
   mutable tuples : int;   (** elements flowing through pipeline stages *)
   mutable probes : int;   (** hash-table lookups (joins, set ops) *)
   mutable builds : int;   (** hash-table inserts (build sides, groups) *)
-  mutable morsels : int;  (** chunks dispatched by columnar kernels *)
+  mutable morsels : int;
+      (** morsels dispatched to the pool: ⌈n / 65 536⌉ per fanned-out
+          kernel, none for an inline run *)
 }
 
 let fresh_counters () = { tuples = 0; probes = 0; builds = 0; morsels = 0 }
@@ -596,7 +598,9 @@ let vec_rows ctx v =
    (boundaries depend only on [n], never on the worker count), compute
    [f lo hi] per morsel — [f] must be pure — and return the chunk results
    in morsel order.  Results are therefore bit-identical at any [--jobs]:
-   only scheduling, never splitting or merge order, sees the pool. *)
+   only scheduling, never splitting or merge order, sees the pool.  Only
+   morsels dispatched to the pool are counted: an inline run counts none,
+   exactly like the kernels that never call this. *)
 let morsel_rows = 65_536
 
 let morsel_fold ctx ~n (f : int -> int -> 'a) : 'a list =
@@ -610,9 +614,7 @@ let morsel_fold ctx ~n (f : int -> int -> 'a) : 'a list =
         Array.init k (fun i -> (i * morsel_rows, min n ((i + 1) * morsel_rows)))
       in
       Array.to_list (Pool.map pool (fun (lo, hi) -> f lo hi) bounds)
-    | _ ->
-      ctx.c.morsels <- ctx.c.morsels + 1;
-      [ f 0 n ]
+    | _ -> [ f 0 n ]
 
 (* Typed projection closures over a base row index. *)
 type proj =
@@ -1995,7 +1997,9 @@ type stats = {
   scalar_nodes : int;
   layout : layout;            (** store layout the plan was compiled for *)
   jobs : int;                 (** pool size morsel kernels could fan out to *)
-  morsels : int;              (** chunks dispatched by columnar kernels *)
+  morsels : int;
+      (** morsels dispatched to the pool: ⌈n / 65 536⌉ per fanned-out
+          kernel, none for an inline run *)
   col_kernels : int;          (** operators lowered to column kernels *)
   col_degrades : string list; (** columnar inputs kept on row kernels *)
 }

@@ -15,7 +15,9 @@ type counters = {
   mutable tuples : int;  (** elements flowing through pipeline stages *)
   mutable probes : int;  (** hash-table lookups (joins, set ops, groups) *)
   mutable builds : int;  (** hash-table inserts (build sides, groups) *)
-  mutable morsels : int; (** chunks dispatched by columnar kernels *)
+  mutable morsels : int;
+      (** morsels dispatched to the pool: ⌈n / 65 536⌉ per fanned-out
+          kernel, none for an inline run *)
 }
 
 (** {1 Store layout} *)
@@ -96,7 +98,9 @@ type stats = {
   scalar_nodes : int;  (** spine nodes compiled as scalar closures *)
   layout : layout;     (** store layout the plan was compiled for *)
   jobs : int;          (** pool size morsel kernels could fan out to *)
-  morsels : int;       (** chunks dispatched by columnar kernels *)
+  morsels : int;
+      (** morsels dispatched to the pool: ⌈n / 65 536⌉ per fanned-out
+          kernel, none for an inline run *)
   col_kernels : int;   (** operators lowered to column kernels *)
   col_degrades : string list;
       (** columnar inputs kept on row kernels, with reasons *)

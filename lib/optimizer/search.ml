@@ -85,12 +85,11 @@ let resolved_jobs config =
   else config.jobs
 
 (* Per-rule attribution for successor enumeration: how many successors
-   each catalog rule contributed ([rule.fire.*]) or failed to ([rule.miss.*]).
-   Names are only built while a telemetry session is active. *)
-let note_rule_successors name n =
-  if Telemetry.enabled () then
-    if n = 0 then Telemetry.count ("rule.miss." ^ name)
-    else Telemetry.count ~n ("rule.fire." ^ name)
+   each catalog rule contributed ([rule.fire.*]) or failed to ([rule.miss.*]),
+   under the counter names the rule was made with. *)
+let note_rule_successors (r : Rewrite.Rule.t) n =
+  if n = 0 then Telemetry.count r.Rewrite.Rule.miss_counter
+  else Telemetry.count ~n r.Rewrite.Rule.fire_counter
 
 (* Domain spawn costs milliseconds on some hosts while many explorations
    finish in microseconds, so pools are created once per jobs count and
@@ -147,8 +146,7 @@ let enumerate ?schema ~max_positions ~truncated (rules : Rewrite.Rule.t list)
             (fun hq' -> (r.Rewrite.Rule.name, hq'))
             (Rewrite.Rule.apply_query ?schema r hq)
         in
-        note_rule_successors r.Rewrite.Rule.name
-          (if res = None then 0 else 1);
+        note_rule_successors r (if res = None then 0 else 1);
         res)
       query_rules
   in
@@ -195,7 +193,7 @@ let enumerate ?schema ~max_positions ~truncated (rules : Rewrite.Rule.t list)
               | None -> List.rev acc
           in
           let found = collect 0 [] in
-          note_rule_successors r.Rewrite.Rule.name (List.length found);
+          note_rule_successors r (List.length found);
           found)
       fun_rules
   in

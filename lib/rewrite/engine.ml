@@ -14,11 +14,10 @@
 open Kola.Term
 module Telemetry = Kola_telemetry.Telemetry
 
-(* Per-rule attribution: one counter per rule name, built only when a
-   telemetry session is active so the disabled path allocates nothing. *)
-let note_attempt name fired =
-  if Telemetry.enabled () then
-    Telemetry.count ((if fired then "rule.fire." else "rule.miss.") ^ name)
+(* Per-rule attribution: one counter per rule, named when the rule was
+   made, so recording allocates no name. *)
+let note_attempt (r : Rule.t) fired =
+  Telemetry.count (if fired then r.Rule.fire_counter else r.Rule.miss_counter)
 
 type step = {
   rule_name : string;
@@ -43,7 +42,7 @@ let first_firing ~counter rules apply =
     (fun (r : Rule.t) ->
       incr counter;
       let res = apply r in
-      note_attempt r.Rule.name (res <> None);
+      note_attempt r (res <> None);
       Option.map (fun x -> (r.Rule.name, x)) res)
     rules
 

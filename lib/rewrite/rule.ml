@@ -33,10 +33,21 @@ type t = {
       (** lazily interned [body]; benignly racy under domains — every
           writer stores structurally identical tuples of physically
           identical interned nodes *)
+  fire_counter : string;  (** ["rule.fire." ^ name] *)
+  miss_counter : string;  (** ["rule.miss." ^ name] *)
 }
 
+(* The telemetry counter names are built here, once per rule, rather
+   than at every recorded firing or miss. *)
 let make ?(preconditions = []) ~name body =
-  { name; body; preconditions; patterns_memo = None }
+  {
+    name;
+    body;
+    preconditions;
+    patterns_memo = None;
+    fire_counter = "rule.fire." ^ name;
+    miss_counter = "rule.miss." ^ name;
+  }
 
 let fun_rule ?preconditions ~name lhs rhs =
   make ?preconditions ~name (Fun_rule (lhs, rhs))
@@ -56,7 +67,7 @@ let flip t =
     | Query_rule (l, r) -> Query_rule (r, l)
   in
   (* The memo caches the unflipped patterns; it must not survive the flip. *)
-  { t with name = t.name ^ "-1"; body; patterns_memo = None }
+  make ~preconditions:t.preconditions ~name:(t.name ^ "-1") body
 
 let patterns t =
   match t.patterns_memo with

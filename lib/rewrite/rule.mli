@@ -29,6 +29,10 @@ type t = {
   preconditions : precondition list;
   mutable patterns_memo : patterns option;
       (** lazily interned [body]; managed by {!patterns}, reset by {!flip} *)
+  fire_counter : string;
+      (** ["rule.fire." ^ name]: the telemetry counter of its firings,
+          built once by {!make} *)
+  miss_counter : string;  (** ["rule.miss." ^ name], likewise *)
 }
 
 val make : ?preconditions:precondition list -> name:string -> body -> t

@@ -7,9 +7,11 @@
     The library is built for instrumentation that must be provably free
     when disabled: every recording entry point first reads one atomic
     word; when no collection session is active it returns immediately,
-    allocating nothing.  Call sites that build event names dynamically
-    (["rule.fire." ^ name]) should guard the construction with
-    {!enabled} so the disabled path does not even allocate the string.
+    allocating nothing.  Call sites that record one name per item
+    (["rule.fire." ^ name]) should build it once, when the item is made,
+    as rewrite rules and compiled e-matching rules do; a name that must
+    be built per event should at least be guarded by {!enabled}, so the
+    disabled path does not even allocate the string.
 
     Domain safety: each domain records into its own buffer (registered
     lazily through domain-local storage), so recording never contends on

@@ -89,6 +89,45 @@ let unpruned_successors ~max_positions rules q =
         collect 0)
       other_rules
 
+(* The matcher view's oracle: [Graph.nodes] with every later member of
+   an already-seen canonical (operator, child classes) key dropped, in
+   list order.  Quadratic, and independent of the graph's own key
+   table. *)
+let expected_view g cls =
+  let key (n : Graph.enode) =
+    (n.Graph.op, Array.map (Graph.find g) n.Graph.children)
+  in
+  let same (o1, c1) (o2, c2) = Lang.op_equal o1 o2 && c1 = c2 in
+  let rec go seen = function
+    | [] -> []
+    | n :: rest ->
+      let k = key n in
+      if List.exists (same k) seen then go seen rest else n :: go (k :: seen) rest
+  in
+  go [] (Graph.nodes g cls)
+
+(* Checks the view invariant on every live class of a canonicalized
+   graph; returns how many members the views drop in total. *)
+let check_views what g =
+  let roots = Graph.class_roots g in
+  let members =
+    List.fold_left (fun acc c -> acc + List.length (Graph.nodes g c)) 0 roots
+  in
+  Alcotest.(check int) (what ^ ": nodes keep every member") (Graph.n_nodes g)
+    members;
+  List.fold_left
+    (fun dropped c ->
+      let view = Graph.match_view g c and want = expected_view g c in
+      Alcotest.(check bool)
+        (Fmt.str "%s: class %d view is nodes minus later copies" what c)
+        true
+        (List.compare_lengths view want = 0 && List.for_all2 ( == ) view want);
+      dropped + List.length (Graph.nodes g c) - List.length view)
+    0 roots
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
 let tests =
   [
     (* ---------------- union-find ---------------- *)
@@ -322,6 +361,108 @@ let tests =
                   expected
                   (fingerprint (run (Some pool)))))
           [ 2; 4 ]);
+    case "2 000-node saturation pins: K4 and KG1 counts and instances"
+      (fun () ->
+        (* The paper_search budget.  [instances] counts matches before
+           the dedup against earlier iterations: the matcher sees each
+           canonical e-node once (a full-list matcher, which re-matched
+           every congruent copy, read 35 677 and 11 341 here), while
+           every other count is what it was before the matcher view. *)
+        let budgets = { Saturate.default_budgets with max_enodes = 2_000 } in
+        let counts q =
+          let s = (saturate ~budgets ~rules:Rules.Catalog.all q).Saturate.stats in
+          Saturate.
+            [
+              s.e_nodes; s.e_classes; s.unions; s.iterations; s.instances;
+              s.matches_skipped; s.rules_deferred;
+            ]
+        in
+        let pin = Alcotest.(check (list int)) in
+        pin "K4: nodes, classes, unions, iterations, instances, skipped, deferred"
+          [ 2_000; 746; 1_254; 7; 4_638; 4_989; 5 ]
+          (counts Paper.k4);
+        pin "KG1: nodes, classes, unions, iterations, instances, skipped, deferred"
+          [ 2_000; 464; 1_536; 6; 2_231; 5_487; 0 ]
+          (counts Paper.kg1);
+        (* Under a pool every work item's instances are summed in class
+           order, like its skipped pairs. *)
+        Kola_parallel.Pool.with_pool ~jobs:2 (fun pool ->
+            let s =
+              (Saturate.saturate ~pool ~budgets ~rules:Rules.Catalog.all
+                 (Term.Hc.of_query Paper.k4))
+                .Saturate.stats
+            in
+            Alcotest.(check int) "K4 at jobs 2: the same instances" 4_638
+              s.Saturate.instances));
+    case "matcher view: first member of each canonical key, nodes keep copies"
+      (fun () ->
+        (* E-matching reads [Graph.match_view]; precondition scans and
+           witness deviations read [Graph.nodes], which must keep every
+           congruent copy and its witness.  Dropping copies from [nodes]
+           as well loses KG1's winning spelling, which "extraction
+           regression pins: K4 and KG1 never lose to BFS" guards. *)
+        let budgets =
+          { Saturate.max_enodes = 2_000; max_iterations = 12; max_millis = 1e9 }
+        in
+        let sp = saturate ~budgets ~rules:Rules.Catalog.all Paper.k4 in
+        Alcotest.(check bool) "K4: the views drop congruent copies" true
+          (check_views "K4" sp.Saturate.graph > 0);
+        (* Seeded random add / union / rebuild sequences over small
+           function terms: unions of leaves make their parents congruent,
+           and rebuild keeps both parents in the merged class. *)
+        let dropped = ref 0 in
+        for seed = 1 to 20 do
+          let rng = Random.State.make [| seed |] in
+          let leaves = Array.map Term.Hc.prim [| "a"; "b"; "c"; "d" |] in
+          let rec term depth =
+            if depth = 0 || Random.State.int rng 3 = 0 then
+              leaves.(Random.State.int rng (Array.length leaves))
+            else
+              let l = term (depth - 1) and r = term (depth - 1) in
+              match Random.State.int rng 3 with
+              | 0 -> Term.Hc.compose l r
+              | 1 -> Term.Hc.pairf l r
+              | _ -> Term.Hc.times l r
+          in
+          let g = Graph.create () in
+          let added = Array.init 40 (fun _ -> Lang.Wf (term 3)) in
+          Array.iter (fun w -> ignore (Graph.add_term g w)) added;
+          Alcotest.(check bool) "a view before the first canonicalize raises"
+            true
+            (raises_invalid (fun () -> Graph.match_view g 0));
+          Graph.rebuild g;
+          Graph.canonicalize g;
+          for round = 1 to 6 do
+            let pick () = added.(Random.State.int rng (Array.length added)) in
+            let merged = ref false in
+            for _ = 1 to 2 do
+              let a = pick () and b = pick () in
+              if
+                Graph.union g ~ja:a ~jb:b ~just:(Graph.Jrule "axiom")
+                  (Graph.add_term g a) (Graph.add_term g b)
+              then merged := true
+            done;
+            let c = Option.get (Graph.find_term g added.(0)) in
+            if !merged then
+              Alcotest.(check bool) "a view after a union, before rebuild, raises"
+                true
+                (raises_invalid (fun () -> Graph.match_view g c));
+            Graph.rebuild g;
+            if !merged then
+              Alcotest.(check bool)
+                "a view after rebuild, before canonicalize, raises" true
+                (raises_invalid (fun () -> Graph.match_view g c));
+            Graph.canonicalize g;
+            dropped :=
+              !dropped + check_views (Fmt.str "seed %d round %d" seed round) g
+          done;
+          ignore (Graph.add_term g (Lang.Wf (Term.Hc.prim "fresh")));
+          Alcotest.(check bool) "a view after a new e-node raises" true
+            (raises_invalid (fun () ->
+                 Graph.match_view g (Graph.add_term g added.(0))))
+        done;
+        Alcotest.(check bool) "random sequences: the views drop copies" true
+          (!dropped > 0));
     case "extraction regression pins: K4 and KG1 never lose to BFS" (fun () ->
         (* K4's hoisted join is strictly cheaper than anything BFS finds
            at default depth; KG1's best spelling is weight-blind (the
