@@ -14,12 +14,13 @@ test:
 # serving smoke (daemon end-to-end: engines, malformed and oversized
 # input, overload rejection, telemetry, clean shutdown), a company-schema
 # query run columnar from the CLI and checked against the interpreter,
-# and the ledger's gates (one second per workload; fails on any gate,
-# including compiled-vs-interpreter agreement and search path
-# validation).
+# a company-schema query searched under both engines, and the ledger's
+# gates (one second per workload; fails on any gate, including
+# compiled-vs-interpreter agreement and search path validation).
 check:
 	dune build && dune runtest && $(MAKE) certify-packs && $(MAKE) serve-smoke
 	dune exec bin/kolaopt.exe -- run "select [e, (select m from m in e.mentors where m.salary > e.salary)] from e in E" --schema company --execute compiled --layout columnar --verify --exec-stats
+	for e in bfs egraph; do dune exec bin/kolaopt.exe -- search "select [d, flatten(select {e.ename} from e in E where e.dept = d)] from d in D" --schema company --engine $$e || exit 1; done
 	$(MAKE) ledger-smoke
 
 # The OQL → result ledger at smoke size, every gate on.

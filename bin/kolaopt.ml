@@ -24,8 +24,6 @@ let paper_store people vehicles seed =
   Datagen.Store.generate
     { Datagen.Store.default_params with people; vehicles; seed }
 
-let store_term = Term.(const paper_store $ people $ vehicles $ seed)
-
 (* A generated store of either schema, built when a command runs (inside
    [handle_errors]), with the extents its queries range over. *)
 type schema_store = {
@@ -512,7 +510,8 @@ let search_cmd =
     Arg.(
       value
       & pos 0 (some string) None
-      & info [] ~docv:"OQL" ~doc:"An OQL query over extents P, V, A.")
+      & info [] ~docv:"OQL"
+          ~doc:"An OQL query over extents P, V, A (E, D under $(b,--schema company)).")
   in
   let rules_pack =
     Arg.(
@@ -538,11 +537,12 @@ let search_cmd =
   in
   let run src store depth states jobs engine trace stats deadline node_budget iter_budget paper rules_pack cert_cache =
     handle_errors (fun () ->
-        let db = Datagen.Store.db store in
+        let { db; extents; _ } = store () in
         let q =
           match (paper, src) with
           | Some (_, q), _ -> q
-          | None, Some src -> Translate.Compile.query (Oql.Parser.parse src)
+          | None, Some src ->
+            Translate.Compile.query (Oql.Parser.parse ?extents src)
           | None, None ->
             Fmt.epr "search: expected an OQL query or --paper QUERY@.";
             exit 124
@@ -604,11 +604,12 @@ let search_cmd =
         | None -> ());
         Fmt.pr
           "explored %d states, stop: %s (cost cache: %d hits, %d misses, %d \
-           evictions, %d cuts)@."
+           evictions, %d cuts; sub-plan memo: %d hits, %d stored)@."
           o.Optimizer.Search.explored
           (Optimizer.Search.stop_reason_label o.Optimizer.Search.stop)
           o.Optimizer.Search.cache_hits o.Optimizer.Search.cache_misses
-          o.Optimizer.Search.cache_evictions o.Optimizer.Search.cache_cuts;
+          o.Optimizer.Search.cache_evictions o.Optimizer.Search.cache_cuts
+          o.Optimizer.Search.memo_hits o.Optimizer.Search.memo_stored;
         Fmt.pr "dedup: %d distinct states@." o.Optimizer.Search.seen_states;
         Fmt.pr "interning: %d hits, %d fresh nodes (sharing ratio %.3f)@."
           o.Optimizer.Search.intern_hits o.Optimizer.Search.intern_misses
@@ -652,7 +653,7 @@ let search_cmd =
     (Cmd.info "search"
        ~doc:"Optimize by bounded exploration of the rewrite space.")
     Term.(
-      const run $ query_opt $ store_term $ depth $ states $ jobs $ engine
+      const run $ query_opt $ schema_store_term $ depth $ states $ jobs $ engine
       $ trace $ stats $ deadline $ node_budget $ iter_budget $ paper
       $ rules_pack $ cert_cache)
 

@@ -10,9 +10,15 @@
    - counters recording work done, used by the benchmarks as an
      implementation-independent cost measure;
    - an optional work budget on the weighted blend of those counters:
-     evaluation stops with [Over_budget] once the blend exceeds it. *)
+     evaluation stops with [Over_budget] once the blend exceeds it;
+   - an optional sub-plan memo shared by every evaluation of a session.
+
+   The recursion runs on interned terms ({!Term.Hc}): a subterm is one
+   node wherever it occurs, so its id names it across every plan that
+   contains it.  The plain entry points intern their argument first. *)
 
 open Term
+module H = Term.Hc
 
 exception Error of string
 
@@ -50,17 +56,236 @@ let weighted_of c =
 
 exception Over_budget
 
+(* ------------------------------------------------------------------ *)
+(* The sub-plan memo.
+
+   KOLA has no variables: [f ! v] depends on [f] and [v] alone, so its
+   result and the work it charges are the same in every plan that
+   contains [f].  A session remembers both, keyed by the interned node's
+   id and the input, and answers a later evaluation of the same node on
+   the same input by adding the stored work to the counters.
+
+   - Hits never cross the budget.  A hit is taken only when the counters
+     plus the stored work still blend to at most the budget; the work of
+     a real evaluation only grows, so no charge inside it could have cut.
+     Otherwise the node is evaluated for real (its children may hit), and
+     a cut lands on the same charge with the same counters as without a
+     memo.
+   - Objects in keys compare by physical identity: a stale embedded copy
+     (same class and oid, other fields) never answers for its extent row.
+   - Second-touch admission: a node's first evaluation in a session only
+     records its id; entries are stored from its second on, so nodes a
+     session evaluates once never hold their intermediate results.
+   - Each domain has its own table, so the hot path takes no lock; a
+     table holds at most [memo_capacity] entries and is emptied when
+     full.  Failed and cut evaluations are never stored.
+
+   A table is valid for one database (by physical identity) and emptied
+   when used against another; the backend and the dedup discipline are
+   part of every key. *)
+
+let rec same a b =
+  a == b
+  ||
+  match a, b with
+  | Value.Obj x, Value.Obj y -> x == y
+  | Value.Pair (a1, b1), Value.Pair (a2, b2) -> same a1 a2 && same b1 b2
+  | Value.Set xs, Value.Set ys
+  | Value.Bag xs, Value.Bag ys
+  | Value.List xs, Value.List ys -> same_list xs ys
+  | (Value.Unit | Value.Bool _ | Value.Int _ | Value.Str _ | Value.Named _
+    | Value.Hole _), _ -> Value.equal a b
+  | (Value.Obj _ | Value.Pair _ | Value.Set _ | Value.Bag _ | Value.List _), _
+    -> false
+
+and same_list xs ys =
+  match xs, ys with
+  | [], [] -> true
+  | x :: xs, y :: ys -> same x y && same_list xs ys
+  | _ -> false
+
+(* A hash of the input's first few levels and elements: inputs are often
+   whole extents or intermediate sets, and [same] settles the rest.
+   Consistent with [same]: objects hash by oid. *)
+let rec shallow_hash depth v =
+  match v with
+  | Value.Unit -> 17
+  | Value.Bool b -> if b then 31 else 37
+  | Value.Int i -> i
+  | Value.Str s | Value.Named s | Value.Hole s -> Hashtbl.hash s
+  | Value.Obj o -> (o.oid * 65599) + 41
+  | Value.Pair (a, b) ->
+    if depth = 0 then 43
+    else (shallow_hash (depth - 1) a * 65599) + shallow_hash (depth - 1) b
+  | Value.Set xs -> elements_hash depth 3 xs
+  | Value.Bag xs -> elements_hash depth 5 xs
+  | Value.List xs -> elements_hash depth 7 xs
+
+and elements_hash depth seed xs =
+  if depth = 0 then seed
+  else
+    let rec go n acc = function
+      | x :: rest when n > 0 -> go (n - 1) ((acc * 131) + shallow_hash (depth - 1) x) rest
+      | _ -> acc
+    in
+    go 4 seed xs
+
+(* [node] packs the node's id with its sort and the evaluation setting. *)
+type key = { node : int; input : Value.t }
+
+module KH = Hashtbl.Make (struct
+  type t = key
+
+  let equal k1 k2 = k1.node = k2.node && same k1.input k2.input
+
+  let hash k =
+    ((k.node * 0x01000193) lxor shallow_hash 3 k.input) land max_int
+end)
+
+module IH = Hashtbl.Make (Int)
+
+(* The work an evaluation charged, and its result ([Bool] for a
+   predicate). *)
+type entry = { result : Value.t; dt : int; df : int; dp : int }
+
+type table = {
+  entries : entry KH.t;
+  touched : unit IH.t;
+  mutable filled_for : (string * Value.t) list option;
+}
+
+type session = { lock : Mutex.t; mutable tables : (int * table) list }
+
+let session () = { lock = Mutex.create (); tables = [] }
+
+let memo_capacity = 1 lsl 16
+
+(* One evaluation's view of its domain's table, with what it took from
+   and gave to it. *)
+type memo = {
+  table : table;
+  ftag : int;
+  ptag : int;
+  mutable hits : int;
+  mutable stored : int;
+}
+
+(* The calling domain's table, emptied when it was filled against
+   another database.  The lock is taken once per evaluation, never per
+   node. *)
+let table_for s ~db =
+  let d = (Domain.self () :> int) in
+  let t =
+    Mutex.protect s.lock @@ fun () ->
+    match List.assoc_opt d s.tables with
+    | Some t -> t
+    | None ->
+      (* small at first: a session that costs a few candidates should
+         not allocate its tables on the major heap *)
+      let t = { entries = KH.create 16; touched = IH.create 16; filled_for = None } in
+      s.tables <- (d, t) :: s.tables;
+      t
+  in
+  (match t.filled_for with
+  | Some filled when filled == db -> ()
+  | Some _ | None ->
+    KH.reset t.entries;
+    IH.reset t.touched;
+    t.filled_for <- Some db);
+  t
+
 type ctx = {
   db : (string * Value.t) list;
   backend : backend;
   dedup : dedup;
   counters : counters;
   budget : float;
+  memo : memo option;
 }
 
-let ctx ?(db = []) ?(backend = Naive) ?(dedup = Eager) ?(budget = infinity) ()
-    =
-  { db; backend; dedup; counters = fresh_counters (); budget }
+let ctx ?(db = []) ?(backend = Naive) ?(dedup = Eager) ?(budget = infinity)
+    ?session () =
+  let memo =
+    Option.map
+      (fun s ->
+        let setting =
+          (match backend with Naive -> 0 | Hashed -> 2)
+          + match dedup with Eager -> 0 | Deferred -> 1
+        in
+        {
+          table = table_for s ~db;
+          ftag = setting;
+          ptag = 4 + setting;
+          hits = 0;
+          stored = 0;
+        })
+      session
+  in
+  { db; backend; dedup; counters = fresh_counters (); budget; memo }
+
+let memo_hits ctx = match ctx.memo with Some m -> m.hits | None -> 0
+let memo_stored ctx = match ctx.memo with Some m -> m.stored | None -> 0
+
+(* Nodes worth a lookup: composite, with a tuple-charging combinator
+   somewhere below.  A leaf costs less than hashing its input.  Under
+   this mask a node is composite exactly when its size exceeds 1: the
+   charging leaves (aggregates, set operations, flat, in) have size 1,
+   and a constant function's size counts its value but its heads carry
+   no charging bit. *)
+let charging_mask =
+  let f n = H.fshape_bit n.H.fshape in
+  f (H.agg Count) lor f (H.setop Union) lor f H.flat
+  lor f (H.iterate H.eq H.id)
+  lor f (H.iter H.eq H.id)
+  lor f (H.join H.eq H.id)
+  lor f (H.nest H.id H.id)
+  lor f (H.unnest H.id H.id)
+  lor H.pshape_bit H.inp.H.pshape
+
+type probe = Hit of Value.t | Admit | Skip
+
+(* A stored entry whose work keeps the blend within the budget is a hit;
+   one that would cross it is skipped (evaluated, already stored).  A
+   missing key is admitted on its node's second touch. *)
+let lookup ctx m key =
+  let t = m.table in
+  match KH.find_opt t.entries key with
+  | Some e ->
+    let c = ctx.counters in
+    let tuples = c.tuples + e.dt
+    and func_calls = c.func_calls + e.df
+    and pred_calls = c.pred_calls + e.dp in
+    if weighted ~tuples ~func_calls ~pred_calls <= ctx.budget then begin
+      c.tuples <- tuples;
+      c.func_calls <- func_calls;
+      c.pred_calls <- pred_calls;
+      m.hits <- m.hits + 1;
+      Hit e.result
+    end
+    else Skip
+  | None ->
+    if IH.mem t.touched key.node then Admit
+    else begin
+      IH.replace t.touched key.node ();
+      Skip
+    end
+
+(* Run [eval] and store its result with the work it charged.  An
+   exception (a failure or a cut) stores nothing. *)
+let admit ctx m key eval =
+  let c = ctx.counters in
+  let t0 = c.tuples and f0 = c.func_calls and p0 = c.pred_calls in
+  let result = eval () in
+  let t = m.table in
+  if KH.length t.entries >= memo_capacity then KH.reset t.entries;
+  KH.replace t.entries key
+    { result; dt = c.tuples - t0; df = c.func_calls - f0; dp = c.pred_calls - p0 };
+  m.stored <- m.stored + 1;
+  result
+
+let stored_bool = function Value.Bool b -> b | _ -> false
+
+(* ------------------------------------------------------------------ *)
 
 (* Charge [n] tuples, then stop the run if the blend is now over budget.
    Tuple charges are the only places checked: they are far fewer than
@@ -119,32 +344,122 @@ end)
 let value_leq a b = Value.compare a b <= 0
 let value_gt a b = Value.compare a b > 0
 
-let rec func ctx f v =
+(* Decompose a join predicate into an indexable part and a residual.
+   Recognised shapes: q ⊕ (g1 × g2), and q ⊕ ⟨h1, h2⟩ where one of h1/h2
+   projects (a function of) the first component and the other the second —
+   e.g. the translator's eq ⊕ ⟨dept ∘ π2, π1⟩. *)
+let rec decompose_join (p : H.pnode) =
+  let side h =
+    match H.unchain h with
+    | [ { H.fshape = HPi1; _ } ] -> Some (`L H.id)
+    | [ { H.fshape = HPi2; _ } ] -> Some (`R H.id)
+    | parts -> (
+      match List.rev parts with
+      | { H.fshape = HPi1; _ } :: (_ :: _ as rev_rest) ->
+        Some (`L (H.chain (List.rev rev_rest)))
+      | { H.fshape = HPi2; _ } :: (_ :: _ as rev_rest) ->
+        Some (`R (H.chain (List.rev rev_rest)))
+      | _ -> None)
+  in
+  match p.pshape with
+  | HOplus ({ pshape = HEq; _ }, { fshape = HTimes (g1, g2); _ }) ->
+    Some (`Eq, g1, g2, None)
+  | HOplus ({ pshape = HIn; _ }, { fshape = HTimes (g1, g2); _ }) ->
+    Some (`In, g1, g2, None)
+  | HOplus ({ pshape = HEq; _ }, { fshape = HPairf (h1, h2); _ }) -> (
+    match side h1, side h2 with
+    | Some (`L ga), Some (`R gb) | Some (`R gb), Some (`L ga) ->
+      (* eq is symmetric: probe with the left extractor, index the right *)
+      Some (`Eq, ga, gb, None)
+    | _ -> None)
+  | HOplus ({ pshape = HIn; _ }, { fshape = HPairf (h1, h2); _ }) -> (
+    match side h1, side h2 with
+    | Some (`L ga), Some (`R gb) -> Some (`In, ga, gb, None)
+    | _ -> None)
+  | HAndp (p1, p2) -> (
+    match decompose_join p1 with
+    | Some (kind, g1, g2, None) -> Some (kind, g1, g2, Some p2)
+    | Some (kind, g1, g2, Some r) -> Some (kind, g1, g2, Some (H.andp r p2))
+    | None -> (
+      match decompose_join p2 with
+      | Some (kind, g1, g2, None) -> Some (kind, g1, g2, Some p1)
+      | Some (kind, g1, g2, Some r) -> Some (kind, g1, g2, Some (H.andp p1 r))
+      | None -> None))
+  | _ -> None
+
+(* Decompositions build nodes, so each domain remembers them by predicate
+   id: evaluating a join interns nothing after its first run. *)
+let joinable_memo = Domain.DLS.new_key (fun () -> IH.create 16)
+
+let joinable (p : H.pnode) =
+  let tbl = Domain.DLS.get joinable_memo in
+  match IH.find_opt tbl p.pid with
+  | Some d -> d
+  | None ->
+    let d = decompose_join p in
+    if IH.length tbl >= 4096 then IH.reset tbl;
+    IH.replace tbl p.pid d;
+    d
+
+let hash_joinable p =
+  Option.map
+    (fun (kind, g1, g2, r) -> (kind, H.to_func g1, H.to_func g2, Option.map H.to_pred r))
+    (joinable (H.of_pred p))
+
+(* The memo's test sits in a wrapper that only tail-calls, so an
+   evaluation without a session pays two loads and a branch per node. *)
+let rec hfunc ctx (f : H.fnode) v =
+  match ctx.memo with
+  | Some m when f.fheads land charging_mask <> 0 && f.fsize > 1 ->
+    memo_func ctx m f v
+  | Some _ | None -> eval_func ctx f v
+
+and hpred ctx (p : H.pnode) v =
+  match ctx.memo with
+  | Some m when p.pheads land charging_mask <> 0 && p.psize > 1 ->
+    memo_pred ctx m p v
+  | Some _ | None -> eval_pred ctx p v
+
+and memo_func ctx m f v =
+  let key = { node = (f.fid lsl 3) lor m.ftag; input = v } in
+  match lookup ctx m key with
+  | Hit r -> r
+  | Skip -> eval_func ctx f v
+  | Admit -> admit ctx m key (fun () -> eval_func ctx f v)
+
+and memo_pred ctx m p v =
+  let key = { node = (p.pid lsl 3) lor m.ptag; input = v } in
+  match lookup ctx m key with
+  | Hit r -> stored_bool r
+  | Skip -> eval_pred ctx p v
+  | Admit -> stored_bool (admit ctx m key (fun () -> Value.Bool (eval_pred ctx p v)))
+
+and eval_func ctx (f : H.fnode) v =
   ctx.counters.func_calls <- ctx.counters.func_calls + 1;
-  match f with
-  | Id -> resolve ctx v
-  | Pi1 -> fst (as_pair ctx v)
-  | Pi2 -> snd (as_pair ctx v)
-  | Prim name -> (
+  match f.fshape with
+  | HId -> resolve ctx v
+  | HPi1 -> fst (as_pair ctx v)
+  | HPi2 -> snd (as_pair ctx v)
+  | HPrim name -> (
     match resolve ctx v with
     | Value.Obj _ as o -> (
       match Value.field name o with
       | Some x -> x
       | None -> error "object %a has no attribute %s" Value.pp o name)
     | v -> error "attribute %s applied to non-object %a" name Value.pp v)
-  | Compose (f, g) -> func ctx f (func ctx g v)
-  | Pairf (f, g) -> Value.Pair (func ctx f v, func ctx g v)
-  | Times (f, g) ->
+  | HCompose (f, g) -> hfunc ctx f (hfunc ctx g v)
+  | HPairf (f, g) -> Value.Pair (hfunc ctx f v, hfunc ctx g v)
+  | HTimes (f, g) ->
     let a, b = as_pair ctx v in
-    Value.Pair (func ctx f a, func ctx g b)
-  | Kf c -> resolve ctx c
-  | Cf (f, c) -> func ctx f (Value.Pair (c, v))
-  | Con (p, f, g) -> if pred ctx p v then func ctx f v else func ctx g v
-  | Arith op ->
+    Value.Pair (hfunc ctx f a, hfunc ctx g b)
+  | HKf c -> resolve ctx c.vterm
+  | HCf (f, c) -> hfunc ctx f (Value.Pair (c.vterm, v))
+  | HCon (p, f, g) -> if hpred ctx p v then hfunc ctx f v else hfunc ctx g v
+  | HArith op ->
     let a, b = as_pair ctx v in
     let a = as_int ctx a and b = as_int ctx b in
     Value.Int (match op with Add -> a + b | Sub -> a - b | Mul -> a * b)
-  | Agg op -> (
+  | HAgg op -> (
     let xs = as_set ctx v in
     charge ctx (List.length xs);
     match op with
@@ -160,7 +475,7 @@ let rec func ctx f v =
       | [] -> error "min of empty set"
       | x :: rest ->
         List.fold_left (fun m y -> if value_gt m y then y else m) x rest))
-  | Setop op -> (
+  | HSetop op -> (
     let a, b = as_pair ctx v in
     let xs = as_set ctx a and ys = as_set ctx b in
     charge ctx (List.length xs + List.length ys);
@@ -171,19 +486,19 @@ let rec func ctx f v =
     | Diff ->
       collection ctx
         (List.filter (fun x -> not (List.exists (Value.equal x) ys)) xs))
-  | Sng -> Value.set [ resolve ctx v ]
-  | Flat ->
+  | HSng -> Value.set [ resolve ctx v ]
+  | HFlat ->
     let outer = as_set ctx v in
     charge ctx (List.length outer);
     collection ctx (List.concat_map (fun s -> as_set ctx s) outer)
-  | Iterate (p, f) ->
+  | HIterate (p, f) ->
     let xs = as_set ctx v in
     charge ctx (List.length xs);
     collection ctx
       (List.filter_map
-         (fun x -> if pred ctx p x then Some (func ctx f x) else None)
+         (fun x -> if hpred ctx p x then Some (hfunc ctx f x) else None)
          xs)
-  | Iter (p, f) ->
+  | HIter (p, f) ->
     let e, set = as_pair ctx v in
     let ys = as_set ctx set in
     charge ctx (List.length ys);
@@ -191,42 +506,42 @@ let rec func ctx f v =
       (List.filter_map
          (fun y ->
            let pair = Value.Pair (e, y) in
-           if pred ctx p pair then Some (func ctx f pair) else None)
+           if hpred ctx p pair then Some (hfunc ctx f pair) else None)
          ys)
-  | Join (p, f) -> join ctx p f v
-  | Nest (f, g) -> nest ctx f g v
-  | Unnest (f, g) ->
+  | HJoin (p, f) -> join ctx p f v
+  | HNest (f, g) -> nest ctx f g v
+  | HUnnest (f, g) ->
     let xs = as_set ctx v in
     charge ctx (List.length xs);
     collection ctx
       (List.concat_map
          (fun x ->
-           let key = func ctx f x in
-           let inner = as_set ctx (func ctx g x) in
+           let key = hfunc ctx f x in
+           let inner = as_set ctx (hfunc ctx g x) in
            charge ctx (List.length inner);
            List.map (fun y -> Value.Pair (key, y)) inner)
          xs)
-  | Fhole h -> error "evaluated a pattern hole ?%s" h
+  | HFhole h -> error "evaluated a pattern hole ?%s" h
 
-and pred ctx p v =
+and eval_pred ctx (p : H.pnode) v =
   ctx.counters.pred_calls <- ctx.counters.pred_calls + 1;
-  match p with
-  | Eq ->
+  match p.pshape with
+  | HEq ->
     let a, b = as_pair ctx v in
     Value.equal (resolve ctx a) (resolve ctx b)
-  | Leq ->
+  | HLeq ->
     let a, b = as_pair ctx v in
     value_leq (resolve ctx a) (resolve ctx b)
-  | Gt ->
+  | HGt ->
     let a, b = as_pair ctx v in
     value_gt (resolve ctx a) (resolve ctx b)
-  | In ->
+  | HIn ->
     let a, b = as_pair ctx v in
     let a = resolve ctx a in
     let ys = as_set ctx b in
     charge ctx (List.length ys);
     List.exists (Value.equal a) ys
-  | Primp name -> (
+  | HPrimp name -> (
     match resolve ctx v with
     | Value.Obj _ as o -> (
       match Value.field name o with
@@ -234,16 +549,16 @@ and pred ctx p v =
       | Some x -> error "predicate attribute %s is not boolean: %a" name Value.pp x
       | None -> error "object %a has no attribute %s" Value.pp o name)
     | v -> error "predicate %s applied to non-object %a" name Value.pp v)
-  | Oplus (p, f) -> pred ctx p (func ctx f v)
-  | Andp (p, q) -> pred ctx p v && pred ctx q v
-  | Orp (p, q) -> pred ctx p v || pred ctx q v
-  | Inv p -> not (pred ctx p v)
-  | Conv p ->
+  | HOplus (p, f) -> hpred ctx p (hfunc ctx f v)
+  | HAndp (p, q) -> hpred ctx p v && hpred ctx q v
+  | HOrp (p, q) -> hpred ctx p v || hpred ctx q v
+  | HInv p -> not (hpred ctx p v)
+  | HConv p ->
     let a, b = as_pair ctx v in
-    pred ctx p (Value.Pair (b, a))
-  | Kp b -> b
-  | Cp (p, c) -> pred ctx p (Value.Pair (c, v))
-  | Phole h -> error "evaluated a pattern hole ?%s" h
+    hpred ctx p (Value.Pair (b, a))
+  | HKp b -> b
+  | HCp (p, c) -> hpred ctx p (Value.Pair (c.vterm, v))
+  | HPhole h -> error "evaluated a pattern hole ?%s" h
 
 (* join(p, f) ! [A, B].  Under [Hashed] we recognise
      p = q ⊕ (g1 × g2) [& r]      with q ∈ {eq, in}
@@ -260,14 +575,14 @@ and join ctx p f v =
            List.filter_map
              (fun y ->
                let pair = Value.Pair (x, y) in
-               if pred ctx p pair then Some (func ctx f pair) else None)
+               if hpred ctx p pair then Some (hfunc ctx f pair) else None)
              ys)
          xs)
   in
   match ctx.backend with
   | Naive -> naive ()
   | Hashed -> (
-    match hash_joinable p with
+    match joinable p with
     | None -> naive ()
     | Some (kind, g1, g2, residual) ->
       charge ctx (List.length xs + List.length ys);
@@ -279,67 +594,28 @@ and join ctx p f v =
       List.iter
         (fun y ->
           match kind with
-          | `Eq -> add (func ctx g2 y) y
+          | `Eq -> add (hfunc ctx g2 y) y
           | `In ->
-            let elems = as_set ctx (func ctx g2 y) in
+            let elems = as_set ctx (hfunc ctx g2 y) in
             charge ctx (List.length elems);
             List.iter (fun e -> add e y) elems)
         ys;
       let out =
         List.concat_map
           (fun x ->
-            let key = func ctx g1 x in
+            let key = hfunc ctx g1 x in
             let matches = Option.value ~default:[] (VH.find_opt index key) in
             List.filter_map
               (fun y ->
                 let pair = Value.Pair (x, y) in
                 let keep =
-                  match residual with None -> true | Some r -> pred ctx r pair
+                  match residual with None -> true | Some r -> hpred ctx r pair
                 in
-                if keep then Some (func ctx f pair) else None)
+                if keep then Some (hfunc ctx f pair) else None)
               matches)
           xs
       in
       collection ctx out)
-
-(* Decompose a join predicate into an indexable part and a residual.
-   Recognised shapes: q ⊕ (g1 × g2), and q ⊕ ⟨h1, h2⟩ where one of h1/h2
-   projects (a function of) the first component and the other the second —
-   e.g. the translator's eq ⊕ ⟨dept ∘ π2, π1⟩. *)
-and hash_joinable p =
-  let side h =
-    match Term.unchain h with
-    | [ Pi1 ] -> Some (`L Id)
-    | [ Pi2 ] -> Some (`R Id)
-    | parts -> (
-      match List.rev parts with
-      | Pi1 :: (_ :: _ as rev_rest) -> Some (`L (Term.chain (List.rev rev_rest)))
-      | Pi2 :: (_ :: _ as rev_rest) -> Some (`R (Term.chain (List.rev rev_rest)))
-      | _ -> None)
-  in
-  match p with
-  | Oplus (Eq, Times (g1, g2)) -> Some (`Eq, g1, g2, None)
-  | Oplus (In, Times (g1, g2)) -> Some (`In, g1, g2, None)
-  | Oplus (Eq, Pairf (h1, h2)) -> (
-    match side h1, side h2 with
-    | Some (`L ga), Some (`R gb) | Some (`R gb), Some (`L ga) ->
-      (* eq is symmetric: probe with the left extractor, index the right *)
-      Some (`Eq, ga, gb, None)
-    | _ -> None)
-  | Oplus (In, Pairf (h1, h2)) -> (
-    match side h1, side h2 with
-    | Some (`L ga), Some (`R gb) -> Some (`In, ga, gb, None)
-    | _ -> None)
-  | Andp (p1, p2) -> (
-    match hash_joinable p1 with
-    | Some (kind, g1, g2, None) -> Some (kind, g1, g2, Some p2)
-    | Some (kind, g1, g2, Some r) -> Some (kind, g1, g2, Some (Andp (r, p2)))
-    | None -> (
-      match hash_joinable p2 with
-      | Some (kind, g1, g2, None) -> Some (kind, g1, g2, Some p1)
-      | Some (kind, g1, g2, Some r) -> Some (kind, g1, g2, Some (Andp (p1, r)))
-      | None -> None))
-  | _ -> None
 
 (* nest(f, g) ! [A, B] = {[y, {g!x | x ∈ A, f!x = y}] | y ∈ B}.  Elements of
    B matched by nothing in A get the empty set, which is how the paper's nest
@@ -356,7 +632,7 @@ and nest ctx f g v =
            let group =
              List.filter_map
                (fun x ->
-                 if Value.equal (func ctx f x) y then Some (func ctx g x)
+                 if Value.equal (hfunc ctx f x) y then Some (hfunc ctx g x)
                  else None)
                xs
            in
@@ -367,9 +643,9 @@ and nest ctx f g v =
     let groups : Value.t list VH.t = VH.create (2 * List.length ys) in
     List.iter
       (fun x ->
-        let key = func ctx f x in
+        let key = hfunc ctx f x in
         let prev = Option.value ~default:[] (VH.find_opt groups key) in
-        VH.replace groups key (func ctx g x :: prev))
+        VH.replace groups key (hfunc ctx g x :: prev))
       xs;
     collection ctx
       (List.map
@@ -377,6 +653,9 @@ and nest ctx f g v =
            let group = Option.value ~default:[] (VH.find_opt groups y) in
            Value.Pair (y, collection ctx group))
          ys)
+
+let func ctx f v = hfunc ctx (H.of_func f) v
+let pred ctx p v = hpred ctx (H.of_pred p) v
 
 (* Replace every [Named] extent in a value by its database contents, so
    results can be compared structurally. *)
@@ -398,10 +677,15 @@ let rec finalize v =
 
 (* A budgeted run is also cut when its finished blend is over budget, so a
    plan is cut exactly when its cost exceeds the budget. *)
-let run ctx (q : query) =
-  let v = func ctx q.body q.arg in
+let run_body ctx body arg =
+  let v = hfunc ctx body arg in
   if weighted_of ctx.counters > ctx.budget then raise Over_budget;
   match ctx.dedup with Eager -> v | Deferred -> finalize v
+
+let hrun ctx (hq : H.hquery) = run_body ctx hq.hbody hq.harg.vterm
+
+(* The argument stays as given: only the plan is interned. *)
+let run ctx (q : query) = run_body ctx (H.of_func q.body) q.arg
 
 (* Convenience entry points. *)
 let eval_func ?db ?backend ?dedup f v =

@@ -1944,7 +1944,10 @@ let execute ?(dedup = Eval.Eager) ?pool ~db (c : compiled) :
           end
           else acc := x :: !acc);
       canonical_set (List.rev !acc)
-    | Eval.Deferred -> Eval.finalize (Value.Bag (drain ctx p))
+    | Eval.Deferred ->
+      (* The interpreter's finalized bag, without its sort when the
+         stream already arrived in canonical order. *)
+      canonical_set (List.map Eval.finalize (drain ctx p))
   in
   let v =
     match c.plan.shape with

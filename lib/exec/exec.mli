@@ -64,7 +64,8 @@ val execute :
 (** Run a compiled plan.  Under [Eager] the final set is built by a
     streaming hash dedup (only distinct elements are sorted, and a
     stream that arrives in canonical order is not sorted at all); under
-    [Deferred] the raw stream is finalized exactly like {!Eval.run}.
+    [Deferred] the raw stream is finalized to the set {!Eval.run}
+    returns, again without a sort when it arrives in canonical order.
     A plan whose result is a typed projection of a columnar scan (ints,
     strings, bools or extent rows) is deduplicated on its unboxed
     values under either dedup, and only the distinct values are

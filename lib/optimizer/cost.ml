@@ -101,6 +101,16 @@ let measure_exec ?(backend = Kola_exec.Exec.Compiled) ?(dedup = Eval.Eager)
    with P > B' (the plan costs more than B' whatever its exact cost);
    otherwise the plan is evaluated again, counted as one miss. *)
 
+(* One costing run on the interned evaluator: its weighted cost, whether
+   that is exact (false: cut at the budget, a lower bound), and what it
+   took from and gave to the session memo. *)
+type measured = {
+  weight : float;
+  exact : bool;
+  memo_hits : int;
+  memo_stored : int;
+}
+
 (* Per-call accounting: what one search or one optimize did to a cache
    that other callers may share.  Defined before [stats] so that the
    shared label names resolve to [stats] by default. *)
@@ -109,9 +119,12 @@ type tally = {
   mutable misses : int;
   mutable evictions : int;
   mutable cuts : int;
+  mutable memo_hits : int;
+  mutable memo_stored : int;
 }
 
-let tally () = { hits = 0; misses = 0; evictions = 0; cuts = 0 }
+let tally () =
+  { hits = 0; misses = 0; evictions = 0; cuts = 0; memo_hits = 0; memo_stored = 0 }
 
 type stats = {
   hits : int;
@@ -292,15 +305,25 @@ let cache ?size () = QueryMemo.create ?size ()
 let cache_stats = QueryMemo.stats
 let cache_clear = QueryMemo.clear
 
-(* Weighted cost of [q] on [db] under the default backend and [budget],
+(* Telemetry counter names, built once. *)
+let memo_hit_counter = "cost.memo_hit"
+let memo_stored_counter = "cost.memo_stored"
+
+(* Weighted cost of [hq] on [db] under the default backend and [budget],
    paired with whether it is exact (false: cut, a lower bound).  Plans
    that fail to evaluate (e.g. ill-typed intermediate states) cost an
    exact infinity — the convention search uses to prune them.  Both
-   exceptions stop here, so none crosses a pool domain. *)
-let measure_weighted ~budget ~db (q : Term.query) : float * bool =
-  match measure_within ~budget ~db q with
-  | t -> (t.weighted, not t.cut)
-  | exception Eval.Error _ -> (infinity, true)
+   exceptions stop here, so none crosses a pool domain.  Sub-evaluations
+   are shared through [session] when one is given. *)
+let measure_weighted ?session ~budget ~db (hq : Term.Hc.hquery) : measured =
+  let ctx = Eval.ctx ~db ~budget ?session () in
+  let weight, exact =
+    match Eval.hrun ctx hq with
+    | _ -> (Eval.weighted_of ctx.Eval.counters, true)
+    | exception Eval.Over_budget -> (Eval.weighted_of ctx.Eval.counters, false)
+    | exception Eval.Error _ -> (infinity, true)
+  in
+  { weight; exact; memo_hits = Eval.memo_hits ctx; memo_stored = Eval.memo_stored ctx }
 
 (* Batch lookup for the level-synchronous search: probe every key
    sequentially (counting hits), evaluate the misses through [map] — the
@@ -309,8 +332,8 @@ let measure_weighted ~budget ~db (q : Term.query) : float * bool =
    with distinct keys the accounting is that of costing the items one by
    one under the same budget. *)
 let weighted_memo_batch c ~db ?(map = Array.map) ?(budget = infinity)
-    ?(tally = tally ()) (items : ((int * int) * Term.Hc.hquery) array) :
-    float array =
+    ?(tally = tally ()) ?session
+    (items : ((int * int) * Term.Hc.hquery) array) : float array =
   QueryMemo.prepare c ~db;
   let out = Array.make (Array.length items) infinity in
   let missing = ref [] in
@@ -321,21 +344,30 @@ let weighted_memo_batch c ~db ?(map = Array.map) ?(budget = infinity)
       | None -> missing := (i, key, hq) :: !missing)
     items;
   let missing = Array.of_list (List.rev !missing) in
-  let ws =
+  let ms =
     map
-      (fun q -> measure_weighted ~budget ~db q)
-      (Array.map (fun (_, _, hq) -> Term.Hc.to_query hq) missing)
+      (fun hq -> measure_weighted ?session ~budget ~db hq)
+      (Array.map (fun (_, _, hq) -> hq) missing)
   in
+  let hits = ref 0 and stored = ref 0 in
   Array.iteri
     (fun j (i, key, _) ->
-      let w, exact = ws.(j) in
-      QueryMemo.insert_memo c ~tally ~exact key w;
-      out.(i) <- w)
+      let m = ms.(j) in
+      hits := !hits + m.memo_hits;
+      stored := !stored + m.memo_stored;
+      QueryMemo.insert_memo c ~tally ~exact:m.exact key m.weight;
+      out.(i) <- m.weight)
     missing;
+  tally.memo_hits <- tally.memo_hits + !hits;
+  tally.memo_stored <- tally.memo_stored + !stored;
+  (* one event per batch, not per evaluation *)
+  if !hits > 0 then Kola_telemetry.Telemetry.count ~n:!hits memo_hit_counter;
+  if !stored > 0 then Kola_telemetry.Telemetry.count ~n:!stored memo_stored_counter;
   out
 
-let weighted_memo c ?budget ?tally ~db (hq : Term.Hc.hquery) : float =
-  (weighted_memo_batch c ~db ?budget ?tally [| (Term.Hc.query_key hq, hq) |]).(0)
+let weighted_memo c ?budget ?tally ?session ~db (hq : Term.Hc.hquery) : float =
+  (weighted_memo_batch c ~db ?budget ?tally ?session
+     [| (Term.Hc.query_key hq, hq) |]).(0)
 
 (* ------------------------------------------------------------------ *)
 (* The plan cache: full cost records per evaluation setting.

@@ -115,11 +115,24 @@ val measure_exec :
 
 type cache
 
+type measured = {
+  weight : float;
+  exact : bool;  (** false: cut at the budget, [weight] a lower bound *)
+  memo_hits : int;  (** sub-evaluations answered from the session memo *)
+  memo_stored : int;  (** entries this evaluation added to the session memo *)
+}
+(** One evaluation run on a cache miss. *)
+
 type tally = {
   mutable hits : int;
   mutable misses : int;  (** evaluations run *)
   mutable evictions : int;  (** entries this caller's inserts evicted *)
   mutable cuts : int;  (** evaluations stopped at their budget *)
+  mutable memo_hits : int;
+      (** sub-evaluations the caller's evaluations answered from a
+          {!Kola.Eval.session} *)
+  mutable memo_stored : int;
+      (** entries the caller's evaluations added to a session *)
 }
 (** One caller's lookups on a possibly shared cache. *)
 
@@ -147,6 +160,7 @@ val weighted_memo :
   cache ->
   ?budget:float ->
   ?tally:tally ->
+  ?session:Kola.Eval.session ->
   db:(string * Kola.Value.t) list ->
   Kola.Term.Hc.hquery ->
   float
@@ -155,17 +169,20 @@ val weighted_memo :
     [budget]; plans that fail to evaluate cost [infinity].  Never
     re-evaluates a resident query with the same
     {!Kola.Term.Hc.query_key} unless its entry is a bound [<= budget].
-    The lookup is counted in [tally]. *)
+    An evaluation shares sub-plan results through [session]; the cost
+    is the same bits with or without one.  The lookup is counted in
+    [tally]. *)
 
 val weighted_memo_batch :
   cache ->
   db:(string * Kola.Value.t) list ->
   ?map:
-    ((Kola.Term.query -> float * bool) ->
-    Kola.Term.query array ->
-    (float * bool) array) ->
+    ((Kola.Term.Hc.hquery -> measured) ->
+    Kola.Term.Hc.hquery array ->
+    measured array) ->
   ?budget:float ->
   ?tally:tally ->
+  ?session:Kola.Eval.session ->
   ((int * int) * Kola.Term.Hc.hquery) array ->
   float array
 (** [weighted_memo_batch c ~db ~map ~budget items] costs a batch of
@@ -173,12 +190,12 @@ val weighted_memo_batch :
     {!Kola.Term.Hc.query_key}: keys the cache can answer are served from
     it, the misses are evaluated through [map] (default [Array.map] —
     pass a parallel map to evaluate them across domains; each evaluation
-    is pure and returns its weighted cost and whether it is exact), and
-    the results are inserted sequentially in item order.  The
-    evaluations never touch the cache, and when the item keys are
-    distinct the accounting is identical to calling {!weighted_memo} on
-    each item in order.  Duplicate keys in one batch are evaluated once
-    per occurrence instead of hitting. *)
+    touches only its own domain's table of [session]), and the results
+    are inserted sequentially in item order.  The evaluations never touch
+    the cache, and when the item keys are distinct the accounting is
+    identical to calling {!weighted_memo} on each item in order.
+    Duplicate keys in one batch are evaluated once per occurrence
+    instead of hitting. *)
 
 (** {2 Plan cache}
 

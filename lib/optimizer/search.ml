@@ -13,7 +13,9 @@
    "Parallel exploration"): states are hash-consed queries, deduplicated
    by [Term.Hc.query_key]; successor enumeration prunes rules and subtrees
    through the per-node head bitmasks; costing is memoized across
-   explorations by the id-keyed {!Cost.cache}.  Each level runs in three
+   explorations by the id-keyed {!Cost.cache}, and within one exploration
+   every candidate is costed through one {!Eval.session}, so a successor
+   re-runs only the sub-plans its rewrite changed.  Each level runs in three
    phases — fan-out, stable-order merge, batch costing — inline at
    [jobs = 1] and across a Kola_parallel.Pool at [jobs > 1], so [best],
    [path], [explored] and [stop] are bit-identical whatever the domain
@@ -224,6 +226,9 @@ type outcome = {
   cache_evictions : int;
       (** cost-cache entries evicted by this exploration's inserts *)
   cache_cuts : int;     (** evaluations stopped at their budget *)
+  memo_hits : int;
+      (** sub-evaluations answered from this exploration's sub-plan memo *)
+  memo_stored : int;    (** entries stored in that memo *)
   seen_states : int;    (** distinct states (dedup classes) recorded *)
   intern_hits : int;    (** intern-table hits during this exploration *)
   intern_misses : int;  (** nodes freshly interned during this exploration *)
@@ -278,6 +283,8 @@ let outcome_of ?saturation ~(tally : Cost.tally) ~(istats0 : Hashcons.stats)
     cache_misses = tally.Cost.misses;
     cache_evictions = tally.Cost.evictions;
     cache_cuts = tally.Cost.cuts;
+    memo_hits = tally.Cost.memo_hits;
+    memo_stored = tally.Cost.memo_stored;
     seen_states;
     intern_hits;
     intern_misses;
@@ -387,6 +394,7 @@ let explore_bfs ~config (q : Term.query) : outcome =
   let cache = cache_of config in
   let pool = pool_of config in
   let tally = Cost.tally () in
+  let session = Eval.session () in
   let istats0 = Term.Hc.intern_counters () in
   let seen = Term.Hc.Qtable.create 256 in
   let truncated = ref false in
@@ -396,7 +404,11 @@ let explore_bfs ~config (q : Term.query) : outcome =
   Term.Hc.Qtable.replace seen (Term.Hc.query_key hq0) ();
   let best =
     ref
-      { ihq = hq0; rev_path = []; icost = Cost.weighted_memo cache ~tally ~db hq0 }
+      {
+        ihq = hq0;
+        rev_path = [];
+        icost = Cost.weighted_memo cache ~tally ~session ~db hq0;
+      }
   in
   let expanded = ref 0 in
   let exhausted = ref true in
@@ -423,7 +435,7 @@ let explore_bfs ~config (q : Term.query) : outcome =
           pending := [];
           let costs =
             Cost.weighted_memo_batch cache ~db ~map:(pool_map pool)
-              ~budget:!best.icost ~tally
+              ~budget:!best.icost ~tally ~session
               (Array.map (fun (_, _, hq', key) -> (key, hq')) fresh)
           in
           Array.iteri
@@ -507,6 +519,7 @@ let explore_egraph ~config (q : Term.query) : outcome =
   let db = config.sample_db in
   let cache = cache_of config in
   let tally = Cost.tally () in
+  let session = Eval.session () in
   let istats0 = Term.Hc.intern_counters () in
   let hq0 = Term.Hc.of_query q in
   let sp =
@@ -524,14 +537,14 @@ let explore_egraph ~config (q : Term.query) : outcome =
   let measure_front best cands =
     List.fold_left
       (fun (bq, bc) hq ->
-        let c = Cost.weighted_memo cache ~budget:bc ~tally ~db hq in
+        let c = Cost.weighted_memo cache ~budget:bc ~tally ~session ~db hq in
         if c < bc then (hq, c) else (bq, bc))
       best cands
   in
   let front = Saturate.extraction_front ~k:2 sp in
   let best0 =
     measure_front
-      (hq0, Cost.weighted_memo cache ~tally ~db hq0)
+      (hq0, Cost.weighted_memo cache ~tally ~session ~db hq0)
       (List.filter_map Saturate.hquery_of_wterm front)
   in
   (* Measured-cost descent inside the e-graph: re-anchor the witness

@@ -12,7 +12,10 @@
     performance" and "Parallel exploration").  States are hash-consed
     queries ({!Kola.Term.Hc}) deduplicated by {!Kola.Term.Hc.query_key};
     successor enumeration prunes rules and subtrees through per-node head
-    bitmasks; costing is memoized across explorations ({!Cost.cache}).
+    bitmasks; costing is memoized across explorations ({!Cost.cache}),
+    and every candidate one exploration costs shares a sub-plan memo
+    ({!Kola.Eval.session}), so a successor re-runs only what its rewrite
+    changed.
     Each level fans out successor enumeration, merges the results in
     stable item order, then costs the fresh states in one batch — inline
     at [jobs = 1], across a fixed pool of OCaml 5 domains
@@ -109,6 +112,12 @@ type outcome = {
   cache_cuts : int;
       (** evaluations during this call stopped at their budget: each
           such state costs more than the best known at the time *)
+  memo_hits : int;
+      (** sub-evaluations answered from the call's sub-plan memo
+          ({!Kola.Eval.session}, shared by every candidate the call
+          costs); accounting only — at [jobs > 1] it depends on which
+          domain costed which candidate *)
+  memo_stored : int;  (** entries stored in that memo *)
   seen_states : int;
       (** distinct states (dedup equivalence classes) recorded, including
           the start state *)

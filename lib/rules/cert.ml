@@ -208,41 +208,38 @@ let check_instance_with ~inputs_for schema (r : Rewrite.Rule.t)
     in
     go (inputs_for input_ty) 0
   in
-  (* Typing and evaluation read the instantiated sides' plain views. *)
-  let inst_func f = Hc.to_func (Subst.apply_func subst f) in
-  let inst_value v = Hc.to_value (Subst.apply_value subst v) in
+  (* Typing reads the instantiated sides' plain views; evaluation runs on
+     the interned nodes themselves. *)
+  let run_func f v = Eval.hfunc (Eval.ctx ~db ()) f v in
   match Rewrite.Rule.patterns r with
   | Rewrite.Rule.Fun_pats (l, rr) -> (
-    let l = inst_func l and rr = inst_func rr in
-    match Typing.func_ty schema l, Typing.func_ty schema rr with
+    let l = Subst.apply_func subst l and rr = Subst.apply_func subst rr in
+    match
+      Typing.func_ty schema (Hc.to_func l), Typing.func_ty schema (Hc.to_func rr)
+    with
     | (lin, _), (rin, _) -> (
       (* require both sides to type; use the more specific input type *)
       let input_ty = match lin with Ty.Var _ -> rin | t -> t in
-      eval_both
-        (fun v -> Eval.eval_func ~db l v)
-        (fun v -> Eval.eval_func ~db rr v)
-        input_ty)
+      eval_both (run_func l) (run_func rr) input_ty)
     | exception Typing.Type_error _ | exception Schema.Schema_error _ -> L 0)
   | Rewrite.Rule.Pred_pats (l, rr) -> (
-    let inst_pred p = Hc.to_pred (Subst.apply_pred subst p) in
-    let l = inst_pred l and rr = inst_pred rr in
-    match Typing.pred_ty schema l, Typing.pred_ty schema rr with
+    let l = Subst.apply_pred subst l and rr = Subst.apply_pred subst rr in
+    match
+      Typing.pred_ty schema (Hc.to_pred l), Typing.pred_ty schema (Hc.to_pred rr)
+    with
     | lin, rin -> (
       let input_ty = match lin with Ty.Var _ -> rin | t -> t in
-      eval_both
-        (fun v -> Value.Bool (Eval.eval_pred ~db l v))
-        (fun v -> Value.Bool (Eval.eval_pred ~db rr v))
-        input_ty)
+      let run_pred p v = Value.Bool (Eval.hpred (Eval.ctx ~db ()) p v) in
+      eval_both (run_pred l) (run_pred rr) input_ty)
     | exception Typing.Type_error _ | exception Schema.Schema_error _ -> L 0)
   | Rewrite.Rule.Query_pats ((lf, la), (rf, ra)) -> (
-    let lf = inst_func lf and rf = inst_func rf in
-    let la = inst_value la and ra = inst_value ra in
-    match
-      ( Eval.eval_query ~db (Term.query lf la),
-        Eval.eval_query ~db (Term.query rf ra) )
-    with
+    let la = Subst.apply_value subst la in
+    let run_query f a =
+      Eval.hrun (Eval.ctx ~db ()) { Hc.hbody = Subst.apply_func subst f; harg = a }
+    in
+    match (run_query lf la, run_query rf (Subst.apply_value subst ra)) with
     | a, b when Value.equal a b -> L 1
-    | _ -> R la
+    | _ -> R (Hc.to_value la)
     | exception Eval.Error _ -> L 0
     | exception Typing.Type_error _ -> L 0
     | exception Schema.Schema_error _ -> L 0)

@@ -209,9 +209,174 @@ let search_tests =
           s.Cost.misses);
   ]
 
+(* --- the sub-plan memo: the same bits with and without a session --- *)
+
+type run = Done of Value.t * Cost.t | Cut of Cost.t | Failed
+
+(* One budgeted run, through [session] when given. *)
+let run_on ?session ~backend ~dedup ~budget db q =
+  let ctx = Eval.ctx ~db ~backend ~dedup ~budget ?session () in
+  match Eval.run ctx q with
+  | v -> Done (v, Cost.of_counters ctx.Eval.counters)
+  | exception Eval.Over_budget ->
+    Cut { (Cost.of_counters ctx.Eval.counters) with Cost.cut = true }
+  | exception Eval.Error _ -> Failed
+
+let same_cost (a : Cost.t) (b : Cost.t) =
+  a.Cost.tuples = b.Cost.tuples
+  && a.Cost.func_calls = b.Cost.func_calls
+  && a.Cost.pred_calls = b.Cost.pred_calls
+  && Int64.equal
+       (Int64.bits_of_float a.Cost.weighted)
+       (Int64.bits_of_float b.Cost.weighted)
+  && Bool.equal a.Cost.cut b.Cost.cut
+
+let same_run a b =
+  match (a, b) with
+  | Done (v, c), Done (v', c') -> deep_equal v v' && same_cost c c'
+  | Cut c, Cut c' -> same_cost c c'
+  | Failed, Failed -> true
+  | (Done _ | Cut _ | Failed), _ -> false
+
+let settings =
+  [
+    (Eval.Naive, Eval.Eager);
+    (Eval.Naive, Eval.Deferred);
+    (Eval.Hashed, Eval.Eager);
+    (Eval.Hashed, Eval.Deferred);
+  ]
+
+(* A plan and every single-firing successor of it, in order. *)
+let candidates q = q :: List.map snd (Search.successors Search.default_config.Search.rules q)
+
+(* Cost every candidate under budgets 0, exact/2, exact, exact + 1 and
+   infinity, in order, through one session per setting: every run must
+   match the run without a session in value and in every cost bit.
+   Returns the hits the sessions took, or [None] on a mismatch. *)
+let memo_agrees db qs =
+  let hits = ref 0 in
+  let ok =
+    List.for_all
+      (fun (backend, dedup) ->
+        let session = Eval.session () in
+        List.for_all
+          (fun q ->
+            let budgets =
+              match run_on ~backend ~dedup ~budget:infinity db q with
+              | Done (_, c) ->
+                let w = c.Cost.weighted in
+                [ 0.; w /. 2.; w; w +. 1.; infinity ]
+              | Cut _ | Failed -> [ 0.; infinity ]
+            in
+            List.for_all
+              (fun budget ->
+                let ctx = Eval.ctx ~db ~backend ~dedup ~budget ~session () in
+                let with_memo =
+                  match Eval.run ctx q with
+                  | v -> Done (v, Cost.of_counters ctx.Eval.counters)
+                  | exception Eval.Over_budget ->
+                    Cut { (Cost.of_counters ctx.Eval.counters) with Cost.cut = true }
+                  | exception Eval.Error _ -> Failed
+                in
+                hits := !hits + Eval.memo_hits ctx;
+                same_run with_memo (run_on ~backend ~dedup ~budget db q))
+              budgets)
+          qs)
+      settings
+  in
+  if ok then Some !hits else None
+
+let stale_db = stale_paper_db ()
+
+let memo_props =
+  let arb =
+    QCheck.make
+      ~print:(fun i -> Pretty.query_to_string (random_query i 3))
+      QCheck.Gen.(int_bound 1_000_000)
+  in
+  List.map
+    (fun (name, db) ->
+      QCheck.Test.make ~count:25
+        ~name:
+          (Fmt.str
+             "sub-plan memo: a plan and its successors cost the same bits \
+              with and without a session (%s)"
+             name)
+        arb
+        (fun i -> Option.is_some (memo_agrees db (candidates (random_query i 3)))))
+    [ ("generated store", db); ("stale embedded copies", stale_db) ]
+
+let memo_tests =
+  [
+    case "sub-plan memo: seeded plans hit, and hit the same bits" (fun () ->
+        let qs = List.concat_map (fun i -> candidates (random_query i 3)) [ 1; 2; 3 ] in
+        match memo_agrees db qs with
+        | None -> Alcotest.fail "a run through the session differs"
+        | Some hits ->
+          Alcotest.(check bool) "the sessions answered lookups" true (hits > 0));
+    case "sub-plan memo: a stale copy never answers for its extent row"
+      (fun () ->
+        (* person 2's extent row and the stale copy embedded as person 0's
+           child: same class and oid, other fields *)
+        let row, stale =
+          match List.assoc "P" stale_db with
+          | Value.Set ps ->
+            let p2 = List.nth ps 2 and p0 = List.nth ps 0 in
+            (p2, List.hd (Option.get (Value.set_elements (Option.get (Value.field "child" p0)))))
+          | _ -> assert false
+        in
+        Alcotest.(check bool) "one identity" true (Value.equal row stale);
+        let names = Term.Hc.of_func (Term.Iterate (Term.Kp true, Term.Prim "name")) in
+        let session = Eval.session () in
+        let run v =
+          let ctx = Eval.ctx ~db:stale_db ~session () in
+          let r = Eval.hfunc ctx names (Value.set [ v ]) in
+          (r, Eval.memo_hits ctx, Eval.memo_stored ctx)
+        in
+        ignore (run row);
+        let r, hits, stored = run row in
+        Alcotest.(check (triple value int int)) "second touch stores"
+          (Value.set [ Value.str "p2" ], 0, 1) (r, hits, stored);
+        let r, hits, _ = run row in
+        Alcotest.(check (pair value int)) "the row hits"
+          (Value.set [ Value.str "p2" ], 1) (r, hits);
+        let r, hits, _ = run stale in
+        Alcotest.(check (pair value int)) "the stale copy misses"
+          (Value.set [ Value.str "stale-kid" ], 0) (r, hits);
+        (* one plan reading each person's name and child count on the
+           rows, then on the copies embedded as children *)
+        let per_person =
+          Term.Iterate
+            ( Term.Kp true,
+              Term.Pairf (Term.Prim "name", Term.Compose (Term.Agg Term.Count, Term.Prim "child")) )
+        in
+        let q =
+          Term.query
+            (Term.Pairf
+               ( per_person,
+                 Term.Compose
+                   (per_person, Term.Compose (Term.Flat, Term.Iterate (Term.Kp true, Term.Prim "child"))) ))
+            (Value.Named "P")
+        in
+        Alcotest.(check bool) "rows, then copies, through every successor" true
+          (Option.is_some (memo_agrees stale_db (candidates q))));
+    case "sub-plan memo: KG1's BFS session counts at jobs 1" (fun () ->
+        let config =
+          {
+            Search.default_config with
+            sample_db = cli_db;
+            cost_cache = Some (Cost.cache ());
+          }
+        in
+        let o = Search.explore ~config Paper.kg1 in
+        Alcotest.(check (float 0.)) "best cost" 3040.1 (Float.round (o.Search.best.Search.cost *. 10.) /. 10.);
+        Alcotest.(check (pair int int)) "memo hits and stored entries"
+          (61_767, 7_567) (o.Search.memo_hits, o.Search.memo_stored));
+  ]
+
 let tests =
-  cache_tests @ search_tests
+  cache_tests @ search_tests @ memo_tests
   @ List.map
       (QCheck_alcotest.to_alcotest ~long:false
          ~rand:(Random.State.make [| 16 |]))
-      props
+      (props @ memo_props)

@@ -25,23 +25,7 @@ module Pool = Kola_parallel.Pool
 let check_agree ~db msg a b =
   Alcotest.check Alcotest.bool msg true (Exec.agree ~db a b)
 
-(* Field-by-field equality.  [Value.equal] (and so {!Exec.agree})
-   compares objects by (cls, oid) only, so it cannot see an emitted object
-   that is the wrong copy: a column kernel that read the extent row where
-   the row path reads an embedded copy. *)
-let rec deep_equal (a : Value.t) (b : Value.t) =
-  match (a, b) with
-  | Value.Obj x, Value.Obj y ->
-    String.equal x.cls y.cls && x.oid = y.oid
-    && List.equal
-         (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && deep_equal v1 v2)
-         x.fields y.fields
-  | Value.Pair (a1, b1), Value.Pair (a2, b2) -> deep_equal a1 a2 && deep_equal b1 b2
-  | Value.Set xs, Value.Set ys
-  | Value.Bag xs, Value.Bag ys
-  | Value.List xs, Value.List ys ->
-    List.equal deep_equal xs ys
-  | _ -> Value.equal a b
+(* Field-by-field equality is {!Util.deep_equal}. *)
 
 (* [Exec.agree]'s normalisation (set order, deferred bags, [Named]), then
    the deep comparison. *)
@@ -570,49 +554,9 @@ let deep_differential ?(degrades = []) ?kernels ~db ~coldb name q dedup =
        [ 1; 2; 4 ])
 
 (* Stores whose set elements are stale copies (same identity, other
-   fields than the extent row) or lie outside every extent.  Each stale
-   object has one copy, used everywhere, so dedup cannot choose between
-   copies. *)
-let stale_paper_db () =
-  let addr i city =
-    Value.obj ~cls:"Address" ~oid:i [ ("city", Value.str city) ]
-  in
-  let addrs = List.init 4 (fun i -> addr i (Fmt.str "city-%d" i)) in
-  let stale_addr = addr 1 "stale-city" in
-  let vehicle i =
-    Value.obj ~cls:"Vehicle" ~oid:i [ ("make", Value.str (Fmt.str "m%d" i)) ]
-  in
-  let vehicles = List.init 5 vehicle in
-  let ghost_car = vehicle 99 (* in no extent *) in
-  let person ?(name = "") i ~age ~child ~cars ~grgs =
-    Value.obj ~cls:"Person" ~oid:i
-      [
-        ("name", Value.str (if name = "" then Fmt.str "p%d" i else name));
-        ("age", Value.int age);
-        ("child", Value.set child);
-        ("cars", Value.set cars);
-        ("grgs", Value.set grgs);
-      ]
-  in
-  let kid i = person ~name:"stale-kid" i ~age:1 ~child:[] ~cars:[] ~grgs:[] in
-  let v = List.nth vehicles and a = List.nth addrs in
-  let persons =
-    [
-      person 0 ~age:40 ~child:[ kid 2; kid 3 ] ~cars:[ v 0; v 1 ]
-        ~grgs:[ a 0; stale_addr ];
-      person 1 ~age:20 ~child:[ kid 3 ] ~cars:[ v 1; ghost_car ]
-        ~grgs:[ stale_addr ];
-      person 2 ~age:30 ~child:[] ~cars:[ ghost_car ] ~grgs:[ a 2 ];
-      person 3 ~age:50 ~child:[ kid 0 ] ~cars:[ v 1; v 4 ] ~grgs:[];
-      person 4 ~age:60 ~child:[] ~cars:[] ~grgs:[ a 3; stale_addr ];
-    ]
-  in
-  [
-    ("P", Value.set persons);
-    ("V", Value.set vehicles);
-    ("A", Value.set addrs);
-  ]
-
+   fields than the extent row) or lie outside every extent: the paper
+   schema's is {!Util.stale_paper_db}.  Each stale object has one copy,
+   used everywhere, so dedup cannot choose between copies. *)
 let stale_company_db ?(employees = 300) () =
   let base = Datagen.Company.scaled ~seed:77 employees in
   let employees =

@@ -19,6 +19,68 @@ let cli_db = store ~people:40 ~vehicles:30 ~seed:42
 (* a small store on which generated queries cost in the tens to hundreds *)
 let seed_db = store ~people:12 ~vehicles:8 ~seed:7
 
+(* Field-by-field equality.  [Value.equal] (and so [Exec.agree])
+   compares objects by (cls, oid) only, so it cannot see an emitted object
+   that is the wrong copy: a column kernel that read the extent row where
+   the row path reads an embedded copy. *)
+let rec deep_equal (a : Value.t) (b : Value.t) =
+  match (a, b) with
+  | Value.Obj x, Value.Obj y ->
+    String.equal x.cls y.cls && x.oid = y.oid
+    && List.equal
+         (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && deep_equal v1 v2)
+         x.fields y.fields
+  | Value.Pair (a1, b1), Value.Pair (a2, b2) -> deep_equal a1 a2 && deep_equal b1 b2
+  | Value.Set xs, Value.Set ys
+  | Value.Bag xs, Value.Bag ys
+  | Value.List xs, Value.List ys ->
+    List.equal deep_equal xs ys
+  | _ -> Value.equal a b
+
+(* A paper-schema store whose set elements are stale copies (same
+   identity, other fields than the extent row) or lie outside every
+   extent.  Each stale object has one copy, used everywhere, so dedup
+   cannot choose between copies. *)
+let stale_paper_db () =
+  let addr i city =
+    Value.obj ~cls:"Address" ~oid:i [ ("city", Value.str city) ]
+  in
+  let addrs = List.init 4 (fun i -> addr i (Fmt.str "city-%d" i)) in
+  let stale_addr = addr 1 "stale-city" in
+  let vehicle i =
+    Value.obj ~cls:"Vehicle" ~oid:i [ ("make", Value.str (Fmt.str "m%d" i)) ]
+  in
+  let vehicles = List.init 5 vehicle in
+  let ghost_car = vehicle 99 (* in no extent *) in
+  let person ?(name = "") i ~age ~child ~cars ~grgs =
+    Value.obj ~cls:"Person" ~oid:i
+      [
+        ("name", Value.str (if name = "" then Fmt.str "p%d" i else name));
+        ("age", Value.int age);
+        ("child", Value.set child);
+        ("cars", Value.set cars);
+        ("grgs", Value.set grgs);
+      ]
+  in
+  let kid i = person ~name:"stale-kid" i ~age:1 ~child:[] ~cars:[] ~grgs:[] in
+  let v = List.nth vehicles and a = List.nth addrs in
+  let persons =
+    [
+      person 0 ~age:40 ~child:[ kid 2; kid 3 ] ~cars:[ v 0; v 1 ]
+        ~grgs:[ a 0; stale_addr ];
+      person 1 ~age:20 ~child:[ kid 3 ] ~cars:[ v 1; ghost_car ]
+        ~grgs:[ stale_addr ];
+      person 2 ~age:30 ~child:[] ~cars:[ ghost_car ] ~grgs:[ a 2 ];
+      person 3 ~age:50 ~child:[ kid 0 ] ~cars:[ v 1; v 4 ] ~grgs:[];
+      person 4 ~age:60 ~child:[] ~cars:[] ~grgs:[ a 3; stale_addr ];
+    ]
+  in
+  [
+    ("P", Value.set persons);
+    ("V", Value.set vehicles);
+    ("A", Value.set addrs);
+  ]
+
 let value : Value.t Alcotest.testable =
   Alcotest.testable Value.pp Value.equal
 
