@@ -11,8 +11,9 @@ test:
 	dune runtest
 
 # The default verify path: build, unit tests, the rule-pack gate, the
-# serving smoke (daemon end-to-end: engines, malformed and oversized
-# input, overload rejection, telemetry, clean shutdown), a company-schema
+# serving suite once more (daemon end-to-end: engines, malformed and
+# oversized input, overload rejection, telemetry, columnar execution,
+# rule packs, clean shutdown), a company-schema
 # query run columnar from the CLI and checked against the interpreter,
 # a company-schema query searched under both engines, and the ledger's
 # gates (one second per workload; fails on any gate, including
@@ -37,10 +38,11 @@ certify-packs:
 	@echo "coko/unsound/r13_paper.coko must be rejected (exit 3):"
 	dune exec bin/kolaopt.exe -- certify coko/unsound/r13_paper.coko; test $$? -eq 3
 
-# In-process daemon smoke: one request per engine plus a malformed line
-# and a deterministic overload, asserting a clean shutdown.
+# The daemon's test suite (test/test_server.ml) on its own: the protocol,
+# outcome identity with the CLI, the columnar layout, rule packs, and a
+# real socket under malformed, oversized and overloading clients.
 serve-smoke:
-	dune exec bin/kolaoptd.exe -- smoke
+	dune exec test/main.exe -- test server
 
 # Compiled execution vs the hashed interpreter on the company workload at
 # 10^3/10^5/10^6 objects, with a layout x jobs grid per cell (row/1,

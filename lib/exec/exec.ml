@@ -12,16 +12,18 @@
 
    The interpreter ({!Eval.run}) is the oracle: for every supported plan
    the compiled result equals the interpreted one modulo set ordering
-   (compare with {!agree}).  The correctness argument for running the
-   inside of a pipeline in bag discipline even under [Eager] dedup: every
-   stage except aggregation is duplicate-insensitive with respect to the
-   final canonical set, embedded collections are canonicalised exactly
-   where the interpreter canonicalises them, and Count/Sum insert a hash
-   dedup barrier under [Eager] so multiplicities are never observed.
+   (compare with {!agree}).  Plans run under [Eager] dedup only, the one
+   discipline the optimizer picks; the correctness argument for running
+   the inside of a pipeline in bag discipline anyway: every stage except
+   aggregation is duplicate-insensitive with respect to the final
+   canonical set, embedded collections are canonicalised exactly where
+   the interpreter canonicalises them, and Count/Sum insert a hash dedup
+   barrier so multiplicities are never observed.
 
    Plans the compiler does not support (pattern holes anywhere) raise
    {!Unsupported}; {!run} catches it, counts the fallback, and delegates
-   to the interpreter — explicitly slower, never wrong. *)
+   to the interpreter — explicitly slower, never wrong.  A [Deferred]
+   run takes the same fallback. *)
 
 open Kola
 module Telemetry = Kola_telemetry.Telemetry
@@ -49,7 +51,6 @@ let fresh_counters () = { tuples = 0; probes = 0; builds = 0; morsels = 0 }
 
 type rctx = {
   db : (string * Value.t) list;
-  dedup : Eval.dedup;
   pipes : Value.t array option array;  (** materialized shared pipelines *)
   vals : Value.t option array;         (** memoized shared scalars *)
   pool : Pool.t option;                (** morsel fan-out for pure kernels *)
@@ -96,10 +97,22 @@ let as_int ctx v =
   | Value.Int i -> i
   | v -> error "expected an int, got %a" Value.pp v
 
-let collection ctx elems =
-  match ctx.dedup with
-  | Eval.Eager -> Value.set elems
-  | Eval.Deferred -> Value.Bag elems
+let attribute name ctx v =
+  match resolve ctx v with
+  | Value.Obj _ as o -> (
+    match Value.field name o with
+    | Some x -> x
+    | None -> error "object %a has no attribute %s" Value.pp o name)
+  | v -> error "attribute %s applied to non-object %a" name Value.pp v
+
+let bool_attribute name ctx v =
+  match resolve ctx v with
+  | Value.Obj _ as o -> (
+    match Value.field name o with
+    | Some (Value.Bool b) -> b
+    | Some x -> error "predicate attribute %s is not boolean: %a" name Value.pp x
+    | None -> error "object %a has no attribute %s" Value.pp o name)
+  | v -> error "predicate %s applied to non-object %a" name Value.pp v
 
 (* ------------------------------------------------------------------ *)
 (* Loop-invariant analysis.  A func is input-independent when evaluating
@@ -159,19 +172,217 @@ and pred_env_free : Term.pred -> bool = function
   | p -> pred_invariant p
 
 (* ------------------------------------------------------------------ *)
-(* Scalar closure compilation: per-element work is translated once into
-   nested closures mirroring [Eval.func]/[Eval.pred] case by case, so a
-   hot loop never touches the term again.  [fc] additionally hoists
-   loop-invariant subterms: the compiled closure memoizes its result on
-   the (db, dedup) pair it ran under, so a closed subquery used as a
-   filter operand costs one evaluation per run instead of one per
-   element.
+(* Leaves.  One compiler turns per-element functions and predicates
+   into closures, wherever the element lives.  Its input is a leaf: a
+   value fixed at compile time that says where the element's value is,
+   as a function of an index ['i] — a row index for a columnar scan, the
+   element itself for the row path.  A node whose operands are typed
+   leaves compiles to a typed leaf, reading columns with no boxing; any
+   other node boxes its input and runs the row semantics on it, so a
+   kernel falls back to boxed code one leaf at a time.  No closure
+   inspects a leaf at run time: the layout is decided here. *)
+
+type _ leaf =
+  | Int : ('i -> int) -> 'i leaf
+  | Str : ('i -> string) -> 'i leaf
+  | Bool : ('i -> bool) -> 'i leaf
+  | Self : Value.t leaf  (** the row path's element: the index itself *)
+  | Here : C.relation -> int leaf
+      (** the row of a scan: the index is the row *)
+  | Row : C.relation * ('i -> int) -> 'i leaf
+      (** a row of an extent or element relation, at a computed index *)
+  | Val : ('i -> Value.t) -> 'i leaf
+      (** a pure boxed read: a set or boxed column, a constant *)
+  | Pair : 'i leaf * 'i leaf -> 'i leaf
+  | Env : (rctx -> Value.t) -> 'i leaf
+      (** a value the run fixes before any row (a loop environment):
+          reading it needs the context, but it cannot fail *)
+  | Box : (rctx -> 'i -> Value.t) -> 'i leaf
+      (** a boxed value that needs the run context and may fail *)
+
+(* Only pure leaves enter a scan's selection or a morsel. *)
+let rec pure : type i. i leaf -> bool = function
+  | Env _ | Box _ -> false
+  | Pair (a, b) -> pure a && pure b
+  | Int _ | Str _ | Bool _ | Self | Here _ | Row _ | Val _ -> true
+
+(* A cheap leaf costs and risks nothing when read twice or not at all;
+   a [Box] may do work or fail, so a node that would drop it or read it
+   twice boxes it once and runs the row closure instead. *)
+let rec cheap : type i. i leaf -> bool = function
+  | Box _ -> false
+  | Pair (a, b) -> cheap a && cheap b
+  | _ -> true
+
+(* The value a pure leaf denotes: exactly what the row path holds at that
+   point (field values are not resolved). *)
+let rec read : type i. i leaf -> i -> Value.t = function
+  | Int g -> fun i -> Value.Int (g i)
+  | Str g -> fun i -> Value.Str (g i)
+  | Bool g -> fun i -> Value.Bool (g i)
+  | Self -> fun v -> v
+  | Here rel -> fun i -> rel.C.rows.(i)
+  | Row (rel, ix) -> fun i -> rel.C.rows.(ix i)
+  | Val g -> g
+  | Pair (a, b) ->
+    let ea = read a and eb = read b in
+    fun i -> Value.Pair (ea i, eb i)
+  | Env _ | Box _ -> invalid_arg "Exec.read: the leaf needs the run context"
+
+let rec box : type i. i leaf -> rctx -> i -> Value.t = function
+  | Box b -> b
+  | Self -> fun _ v -> v
+  | Env r -> fun ctx _ -> r ctx
+  | Pair (a, b) when not (pure a && pure b) ->
+    let ba = box a and bb = box b in
+    fun ctx i -> Value.Pair (ba ctx i, bb ctx i)
+  | l ->
+    let e = read l in
+    fun _ i -> e i
+
+(* A constant as [Kf] yields it (resolved), and as [Cf]/[Cp] pair it
+   (raw). *)
+let raw : type i. Value.t -> i leaf = function
+  | Value.Int k -> Int (fun _ -> k)
+  | Value.Str s -> Str (fun _ -> s)
+  | Value.Bool b -> Bool (fun _ -> b)
+  | c -> Val (fun _ -> c)
+
+let const : type i. Value.t -> i leaf = function
+  | (Value.Named _ | Value.Hole _) as c -> Box (fun ctx _ -> resolve ctx c)
+  | c -> raw c
+
+(* Whether a leaf holds a scan's row: every columnar lowering's does, the
+   row path's never. *)
+let rec over_scan : type i. i leaf -> bool = function
+  | Here _ -> true
+  | Pair (a, b) -> over_scan a || over_scan b
+  | _ -> false
+
+let rowish : type i. i leaf -> (C.relation * (i -> int)) option = function
+  | Here rel -> Some (rel, fun i -> i)
+  | Row (rel, ix) -> Some (rel, ix)
+  | _ -> None
+
+(* A leaf read at another index. *)
+let rec reindex : type i j. i leaf -> (j -> i) -> j leaf =
+ fun l g ->
+  match l with
+  | Int f -> Int (fun j -> f (g j))
+  | Str f -> Str (fun j -> f (g j))
+  | Bool f -> Bool (fun j -> f (g j))
+  | Self -> Val g
+  | Here rel -> Row (rel, g)
+  | Row (rel, ix) -> Row (rel, fun j -> ix (g j))
+  | Val f -> Val (fun j -> f (g j))
+  | Pair (a, b) -> Pair (reindex a g, reindex b g)
+  | Env r -> Env r
+  | Box b -> Box (fun ctx j -> b ctx (g j))
+
+(* A compiled predicate: pure when every leaf it read was, so it may
+   select a scan's rows. *)
+type 'i test = Pure of ('i -> bool) | Test of (rctx -> 'i -> bool)
+
+let lift : type i. i test -> rctx -> i -> bool = function
+  | Pure k -> fun _ i -> k i
+  | Test t -> t
+
+(* A row's identity as an extent row: the extent, the row index, and
+   whether every index is one.  An extent's rows are themselves; an
+   element row is the target row its code names ([-1] outside it), so
+   two positions holding copies of one object compare equal. *)
+let row_ident (rel : C.relation) ix =
+  match rel.C.of_set with
+  | None -> (rel.C.name, ix, true)
+  | Some e ->
+    let codes = e.C.codes in
+    (e.C.target, (fun i -> codes.(ix i)), e.C.total)
+
+(* Comparator compilation.  Same-kind typed comparisons only: rows of one
+   relation are stored in canonical ([Value.compare]) order with distinct
+   oids, so index order is value order and all three comparisons agree
+   with the row path.  Rows compare through {!row_ident}: a [-1] code
+   never equals an extent row, so equality needs one side total and
+   ordering both.  Mixed-type or boxed comparisons keep the row
+   semantics. *)
+let ccmp : type i. [ `Eq | `Leq | `Gt ] -> i leaf -> i leaf -> (i -> bool) option
+    =
+ fun cmp a b ->
+  match (a, b) with
+  | Int x, Int y ->
+    Some
+      (match cmp with
+      | `Eq -> fun i -> x i = y i
+      | `Leq -> fun i -> x i <= y i
+      | `Gt -> fun i -> x i > y i)
+  | Str x, Str y ->
+    Some
+      (match cmp with
+      | `Eq -> fun i -> String.equal (x i) (y i)
+      | `Leq -> fun i -> String.compare (x i) (y i) <= 0
+      | `Gt -> fun i -> String.compare (x i) (y i) > 0)
+  | Bool x, Bool y ->
+    Some
+      (match cmp with
+      | `Eq -> fun i -> x i = y i
+      | `Leq -> fun i -> Stdlib.compare (x i) (y i) <= 0
+      | `Gt -> fun i -> Stdlib.compare (x i) (y i) > 0)
+  | _ -> (
+    match (rowish a, rowish b) with
+    | Some (r1, ix1), Some (r2, ix2) -> (
+      let t1, c1, total1 = row_ident r1 ix1 and t2, c2, total2 = row_ident r2 ix2 in
+      if not (String.equal t1 t2) then None
+      else
+        match cmp with
+        | `Eq when total1 || total2 -> Some (fun i -> c1 i = c2 i)
+        | `Leq when total1 && total2 -> Some (fun i -> c1 i <= c2 i)
+        | `Gt when total1 && total2 -> Some (fun i -> c1 i > c2 i)
+        | _ -> None)
+    | _ -> None)
+
+(* [g] as its last attribute step and the path before it. *)
+let last_prim (g : Term.func) =
+  match g with
+  | Term.Prim a -> Some (a, Term.Id)
+  | Term.Compose (Term.Prim a, rest) -> Some (a, rest)
+  | _ -> None
+
+(* An attribute of a row leaf, through its typed column.  Exact refs
+   only: the embedded value IS the target row, so reading on through its
+   columns is sound.  [None] (a missing column, an inexact ref) leaves
+   the read to the boxed row semantics. *)
+let column : type i. C.db option -> string -> i leaf -> i leaf option =
+ fun coldb a l ->
+  match rowish l with
+  | None -> None
+  | Some (rel, ix) -> (
+    match C.column rel a with
+    | Some (C.Column.Ints arr) -> Some (Int (fun i -> arr.(ix i)))
+    | Some (C.Column.Strs arr) -> Some (Str (fun i -> arr.(ix i)))
+    | Some (C.Column.Bools arr) -> Some (Bool (fun i -> arr.(ix i)))
+    | Some (C.Column.Refs { target; idx; exact = true; _ }) ->
+      Option.map
+        (fun t -> Row (t, fun i -> idx.(ix i)))
+        (Option.bind coldb (fun cd -> C.relation cd target))
+    | Some (C.Column.Sets { sets = arr; _ }) | Some (C.Column.Boxed arr) ->
+      Some (Val (fun i -> arr.(ix i)))
+    | Some (C.Column.Refs _) | None -> None)
+
+(* ------------------------------------------------------------------ *)
+(* The scalar compiler.  [func] and [pred] mirror [Eval.func]/[Eval.pred]
+   case by case over a leaf, so a hot loop never touches the term again.
+   The row path starts them at [row], the element itself; the columnar
+   lowerings at a scan's row, at ⟨environment, row⟩ for an [iter], and
+   at ⟨parent row, element row⟩ inside a nested select.  [func] also
+   hoists loop-invariant subterms: the closure memoizes its result on the
+   database it ran against, so a closed subquery used as a filter operand
+   costs one evaluation per run instead of one per element.
 
    Every collection operator's row semantics is written once, as a kernel
-   over element sources that charges the work counters itself.  [fc] runs
-   a kernel over an element's materialized set; the pipeline lowering
-   below runs the same kernel over a streamed collection, and so does
-   every columnar refusal. *)
+   over element sources that charges the work counters itself.  [func]
+   runs a kernel over an element's materialized set; the pipeline
+   lowering below runs the same kernel over a streamed collection, and so
+   does every columnar refusal. *)
 
 (* An element source: calls its argument once per element, in order. *)
 type src = (Value.t -> unit) -> unit
@@ -188,109 +399,314 @@ let canonical_set xs =
   in
   if ascending xs then Value.Set xs else Value.set xs
 
-(* Elements gathered newest-first into a collection under the ambient
-   discipline.  [Eager] sorts anyway, so only a bag needs the reversal. *)
-let finish ctx acc =
-  collection ctx (if ctx.dedup = Eval.Eager then acc else List.rev acc)
+(* [coldb] binds column reads; [typed] counts the nested selects compiled
+   typed on an element relation, for the lowering that keeps the result. *)
+type cenv = { coldb : C.db option; mutable typed : int }
 
-let rec fc (f : Term.func) : rctx -> Value.t -> Value.t =
+let row = Self
+
+(* Stands in for a nested select's element while only its parent may be
+   read: a context read, which no pure predicate can consult. *)
+let unread : rctx -> Value.t =
+ fun _ -> invalid_arg "Exec: a parent-only predicate read its element"
+
+let rec func : type i. cenv -> Term.func -> i leaf -> i leaf =
+ fun env f l ->
   match f with
-  | Term.Kf _ -> fc_node f (* already O(1); a memo would only add a branch *)
+  | Term.Kf c -> if cheap l then const c else via_row env f l
   | _ when func_invariant f ->
-    let f' = fc_node f in
-    let memo = ref None in
-    fun ctx v ->
-      (match !memo with
-      | Some (db, dedup, r) when db == ctx.db && dedup = ctx.dedup -> r
-      | _ ->
-        let r = f' ctx v in
-        memo := Some (ctx.db, ctx.dedup, r);
-        r)
-  | _ -> fc_node f
+    if not (cheap l) then via_row env f l
+    else (
+      match func_node env f l with
+      | r when pure r -> r
+      | r ->
+        let r = box r and memo = ref None in
+        Box
+          (fun ctx i ->
+            match !memo with
+            | Some (db, v) when db == ctx.db -> v
+            | _ ->
+              let v = r ctx i in
+              memo := Some (ctx.db, v);
+              v))
+  | _ -> func_node env f l
 
-and fc_node (f : Term.func) : rctx -> Value.t -> Value.t =
+and func_node : type i. cenv -> Term.func -> i leaf -> i leaf =
+ fun env f l ->
+  let boxed : (rctx -> Value.t -> Value.t) -> i leaf =
+   fun op ->
+    match l with
+    | Self -> Box op
+    | l ->
+      let b = box l in
+      Box (fun ctx i -> op ctx (b ctx i))
+  in
   (* A unary kernel over the element's set, and a binary one over the
      element's pair of sets (table sized from the right operand).  Kernels
      are applied in full: a partial application would allocate per call. *)
-  let unary k ctx v =
-    let acc = ref [] in
-    k ctx (of_list (as_set ctx v)) (fun x -> acc := x :: !acc);
-    finish ctx !acc
+  let unary k =
+    boxed (fun ctx v ->
+        let acc = ref [] in
+        k ctx (of_list (as_set ctx v)) (fun x -> acc := x :: !acc);
+        Value.set !acc)
   in
-  let binary k ctx v =
-    let a, b = as_pair ctx v in
-    let xs = as_set ctx a and ys = as_set ctx b in
-    let acc = ref [] in
-    k ctx ~size:((2 * List.length ys) + 1) (of_list xs) (of_list ys) (fun x ->
-        acc := x :: !acc);
-    finish ctx !acc
+  let binary k =
+    boxed (fun ctx v ->
+        let a, b = as_pair ctx v in
+        let xs = as_set ctx a and ys = as_set ctx b in
+        let acc = ref [] in
+        k ctx ~size:((2 * List.length ys) + 1) (of_list xs) (of_list ys)
+          (fun x -> acc := x :: !acc);
+        Value.set !acc)
   in
   match f with
-  | Term.Id -> fun ctx v -> resolve ctx v
-  | Term.Pi1 -> fun ctx v -> fst (as_pair ctx v)
-  | Term.Pi2 -> fun ctx v -> snd (as_pair ctx v)
-  | Term.Prim name ->
-    fun ctx v ->
-      (match resolve ctx v with
-      | Value.Obj _ as o -> (
-        match Value.field name o with
-        | Some x -> x
-        | None -> error "object %a has no attribute %s" Value.pp o name)
-      | v -> error "attribute %s applied to non-object %a" name Value.pp v)
-  | Term.Compose (Term.Iter (Term.Kp true, Term.Pi2), Term.Pairf (g, x)) ->
-    (* The translator threads the environment through every nested query
-       as [iter(true, π2) ∘ ⟨g, X⟩] even when the body ignores it; the
-       loop only repackages X.  Evaluate both legs (so errors surface
-       exactly as before) but skip the pair and per-element pair/closure
-       work: the result is X's elements under the ambient discipline. *)
-    let g' = fc g and x' = fc x in
-    fun ctx v ->
-      ignore (g' ctx v);
-      let ys = as_set ctx (x' ctx v) in
-      ctx.c.tuples <- ctx.c.tuples + List.length ys;
-      collection ctx ys
-  | Term.Compose (f, g) ->
-    let f' = fc f and g' = fc g in
-    fun ctx v -> f' ctx (g' ctx v)
-  | Term.Pairf (f, g) ->
-    let f' = fc f and g' = fc g in
-    fun ctx v -> Value.Pair (f' ctx v, g' ctx v)
-  | Term.Times (f, g) ->
-    let f' = fc f and g' = fc g in
-    fun ctx v ->
-      let a, b = as_pair ctx v in
-      Value.Pair (f' ctx a, g' ctx b)
-  | Term.Kf c -> fun ctx _ -> resolve ctx c
-  | Term.Cf (f, c) ->
-    let f' = fc f in
-    fun ctx v -> f' ctx (Value.Pair (c, v))
-  | Term.Con (p, f, g) ->
-    let p' = pc p and f' = fc f and g' = fc g in
-    fun ctx v -> if p' ctx v then f' ctx v else g' ctx v
+  | Term.Id -> (
+    match l with Self | Val _ | Env _ | Box _ -> boxed resolve | l -> l)
+  | Term.Pi1 -> (
+    match l with
+    | Pair (a, b) when cheap b -> a
+    | _ -> boxed (fun ctx v -> fst (as_pair ctx v)))
+  | Term.Pi2 -> (
+    match l with
+    | Pair (a, b) when cheap a -> b
+    | _ -> boxed (fun ctx v -> snd (as_pair ctx v)))
+  | Term.Prim name -> (
+    match column env.coldb name l with
+    | Some c -> c
+    | None -> boxed (attribute name))
+  | Term.Compose ((Term.Iter (p, h) as it), (Term.Pairf (g, x) as pf)) -> (
+    match if g = Term.Id then nested env p h x l else None with
+    | Some n -> n
+    | None when p = Term.Kp true && h = Term.Pi2 ->
+      (* The translator threads the environment through every nested
+         query as [iter(true, π2) ∘ ⟨g, X⟩] even when the body ignores
+         it; the loop only repackages X.  Evaluate both legs (so errors
+         surface exactly as before) but skip the pair and per-element
+         pair/closure work: the result is X's elements as a set. *)
+      if not (cheap l) then via_row env f l
+      else
+        let g' = box (func env g l) and x' = box (func env x l) in
+        Box
+          (fun ctx i ->
+            ignore (g' ctx i);
+            let ys = as_set ctx (x' ctx i) in
+            ctx.c.tuples <- ctx.c.tuples + List.length ys;
+            Value.set ys)
+    | None -> func env it (func env pf l))
+  | Term.Compose (a, b) -> func env a (func env b l)
+  | Term.Pairf (a, b) ->
+    if cheap l then Pair (func env a l, func env b l) else via_row env f l
+  | Term.Times (a, b) -> (
+    match l with
+    | Pair (x, y) when cheap x && cheap y -> Pair (func env a x, func env b y)
+    | _ ->
+      let a' = row_func env a and b' = row_func env b in
+      boxed (fun ctx v ->
+          let x, y = as_pair ctx v in
+          Value.Pair (a' ctx x, b' ctx y)))
+  | Term.Kf c -> const c
+  | Term.Cf (a, c) -> func env a (Pair (raw c, l))
+  | Term.Con (p, a, b) ->
+    if not (cheap l) then via_row env f l
+    else
+      let p' = lift (pred env p l)
+      and a' = box (func env a l)
+      and b' = box (func env b l) in
+      Box (fun ctx i -> if p' ctx i then a' ctx i else b' ctx i)
   | Term.Arith op ->
     let op = match op with Term.Add -> ( + ) | Term.Sub -> ( - ) | Term.Mul -> ( * ) in
-    fun ctx v ->
-      let a, b = as_pair ctx v in
-      Value.Int (op (as_int ctx a) (as_int ctx b))
+    boxed (fun ctx v ->
+        let a, b = as_pair ctx v in
+        Value.Int (op (as_int ctx a) (as_int ctx b)))
   | Term.Agg op ->
     (* the interpreter aggregates the element's set as it stands *)
     let k = k_agg ~canonical:true op in
-    fun ctx v -> k ctx (of_list (as_set ctx v))
+    boxed (fun ctx v -> k ctx (of_list (as_set ctx v)))
   | Term.Setop op -> binary (k_setop op)
-  | Term.Sng -> fun ctx v -> Value.set [ resolve ctx v ]
+  | Term.Sng -> boxed (fun ctx v -> Value.set [ resolve ctx v ])
   | Term.Flat -> unary k_flat
-  | Term.Iterate (p, f) -> unary (k_iterate p f)
+  | Term.Iterate (p, f) -> unary (k_iterate env p f)
   | Term.Iter (p, f) ->
-    let k = k_iter p f in
-    fun ctx v ->
-      let e, set = as_pair ctx v in
-      let acc = ref [] in
-      k ctx e (of_list (as_set ctx set)) (fun x -> acc := x :: !acc);
-      finish ctx !acc
-  | Term.Join (p, f) -> binary (k_join p f)
-  | Term.Nest (f, g) -> binary (k_nest f g)
-  | Term.Unnest (f, g) -> unary (k_unnest f g)
+    let k = k_iter env p f in
+    boxed (fun ctx v ->
+        let e, set = as_pair ctx v in
+        let acc = ref [] in
+        k ctx e (of_list (as_set ctx set)) (fun x -> acc := x :: !acc);
+        Value.set !acc)
+  | Term.Join (p, f) -> binary (k_join env p f)
+  | Term.Nest (f, g) -> binary (k_nest env f g)
+  | Term.Unnest (f, g) -> unary (k_unnest env f g)
   | Term.Fhole h -> unsupported "pattern hole ?%s" h
+
+and pred : type i. cenv -> Term.pred -> i leaf -> i test =
+ fun env p l ->
+  let tested : (rctx -> Value.t -> bool) -> i test =
+   fun op ->
+    match l with
+    | Self -> Test op
+    | l ->
+      let b = box l in
+      Test (fun ctx i -> op ctx (b ctx i))
+  in
+  match p with
+  | (Term.Kp _ | Term.Andp _ | Term.Orp _) when not (cheap l) ->
+    via_row_pred env p l
+  | Term.Kp b -> Pure (fun _ -> b)
+  | Term.Andp (p, q) -> (
+    match (pred env p l, pred env q l) with
+    | Pure a, Pure b -> Pure (fun i -> a i && b i)
+    | a, b ->
+      let a = lift a and b = lift b in
+      Test (fun ctx i -> a ctx i && b ctx i))
+  | Term.Orp (p, q) -> (
+    match (pred env p l, pred env q l) with
+    | Pure a, Pure b -> Pure (fun i -> a i || b i)
+    | a, b ->
+      let a = lift a and b = lift b in
+      Test (fun ctx i -> a ctx i || b ctx i))
+  | Term.Inv p -> (
+    match pred env p l with
+    | Pure a -> Pure (fun i -> not (a i))
+    | Test a -> Test (fun ctx i -> not (a ctx i)))
+  | Term.Primp name -> (
+    match Option.map (fun (rel, ix) -> (C.column rel name, ix)) (rowish l) with
+    | Some (Some (C.Column.Bools arr), ix) -> Pure (fun i -> arr.(ix i))
+    | _ -> tested (bool_attribute name))
+  | (Term.Eq | Term.Leq | Term.Gt) as cmp -> (
+    let cmp, boxed =
+      match cmp with
+      | Term.Eq -> (`Eq, Value.equal)
+      | Term.Leq -> (`Leq, fun a b -> Value.compare a b <= 0)
+      | _ -> (`Gt, value_gt)
+    in
+    match l with
+    | Pair (a, b) -> (
+      match ccmp cmp a b with
+      | Some k -> Pure k
+      | None -> tested (fun ctx v -> compare_legs ctx v boxed))
+    | _ -> tested (fun ctx v -> compare_legs ctx v boxed))
+  | Term.In ->
+    (* Membership hashes the right operand instead of scanning it per
+       probe.  The member table is memoized on the operand's physical
+       identity, so a loop-invariant right side — the common shape,
+       [x in Q] with [Q] closed over the loop, which [func]'s hoisting
+       pins to one physical value per run — is hashed once and probed in
+       O(1); the interpreter's [List.exists] pays O(|Q|) per element.
+       Small or per-element sets keep the linear scan, where building a
+       table would cost more than it saves. *)
+    let memo = ref None in
+    tested (fun ctx v ->
+        let a, b = as_pair ctx v in
+        let a = resolve ctx a in
+        let ys = as_set ctx b in
+        if List.compare_length_with ys 16 <= 0 then List.exists (Value.equal a) ys
+        else begin
+          let t =
+            match !memo with
+            | Some (prev, t) when prev == ys -> t
+            | _ ->
+              let t = VH.create ((2 * List.length ys) + 1) in
+              List.iter (fun y -> VH.replace t y ()) ys;
+              ctx.c.builds <- ctx.c.builds + List.length ys;
+              memo := Some (ys, t);
+              t
+          in
+          ctx.c.probes <- ctx.c.probes + 1;
+          VH.mem t a
+        end)
+  | Term.Conv q -> (
+    match l with
+    | Pair (a, b) when cheap a && cheap b -> pred env q (Pair (b, a))
+    | _ ->
+      let q' = row_pred env q in
+      tested (fun ctx v ->
+          let a, b = as_pair ctx v in
+          q' ctx (Value.Pair (b, a))))
+  | Term.Oplus (q, f) -> pred env q (func env f l)
+  | Term.Cp (q, c) -> pred env q (Pair (raw c, l))
+  | Term.Phole h -> unsupported "pattern hole ?%s" h
+
+(* A node that would drop or re-read a [Box] leaf boxes it once and runs
+   its row closure on the value. *)
+and via_row : type i. cenv -> Term.func -> i leaf -> i leaf =
+ fun env f l ->
+  let b = box l and r = row_func env f in
+  Box (fun ctx i -> r ctx (b ctx i))
+
+and via_row_pred : type i. cenv -> Term.pred -> i leaf -> i test =
+ fun env p l ->
+  let b = box l and r = row_pred env p in
+  Test (fun ctx i -> r ctx (b ctx i))
+
+and row_func env f : rctx -> Value.t -> Value.t = box (func env f row)
+and row_pred env p : rctx -> Value.t -> bool = lift (pred env p row)
+
+(* A nested select over a columnar scan's rows.  The translator writes
+   [select m from m in e.a where p] as [iter(p, h) ∘ ⟨id, a⟩]: a loop
+   over row [i]'s set, each element [y] meeting [p] and [h] as
+   [Pair (row, y)].
+
+   A [p] that reads only the parent row keeps or drops the whole set as
+   it stands (with [h = π2]).  Otherwise, when [a] is a [Sets] column of
+   the scan's own row, the loop runs over row [i]'s range of its element
+   relation ({!C.elements}), whose row [e] is the embedded element
+   itself, and [p] and [h] compile at ⟨parent row, element row⟩: π1
+   reads the parent's typed columns, π2 the element's own, so a stale
+   copy reads as the copy it is.  Any other set runs the row [iter]
+   kernel. *)
+and nested : type i.
+    cenv -> Term.pred -> Term.func -> Term.func -> i leaf -> i leaf option =
+ fun env p h a l ->
+  if not (cheap l && over_scan l) then None
+  else
+    let parent_only =
+      if h <> Term.Pi2 then None
+      else
+        match pred { env with typed = 0 } p (Pair (l, Env unread)) with
+        | Pure keep -> Some keep
+        | Test _ -> None
+    in
+    match (parent_only, last_prim a, env.coldb) with
+    | Some keep, _, _ ->
+      let set_of = box (func env a l) in
+      Some
+        (Box
+           (fun ctx i ->
+             let s = resolve ctx (set_of ctx i) in
+             let ys = as_set ctx s in
+             match s with
+             | Value.Set _ when keep i -> s
+             | _ -> Value.set (if keep i then ys else [])))
+    | None, Some (attr, rest), Some coldb -> (
+      match func env rest l with
+      | Here rel -> (
+          match (C.column rel attr, C.elements coldb rel attr) with
+          | ( Some (C.Column.Sets { off; _ }),
+              Some ({ C.of_set = Some { C.owner; _ }; _ } as erel) ) ->
+            let leaf = Pair (reindex l (fun e -> owner.(e)), Here erel) in
+            let test = pred env p leaf and head = func env h leaf in
+            (match test with
+            | Pure _ when pure head -> env.typed <- env.typed + 1
+            | _ -> ());
+            let test = lift test and head = box head in
+            (* row [i]'s elements [e] to [stop - 1], in source order, with
+               no per-row accumulator or closure *)
+            let[@tail_mod_cons] rec kept ctx e stop =
+              if e = stop then []
+              else begin
+                ctx.c.tuples <- ctx.c.tuples + 1;
+                if test ctx e then
+                  let x = head ctx e in
+                  x :: kept ctx (e + 1) stop
+                else kept ctx (e + 1) stop
+              end
+            in
+            (* with [h = π2] the kept elements of a canonical set stay in
+               order, so [canonical_set] skips the sort *)
+            Some (Box (fun ctx i -> canonical_set (kept ctx off.(i) off.(i + 1))))
+          | _ -> None)
+      | _ -> None)
+    | None, _, _ -> None
 
 (* --- the row kernels --- *)
 
@@ -299,24 +715,26 @@ and k_flat ctx (src : src) emit =
       ctx.c.tuples <- ctx.c.tuples + 1;
       List.iter emit (as_set ctx s))
 
-and k_iterate p f : rctx -> src -> (Value.t -> unit) -> unit =
-  let p' = pc p and f' = fc f in
+(* [iterate(p, f)] with [p] and [f] compiled at the leaf [at] of the
+   element (the element itself by default). *)
+and k_iterate env ?(at = row) p f : rctx -> src -> (Value.t -> unit) -> unit =
+  let p' = lift (pred env p at) and f' = box (func env f at) in
   fun ctx src emit ->
     src (fun x ->
         ctx.c.tuples <- ctx.c.tuples + 1;
         if p' ctx x then emit (f' ctx x))
 
 (* [iter] over the pairs [Pair (e, y)] for the environment [e]. *)
-and k_iter p f : rctx -> Value.t -> src -> (Value.t -> unit) -> unit =
-  let p' = pc p and f' = fc f in
+and k_iter env p f : rctx -> Value.t -> src -> (Value.t -> unit) -> unit =
+  let p' = row_pred env p and f' = row_func env f in
   fun ctx e src emit ->
     src (fun y ->
         ctx.c.tuples <- ctx.c.tuples + 1;
         let pair = Value.Pair (e, y) in
         if p' ctx pair then emit (f' ctx pair))
 
-and k_unnest f g : rctx -> src -> (Value.t -> unit) -> unit =
-  let fk = fc f and fg = fc g in
+and k_unnest env f g : rctx -> src -> (Value.t -> unit) -> unit =
+  let fk = row_func env f and fg = row_func env g in
   fun ctx src emit ->
     src (fun x ->
         ctx.c.tuples <- ctx.c.tuples + 1;
@@ -325,10 +743,10 @@ and k_unnest f g : rctx -> src -> (Value.t -> unit) -> unit =
 
 (* The step every join shares once a pair matched its index: apply the
    residual, count the tuple, emit the projection. *)
-and join_emit residual f :
+and join_emit env residual f :
     rctx -> (Value.t -> unit) -> Value.t -> Value.t -> unit =
-  let f' = fc f in
-  match Option.map pc residual with
+  let f' = row_func env f in
+  match Option.map (row_pred env) residual with
   | None ->
     fun ctx emit x y ->
       ctx.c.tuples <- ctx.c.tuples + 1;
@@ -344,10 +762,12 @@ and join_emit residual f :
    hash join when [Eval.hash_joinable] decomposes [p] (the [Hashed]
    interpreter's index, built once), nested loops otherwise.  [size]
    seeds the index table. *)
-and k_join p f : rctx -> size:int -> src -> src -> (Value.t -> unit) -> unit =
+and k_join env p f : rctx -> size:int -> src -> src -> (Value.t -> unit) -> unit =
   match Eval.hash_joinable p with
   | Some (kind, g1, g2, residual) ->
-    let g1' = fc g1 and g2' = fc g2 and step = join_emit residual f in
+    let g1' = row_func env g1
+    and g2' = row_func env g2
+    and step = join_emit env residual f in
     fun ctx ~size xs ys emit ->
       let index : Value.t list VH.t = VH.create size in
       let add key y =
@@ -365,7 +785,7 @@ and k_join p f : rctx -> size:int -> src -> src -> (Value.t -> unit) -> unit =
           | None -> ()
           | Some matches -> List.iter (fun y -> step ctx emit x y) matches)
   | None ->
-    let p' = pc p and f' = fc f in
+    let p' = row_pred env p and f' = row_func env f in
     fun ctx ~size:_ xs ys emit ->
       let acc = ref [] in
       ys (fun y -> acc := y :: !acc);
@@ -379,8 +799,8 @@ and k_join p f : rctx -> size:int -> src -> src -> (Value.t -> unit) -> unit =
             ys)
 
 (* nest(f, g): group [xs] by [f], then emit every [y] with its group. *)
-and k_nest f g : rctx -> size:int -> src -> src -> (Value.t -> unit) -> unit =
-  let f' = fc f and g' = fc g in
+and k_nest env f g : rctx -> size:int -> src -> src -> (Value.t -> unit) -> unit =
+  let f' = row_func env f and g' = row_func env g in
   fun ctx ~size xs ys emit ->
     let groups : Value.t list VH.t = VH.create size in
     xs (fun x ->
@@ -391,7 +811,7 @@ and k_nest f g : rctx -> size:int -> src -> src -> (Value.t -> unit) -> unit =
     ys (fun y ->
         ctx.c.probes <- ctx.c.probes + 1;
         let group = Option.value ~default:[] (VH.find_opt groups y) in
-        emit (Value.Pair (y, collection ctx group)))
+        emit (Value.Pair (y, Value.set group)))
 
 (* Membership set operations probe a hash set of the right operand —
    O(|xs|+|ys|) where the interpreter is quadratic. *)
@@ -416,12 +836,11 @@ and k_setop op : rctx -> size:int -> src -> src -> (Value.t -> unit) -> unit =
           ctx.c.probes <- ctx.c.probes + 1;
           if VH.mem m x = keep then emit x)
 
-(* Under [Eager] every interpreter intermediate is a set, so Count/Sum see
-   deduplicated inputs; a streamed source may repeat elements, so those
-   two get a hash dedup barrier — unless [canonical] says the source is
-   the materialized set the interpreter would aggregate.  Max/Min and
-   [Deferred] mode are multiplicity-indifferent / multiplicity-faithful
-   respectively. *)
+(* Every interpreter intermediate is a set, so Count/Sum see deduplicated
+   inputs; a streamed source may repeat elements, so those two get a hash
+   dedup barrier — unless [canonical] says the source is the
+   materialized set the interpreter would aggregate.  Max/Min are
+   multiplicity-indifferent. *)
 and k_agg ?(canonical = false) op : rctx -> src -> Value.t =
   match op with
   | Term.Count | Term.Sum ->
@@ -432,8 +851,11 @@ and k_agg ?(canonical = false) op : rctx -> src -> Value.t =
     in
     fun ctx src ->
       let n = ref 0 in
-      (match ctx.dedup with
-      | Eval.Eager when not canonical ->
+      if canonical then
+        src (fun x ->
+            ctx.c.tuples <- ctx.c.tuples + 1;
+            n := add ctx !n x)
+      else begin
         let seen = VH.create 256 in
         src (fun x ->
             ctx.c.tuples <- ctx.c.tuples + 1;
@@ -441,10 +863,7 @@ and k_agg ?(canonical = false) op : rctx -> src -> Value.t =
             let before = VH.length seen in
             VH.replace seen x ();
             if VH.length seen <> before then n := add ctx !n x)
-      | _ ->
-        src (fun x ->
-            ctx.c.tuples <- ctx.c.tuples + 1;
-            n := add ctx !n x));
+      end;
       Value.Int !n
   | Term.Max | Term.Min ->
     let better, name =
@@ -461,87 +880,16 @@ and k_agg ?(canonical = false) op : rctx -> src -> Value.t =
           | Some cur -> if better x cur then m := Some x);
       (match !m with None -> error "%s of empty set" name | Some v -> v)
 
-and pc (p : Term.pred) : rctx -> Value.t -> bool =
-  match p with
-  | Term.Eq -> fun ctx v -> compare_legs ctx v Value.equal
-  | Term.Leq ->
-    fun ctx v -> compare_legs ctx v (fun a b -> Value.compare a b <= 0)
-  | Term.Gt -> fun ctx v -> compare_legs ctx v value_gt
-  | Term.In ->
-    (* Membership hashes the right operand instead of scanning it per
-       probe.  The member table is memoized on the operand's physical
-       identity, so a loop-invariant right side — the common shape,
-       [x in Q] with [Q] closed over the loop, which [fc]'s hoisting
-       pins to one physical value per run — is hashed once and probed in
-       O(1); the interpreter's [List.exists] pays O(|Q|) per element.
-       Small or per-element sets keep the linear scan, where building a
-       table would cost more than it saves. *)
-    let memo = ref None in
-    fun ctx v ->
-      let a, b = as_pair ctx v in
-      let a = resolve ctx a in
-      let ys = as_set ctx b in
-      if List.compare_length_with ys 16 <= 0 then
-        List.exists (Value.equal a) ys
-      else begin
-        let t =
-          match !memo with
-          | Some (prev, t) when prev == ys -> t
-          | _ ->
-            let t = VH.create (2 * List.length ys + 1) in
-            List.iter (fun y -> VH.replace t y ()) ys;
-            ctx.c.builds <- ctx.c.builds + List.length ys;
-            memo := Some (ys, t);
-            t
-        in
-        ctx.c.probes <- ctx.c.probes + 1;
-        VH.mem t a
-      end
-  | Term.Primp name ->
-    fun ctx v ->
-      (match resolve ctx v with
-      | Value.Obj _ as o -> (
-        match Value.field name o with
-        | Some (Value.Bool b) -> b
-        | Some x ->
-          error "predicate attribute %s is not boolean: %a" name Value.pp x
-        | None -> error "object %a has no attribute %s" Value.pp o name)
-      | v -> error "predicate %s applied to non-object %a" name Value.pp v)
-  | Term.Oplus (p, f) ->
-    let p' = pc p and f' = fc f in
-    fun ctx v -> p' ctx (f' ctx v)
-  | Term.Andp (p, q) ->
-    let p' = pc p and q' = pc q in
-    fun ctx v -> p' ctx v && q' ctx v
-  | Term.Orp (p, q) ->
-    let p' = pc p and q' = pc q in
-    fun ctx v -> p' ctx v || q' ctx v
-  | Term.Inv p ->
-    let p' = pc p in
-    fun ctx v -> not (p' ctx v)
-  | Term.Conv p ->
-    let p' = pc p in
-    fun ctx v ->
-      let a, b = as_pair ctx v in
-      p' ctx (Value.Pair (b, a))
-  | Term.Kp b -> fun _ _ -> b
-  | Term.Cp (p, c) ->
-    let p' = pc p in
-    fun ctx v -> p' ctx (Value.Pair (c, v))
-  | Term.Phole h -> unsupported "pattern hole ?%s" h
-
 (* ------------------------------------------------------------------ *)
 (* Columnar kernels.  Under [layout = Columnar] the compiler binds extent
    scans to a {!Colstore} relation: a [vec] is a base relation plus a
    composed pure selection predicate (chained filters fuse into one
    conjunction tested in a single pass) and a per-run prologue that forces
    whatever the row path would have forced (environment values), so error
-   behaviour is unchanged.  [cproj]/[cpred] compile attribute paths and
-   comparisons against the typed columns; they refuse — and the operator
-   runs its row kernel, counted as a degrade — whenever the columns
-   cannot prove the row semantics are reproduced (missing or non-uniform
-   column, non-exact ref traversal, anything needing the runtime
-   context). *)
+   behaviour is unchanged.  Filters and maps compile at the scan's row
+   leaf; a predicate that is not pure — it needs the run context, such as
+   membership in a hoisted subquery or equality on boxed values — keeps
+   the operator on its row kernel, counted as a degrade. *)
 
 type layout = Row | Columnar
 
@@ -580,8 +928,8 @@ let vec_iter ctx v k =
   | Some p -> for i = 0 to n - 1 do if p i then k i done
 
 (* Selected rows, in row order.  Rows are stored in canonical set order
-   and a selection preserves it, so under [Eager] the result is already a
-   canonical set — no sort needed. *)
+   and a selection preserves it, so the result is already a canonical
+   set — no sort needed. *)
 let vec_rows ctx v =
   vec_pre ctx v;
   let rows = v.rel.C.rows in
@@ -616,402 +964,6 @@ let morsel_fold ctx ~n (f : int -> int -> 'a) : 'a list =
       Array.to_list (Pool.map pool (fun (lo, hi) -> f lo hi) bounds)
     | _ -> [ f 0 n ]
 
-(* Typed projection closures over a base row index. *)
-type proj =
-  | PInt of (int -> int)
-  | PStr of (int -> string)
-  | PBool of (int -> bool)
-  | PRow of C.relation * (int -> int)  (** a row of another relation *)
-  | PVal of (int -> Value.t)           (** boxed column read (pure) *)
-  | PPair of proj * proj
-      (** a pair of projections: [⟨f, g⟩] over any leaf, and the leaf a
-          nested select's [p] and [h] see (π1 the parent row, π2 the
-          element row) *)
-
-let rec aproj coldb (f : Term.func) (p : proj) : proj option =
-  match (f, p) with
-  | Term.Id, p -> Some p
-  | Term.Pi1, PPair (a, _) -> Some a
-  | Term.Pi2, PPair (_, b) -> Some b
-  | Term.Pairf (f, g), p -> (
-    match (aproj coldb f p, aproj coldb g p) with
-    | Some a, Some b -> Some (PPair (a, b))
-    | _ -> None)
-  | Term.Compose (a, b), p -> (
-    match aproj coldb b p with
-    | Some q -> aproj coldb a q
-    | None -> None)
-  | Term.Kf (Value.Int k), _ -> Some (PInt (fun _ -> k))
-  | Term.Kf (Value.Str s), _ -> Some (PStr (fun _ -> s))
-  | Term.Kf (Value.Bool b), _ -> Some (PBool (fun _ -> b))
-  | Term.Prim a, PRow (rel, ix) -> (
-    match C.column rel a with
-    | Some (C.Column.Ints arr) -> Some (PInt (fun i -> arr.(ix i)))
-    | Some (C.Column.Strs arr) -> Some (PStr (fun i -> arr.(ix i)))
-    | Some (C.Column.Bools arr) -> Some (PBool (fun i -> arr.(ix i)))
-    | Some (C.Column.Refs { target; idx; exact = true; _ }) -> (
-      (* Exact refs only: the embedded value IS the target row, so reading
-         on through its columns is sound. *)
-      match C.relation coldb target with
-      | Some t -> Some (PRow (t, fun i -> idx.(ix i)))
-      | None -> None)
-    | Some (C.Column.Sets { sets = arr; _ }) | Some (C.Column.Boxed arr) ->
-      Some (PVal (fun i -> arr.(ix i)))
-    | Some (C.Column.Refs _) | None -> None)
-  | _ -> None
-
-let proj_of_row coldb f rel = aproj coldb f (PRow (rel, fun i -> i))
-
-(* The raw value a projection denotes — exactly what the row path's
-   attribute closure returns (field values are not resolved). *)
-let rec proj_emit (p : proj) : int -> Value.t =
-  match p with
-  | PInt g -> fun i -> Value.Int (g i)
-  | PStr g -> fun i -> Value.Str (g i)
-  | PBool g -> fun i -> Value.Bool (g i)
-  | PRow (rel, ix) -> fun i -> rel.C.rows.(ix i)
-  | PVal g -> g
-  | PPair (a, b) ->
-    let ea = proj_emit a and eb = proj_emit b in
-    fun i -> Value.Pair (ea i, eb i)
-
-(* A row's identity as an extent row: the extent, the row index, and
-   whether every index is one.  An extent's rows are themselves; an
-   element row is the target row its code names ([-1] outside it), so
-   two positions holding copies of one object compare equal. *)
-let row_ident (rel : C.relation) ix =
-  match rel.C.of_set with
-  | None -> (rel.C.name, ix, true)
-  | Some e ->
-    let codes = e.C.codes in
-    (e.C.target, (fun i -> codes.(ix i)), e.C.total)
-
-(* Comparator compilation.  Same-kind typed comparisons only: rows of one
-   relation are stored in canonical ([Value.compare]) order with distinct
-   oids, so index order is value order and all three comparisons agree
-   with the row path.  Rows compare through {!row_ident}: a [-1] code
-   never equals an extent row, so equality needs one side total and
-   ordering both.  Mixed-type or boxed comparisons keep the row
-   closures. *)
-let ccmp (cmp : [ `Eq | `Leq | `Gt ]) (a : proj) (b : proj) :
-    (int -> bool) option =
-  match (a, b) with
-  | PInt x, PInt y ->
-    Some
-      (match cmp with
-      | `Eq -> fun i -> x i = y i
-      | `Leq -> fun i -> x i <= y i
-      | `Gt -> fun i -> x i > y i)
-  | PStr x, PStr y ->
-    Some
-      (match cmp with
-      | `Eq -> fun i -> String.equal (x i) (y i)
-      | `Leq -> fun i -> String.compare (x i) (y i) <= 0
-      | `Gt -> fun i -> String.compare (x i) (y i) > 0)
-  | PBool x, PBool y ->
-    Some
-      (match cmp with
-      | `Eq -> fun i -> x i = y i
-      | `Leq -> fun i -> Stdlib.compare (x i) (y i) <= 0
-      | `Gt -> fun i -> Stdlib.compare (x i) (y i) > 0)
-  | PRow (r1, ix1), PRow (r2, ix2) -> (
-    let t1, c1, total1 = row_ident r1 ix1 and t2, c2, total2 = row_ident r2 ix2 in
-    if not (String.equal t1 t2) then None
-    else
-      match cmp with
-      | `Eq when total1 || total2 -> Some (fun i -> c1 i = c2 i)
-      | `Leq when total1 && total2 -> Some (fun i -> c1 i <= c2 i)
-      | `Gt when total1 && total2 -> Some (fun i -> c1 i > c2 i)
-      | _ -> None)
-  | _ -> None
-
-let rec cpred coldb (p : Term.pred) (input : proj) : (int -> bool) option =
-  match p with
-  | Term.Kp b -> Some (fun _ -> b)
-  | Term.Andp (p, q) -> (
-    match (cpred coldb p input, cpred coldb q input) with
-    | Some a, Some b -> Some (fun i -> a i && b i)
-    | _ -> None)
-  | Term.Orp (p, q) -> (
-    match (cpred coldb p input, cpred coldb q input) with
-    | Some a, Some b -> Some (fun i -> a i || b i)
-    | _ -> None)
-  | Term.Inv p ->
-    Option.map (fun a i -> not (a i)) (cpred coldb p input)
-  | Term.Primp a -> (
-    match input with
-    | PRow (rel, ix) -> (
-      match C.column rel a with
-      | Some (C.Column.Bools arr) -> Some (fun i -> arr.(ix i))
-      | _ -> None)
-    | _ -> None)
-  | (Term.Eq | Term.Leq | Term.Gt) as cmp -> (
-    match input with
-    | PPair (a, b) ->
-      ccmp
-        (match cmp with
-        | Term.Eq -> `Eq
-        | Term.Leq -> `Leq
-        | _ -> `Gt)
-        a b
-    | _ -> None)
-  | Term.Conv q -> (
-    match input with
-    | PPair (a, b) -> cpred coldb q (PPair (b, a))
-    | _ -> None)
-  | Term.Oplus (q, f) -> Option.bind (aproj coldb f input) (cpred coldb q)
-  | _ -> None
-
-(* Rebase a func/pred applied to a pair onto one of its legs ([leg] is
-   π1 or π2): an [iter] element [Pair (env, row)] onto the row, or a
-   nested select's [Pair (row, element)] onto the row.  [leg] becomes the
-   identity, constants pass through, and anything touching the other leg
-   refuses (the row kernel keeps it correct).  A nested
-   [iter(p, h) ∘ ⟨id, x⟩] whose [p] and [h] read only their element
-   rebases through [x] alone: the pair its [id] carries is never read. *)
-let rec func_reroot ~leg : Term.func -> Term.func option = function
-  | f when f = leg -> Some Term.Id
-  | Term.Kf _ as f -> Some f
-  | Term.Compose ((Term.Iter (p, h) as it), Term.Pairf (Term.Id, x))
-    when pred_env_free p && func_env_free h ->
-    Option.map
-      (fun x' -> Term.Compose (it, Term.Pairf (Term.Id, x')))
-      (func_reroot ~leg x)
-  | Term.Compose (a, b) -> (
-    match func_reroot ~leg b with
-    | Some Term.Id -> Some a
-    | Some b' -> Some (Term.Compose (a, b'))
-    | None -> None)
-  | Term.Pairf (a, b) -> (
-    match (func_reroot ~leg a, func_reroot ~leg b) with
-    | Some a', Some b' -> Some (Term.Pairf (a', b'))
-    | _ -> None)
-  | _ -> None
-
-let rec pred_reroot ~leg : Term.pred -> Term.pred option = function
-  | Term.Kp b -> Some (Term.Kp b)
-  | Term.Andp (p, q) -> (
-    match (pred_reroot ~leg p, pred_reroot ~leg q) with
-    | Some p', Some q' -> Some (Term.Andp (p', q'))
-    | _ -> None)
-  | Term.Orp (p, q) -> (
-    match (pred_reroot ~leg p, pred_reroot ~leg q) with
-    | Some p', Some q' -> Some (Term.Orp (p', q'))
-    | _ -> None)
-  | Term.Inv p -> Option.map (fun p' -> Term.Inv p') (pred_reroot ~leg p)
-  | Term.Oplus (q, f) ->
-    (* [q] applies to [f]'s output, which no longer sees the pair. *)
-    Option.map (fun f' -> Term.Oplus (q, f')) (func_reroot ~leg f)
-  | _ -> None
-
-(* Nested selects over a set attribute.  The translator writes
-   [select m from m in e.a where p] as [iter(p, h) ∘ ⟨id, a⟩]; over a
-   columnar scan that is a loop over row [i]'s set, each element [y]
-   meeting [p] and [h] as [Pair (row, y)].
-
-   When [a] is a [Sets] column the loop runs over row [i]'s range of its
-   element relation ({!C.elements}), whose row [e] is the embedded
-   element itself, and [p] and [h] compile through [aproj]/[cpred] on
-   the pair leaf [PPair (parent row, element row)]: π1 reads the row's
-   typed columns, π2 the element's own, so a stale copy reads as the
-   copy it is.  A [p] or [h] the typed compiler refuses, and every set
-   attribute without an element relation ([Boxed] columns), run the
-   closures below instead: their π1 paths read the row's typed columns,
-   and their π2 paths run the row closures on the embedded element —
-   again exactly what the row path reads.  A term that reads the pair
-   other than through its legs (comparing the pair itself with a value,
-   a join) refuses, and the map degrades to the row kernel. *)
-
-(* A func of the row alone, through its columns. *)
-let row_proj coldb rel f =
-  Option.bind (func_reroot ~leg:Term.Pi1 f) (fun f1 ->
-      aproj coldb f1 (PRow (rel, fun i -> i)))
-
-(* A func of [Pair (row i, y)], run as the row path runs it: the parts
-   that read only π1 through the row's columns, π2 as [y] itself
-   (unresolved), and the rest with the row closures. *)
-let rec pair_func coldb rel (f : Term.func) :
-    (rctx -> int -> Value.t -> Value.t) option =
-  match (row_proj coldb rel f, f) with
-  | Some pr, _ ->
-    let out = proj_emit pr in
-    Some (fun _ i _ -> out i)
-  | None, Term.Pi2 -> Some (fun _ _ y -> y)
-  | None, Term.Kf _ ->
-    let f' = fc f in
-    Some (fun ctx _ y -> f' ctx y)
-  | None, Term.Compose (a, b) ->
-    Option.map
-      (fun fb ->
-        let a' = fc a in
-        fun ctx i y -> a' ctx (fb ctx i y))
-      (pair_func coldb rel b)
-  | None, Term.Pairf (a, b) -> (
-    match (pair_func coldb rel a, pair_func coldb rel b) with
-    | Some fa, Some fb -> Some (fun ctx i y -> Value.Pair (fa ctx i y, fb ctx i y))
-    | _ -> None)
-  | None, _ -> None
-
-(* A predicate on [Pair (row i, y)]: [Whole] when it reads only the row
-   (it then keeps or drops the whole set), [Each] otherwise. *)
-type npred = Whole of (int -> bool) | Each of (rctx -> int -> Value.t -> bool)
-
-let rec pair_pred coldb rel (p : Term.pred) : npred option =
-  let each p =
-    match pair_pred coldb rel p with
-    | Some (Whole k) -> Some (fun _ i _ -> k i)
-    | Some (Each e) -> Some e
-    | None -> None
-  in
-  match
-    Option.bind (pred_reroot ~leg:Term.Pi1 p) (fun p1 ->
-        cpred coldb p1 (PRow (rel, fun i -> i)))
-  with
-  | Some keep -> Some (Whole keep)
-  | None -> (
-    match p with
-    | Term.Andp (a, b) -> (
-      match (each a, each b) with
-      | Some ea, Some eb -> Some (Each (fun ctx i y -> ea ctx i y && eb ctx i y))
-      | _ -> None)
-    | Term.Orp (a, b) -> (
-      match (each a, each b) with
-      | Some ea, Some eb -> Some (Each (fun ctx i y -> ea ctx i y || eb ctx i y))
-      | _ -> None)
-    | Term.Inv a ->
-      Option.map (fun ea -> Each (fun ctx i y -> not (ea ctx i y))) (each a)
-    | Term.Oplus (q, f) ->
-      Option.map
-        (fun ff ->
-          let q' = pc q in
-          Each (fun ctx i y -> q' ctx (ff ctx i y)))
-        (pair_func coldb rel f)
-    | _ -> None)
-
-(* [iter(p, h) ∘ ⟨id, a⟩] on row [i], [a]'s value given by [set_of]: the
-   collection the row path's iter kernel builds, and whether [p] and [h]
-   both compiled on the pair leaf.  [elems] gives the element relation,
-   its offsets and owners when [a] is a [Sets] column; it is only asked
-   for when the whole set cannot be reused.  With [h = π2] the kept
-   elements of a canonical set stay in order, so [canonical_set] skips
-   the sort. *)
-let nested_select coldb rel ~elems p h (set_of : rctx -> int -> Value.t) :
-    (bool * (rctx -> int -> Value.t)) option =
-  let pred = pair_pred coldb rel p in
-  let each = function Whole k -> fun _ i _ -> k i | Each e -> e in
-  let finish_kept ctx xs =
-    if ctx.dedup = Eval.Eager then canonical_set xs else collection ctx xs
-  in
-  match pred with
-  | Some (Whole keep) when h = Term.Pi2 ->
-    (* the predicate keeps or drops row [i]'s set as it stands *)
-    Some
-      ( false,
-        fun ctx i ->
-          let s = resolve ctx (set_of ctx i) in
-          let ys = as_set ctx s in
-          match ctx.dedup with
-          | Eval.Deferred -> Value.Bag (if keep i then ys else [])
-          | Eval.Eager -> (
-            match s with
-            | Value.Set _ when keep i -> s
-            | _ -> Value.set (if keep i then ys else [])) )
-  | _ -> (
-    match elems () with
-    | Some ((erel : C.relation), off, owner) -> (
-      let leaf =
-        PPair (PRow (rel, fun e -> owner.(e)), PRow (erel, fun e -> e))
-      in
-      let rows = erel.C.rows in
-      let test =
-        match cpred coldb p leaf with
-        | Some k -> Some (true, fun _ _ e -> k e)
-        | None ->
-          Option.map
-            (fun pr ->
-              let t = each pr in
-              (false, fun ctx i e -> t ctx i rows.(e)))
-            pred
-      in
-      let head =
-        match aproj coldb h leaf with
-        | Some pr ->
-          let out = proj_emit pr in
-          Some (true, fun _ _ e -> out e)
-        | None ->
-          Option.map
-            (fun f -> (false, fun ctx i e -> f ctx i rows.(e)))
-            (pair_func coldb rel h)
-      in
-      match (test, head) with
-      | Some (typed_p, test), Some (typed_h, head) ->
-        (* row [i]'s elements [e] to [stop - 1], in source order, with no
-           per-row accumulator or closure *)
-        let[@tail_mod_cons] rec kept ctx i e stop =
-          if e = stop then []
-          else begin
-            ctx.c.tuples <- ctx.c.tuples + 1;
-            if test ctx i e then
-              let x = head ctx i e in
-              x :: kept ctx i (e + 1) stop
-            else kept ctx i (e + 1) stop
-          end
-        in
-        Some
-          ( typed_p && typed_h,
-            fun ctx i -> finish_kept ctx (kept ctx i off.(i) off.(i + 1)) )
-      | _ -> None)
-    | None -> (
-      match (pred, pair_func coldb rel h) with
-      | Some pred, Some head ->
-        let test = each pred in
-        let[@tail_mod_cons] rec kept ctx i = function
-          | [] -> []
-          | y :: ys ->
-            ctx.c.tuples <- ctx.c.tuples + 1;
-            if test ctx i y then
-              let x = head ctx i y in
-              x :: kept ctx i ys
-            else kept ctx i ys
-        in
-        Some
-          ( false,
-            fun ctx i ->
-              finish_kept ctx
-                (kept ctx i (as_set ctx (resolve ctx (set_of ctx i)))) )
-      | _ -> None))
-
-(* The value a map's func yields on row [i] of a columnar scan — a typed
-   projection, a pair of such values, or a nested select — and how many
-   nested selects in it run typed on an element relation. *)
-let rec row_emit coldb rel (f : Term.func) :
-    (int * (rctx -> int -> Value.t)) option =
-  match (proj_of_row coldb f rel, f) with
-  | Some pr, _ ->
-    let out = proj_emit pr in
-    Some (0, fun _ i -> out i)
-  | None, Term.Pairf (a, b) -> (
-    match (row_emit coldb rel a, row_emit coldb rel b) with
-    | Some (ka, ea), Some (kb, eb) ->
-      Some (ka + kb, fun ctx i -> Value.Pair (ea ctx i, eb ctx i))
-    | _ -> None)
-  | None, Term.Compose (Term.Iter (p, h), Term.Pairf (Term.Id, a)) ->
-    let elems () =
-      match a with
-      | Term.Prim attr -> (
-        match (C.column rel attr, C.elements coldb rel attr) with
-        | ( Some (C.Column.Sets { off; _ }),
-            Some ({ C.of_set = Some { C.owner; _ }; _ } as erel) ) ->
-          Some (erel, off, owner)
-        | _ -> None)
-      | _ -> None
-    in
-    Option.bind (row_emit coldb rel a) (fun (k, set_of) ->
-        Option.map
-          (fun (typed, out) -> ((if typed then k + 1 else k), out))
-          (nested_select coldb rel ~elems p h set_of))
-  | None, _ -> None
-
 (* Join-key compilation: the spaces two compiled keys may be matched in.
    [KRow] keys are row indexes into a named relation; [-1] marks a ref
    that resolved to no extent row.  A [-1] key can never equal an
@@ -1023,33 +975,32 @@ type ckey =
   | KStr of (int -> string)
   | KRow of string * (int -> int) * bool  (** target, index, total *)
 
-(* [g] as its last attribute step and the path before it. *)
-let last_prim (g : Term.func) =
-  match g with
-  | Term.Prim a -> Some (a, Term.Id)
-  | Term.Compose (Term.Prim a, rest) -> Some (a, rest)
-  | _ -> None
+(* [g] on the rows of [rel], read through the scalar compiler's row
+   leaves. *)
+let ref_at coldb g rel =
+  rowish (func { coldb = Some coldb; typed = 0 } g (Here rel))
 
 let ckey_of coldb (g : Term.func) (rel : C.relation) : ckey option =
-  match proj_of_row coldb g rel with
-  | Some (PInt get) -> Some (KInt get)
-  | Some (PStr get) -> Some (KStr get)
-  | Some (PRow (t, ix)) ->
-    let t, code, total = row_ident t ix in
+  match func { coldb = Some coldb; typed = 0 } g (Here rel) with
+  | Int get -> Some (KInt get)
+  | Str get -> Some (KStr get)
+  | (Here _ | Row _) as r ->
+    let rel, ix = Option.get (rowish r) in
+    let t, code, total = row_ident rel ix in
     Some (KRow (t, code, total))
-  | Some (PBool _ | PVal _ | PPair _) -> None
-  | None -> (
+  | Bool _ | Val _ | Pair _ | Env _ -> None
+  | Box _ -> (
     (* Allow one final ref step that is total-or-not and inexact: identity
        joins only need the (cls, oid) index, not field equality. *)
     match last_prim g with
     | Some (a, rest) -> (
-      match proj_of_row coldb rest rel with
-      | Some (PRow (r, ix)) -> (
+      match ref_at coldb rest rel with
+      | Some (r, ix) -> (
         match C.column r a with
         | Some (C.Column.Refs { target; idx; total; _ }) ->
           Some (KRow (target, (fun i -> idx.(ix i)), total))
         | _ -> None)
-      | _ -> None)
+      | None -> None)
     | None -> None)
 
 (* The target rows a group-join build row's key names, as a loop over
@@ -1075,8 +1026,8 @@ let build_codes coldb kind (g : Term.func) (rel : C.relation) :
     match last_prim g with
     | None -> None
     | Some (a, rest) -> (
-      match proj_of_row coldb rest rel with
-      | Some (PRow (r, ix)) -> (
+      match ref_at coldb rest rel with
+      | Some (r, ix) -> (
         match C.column r a with
         | Some (C.Column.Sets { target; off; idx; total; _ }) ->
           Some
@@ -1089,7 +1040,7 @@ let build_codes coldb kind (g : Term.func) (rel : C.relation) :
                 done),
               total )
         | _ -> None)
-      | _ -> None))
+      | None -> None))
 
 (* ------------------------------------------------------------------ *)
 (* Pipeline lowering.  A compiled spine value is a collection (either a
@@ -1099,12 +1050,12 @@ let build_codes coldb kind (g : Term.func) (rel : C.relation) :
 
 type producer = rctx -> src
 
-(* A columnar scan read through a typed projection: a map over [Cols]
-   and every map after it, composed onto [p].  [charge] is the tuples one
-   selected row costs, one per map stage the projection replaced — except
-   that an int projection straight off the scan has always charged its
-   rows in the aggregate it feeds, so it starts at 0. *)
-type pscan = { src : vec; p : proj; charge : int }
+(* A columnar scan read through a pure leaf: a map over [Cols] and every
+   map after it, composed onto [p].  [charge] is the tuples one selected
+   row costs, one per map stage the leaf replaced — except that an int
+   read straight off the scan has always charged its rows in the
+   aggregate it feeds, so it starts at 0. *)
+type pscan = { src : vec; p : int leaf; charge : int }
 
 type coll =
   | Whole of (rctx -> Value.t)
@@ -1129,7 +1080,7 @@ let degrade st reason = st.degrades <- reason :: st.degrades
    out over morsels (it is pure); emission stays sequential, in morsel
    order. *)
 let pscan_iter ctx { src = v; p; charge } emit =
-  let out = proj_emit p in
+  let out = read p in
   let step x =
     ctx.c.tuples <- ctx.c.tuples + charge;
     emit x
@@ -1155,9 +1106,8 @@ let pscan_iter ctx { src = v; p; charge } emit =
    before anything is boxed: each morsel gathers its unboxed keys (ints,
    strings, bools, row codes) in a table, the tables merge, and only the
    sorted distinct keys are boxed.  Rows of an extent are stored in
-   canonical order, so sorted codes are sorted rows.  [None] for
-   projections without an unboxed key (boxed reads, pairs, element
-   rows). *)
+   canonical order, so sorted codes are sorted rows.  [None] for leaves
+   without an unboxed key (boxed reads, pairs, element rows). *)
 let pscan_set ctx { src = v; p; charge } : Value.t list option =
   let distinct : 'k. (int -> 'k) -> ('k -> Value.t) -> Value.t list option =
    fun get box ->
@@ -1184,12 +1134,14 @@ let pscan_set ctx { src = v; p; charge } : Value.t list option =
     Some (List.map box (List.sort compare keys))
   in
   match p with
-  | PInt g -> distinct g (fun k -> Value.Int k)
-  | PStr g -> distinct g (fun s -> Value.Str s)
-  | PBool g -> distinct g (fun b -> Value.Bool b)
-  | PRow (rel, ix) when Option.is_none rel.C.of_set ->
-    distinct ix (fun k -> rel.C.rows.(k))
-  | PRow _ | PVal _ | PPair _ -> None
+  | Int g -> distinct g (fun k -> Value.Int k)
+  | Str g -> distinct g (fun s -> Value.Str s)
+  | Bool g -> distinct g (fun b -> Value.Bool b)
+  | p -> (
+    match rowish p with
+    | Some (rel, ix) when Option.is_none rel.C.of_set ->
+      distinct ix (fun k -> rel.C.rows.(k))
+    | _ -> None)
 
 let iter_coll ctx (c : coll) emit =
   match c with
@@ -1212,17 +1164,15 @@ let rec force ctx (v : cv) : Value.t =
     let boxed () =
       let acc = ref [] in
       iter_coll ctx c (fun x -> acc := x :: !acc);
-      finish ctx !acc
+      Value.set !acc
     in
     match c with
-    | Proj ps when ctx.dedup = Eval.Eager -> (
+    | Proj ps -> (
       match pscan_set ctx ps with Some xs -> Value.Set xs | None -> boxed ())
     | _ -> boxed ())
-  | Coll (Cols v) -> (
-    (* selection preserves canonical row order, so [Eager] needs no sort *)
-    match ctx.dedup with
-    | Eval.Eager -> Value.Set (vec_rows ctx v)
-    | Eval.Deferred -> Value.Bag (vec_rows ctx v))
+  | Coll (Cols v) ->
+    (* selection preserves canonical row order: no sort *)
+    Value.Set (vec_rows ctx v)
 
 let as_coll (v : cv) : coll =
   match v.shape with
@@ -1298,8 +1248,10 @@ let rec cv_of_value st (v : Value.t) : cv =
     { shape = Coll (Whole (fun ctx -> resolve ctx v)); ir = Ir.Scan v }
   | v -> { shape = Sca (fun ctx -> resolve ctx v); ir = Ir.Leaf v }
 
-let scalar_apply (f : Term.func) (input : cv) : cv =
-  let f' = fc f in
+let cenv st = { coldb = st.coldb; typed = 0 }
+
+let scalar_apply st (f : Term.func) (input : cv) : cv =
+  let f' = row_func (cenv st) f in
   { shape = Sca (fun ctx -> f' ctx (force ctx input)); ir = Ir.Scalar (f, input.ir) }
 
 let pipe p ir = { shape = Coll (Pipe p); ir }
@@ -1372,7 +1324,7 @@ let rec lower st (f : Term.func) (input : cv) : cv =
     lower st f { shape = Duo (cc, input); ir = Ir.PairNode (cc.ir, input.ir) }
   | Term.Con (p, a, b) ->
     let s = share st input in
-    let p' = pc p in
+    let p' = row_pred (cenv st) p in
     let la = lower st a s and lb = lower st b s in
     let ir = Ir.Branch (p, s.ir, la.ir, lb.ir) in
     (match (la.shape, lb.shape) with
@@ -1404,42 +1356,49 @@ let rec lower st (f : Term.func) (input : cv) : cv =
       | q, g -> Ir.Map (g, Ir.Filter (q, input.ir))
     in
     match (as_coll input, p) with
-    | Cols v, _ -> lower_scan_cols st p f v ir
+    | Cols v, _ -> lower_scan_cols st ~col:(Here v.rel) ~row p f v ir
     | Proj ps, Term.Kp true -> (
-      (* a map after a projected scan composes onto its projection *)
-      match aproj (Option.get st.coldb) f ps.p with
-      | Some q ->
+      (* a map after a projected scan composes onto its leaf *)
+      match func (cenv st) f ps.p with
+      | q when pure q ->
         st.kernels <- st.kernels + 1;
         { shape = Coll (Proj { ps with p = q; charge = ps.charge + 1 }); ir }
-      | None -> row_stage (k_iterate p f) (Proj ps) ir)
-    | c, _ -> row_stage (k_iterate p f) c ir)
+      | _ -> row_stage (k_iterate (cenv st) p f) (Proj ps) ir)
+    | c, _ -> row_stage (k_iterate (cenv st) p f) c ir)
   | Term.Iter (p, f) -> (
     let e_cv, b_cv = as_duo st input in
     let ir = Ir.IterEnv (p, f, e_cv.ir, b_cv.ir) in
-    let row c =
-      let k = k_iter p f in
-      pipe (fun ctx emit -> k ctx (force ctx e_cv) (iter_coll ctx c) emit) ir
-    in
     match as_coll b_cv with
-    | Cols v -> (
-      (* Env-free body: rebase π2-rooted paths onto the row and run the
-         columnar scan; the environment is still forced once per run so
-         its errors surface exactly as on the row path. *)
-      match (pred_reroot ~leg:Term.Pi2 p, func_reroot ~leg:Term.Pi2 f) with
-      | Some p_r, Some f_r ->
-        let v = vec_add_pre v (fun ctx -> ignore (force ctx e_cv)) in
-        lower_scan_cols st p_r f_r v ir
-      | _ ->
-        degrade st "iter: body reads the loop environment";
-        row (Cols v))
-    | c -> row c)
+    | Cols v ->
+      (* The body sees ⟨environment, row⟩.  The environment is forced
+         before any row, so its errors surface exactly as on the row
+         path; a body that reads it forces it once more per run (the
+         memo is keyed on the run's slot array). *)
+      let memo = ref None in
+      let env ctx =
+        match !memo with
+        | Some (run, e) when run == ctx.vals -> e
+        | _ ->
+          let e = force ctx e_cv in
+          memo := Some (ctx.vals, e);
+          e
+      in
+      let v = vec_add_pre v (fun ctx -> ignore (force ctx e_cv)) in
+      lower_scan_cols st
+        ~col:(Pair (Env env, Here v.rel))
+        ~row:(Pair (Env env, row))
+        p f v ir
+    | c ->
+      let k = k_iter (cenv st) p f in
+      pipe (fun ctx emit -> k ctx (force ctx e_cv) (iter_coll ctx c) emit) ir)
   | Term.Join (p, f) -> lower_join st p f input
   | Term.Nest (f, g) ->
     let a_cv, b_cv = as_duo st input in
-    row_binary (k_nest f g) ~size:1024 (as_coll a_cv) (as_coll b_cv)
+    row_binary (k_nest (cenv st) f g) ~size:1024 (as_coll a_cv) (as_coll b_cv)
       (Ir.HashGroup { key = f; payload = g; src = a_cv.ir; groups = b_cv.ir })
   | Term.Unnest (f, g) ->
-    row_stage (k_unnest f g) (as_coll input) (Ir.UnnestStage (f, g, input.ir))
+    row_stage (k_unnest (cenv st) f g) (as_coll input)
+      (Ir.UnnestStage (f, g, input.ir))
   | Term.Setop op ->
     let a_cv, b_cv = as_duo st input in
     let ir =
@@ -1450,13 +1409,13 @@ let rec lower st (f : Term.func) (input : cv) : cv =
     in
     row_binary (k_setop op) ~size:256 (as_coll a_cv) (as_coll b_cv) ir
   | Term.Agg op -> lower_agg st op input
-  | Term.Prim _ | Term.Arith _ -> scalar_apply f input
+  | Term.Prim _ | Term.Arith _ -> scalar_apply st f input
   | Term.Fhole h -> unsupported "pattern hole ?%s" h
 
 and lower_join st p f input =
   let a_cv, b_cv = as_duo st input in
   let ca = as_coll a_cv and cb = as_coll b_cv in
-  let row ir = row_binary (k_join p f) ~size:1024 ca cb ir in
+  let row ir = row_binary (k_join (cenv st) p f) ~size:1024 ca cb ir in
   match Eval.hash_joinable p with
   | None -> row (Ir.LoopJoin (p, f, a_cv.ir, b_cv.ir))
   | Some (kind, g1, g2, residual) -> (
@@ -1479,7 +1438,7 @@ and lower_join st p f input =
          in the row join.  [-1] row keys (refs resolving to no extent
          row) can never match an in-extent key, so they are skipped —
          sound as long as at most one side can produce them. *)
-      let step = join_emit residual f in
+      let step = join_emit (cenv st) residual f in
       let col_join : type k. (int -> k) -> (int -> k) -> skip:(k -> bool) -> cv
           =
        fun ga gb ~skip ->
@@ -1536,7 +1495,7 @@ and lower_join st p f input =
 and lower_agg st op input =
   let ir = Ir.AggStage (op, input.ir) in
   match as_coll input with
-  | Proj { src; p = PInt iget; charge } ->
+  | Proj { src; p = Int iget; charge } ->
     st.kernels <- st.kernels + 1;
     { shape = Sca (icol_agg op ~charge src iget); ir }
   | Cols v when op = Term.Count ->
@@ -1576,54 +1535,35 @@ and icol_agg op ~charge (src : vec) (iget : int -> int) : rctx -> Value.t =
   let n = Array.length src.rel.C.rows in
   let keep = match src.vp with None -> (fun _ -> true) | Some k -> k in
   match op with
-  | Term.Count | Term.Sum -> (
-    match ctx.dedup with
-    | Eval.Deferred ->
-      let chunks =
-        morsel_fold ctx ~n (fun lo hi ->
-            let c = ref 0 and s = ref 0 in
-            for i = lo to hi - 1 do
-              if keep i then begin
-                incr c;
-                s := !s + iget i
-              end
-            done;
-            (!c, !s))
-      in
-      let c, s =
-        List.fold_left (fun (c, s) (c', s') -> (c + c', s + s')) (0, 0) chunks
-      in
-      charged c;
-      Value.Int (match op with Term.Count -> c | _ -> s)
-    | Eval.Eager ->
-      (* the interpreter aggregates a canonical set: distinct values only *)
-      let chunks =
-        morsel_fold ctx ~n (fun lo hi ->
-            let t : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-            let c = ref 0 in
-            for i = lo to hi - 1 do
-              if keep i then begin
-                incr c;
-                Hashtbl.replace t (iget i) ()
-              end
-            done;
-            (t, !c))
-      in
-      let seen : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
-      let sum = ref 0 and distinct = ref 0 in
-      List.iter
-        (fun (t, c) ->
-          charged c;
-          Hashtbl.iter
-            (fun k () ->
-              if not (Hashtbl.mem seen k) then begin
-                Hashtbl.replace seen k ();
-                incr distinct;
-                sum := !sum + k
-              end)
-            t)
-        chunks;
-      Value.Int (match op with Term.Count -> !distinct | _ -> !sum))
+  | Term.Count | Term.Sum ->
+    (* the interpreter aggregates a canonical set: distinct values only *)
+    let chunks =
+      morsel_fold ctx ~n (fun lo hi ->
+          let t : (int, unit) Hashtbl.t = Hashtbl.create 256 in
+          let c = ref 0 in
+          for i = lo to hi - 1 do
+            if keep i then begin
+              incr c;
+              Hashtbl.replace t (iget i) ()
+            end
+          done;
+          (t, !c))
+    in
+    let seen : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
+    let sum = ref 0 and distinct = ref 0 in
+    List.iter
+      (fun (t, c) ->
+        charged c;
+        Hashtbl.iter
+          (fun k () ->
+            if not (Hashtbl.mem seen k) then begin
+              Hashtbl.replace seen k ();
+              incr distinct;
+              sum := !sum + k
+            end)
+          t)
+      chunks;
+    Value.Int (match op with Term.Count -> !distinct | _ -> !sum)
   | Term.Max | Term.Min ->
     let better = match op with Term.Max -> ( > ) | _ -> ( < ) in
     let chunks =
@@ -1656,46 +1596,39 @@ and icol_agg op ~charge (src : vec) (iget : int -> int) : rctx -> Value.t =
       error "%s of empty set"
         (match op with Term.Max -> "max" | _ -> "min"))
 
-(* Filter/map over a columnar scan.  The predicate folds into the scan's
-   selection (chained filters become one conjunction, tested in a single
-   pass at consumption); a typed projection makes a projected scan
-   ([Proj]), and any other map — pairs, nested selects — an emit loop
-   over the selected rows.  A predicate or projection the columns cannot
-   express runs the row iterate kernel over the scan, counted as a
+(* Filter/map over a columnar scan, [p] and [f] compiled at the scan's
+   leaf [col].  A pure predicate folds into the scan's selection (chained
+   filters become one conjunction, tested in a single pass at
+   consumption); a pure map makes a projected scan ([Proj]), and any
+   other map — pairs with boxed legs, nested selects — an emit loop over
+   the selected rows.  A predicate that needs the run context runs the
+   row iterate kernel over the scan instead, with [p] and [f] compiled at
+   [row], the same leaf over the boxed row; that is counted as a
    degrade. *)
-and lower_scan_cols st (p : Term.pred) (f : Term.func) (v : vec) ir : cv =
-  let coldb =
-    match st.coldb with
-    | Some cd -> cd
-    | None -> assert false (* Cols values only exist under a coldb *)
-  in
-  match cpred coldb p (PRow (v.rel, fun i -> i)) with
-  | None ->
+and lower_scan_cols st ~(col : int leaf) ~(row : Value.t leaf) (p : Term.pred)
+    (f : Term.func) (v : vec) ir : cv =
+  match pred (cenv st) p col with
+  | Test _ ->
     degrade st (Fmt.str "filter over %s not columnar" v.rel.C.name);
-    row_stage (k_iterate p f) (Cols v) ir
-  | Some vp -> (
+    row_stage (k_iterate (cenv st) ~at:row p f) (Cols v) ir
+  | Pure vp -> (
     st.kernels <- st.kernels + 1;
     let v = vec_conj v vp in
-    match f with
-    | Term.Id -> { shape = Coll (Cols v); ir }
-    | f -> (
-      match proj_of_row coldb f v.rel with
-      | Some pr ->
-        let charge = match pr with PInt _ -> 0 | _ -> 1 in
-        { shape = Coll (Proj { src = v; p = pr; charge }); ir }
-      | None -> (
-        match row_emit coldb v.rel f with
-        | Some (typed, out) ->
-          st.kernels <- st.kernels + typed;
-          pipe
-            (fun ctx emit ->
-              vec_iter ctx v (fun i ->
-                  ctx.c.tuples <- ctx.c.tuples + 1;
-                  emit (out ctx i)))
-            ir
-        | None ->
-          degrade st (Fmt.str "map over %s not columnar" v.rel.C.name);
-          row_stage (k_iterate (Term.Kp true) f) (Cols v) ir)))
+    let env = cenv st in
+    match func env f col with
+    | Here _ -> { shape = Coll (Cols v); ir }
+    | out when pure out ->
+      let charge = match out with Int _ -> 0 | _ -> 1 in
+      { shape = Coll (Proj { src = v; p = out; charge }); ir }
+    | out ->
+      st.kernels <- st.kernels + env.typed;
+      let out = box out in
+      pipe
+        (fun ctx emit ->
+          vec_iter ctx v (fun i ->
+              ctx.c.tuples <- ctx.c.tuples + 1;
+              emit (out ctx i)))
+        ir)
 
 (* The fused group-join kernel: [nest(π1,π2) ∘ (unnest(π1,π2) × id) ∘
    ⟨join(p, id × g), π1⟩] over a pair of columnar scans (probe side D,
@@ -1720,30 +1653,26 @@ and lower_fused_group st (p : Term.pred) (g : Term.func) (input : cv) :
           match C.relation coldb t1 with
           | None -> None
           | Some trel ->
-            (* payload: the elements Unnest flattens out of [g e].
-               Compiled payloads only read the context (resolve/as_set
-               consult ctx.db), so they are safe to run on pool domains;
-               the fc fallback may touch memo cells and counters, so it
-               keeps the build sequential. *)
+            (* payload: the elements Unnest flattens out of [g e].  A
+               payload that compiles pure only reads the context
+               (resolve/as_set consult ctx.db), so it is safe to run on
+               pool domains; otherwise the row closure runs on the boxed
+               row, and may touch memo cells and counters, so it keeps
+               the build sequential. *)
+            let payload h wrap =
+              match func (cenv st) h (Here ve.rel) with
+              | l when pure l ->
+                let out = read l in
+                (true, fun ctx j -> wrap ctx (out j))
+              | _ ->
+                let h' = row_func (cenv st) h in
+                (false, fun ctx j -> wrap ctx (h' ctx ve.rel.C.rows.(j)))
+            in
             let parallel_ok, pay =
               match g with
-              | Term.Compose (Term.Sng, h) -> (
-                match proj_of_row coldb h ve.rel with
-                | Some pr ->
-                  let out = proj_emit pr in
-                  (true, fun ctx j -> [ resolve ctx (out j) ])
-                | None ->
-                  let h' = fc h in
-                  ( false,
-                    fun ctx j -> [ resolve ctx (h' ctx ve.rel.C.rows.(j)) ] ))
-              | g -> (
-                match proj_of_row coldb g ve.rel with
-                | Some pr ->
-                  let out = proj_emit pr in
-                  (true, fun ctx j -> as_set ctx (out j))
-                | None ->
-                  let g' = fc g in
-                  (false, fun ctx j -> as_set ctx (g' ctx ve.rel.C.rows.(j))))
+              | Term.Compose (Term.Sng, h) ->
+                payload h (fun ctx x -> [ resolve ctx x ])
+              | g -> payload g as_set
             in
             st.kernels <- st.kernels + 1;
             let ir =
@@ -1834,8 +1763,7 @@ and lower_fused_group st (p : Term.pred) (g : Term.func) (input : cv) :
                        let grp =
                          if k >= 0 && k < nd then buckets.(k) else []
                        in
-                       emit
-                         (Value.Pair (vd.rel.C.rows.(i), collection ctx grp))))
+                       emit (Value.Pair (vd.rel.C.rows.(i), Value.set grp))))
                  ir))
         | _ -> None)
       | _ -> None)
@@ -1886,8 +1814,7 @@ let compile_opt ?coldb q =
   | c -> Ok c
   | exception Unsupported reason -> Error reason
 
-let execute ?(dedup = Eval.Eager) ?pool ~db (c : compiled) :
-    Value.t * counters =
+let execute ?pool ~db (c : compiled) : Value.t * counters =
   (match c.coldb with
   | Some cd when not (C.source cd == db) ->
     (* Column indexes are physical row positions in the database the plan
@@ -1900,7 +1827,6 @@ let execute ?(dedup = Eval.Eager) ?pool ~db (c : compiled) :
   let ctx =
     {
       db;
-      dedup;
       pipes = Array.make (max 1 c.pipe_slots) None;
       vals = Array.make (max 1 c.val_slots) None;
       pool;
@@ -1908,60 +1834,49 @@ let execute ?(dedup = Eval.Eager) ?pool ~db (c : compiled) :
     }
   in
   Telemetry.span ~cat:"exec" "exec.run" @@ fun () ->
-  (* A streamed root, deduplicated as it arrives. *)
+  (* A streamed root, deduplicated as it arrives.  Through a hash dedup,
+     a duplicate-heavy stream sorts only its distinct elements — the
+     canonical set comes out identical to the interpreter's either way.
+     On a mostly distinct stream the table pays a hash per element and
+     saves nothing, so the duplicate ratio is checked on geometrically
+     growing prefixes (256, 512, ...): a distinct-heavy stream drops the
+     table within the first few hundred elements instead of hashing a 4k
+     prefix first.  Column kernels emit in row order, so the stream is
+     often canonical already and [canonical_set] skips the final sort;
+     otherwise it sort-uniqs the raw stream, which is exactly the
+     interpreter's cost. *)
   let stream (p : producer) =
-    match dedup with
-    | Eval.Eager ->
-      (* Stream through a hash dedup so a duplicate-heavy stream sorts
-         only its distinct elements — the canonical set comes out
-         identical to the interpreter's either way.  On a mostly
-         distinct stream the table pays a hash per element and saves
-         nothing, so the duplicate ratio is checked on geometrically
-         growing prefixes (256, 512, ...): a distinct-heavy stream
-         drops the table within the first few hundred elements instead
-         of hashing a 4k prefix first.  Column kernels emit in row
-         order, so the stream is often canonical already and
-         [canonical_set] skips the final sort; otherwise it sort-uniqs
-         the raw stream, which is exactly the interpreter's cost. *)
-      let seen = VH.create 1024 in
-      let deduping = ref true in
-      let inspected = ref 0 in
-      let next_check = ref 256 in
-      let acc = ref [] in
-      p ctx (fun x ->
-          if !deduping then begin
-            let before = VH.length seen in
-            VH.replace seen x ();
-            if VH.length seen <> before then acc := x :: !acc;
-            incr inspected;
-            if !inspected = !next_check then begin
-              if 4 * VH.length seen > 3 * !inspected then begin
-                deduping := false;
-                VH.reset seen
-              end
-              else next_check := 2 * !next_check
+    let seen = VH.create 1024 in
+    let deduping = ref true in
+    let inspected = ref 0 in
+    let next_check = ref 256 in
+    let acc = ref [] in
+    p ctx (fun x ->
+        if !deduping then begin
+          let before = VH.length seen in
+          VH.replace seen x ();
+          if VH.length seen <> before then acc := x :: !acc;
+          incr inspected;
+          if !inspected = !next_check then begin
+            if 4 * VH.length seen > 3 * !inspected then begin
+              deduping := false;
+              VH.reset seen
             end
+            else next_check := 2 * !next_check
           end
-          else acc := x :: !acc);
-      canonical_set (List.rev !acc)
-    | Eval.Deferred ->
-      (* The interpreter's finalized bag, without its sort when the
-         stream already arrived in canonical order. *)
-      canonical_set (List.map Eval.finalize (drain ctx p))
+        end
+        else acc := x :: !acc);
+    canonical_set (List.rev !acc)
   in
   let v =
     match c.plan.shape with
     | Coll (Pipe p) -> stream p
     | Coll (Proj ps) -> (
-      (* A typed root is deduplicated on its unboxed values under either
-         dedup: Deferred finalizes its bag to the same canonical set. *)
+      (* a typed root is deduplicated on its unboxed values *)
       match pscan_set ctx ps with
       | Some xs -> Value.Set xs
       | None -> stream (fun ctx -> pscan_iter ctx ps))
-    | _ -> (
-      (* [force] canonicalises columnar terminals under Eager too *)
-      let v = force ctx c.plan in
-      match dedup with Eval.Eager -> v | Eval.Deferred -> Eval.finalize v)
+    | _ -> (* [force] canonicalises columnar terminals *) force ctx c.plan
   in
   if Telemetry.enabled () then (
     Telemetry.count ~n:ctx.c.tuples "exec.tuples";
@@ -2057,11 +1972,21 @@ let can_fan_out = function
       (fun (_, (r : C.relation)) -> Array.length r.C.rows > morsel_rows)
       (C.relations cdb)
 
+(* A compiled run the compiler cannot take runs on the hashed interpreter:
+   counted, and flagged with its reason. *)
+let fall_back ~dedup ~db q reason =
+  Atomic.incr fallbacks;
+  Telemetry.count "exec.fallback";
+  let v, s = run_interp ~backend:Eval.Hashed ~dedup ~db q in
+  (v, { s with fell_back = true; fallback_reason = Some reason })
+
 let run ?(backend = Compiled) ?(dedup = Eval.Eager) ?(layout = Row)
     ?(jobs = 1) ?pool ?coldb ~db (q : Term.query) : Value.t * stats =
-  match backend with
-  | Interp b -> run_interp ~backend:b ~dedup ~db q
-  | Compiled -> (
+  match (backend, dedup) with
+  | Interp b, _ -> run_interp ~backend:b ~dedup ~db q
+  | Compiled, Eval.Deferred ->
+    fall_back ~dedup ~db q "deferred dedup runs on the interpreter only"
+  | Compiled, Eval.Eager -> (
     let coldb =
       match layout with
       | Row -> None
@@ -2070,16 +1995,12 @@ let run ?(backend = Compiled) ?(dedup = Eval.Eager) ?(layout = Row)
     in
     let t0 = Telemetry.now () in
     match compile ?coldb q with
-    | exception Unsupported reason ->
-      Atomic.incr fallbacks;
-      Telemetry.count "exec.fallback";
-      let v, s = run_interp ~backend:Eval.Hashed ~dedup ~db q in
-      (v, { s with fell_back = true; fallback_reason = Some reason })
+    | exception Unsupported reason -> fall_back ~dedup ~db q reason
     | c ->
       let t1 = Telemetry.now () in
       let jobs = if can_fan_out coldb then jobs else 1 in
       with_exec_pool ?pool ~jobs @@ fun pool ->
-      let v, counters = execute ~dedup ?pool ~db c in
+      let v, counters = execute ?pool ~db c in
       let t2 = Telemetry.now () in
       ( v,
         {

@@ -2,8 +2,9 @@
     producer/consumer loops and run it with no per-node dispatch and no
     intermediate collections.  {!Kola.Eval.run} remains the oracle: for
     every supported plan the compiled result equals the interpreted one
-    modulo set ordering (see {!agree}); unsupported plans fall back to the
-    interpreter explicitly — counted, never wrong. *)
+    modulo set ordering (see {!agree}); unsupported plans, and every run
+    under [Deferred] dedup, fall back to the interpreter explicitly —
+    counted, never wrong. *)
 
 open Kola
 
@@ -32,16 +33,23 @@ val layout_of_string : string -> (layout, string) result
 type compiled
 
 val compile : ?coldb:Colstore.db -> Term.query -> compiled
-(** Lower a query into closures + an {!Ir.node} description.  With
-    [coldb], extent scans bind to its columnar relations and eligible
-    operators lower to column kernels (vectorised filters, typed
-    projections with the maps after them composed in, unboxed
-    aggregates, int-keyed joins, the fused equality and membership
-    group-joins, nested selects over a set attribute, typed over its
-    element relation); everything else runs the same row kernel as
-    under the row layout, counted in {!col_degrades}.  Compiling a
-    nested select may build an element relation or column of [coldb]
-    on first use ({!Kola.Colstore.elements}).
+(** Lower a query into closures + an {!Ir.node} description, for
+    [Eager] dedup.  One scalar compiler turns every per-element function
+    and predicate into closures over a leaf that says where the element
+    lives: the boxed element on the row path; with [coldb], a scan's
+    row, an [iter]'s ⟨environment, row⟩ or a nested select's ⟨parent
+    row, element row⟩, read through typed columns.  A node whose
+    operands are typed compiles typed; any other boxes its input and
+    runs the row semantics, one leaf at a time.  Extent scans then bind
+    to [coldb]'s relations, and eligible operators lower to column
+    kernels (vectorised filters, typed projections with the maps after
+    them composed in, unboxed aggregates, int-keyed joins, the fused
+    equality and membership group-joins, nested selects over a set
+    attribute, typed over its element relation).  A filter whose
+    predicate needs the run context runs the same row kernel as under
+    the row layout, counted in {!col_degrades}.  Compiling a nested
+    select may build an element relation or column of [coldb] on first
+    use ({!Kola.Colstore.elements}).
     @raise Unsupported on holes; never raises on ground plans. *)
 
 val compile_opt : ?coldb:Colstore.db -> Term.query -> (compiled, string) result
@@ -52,24 +60,21 @@ val compiled_query : compiled -> Term.query
 val col_kernels : compiled -> int
 (** Operators lowered to column kernels (0 on row-layout plans): each
     columnar filter/map, composed map, aggregate, join, group-join, and
-    nested select whose predicate and head both run typed on an element
-    relation. *)
+    nested select whose predicate and head both compile typed on an
+    element relation. *)
 
 val col_degrades : compiled -> string list
 (** Reasons columnar inputs stayed on row kernels, in lowering order. *)
 
 val execute :
-  ?dedup:Eval.dedup -> ?pool:Kola_parallel.Pool.t ->
+  ?pool:Kola_parallel.Pool.t ->
   db:(string * Value.t) list -> compiled -> Value.t * counters
-(** Run a compiled plan.  Under [Eager] the final set is built by a
-    streaming hash dedup (only distinct elements are sorted, and a
-    stream that arrives in canonical order is not sorted at all); under
-    [Deferred] the raw stream is finalized to the set {!Eval.run}
-    returns, again without a sort when it arrives in canonical order.
-    A plan whose result is a typed projection of a columnar scan (ints,
+(** Run a compiled plan under [Eager] dedup.  The final set is built by
+    a streaming hash dedup (only distinct elements are sorted, and a
+    stream that arrives in canonical order is not sorted at all).  A
+    plan whose result is a typed projection of a columnar scan (ints,
     strings, bools or extent rows) is deduplicated on its unboxed
-    values under either dedup, and only the distinct values are
-    boxed.
+    values, and only the distinct values are boxed.
     With [pool], pure columnar kernels fan out over fixed-size morsels;
     morsel boundaries and merge order never depend on the pool size, so
     results are bit-identical at any [jobs].
@@ -88,7 +93,9 @@ val backend_of_string : string -> (backend, string) result
 
 type stats = {
   backend : backend;  (** the backend that actually ran *)
-  fell_back : bool;   (** compilation failed; the interpreter ran instead *)
+  fell_back : bool;
+      (** the compiler did not take the run (a hole in the plan, or
+          [Deferred] dedup); the interpreter ran instead *)
   fallback_reason : string option;
   compile_us : float;
   run_us : float;
@@ -111,9 +118,11 @@ val run :
   ?backend:backend -> ?dedup:Eval.dedup -> ?layout:layout -> ?jobs:int ->
   ?pool:Kola_parallel.Pool.t -> ?coldb:Colstore.db ->
   db:(string * Value.t) list -> Term.query -> Value.t * stats
-(** Execute a query under the chosen backend (default [Compiled]).  A
-    compiled run that raises {!Unsupported} is retried on the hashed
-    interpreter with [fell_back] set; the fallback is counted globally and
+(** Execute a query under the chosen backend (default [Compiled]) and
+    [dedup] (default [Eager]).  The interpreter backends run either
+    dedup.  A compiled run under [Deferred], or one that raises
+    {!Unsupported}, runs on the hashed interpreter instead, with
+    [fell_back] set and a reason; the fallback is counted globally and
     in telemetry ([exec.fallback]).
 
     [layout = Columnar] compiles against [coldb] (materialized from [db]

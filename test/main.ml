@@ -46,4 +46,5 @@ let () =
       ("server (kolaoptd serving layer)", Test_server.tests);
       ("exec (compiled backend)", Test_exec.tests);
       ("columnar (column store + morsel kernels)", Test_columnar.tests);
+      ("exec-golden (ledger plans, frozen outcomes)", Test_golden_exec.tests);
     ]

@@ -1,16 +1,12 @@
 (* The compiled execution backend (lib/exec) against its oracle, the
    interpreter.
 
-   Pinned equivalence: for every supported ground plan,
-   - compiled/Eager  ≡ Eval.run under both backends with Eager dedup,
-   - compiled/Deferred ≡ Eval.run under the Hashed backend with Deferred
-     dedup (the compiler mirrors the hashed backend's construction order;
-     Naive-deferred can legitimately disagree with Hashed-deferred on
-     order-sensitive plans, which is a property of deferred dedup, not of
-     the compiler),
-   all modulo set ordering / bag finalization ({!Exec.agree}).  Unsupported
-   plans (pattern holes) must fall back to the interpreter explicitly:
-   counted, never wrong. *)
+   Pinned equivalence: for every supported ground plan, compiled/Eager ≡
+   Eval.run under both backends with Eager dedup, modulo set ordering
+   ({!Exec.agree}).  The compiler runs Eager only: a compiled run under
+   Deferred dedup falls back to the Hashed interpreter, and so do
+   unsupported plans (pattern holes) — explicitly, counted, never
+   wrong. *)
 
 open Kola
 open Util
@@ -20,27 +16,24 @@ module Ir = Kola_exec.Ir
 let check_agree ~db msg a b =
   Alcotest.check Alcotest.bool msg true (Exec.agree ~db a b)
 
-(* The differential harness: compiled against the oracle on one query. *)
+(* The differential harness: compiled against the oracle on one query,
+   and the Deferred run's fallback. *)
 let differential ?(db = tiny_db) name q =
   List.iter
-    (fun dedup ->
-      let compiled, stats = Exec.run ~backend:Exec.Compiled ~dedup ~db q in
-      Alcotest.check Alcotest.bool (name ^ ": no fallback") false
-        stats.Exec.fell_back;
-      let oracles =
-        match dedup with
-        | Eval.Eager -> [ Eval.Naive; Eval.Hashed ]
-        | Eval.Deferred -> [ Eval.Hashed ]
-      in
-      List.iter
-        (fun backend ->
-          let interp = Eval.eval_query ~db ~backend ~dedup q in
-          check_agree ~db
-            (Fmt.str "%s: compiled ≡ interp (%s, %s)" name
-               (match backend with Eval.Naive -> "naive" | Eval.Hashed -> "hashed")
-               (match dedup with Eval.Eager -> "eager" | Eval.Deferred -> "deferred"))
-            compiled interp)
-        oracles)
+    (function
+      | Eval.Eager ->
+        let compiled, stats = Exec.run ~backend:Exec.Compiled ~db q in
+        Alcotest.check Alcotest.bool (name ^ ": no fallback") false
+          stats.Exec.fell_back;
+        List.iter
+          (fun backend ->
+            let interp = Eval.eval_query ~db ~backend q in
+            check_agree ~db
+              (Fmt.str "%s: compiled ≡ interp (%s, eager)" name
+                 (match backend with Eval.Naive -> "naive" | Eval.Hashed -> "hashed"))
+              compiled interp)
+          [ Eval.Naive; Eval.Hashed ]
+      | Eval.Deferred -> check_deferred_fallback ~db name q)
     [ Eval.Eager; Eval.Deferred ]
 
 let compile_ir q = Exec.ir (Exec.compile q)
@@ -268,17 +261,21 @@ let nested_tests =
           differential ~db:[] name spine;
           differential ~db:[] ("nested " ^ name) nested;
           List.iter
-            (fun dedup ->
-              let counts q =
-                let _, (st : Exec.stats) = Exec.run ~dedup ~db:[] q in
-                (st.tuples, st.probes, st.builds)
-              in
-              let tuples, probes, builds = counts spine in
-              Alcotest.(check (triple int int int))
-                (Fmt.str "%s: tuples/probes/builds, nested = spine + 1 tuple"
-                   name)
-                (tuples + 1, probes, builds)
-                (counts nested))
+            (function
+              | Eval.Eager ->
+                let counts q =
+                  let _, (st : Exec.stats) = Exec.run ~db:[] q in
+                  (st.tuples, st.probes, st.builds)
+                in
+                let tuples, probes, builds = counts spine in
+                Alcotest.(check (triple int int int))
+                  (Fmt.str "%s: tuples/probes/builds, nested = spine + 1 tuple"
+                     name)
+                  (tuples + 1, probes, builds)
+                  (counts nested)
+              | Eval.Deferred ->
+                check_deferred_fallback ~db:[] name spine;
+                check_deferred_fallback ~db:[] ("nested " ^ name) nested)
             [ Eval.Eager; Eval.Deferred ]))
     [
       ("hash join", Term.Join (on_ids Term.Eq, Term.Pi1), two);
@@ -536,11 +533,19 @@ let qcheck_props =
                 (Eval.eval_query ~db:tiny_db ~backend ~dedup:Eval.Eager q))
             [ Eval.Naive; Eval.Hashed ]
         in
+        (* a Deferred run falls back, says why, is counted, and returns
+           the interpreter's result *)
         let ok_deferred =
-          let compiled, _ = Exec.run ~dedup:Eval.Deferred ~db:tiny_db q in
-          Exec.agree ~db:tiny_db compiled
-            (Eval.eval_query ~db:tiny_db ~backend:Eval.Hashed
-               ~dedup:Eval.Deferred q)
+          let before = Exec.fallback_count () in
+          let compiled, st = Exec.run ~dedup:Eval.Deferred ~db:tiny_db q in
+          st.Exec.fell_back
+          && Option.fold ~none:false
+               ~some:(fun r -> contains r "deferred")
+               st.Exec.fallback_reason
+          && Exec.fallback_count () > before
+          && Exec.agree ~db:tiny_db compiled
+               (Eval.eval_query ~db:tiny_db ~backend:Eval.Hashed
+                  ~dedup:Eval.Deferred q)
         in
         ok_eager && ok_deferred)
   in

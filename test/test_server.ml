@@ -560,6 +560,211 @@ let infra_tests =
         Daemon.shutdown (Lazy.force daemon));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Protocol paths that need a daemon of their own: the columnar layout,
+   inline rule packs, and the socket's accept loop under overload.  They
+   follow the suite daemon's shutdown, so each creates its daemon. *)
+
+let fresh_daemon ~workers ~queue =
+  Daemon.create ~params:{ Daemon.default_params with Daemon.workers; queue } ()
+
+let bool_field j name = Option.bind (Json.mem name j) Json.bool
+let int_field j name = Option.bind (Json.mem name j) Json.int
+
+(* Serve [t] on a fresh socket for [f], then ask it to shut down over
+   the wire: the answer is ok and the socket file is gone once the
+   accept loop returns. *)
+let on_socket t f =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let socket =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "kola-test-smoke-%d.sock" (Unix.getpid ()))
+  in
+  let ready = Atomic.make false in
+  let server =
+    Domain.spawn (fun () ->
+        Daemon.serve ~ready:(fun () -> Atomic.set ready true) ~socket t)
+  in
+  while not (Atomic.get ready) do
+    Unix.sleepf 0.01
+  done;
+  Fun.protect
+    ~finally:(fun () ->
+      Daemon.request_stop t;
+      Domain.join server)
+    (fun () ->
+      f socket;
+      let c = Daemon.Client.connect socket in
+      check_ok "shutdown" (Daemon.Client.request c (Json.Obj [ ("cmd", Json.Str "shutdown") ]));
+      Daemon.Client.close c);
+  Alcotest.(check bool) "socket file removed on exit" false (Sys.file_exists socket)
+
+let socket_tests =
+  [
+    case "layout: columnar execute at jobs 1 and 2, the row plan, and layout \
+          without execute"
+      (fun () ->
+        let t = fresh_daemon ~workers:1 ~queue:4 in
+        let exec_req layout jobs =
+          Daemon.handle_line t
+            (Json.to_string
+               (Json.Obj
+                  ([
+                     ("query", Json.Str "select p.age from p in P where p.age > 25");
+                     ("explain", Json.Bool true);
+                     ("execute", Json.Str "compiled");
+                     ("layout", Json.Str layout);
+                   ]
+                  @ if jobs = 1 then [] else [ ("jobs", Json.Num (float_of_int jobs)) ])))
+        in
+        let er = exec_req "row" 1 and ec = exec_req "columnar" 1 in
+        let ec2 = exec_req "columnar" 2 in
+        check_ok "columnar" ec;
+        Alcotest.(check (option bool)) "no fallback" (Some false) (bool_field ec "fell_back");
+        Alcotest.(check (option string)) "layout" (Some "columnar") (str_field ec "layout");
+        Alcotest.(check bool) "a column kernel" true
+          (match int_field ec "col_kernels" with Some k -> k > 0 | None -> false);
+        check_ok "row" er;
+        Alcotest.(check (option string)) "row and columnar report one plan"
+          (str_field er "plan") (str_field ec "plan");
+        check_ok "columnar, jobs 2" ec2;
+        Alcotest.(check (option int)) "jobs 2: the same kernels"
+          (int_field ec "col_kernels") (int_field ec2 "col_kernels");
+        check_error "layout without execute" "layout"
+          (Daemon.handle_line t
+             (Json.to_string
+                (Json.Obj
+                   [
+                     ("query", Json.Str "select p from p in P");
+                     ("explain", Json.Bool true);
+                     ("layout", Json.Str "columnar");
+                   ])));
+        Daemon.shutdown t);
+    case "rules: a certified pack is admitted and cached, an unsound one \
+          rejected, stats count both"
+      (fun () ->
+        let t = fresh_daemon ~workers:1 ~queue:4 in
+        let pack_req pack =
+          Daemon.handle_line t
+            (Json.to_string
+               (Json.Obj [ ("paper", Json.Str "t1k"); ("rules", Json.Str pack) ]))
+        in
+        let good =
+          "GIVEN injective(?f)\n\
+           RULE test-inter: inter o (iterate(Kp(T), ?f) x iterate(Kp(T), ?f)) \
+           --> iterate(Kp(T), ?f) o inter\n"
+        in
+        let p1 = pack_req good in
+        check_ok "certified pack" p1;
+        Alcotest.(check bool) "per-rule verdicts" true
+          (Json.mem "pack_rules" p1 <> None && Json.mem "pack_fired" p1 <> None);
+        let p2 = pack_req good in
+        check_ok "re-sent pack" p2;
+        Alcotest.(check (option string)) "re-sent pack hits the outcome cache"
+          (Some "hit") (str_field p2 "outcome_cache");
+        let p3 = pack_req "RULE test-r13: ?p (+) <?f, Kf(?k)> --> Cp(?p^-1, ?k) (+) ?f\n" in
+        Alcotest.(check (option string)) "unsound pack" (Some "rejected") (status p3);
+        (match Json.mem "rules" p3 with
+        | Some (Json.Arr [ v ]) ->
+          Alcotest.(check (option bool)) "the rule failed" (Some false)
+            (bool_field v "ok");
+          Alcotest.(check bool) "with a counterexample" true
+            (match str_field v "reason" with
+            | Some reason -> contains reason "?f :="
+            | None -> false)
+        | _ -> Alcotest.fail "no per-rule verdict");
+        let stats =
+          Daemon.handle_line t (Json.to_string (Json.Obj [ ("cmd", Json.Str "stats") ]))
+        in
+        (match Json.mem "packs" stats with
+        | Some packs ->
+          Alcotest.(check (option int)) "admitted" (Some 1) (int_field packs "admitted");
+          Alcotest.(check (option int)) "rejected" (Some 1) (int_field packs "rejected");
+          Alcotest.(check (option int)) "two certifications"
+            (Some 2)
+            (Option.bind (Json.mem "cert_cache" packs) (fun c -> int_field c "misses"))
+        | None -> Alcotest.fail "stats reports no packs");
+        Daemon.shutdown t);
+    case "a real socket: a malformed line and an oversized one cost no \
+          worker"
+      (fun () ->
+        on_socket (fresh_daemon ~workers:2 ~queue:2) (fun socket ->
+            let raw () =
+              let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+              Unix.connect fd (Unix.ADDR_UNIX socket);
+              (fd, Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
+            in
+            let fd, ic, oc = raw () in
+            output_string oc "{this is not json\n";
+            flush oc;
+            check_error "malformed line" "parse error" (Json.parse (input_line ic));
+            output_string oc "{\"paper\": \"k4\"}\n";
+            flush oc;
+            check_ok "same connection afterwards" (Json.parse (input_line ic));
+            close_out_noerr oc;
+            (try Unix.close fd with Unix.Unix_error _ -> ());
+            let lfd, lic, _ = raw () in
+            let junk = Bytes.make (2 lsl 20) 'x' in
+            (try
+               let rec go off =
+                 if off < Bytes.length junk then
+                   go (off + Unix.write lfd junk off (Bytes.length junk - off))
+               in
+               go 0
+             with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ());
+            (try Unix.shutdown lfd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+            (match input_line lic with
+            | line -> check_error "oversized line" "exceeds" (Json.parse line)
+            | exception End_of_file -> Alcotest.fail "no answer to an oversized line");
+            close_in_noerr lic;
+            let next = Daemon.Client.connect socket in
+            check_ok "the next connection"
+              (Daemon.Client.request next (Json.Obj [ ("paper", Json.Str "t1k") ]));
+            Daemon.Client.close next));
+    case "overload through the accept loop: rejected with the queue depth, \
+          the sleepers still answer"
+      (fun () ->
+        on_socket (fresh_daemon ~workers:2 ~queue:2) (fun socket ->
+            (* two sleepers hold both workers, two connections fill the
+               admission queue, so the accept loop turns the next away *)
+            let sleeper () =
+              let conn = Daemon.Client.connect socket in
+              Daemon.Client.send conn
+                (Json.Obj [ ("paper", Json.Str "t1k"); ("sleep_ms", Json.Num 1500.) ]);
+              conn
+            in
+            let s1 = sleeper () and s2 = sleeper () in
+            Unix.sleepf 0.3;
+            let queued = [ Daemon.Client.connect socket; Daemon.Client.connect socket ] in
+            let rec reject attempts =
+              let extra = Daemon.Client.connect socket in
+              let r = try Some (Daemon.Client.recv extra) with End_of_file -> None in
+              Daemon.Client.close extra;
+              match r with
+              | Some r when status r = Some "rejected" -> Some r
+              | _ when attempts > 1 ->
+                Unix.sleepf 0.02;
+                reject (attempts - 1)
+              | _ -> None
+            in
+            (match reject 50 with
+            | Some r ->
+              Alcotest.(check (option int)) "the queue depth" (Some 2)
+                (int_field r "queue_depth")
+            | None -> Alcotest.fail "no connection was rejected");
+            check_ok "first sleeper" (Daemon.Client.recv s1);
+            check_ok "second sleeper" (Daemon.Client.recv s2);
+            List.iter Daemon.Client.close (s1 :: s2 :: queued);
+            let c = Daemon.Client.connect socket in
+            let stats = Daemon.Client.request c (Json.Obj [ ("cmd", Json.Str "stats") ]) in
+            Daemon.Client.close c;
+            Alcotest.(check bool) "stats reports the rejection" true
+              (match Option.bind (Json.mem "service" stats) (fun s -> int_field s "rejected") with
+              | Some n -> n >= 1
+              | None -> false)));
+  ]
+
 let tests =
   json_tests @ protocol_tests @ error_path_tests @ identity_tests
-  @ behaviour_tests @ infra_tests
+  @ behaviour_tests @ infra_tests @ socket_tests

@@ -81,6 +81,71 @@ let stale_paper_db () =
     ("A", Value.set addrs);
   ]
 
+(* The company schema's stale-copy store: mentors are stale copies of
+   their extent rows, and every fifth employee has a mentor in no
+   extent.  Each stale object has one copy, used everywhere, so dedup
+   cannot choose between copies. *)
+let stale_company_db ?(employees = 300) () =
+  let base = Datagen.Company.scaled ~seed:77 employees in
+  let employees =
+    match List.assoc "E" (Datagen.Company.db base) with
+    | Value.Set es -> es
+    | _ -> assert false
+  in
+  let field o k = List.assoc k o.Value.fields in
+  (* odd mentors are stale (another salary, another name), even ones keep
+     their name but not their salary; oid 100 000 is in no extent *)
+  let stale = Hashtbl.create 64 in
+  let stale_copy (m : Value.t) =
+    match m with
+    | Value.Obj o -> (
+      match Hashtbl.find_opt stale o.Value.oid with
+      | Some c -> c
+      | None ->
+        let c =
+          Value.obj ~cls:"Employee" ~oid:o.Value.oid
+            [
+              ( "ename",
+                if o.Value.oid mod 2 = 1 then Value.str "stale"
+                else field o "ename" );
+              ("salary", Value.int (160_000 - (o.Value.oid * 97 mod 120_000)));
+              ("dept", field o "dept");
+              ("mentors", Value.set []);
+            ]
+        in
+        Hashtbl.replace stale o.Value.oid c;
+        c)
+    | _ -> assert false
+  in
+  let ghost =
+    Value.obj ~cls:"Employee" ~oid:100_000
+      [
+        ("ename", Value.str "ghost");
+        ("salary", Value.int 200_000);
+        ("dept", Value.Unit);
+        ("mentors", Value.set []);
+      ]
+  in
+  let employees =
+    List.map
+      (function
+        | Value.Obj o ->
+          let mentors =
+            match field o "mentors" with
+            | Value.Set ms -> List.map stale_copy ms
+            | _ -> assert false
+          in
+          let mentors = if o.Value.oid mod 5 = 0 then ghost :: mentors else mentors in
+          Value.obj ~cls:"Employee" ~oid:o.Value.oid
+            (List.map
+               (fun (k, v) ->
+                 if k = "mentors" then (k, Value.set mentors) else (k, v))
+               o.Value.fields)
+        | _ -> assert false)
+      employees
+  in
+  [ ("E", Value.set employees); List.nth (Datagen.Company.db base) 1 ]
+
 let value : Value.t Alcotest.testable =
   Alcotest.testable Value.pp Value.equal
 
@@ -158,3 +223,30 @@ let r13_paper () =
   match Coko.Pack.rules (Coko.Pack.load (coko_file "unsound/r13_paper.coko")) with
   | [ r ] -> r
   | rs -> Alcotest.failf "r13_paper.coko: expected one rule, got %d" (List.length rs)
+
+(* A compiled run under [Deferred] dedup, which the compiler leaves to
+   the hashed interpreter: the run falls back, names the reason, is
+   counted, and returns what [Eval] returns under Hashed/Deferred. *)
+let check_deferred_fallback ?layout ?jobs ?coldb ~db name q =
+  let module Exec = Kola_exec.Exec in
+  let before = Exec.fallback_count () in
+  let v, st =
+    Exec.run ~backend:Exec.Compiled ~dedup:Eval.Deferred ?layout ?jobs ?coldb
+      ~db q
+  in
+  Alcotest.(check bool) (name ^ ": deferred falls back") true st.Exec.fell_back;
+  Alcotest.(check bool)
+    (name ^ ": and names the reason")
+    true
+    (match st.Exec.fallback_reason with
+    | Some r -> contains r "deferred"
+    | None -> false);
+  Alcotest.(check bool)
+    (name ^ ": the fallback is counted")
+    true
+    (Exec.fallback_count () > before);
+  Alcotest.(check bool)
+    (name ^ ": ≡ interp (hashed, deferred)")
+    true
+    (Exec.agree ~db v
+       (Eval.eval_query ~db ~backend:Eval.Hashed ~dedup:Eval.Deferred q))
