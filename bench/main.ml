@@ -59,10 +59,13 @@ type row = {
          [gate_runs] interleaved pairs *)
 }
 
+(* Each timed run starts on a collected heap, so no cell pays for the
+   garbage an earlier cell left behind. *)
 let time_best ~trials f =
   let best = ref infinity in
   let result = ref None in
   for _ = 1 to trials do
+    Gc.full_major ();
     let t0 = now () in
     let r = f () in
     let dt = now () -. t0 in
@@ -86,6 +89,7 @@ let median xs =
 
 let interleaved_medians f g =
   let time h =
+    Gc.full_major ();
     let t0 = now () in
     ignore (h ());
     now () -. t0

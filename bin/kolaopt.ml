@@ -604,12 +604,14 @@ let search_cmd =
         | None -> ());
         Fmt.pr
           "explored %d states, stop: %s (cost cache: %d hits, %d misses, %d \
-           evictions, %d cuts; sub-plan memo: %d hits, %d stored)@."
+           evictions, %d cuts; sub-plan memo: %d hits, %d stored; rule \
+           tries: %d, rule memo: %d hits)@."
           o.Optimizer.Search.explored
           (Optimizer.Search.stop_reason_label o.Optimizer.Search.stop)
           o.Optimizer.Search.cache_hits o.Optimizer.Search.cache_misses
           o.Optimizer.Search.cache_evictions o.Optimizer.Search.cache_cuts
-          o.Optimizer.Search.memo_hits o.Optimizer.Search.memo_stored;
+          o.Optimizer.Search.memo_hits o.Optimizer.Search.memo_stored
+          o.Optimizer.Search.rule_tries o.Optimizer.Search.rule_memo_hits;
         Fmt.pr "dedup: %d distinct states@." o.Optimizer.Search.seen_states;
         Fmt.pr "interning: %d hits, %d fresh nodes (sharing ratio %.3f)@."
           o.Optimizer.Search.intern_hits o.Optimizer.Search.intern_misses

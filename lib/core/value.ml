@@ -74,6 +74,18 @@ and compare_list xs ys =
 
 let equal a b = compare a b = 0
 
+let rec deep_equal a b =
+  match a, b with
+  | Obj x, Obj y ->
+    String.equal x.cls y.cls && x.oid = y.oid
+    && List.equal
+         (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && deep_equal v1 v2)
+         x.fields y.fields
+  | Pair (a1, b1), Pair (a2, b2) -> deep_equal a1 a2 && deep_equal b1 b2
+  | Set xs, Set ys | Bag xs, Bag ys | List xs, List ys ->
+    List.equal deep_equal xs ys
+  | _ -> equal a b
+
 (* Hashing folds object identity, mirroring [compare]. *)
 let rec hash v =
   match v with

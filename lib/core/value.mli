@@ -28,6 +28,12 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val deep_equal : t -> t -> bool
+(** Field-by-field equality: like {!equal}, but objects must also agree
+    on every field, so a stale copy of an object (same class and oid,
+    other fields) differs from its extent row.  Collections compare
+    element by element in their stored order. *)
+
 (** Hash consistent with {!equal}. *)
 val hash : t -> int
 

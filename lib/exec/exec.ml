@@ -2022,10 +2022,11 @@ let run ?(backend = Compiled) ?(dedup = Eval.Eager) ?(layout = Row)
         } ))
 
 (* Results are compared modulo set ordering, deferred bags, and Named
-   indirection — the oracle equivalence the differential tests pin. *)
+   indirection, then field by field: objects with the right identity but
+   the wrong copy's fields disagree. *)
 let agree ~db a b =
   let ctx = Eval.ctx ~db () in
-  Value.equal
+  Value.deep_equal
     (Eval.finalize (Eval.deep_resolve ctx a))
     (Eval.finalize (Eval.deep_resolve ctx b))
 

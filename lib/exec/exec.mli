@@ -137,6 +137,9 @@ val fallback_count : unit -> int
 
 val agree : db:(string * Value.t) list -> Value.t -> Value.t -> bool
 (** Result equality modulo set ordering, deferred bags, and [Named]
-    indirection — the oracle equivalence the differential tests pin. *)
+    indirection, then field by field ({!Kola.Value.deep_equal}): an
+    emitted object that is a stale copy of the expected one (same class
+    and oid, other fields) disagrees.  The oracle equivalence the
+    differential tests and gates pin. *)
 
 val pp_stats : stats Fmt.t

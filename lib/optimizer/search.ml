@@ -11,8 +11,11 @@
 
    One BFS engine (see DESIGN.md, "Engine internals & performance" and
    "Parallel exploration"): states are hash-consed queries, deduplicated
-   by [Term.Hc.query_key]; successor enumeration prunes rules and subtrees
-   through the per-node head bitmasks; costing is memoized across
+   by [Term.Hc.query_key]; successors are enumerated by one walk of each
+   state, which tries only the rules a node's head dispatches to and
+   remembers their results per interned node for the whole search, so a
+   successor pays for rule tries only where its rewrite made new nodes;
+   costing is memoized across
    explorations by the id-keyed {!Cost.cache}, and within one exploration
    every candidate is costed through one {!Eval.session}, so a successor
    re-runs only the sub-plans its rewrite changed.  Each level runs in three
@@ -121,18 +124,59 @@ let shared_cache = Cost.cache ()
 let cache_of config =
   match config.cost_cache with Some c -> c | None -> shared_cache
 
-(* Enumerate every single-firing successor of [hq]: each rule at each
-   position.  Query rules come first (catalog order), then function and
-   predicate rules.  Positions are enumerated with a skip counter: the
-   strategy fires only at the k-th matching position, for k = 0, 1, ...
-   until no position is left or [max_positions] is reached — in which case
-   [truncated] is set so callers never mistake a cap for exhaustion.
-   Rules whose pattern head occurs nowhere in the body are skipped through
-   its head bitmask, and the traversal skips every subtree whose mask
-   lacks the rule's head. *)
-let enumerate ?schema ~max_positions ~truncated (rules : Rewrite.Rule.t list)
-    (hq : Term.Hc.hquery) : (string * Term.Hc.hquery) list =
-  let query_rules, fun_rules =
+(* ------------------------------------------------------------------ *)
+(* Successor enumeration: one preorder walk per state.
+
+   KOLA terms have no variables, so whether a rule fires at an interned
+   node, and what it yields there, depends on that node alone (and on the
+   schema, for preconditions, which is fixed for one search): the matcher
+   is head-strict and binds holes to subterms of the node itself.  An
+   enumerator therefore remembers, per node id, the root results of the
+   rules offered at that node, and a successor pays for rule tries only at
+   the nodes its rewrite created.
+
+   The walk visits nodes in preorder, children in [Strategy.one_child]'s
+   order, skipping every subtree whose head bitmask shares no bit with the
+   rule list.  At each node it tries only the rules the head-dispatch
+   table ({!Rewrite.Engine.dispatch}) lists for the node's shape, and
+   records each firing with the context that rebuilds the body around it
+   through the same smart constructors [one_child] uses.  Successors are
+   emitted per rule (query rules first, then function and predicate
+   rules, each in catalog order), then per position in preorder; at most
+   [max_positions] per rule are rebuilt, and a rule with more sets
+   [truncated] so callers never mistake a cap for exhaustion. *)
+
+module Hc = Term.Hc
+
+module IH = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash id = id
+end)
+
+(* One domain's memo: by node id, function and predicate nodes apart,
+   the (rule index, root result) pair of each offered rule that fires
+   there.  Counts are this domain's rule tries and memo answers. *)
+type memo = {
+  funcs : (int * Hc.fnode) list IH.t;
+  preds : (int * Hc.pnode) list IH.t;
+  mutable tries : int;
+  mutable hits : int;
+}
+
+let memo_capacity = 1 lsl 16
+
+type enumerator = {
+  schema : Schema.t option;
+  query_rules : Rewrite.Rule.t list;
+  dispatch : Rewrite.Engine.dispatch;  (** the function and predicate rules *)
+  lock : Mutex.t;
+  mutable memos : (int * memo) list;  (** by domain *)
+}
+
+let enumerator ?schema rules =
+  let query_rules, node_rules =
     List.partition
       (fun r ->
         match Rewrite.Rule.patterns r with
@@ -140,9 +184,65 @@ let enumerate ?schema ~max_positions ~truncated (rules : Rewrite.Rule.t list)
         | Rewrite.Rule.Fun_pats _ | Rewrite.Rule.Pred_pats _ -> false)
       rules
   in
+  {
+    schema;
+    query_rules;
+    dispatch = Rewrite.Engine.dispatch node_rules;
+    lock = Mutex.create ();
+    memos = [];
+  }
+
+(* The calling domain's memo, fetched once per state: the walk itself
+   takes no lock.  Tables start small, so a search that enumerates a few
+   states allocates little. *)
+let memo_of en =
+  let d = (Domain.self () :> int) in
+  Mutex.protect en.lock @@ fun () ->
+  match List.assoc_opt d en.memos with
+  | Some m -> m
+  | None ->
+    let m =
+      { funcs = IH.create 16; preds = IH.create 16; tries = 0; hits = 0 }
+    in
+    en.memos <- (d, m) :: en.memos;
+    m
+
+(* Rule tries run and memo answers, summed over the domains. *)
+let enumeration_counts en =
+  Mutex.protect en.lock @@ fun () ->
+  List.fold_left
+    (fun (tries, hits) (_, m) -> (tries + m.tries, hits + m.hits))
+    (0, 0) en.memos
+
+(* The firings at a node: remembered, or found by trying each offered
+   rule at its root.  A full table is emptied before it grows further. *)
+let firings m table id offered apply =
+  if Array.length offered = 0 then []
+  else
+    match IH.find_opt table id with
+    | Some fs ->
+      m.hits <- m.hits + 1;
+      fs
+    | None ->
+      let fs =
+        Array.fold_right
+          (fun i acc ->
+            match apply i with Some x -> (i, x) :: acc | None -> acc)
+          offered []
+      in
+      m.tries <- m.tries + Array.length offered;
+      if IH.length table >= memo_capacity then IH.reset table;
+      IH.add table id fs;
+      fs
+
+let enumerate en ~max_positions ~truncated (hq : Hc.hquery) :
+    (string * Hc.hquery) list =
+  let m = memo_of en in
+  let schema = en.schema in
   let from_query_rules =
     List.filter_map
       (fun r ->
+        m.tries <- m.tries + 1;
         let res =
           Option.map
             (fun hq' -> (r.Rewrite.Rule.name, hq'))
@@ -150,63 +250,123 @@ let enumerate ?schema ~max_positions ~truncated (rules : Rewrite.Rule.t list)
         in
         note_rule_successors r (if res = None then 0 else 1);
         res)
-      query_rules
+      en.query_rules
   in
-  let at_kth ~rmask r k =
-    Telemetry.count "search.positions";
-    let remaining = ref k in
-    let s tgt =
-      match Rewrite.Strategy.of_rule ?schema r tgt with
-      | Some t ->
-        if !remaining = 0 then Some t
-        else begin
-          decr remaining;
-          None
-        end
-      | None -> None
-    in
-    Option.map
-      (fun hbody -> { hq with Term.Hc.hbody })
-      (Rewrite.Strategy.apply_func
-         (Rewrite.Strategy.once_topdown ~mask:rmask s)
-         hq.Term.Hc.hbody)
+  let d = en.dispatch in
+  let rules = d.Rewrite.Engine.rules in
+  let cap = max max_positions 0 in
+  (* per rule: firings seen, and the rebuilds of the first [cap] of them,
+     latest first *)
+  let counts = Array.make (Array.length rules) 0 in
+  let found = Array.make (Array.length rules) [] in
+  let record i rebuild =
+    let c = counts.(i) in
+    counts.(i) <- c + 1;
+    if c < cap then found.(i) <- rebuild :: found.(i)
   in
-  let mask = hq.Term.Hc.hbody.Term.Hc.fheads in
-  let from_fun_rules =
-    List.concat_map
-      (fun r ->
-        if not (Rewrite.Rule.mask_may_fire mask r) then []
-        else
-          let rmask = Rewrite.Rule.head_mask r in
-          let rec collect k acc =
-            if k >= max_positions then begin
-              if Option.is_some (at_kth ~rmask r k) then begin
-                truncated := true;
-                if Telemetry.enabled () then
-                  Telemetry.instant
-                    ~args:[ ("rule", r.Rewrite.Rule.name) ]
-                    "search.truncated"
-              end;
-              List.rev acc
-            end
-            else
-              match at_kth ~rmask r k with
-              | Some hq' -> collect (k + 1) ((r.Rewrite.Rule.name, hq') :: acc)
-              | None -> List.rev acc
-          in
-          let found = collect 0 [] in
-          note_rule_successors r (List.length found);
-          found)
-      fun_rules
+  let visited = ref 0 in
+  let mask = d.Rewrite.Engine.mask in
+  let visible heads = mask = 0 || heads land mask <> 0 in
+  (* [k] rebuilds the body around a replacement for the node *)
+  let rec walk_f (f : Hc.fnode) k =
+    if visible f.Hc.fheads then begin
+      incr visited;
+      List.iter
+        (fun (i, f') -> record i (fun () -> k f'))
+        (firings m m.funcs f.Hc.fid (Rewrite.Engine.offered_func d f) (fun i ->
+             Rewrite.Rule.apply_func ?schema rules.(i) f));
+      match f.Hc.fshape with
+      | Hc.HId | Hc.HPi1 | Hc.HPi2 | Hc.HPrim _ | Hc.HFlat | Hc.HSng
+      | Hc.HArith _ | Hc.HAgg _ | Hc.HSetop _ | Hc.HKf _ | Hc.HFhole _ ->
+        ()
+      | Hc.HCompose (a, b) ->
+        walk_f a (fun a' -> k (Hc.compose a' b));
+        walk_f b (fun b' -> k (Hc.compose a b'))
+      | Hc.HPairf (a, b) ->
+        walk_f a (fun a' -> k (Hc.pairf a' b));
+        walk_f b (fun b' -> k (Hc.pairf a b'))
+      | Hc.HTimes (a, b) ->
+        walk_f a (fun a' -> k (Hc.times a' b));
+        walk_f b (fun b' -> k (Hc.times a b'))
+      | Hc.HNest (a, b) ->
+        walk_f a (fun a' -> k (Hc.nest a' b));
+        walk_f b (fun b' -> k (Hc.nest a b'))
+      | Hc.HUnnest (a, b) ->
+        walk_f a (fun a' -> k (Hc.unnest a' b));
+        walk_f b (fun b' -> k (Hc.unnest a b'))
+      | Hc.HCf (a, v) -> walk_f a (fun a' -> k (Hc.cf a' v))
+      | Hc.HCon (p, a, b) ->
+        walk_p p (fun p' -> k (Hc.con p' a b));
+        walk_f a (fun a' -> k (Hc.con p a' b));
+        walk_f b (fun b' -> k (Hc.con p a b'))
+      | Hc.HIterate (p, a) ->
+        walk_p p (fun p' -> k (Hc.iterate p' a));
+        walk_f a (fun a' -> k (Hc.iterate p a'))
+      | Hc.HIter (p, a) ->
+        walk_p p (fun p' -> k (Hc.iter p' a));
+        walk_f a (fun a' -> k (Hc.iter p a'))
+      | Hc.HJoin (p, a) ->
+        walk_p p (fun p' -> k (Hc.join p' a));
+        walk_f a (fun a' -> k (Hc.join p a'))
+    end
+  and walk_p (p : Hc.pnode) k =
+    if visible p.Hc.pheads then begin
+      incr visited;
+      List.iter
+        (fun (i, p') -> record i (fun () -> k p'))
+        (firings m m.preds p.Hc.pid (Rewrite.Engine.offered_pred d p) (fun i ->
+             Rewrite.Rule.apply_pred ?schema rules.(i) p));
+      match p.Hc.pshape with
+      | Hc.HEq | Hc.HLeq | Hc.HGt | Hc.HIn | Hc.HPrimp _ | Hc.HKp _
+      | Hc.HPhole _ -> ()
+      | Hc.HOplus (q, f) ->
+        walk_p q (fun q' -> k (Hc.oplus q' f));
+        walk_f f (fun f' -> k (Hc.oplus q f'))
+      | Hc.HAndp (q, r) ->
+        walk_p q (fun q' -> k (Hc.andp q' r));
+        walk_p r (fun r' -> k (Hc.andp q r'))
+      | Hc.HOrp (q, r) ->
+        walk_p q (fun q' -> k (Hc.orp q' r));
+        walk_p r (fun r' -> k (Hc.orp q r'))
+      | Hc.HInv q -> walk_p q (fun q' -> k (Hc.inv q'))
+      | Hc.HConv q -> walk_p q (fun q' -> k (Hc.conv q'))
+      | Hc.HCp (q, v) -> walk_p q (fun q' -> k (Hc.cp q' v))
+    end
   in
-  from_query_rules @ from_fun_rules
+  if Array.length rules > 0 then walk_f hq.Hc.hbody Fun.id;
+  Telemetry.count ~n:!visited "search.positions";
+  let heads = hq.Hc.hbody.Hc.fheads in
+  let from_node_rules =
+    List.concat
+      (List.mapi
+         (fun i r ->
+           if not (Rewrite.Rule.mask_may_fire heads r) then []
+           else begin
+             if counts.(i) > cap then begin
+               truncated := true;
+               if Telemetry.enabled () then
+                 Telemetry.instant
+                   ~args:[ ("rule", r.Rewrite.Rule.name) ]
+                   "search.truncated"
+             end;
+             note_rule_successors r (min counts.(i) cap);
+             List.rev_map
+               (fun rebuild ->
+                 (r.Rewrite.Rule.name, { hq with Hc.hbody = rebuild () }))
+               found.(i)
+           end)
+         (Array.to_list rules))
+  in
+  from_query_rules @ from_node_rules
 
-let successors ?schema ?(max_positions = 64) (rules : Rewrite.Rule.t list)
-    (q : Term.query) : (string * Term.query) list =
+let successors_with ?(max_positions = 64) en (q : Term.query) :
+    (string * Term.query) list =
   List.map
-    (fun (name, hq) -> (name, Term.Hc.to_query hq))
-    (enumerate ?schema ~max_positions ~truncated:(ref false) rules
-       (Term.Hc.of_query q))
+    (fun (name, hq) -> (name, Hc.to_query hq))
+    (enumerate en ~max_positions ~truncated:(ref false) (Hc.of_query q))
+
+let successors ?schema ?max_positions rules q =
+  successors_with ?max_positions (enumerator ?schema rules) q
 
 type state = {
   query : Term.query;
@@ -229,6 +389,10 @@ type outcome = {
   memo_hits : int;
       (** sub-evaluations answered from this exploration's sub-plan memo *)
   memo_stored : int;    (** entries stored in that memo *)
+  rule_tries : int;
+      (** rules tried at a node root while enumerating successors *)
+  rule_memo_hits : int;
+      (** nodes whose rule results the enumeration memo answered *)
   seen_states : int;    (** distinct states (dedup classes) recorded *)
   intern_hits : int;    (** intern-table hits during this exploration *)
   intern_misses : int;  (** nodes freshly interned during this exploration *)
@@ -264,8 +428,8 @@ type istate = { ihq : Term.Hc.hquery; rev_path : string list; icost : float }
    own [tally] (the cache may be shared with concurrent searches); intern
    counters are deltas against the snapshot taken when the search
    began. *)
-let outcome_of ?saturation ~(tally : Cost.tally) ~(istats0 : Hashcons.stats)
-    ~seen_states ~best ~expanded ~stop () =
+let outcome_of ?saturation ?(enumeration = (0, 0)) ~(tally : Cost.tally)
+    ~(istats0 : Hashcons.stats) ~seen_states ~best ~expanded ~stop () =
   let istats1 = Term.Hc.intern_counters () in
   let intern_hits = istats1.Hashcons.hits - istats0.Hashcons.hits
   and intern_misses = istats1.Hashcons.misses - istats0.Hashcons.misses in
@@ -285,6 +449,8 @@ let outcome_of ?saturation ~(tally : Cost.tally) ~(istats0 : Hashcons.stats)
     cache_cuts = tally.Cost.cuts;
     memo_hits = tally.Cost.memo_hits;
     memo_stored = tally.Cost.memo_stored;
+    rule_tries = fst enumeration;
+    rule_memo_hits = snd enumeration;
     seen_states;
     intern_hits;
     intern_misses;
@@ -373,7 +539,7 @@ let expand_level ~pool ~over ~hit_deadline ~expand ~merge batch =
 
 (* Enumerate the successors of [hq] not yet recorded in [seen], each with
    its query key; the flag reports position-cap truncation. *)
-let fresh_successors ~config ~seen hq =
+let fresh_successors ~en ~config ~seen hq =
   let truncated = ref false in
   let fresh =
     List.filter_map
@@ -384,8 +550,7 @@ let fresh_successors ~config ~seen hq =
           None
         end
         else Some (rule_name, hq', key))
-      (enumerate ~max_positions:config.max_positions ~truncated config.rules
-         hq)
+      (enumerate en ~max_positions:config.max_positions ~truncated hq)
   in
   (fresh, !truncated)
 
@@ -396,6 +561,7 @@ let explore_bfs ~config (q : Term.query) : outcome =
   let tally = Cost.tally () in
   let session = Eval.session () in
   let istats0 = Term.Hc.intern_counters () in
+  let en = enumerator config.rules in
   let seen = Term.Hc.Qtable.create 256 in
   let truncated = ref false in
   let over = deadline_check config in
@@ -412,7 +578,7 @@ let explore_bfs ~config (q : Term.query) : outcome =
   in
   let expanded = ref 0 in
   let exhausted = ref true in
-  let expand st = fresh_successors ~config ~seen st.ihq in
+  let expand st = fresh_successors ~en ~config ~seen st.ihq in
   let rec level states depth =
     if depth < config.max_depth && states <> [] && not !hit_deadline then begin
       let n = List.length states in
@@ -481,7 +647,7 @@ let explore_bfs ~config (q : Term.query) : outcome =
   in
   level [ !best ] 0;
   if !truncated then exhausted := false;
-  outcome_of ~tally ~istats0
+  outcome_of ~tally ~istats0 ~enumeration:(enumeration_counts en)
     ~seen_states:(Term.Hc.Qtable.length seen)
     ~best:!best ~expanded:!expanded
     ~stop:(stop_of ~hit_deadline:!hit_deadline ~exhausted:!exhausted) ()
@@ -612,6 +778,7 @@ let explore ?(config = default_config) (q : Term.query) : outcome =
 let reaches_bfs ~config (q : Term.query) (target : Term.query) :
     string list option =
   let pool = pool_of config in
+  let en = enumerator config.rules in
   let seen = Term.Hc.Qtable.create 256 in
   let over = deadline_check config in
   let hit_deadline = ref false in
@@ -623,7 +790,7 @@ let reaches_bfs ~config (q : Term.query) (target : Term.query) :
   else begin
     let found = ref None in
     let expanded = ref 0 in
-    let expand (hq, _rev_path) = fst (fresh_successors ~config ~seen hq) in
+    let expand (hq, _rev_path) = fst (fresh_successors ~en ~config ~seen hq) in
     let rec level states depth =
       if
         depth < config.max_depth && states <> [] && !found = None
@@ -687,6 +854,7 @@ let reaches ?(config = default_config) (q : Term.query)
    fired at, until the list is exhausted at the target. *)
 let replay_names ~config q (target : Term.query) (names : string list) :
     (string * Term.query) list option =
+  let en = enumerator config.rules in
   let target_key = Term.Hc.query_key (Term.Hc.of_query target) in
   let rec go hq = function
     | [] -> if Term.Hc.query_key hq = target_key then Some [] else None
@@ -702,8 +870,8 @@ let replay_names ~config q (target : Term.query) (names : string list) :
                 (go hq' rest)
             else None)
         None
-        (enumerate ~max_positions:config.max_positions ~truncated:(ref false)
-           config.rules hq)
+        (enumerate en ~max_positions:config.max_positions ~truncated:(ref false)
+           hq)
   in
   go (Term.Hc.of_query q) names
 
@@ -737,8 +905,8 @@ let validate_path ?schema ?(rules = default_config.rules) (q : Term.query)
     let key = Term.Hc.query_key (Term.Hc.of_query dst) in
     List.exists
       (fun (_, hq2) -> Term.Hc.query_key hq2 = key)
-      (enumerate ?schema ~max_positions:max_int ~truncated:(ref false) [ r ]
-         (Term.Hc.of_query src))
+      (enumerate (enumerator ?schema [ r ]) ~max_positions:max_int
+         ~truncated:(ref false) (Term.Hc.of_query src))
   in
   let ok_step q (name, q') =
     match resolve_rule rules name with

@@ -11,8 +11,10 @@
     One BFS engine runs underneath (DESIGN.md, "Engine internals &
     performance" and "Parallel exploration").  States are hash-consed
     queries ({!Kola.Term.Hc}) deduplicated by {!Kola.Term.Hc.query_key};
-    successor enumeration prunes rules and subtrees through per-node head
-    bitmasks; costing is memoized across explorations ({!Cost.cache}),
+    successor enumeration walks each state once, trying at each node only
+    the rules its head dispatches to and remembering their results per
+    interned node ({!enumerator}); costing is memoized across
+    explorations ({!Cost.cache}),
     and every candidate one exploration costs shares a sub-plan memo
     ({!Kola.Eval.session}), so a successor re-runs only what its rewrite
     changed.
@@ -81,13 +83,35 @@ val resolved_jobs : config -> int
     with [0] (or negative) resolved to
     [Domain.recommended_domain_count ()]. *)
 
+type enumerator
+(** One search's successor enumerator for a rule list and schema: the
+    rules' head-dispatch table ({!Rewrite.Engine.dispatch}) and a memo of
+    each offered rule's result at the root of each interned node.  KOLA
+    terms have no variables, and a match reads only the node's own
+    structure (the matcher is head-strict and binds holes to the node's
+    subterms), so that result depends on the node alone; the schema is
+    fixed with the enumerator.  The memo keeps one table per domain, each bounded
+    (emptied when full) and dropped with the enumerator: every search
+    builds its own, so concurrent searches share none. *)
+
+val enumerator : ?schema:Kola.Schema.t -> Rewrite.Rule.t list -> enumerator
+
 val successors :
   ?schema:Kola.Schema.t ->
   ?max_positions:int ->
   Rewrite.Rule.t list -> Kola.Term.query -> (string * Kola.Term.query) list
 (** Every single-firing successor: each rule at each matching position, up
-    to [max_positions] positions per rule (default 64).  Enumerated on the
-    interned form, exactly as the search expands a state. *)
+    to [max_positions] positions per rule (default 64).  Query rules come
+    first, then function and predicate rules, each in list order; one
+    rule's successors follow its positions in preorder.  Enumerated on the
+    interned form by one walk of the body, exactly as the search expands
+    a state, on a fresh {!enumerator}. *)
+
+val successors_with :
+  ?max_positions:int ->
+  enumerator -> Kola.Term.query -> (string * Kola.Term.query) list
+(** {!successors} through the given enumerator, whose memo earlier calls
+    may have filled: the list is the same either way. *)
 
 type state = {
   query : Kola.Term.query;
@@ -118,6 +142,12 @@ type outcome = {
           costs); accounting only — at [jobs > 1] it depends on which
           domain costed which candidate *)
   memo_stored : int;  (** entries stored in that memo *)
+  rule_tries : int;
+      (** rules tried at the root of a node while enumerating successors
+          (query rules once per state); [0] under [Egraph] *)
+  rule_memo_hits : int;
+      (** nodes whose rule results the enumeration memo answered instead;
+          like [memo_hits], accounting only at [jobs > 1] *)
   seen_states : int;
       (** distinct states (dedup equivalence classes) recorded, including
           the start state *)

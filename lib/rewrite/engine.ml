@@ -29,12 +29,79 @@ type trace = step list
 type stats = { firings : int; attempts : int }
 type outcome = { query : query; trace : trace; stats : stats }
 
-let offered (r : Rule.t) (tgt : Strategy.target) =
+(* [r] is offered at a node of the given sort whose own head bit is
+   [bit] (0 for a hole). *)
+let offered_at (r : Rule.t) ~pred bit =
   let m = Rule.head_mask r in
-  match Rule.patterns r, tgt with
-  | Rule.Fun_pats _, Strategy.F f -> m = 0 || m = Hc.fshape_bit f.Hc.fshape
-  | Rule.Pred_pats _, Strategy.P p -> m = 0 || m = Hc.pshape_bit p.Hc.pshape
-  | _, _ -> false
+  (m = 0 || m = bit)
+  &&
+  match Rule.patterns r with
+  | Rule.Fun_pats _ -> not pred
+  | Rule.Pred_pats _ -> pred
+  | Rule.Query_pats _ -> false
+
+let offered r = function
+  | Strategy.F f -> offered_at r ~pred:false (Hc.fshape_bit f.Hc.fshape)
+  | Strategy.P p -> offered_at r ~pred:true (Hc.pshape_bit p.Hc.pshape)
+
+(* Function and predicate rules fire only inside subtrees whose head
+   bitmask shares a bit with the OR of their head masks; a hole-rooted
+   pattern may fire at any node, and then nothing is pruned (0). *)
+let prune_mask node_rules =
+  let masks = List.map Rule.head_mask node_rules in
+  if List.mem 0 masks then 0 else List.fold_left ( lor ) 0 masks
+
+(* [offered] tabulated for a whole rule list.  A node's head bit is 0 (a
+   hole) or one of the 32 powers of two below 2^32; 2 is a primitive
+   root modulo 37, so [bit mod 37] gives each of those 33 values its own
+   slot. *)
+type dispatch = {
+  rules : Rule.t array;
+  fslots : int array array;
+  pslots : int array array;
+  mask : int;
+}
+
+let slot bit = bit mod 37
+let func_bits = 0 :: List.init 20 (fun i -> 1 lsl i)
+let pred_bits = 0 :: List.init 12 (fun i -> 1 lsl (20 + i))
+
+(* A rule with head mask [m <> 0] can only be offered at nodes whose bit
+   is [m]; a hole-rooted one is tried against every bit of both sorts. *)
+let dispatch rules =
+  let rules = Array.of_list rules in
+  let fslots = Array.make 37 [] and pslots = Array.make 37 [] in
+  for i = Array.length rules - 1 downto 0 do
+    let r = rules.(i) in
+    let m = Rule.head_mask r in
+    List.iter
+      (fun (slots, pred, bits) ->
+        List.iter
+          (fun bit ->
+            if offered_at r ~pred bit then
+              slots.(slot bit) <- i :: slots.(slot bit))
+          (if m = 0 then bits else [ m ]))
+      [ (fslots, false, func_bits); (pslots, true, pred_bits) ]
+  done;
+  {
+    rules;
+    fslots = Array.map Array.of_list fslots;
+    pslots = Array.map Array.of_list pslots;
+    mask =
+      prune_mask
+        (List.filter
+           (fun r ->
+             match Rule.patterns r with
+             | Rule.Query_pats _ -> false
+             | Rule.Fun_pats _ | Rule.Pred_pats _ -> true)
+           (Array.to_list rules));
+  }
+
+let offered_func d (f : Hc.fnode) =
+  d.fslots.(slot (Hc.fshape_bit f.Hc.fshape))
+
+let offered_pred d (p : Hc.pnode) =
+  d.pslots.(slot (Hc.pshape_bit p.Hc.pshape))
 
 (* The first rule of [rules] that [apply] fires, counting each attempt. *)
 let first_firing ~counter rules apply =
@@ -60,9 +127,7 @@ let step_once ?schema ?(counter = ref 0) (rules : Rule.t list)
   | Some _ as res -> res
   | None when node_rules = [] -> None
   | None ->
-    (* A hole-rooted pattern may fire at any node: no pruning then. *)
-    let masks = List.map Rule.head_mask node_rules in
-    let mask = if List.mem 0 masks then 0 else List.fold_left ( lor ) 0 masks in
+    let mask = prune_mask node_rules in
     let named = ref "" in
     let at_node tgt =
       Telemetry.count "engine.positions";

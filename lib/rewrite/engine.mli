@@ -34,6 +34,30 @@ val offered : Rule.t -> Strategy.target -> bool
     at predicate nodes, when the pattern's {!Rule.head_mask} is [0] (a
     hole) or the node's own shape bit. *)
 
+(** {!offered} tabulated once for a rule list, so a walk that visits many
+    nodes looks a node's rules up instead of filtering the list. *)
+type dispatch = private {
+  rules : Rule.t array;  (** the list, in order *)
+  fslots : int array array;
+  pslots : int array array;
+      (** per head bit, the lists {!offered_func} and {!offered_pred}
+          read *)
+  mask : int;
+      (** the OR of the function and predicate rules' head masks: only
+          subtrees whose head bitmask shares a bit with it hold a node
+          some rule is offered at.  [0] when a hole-rooted rule makes
+          every node a candidate, and when the list has no function or
+          predicate rule. *)
+}
+
+val dispatch : Rule.t list -> dispatch
+
+val offered_func : dispatch -> Kola.Term.Hc.fnode -> int array
+(** The indices into [rules], ascending, of the rules {!offered} at the
+    node. *)
+
+val offered_pred : dispatch -> Kola.Term.Hc.pnode -> int array
+
 val step_once :
   ?schema:Kola.Schema.t ->
   ?counter:int ref ->

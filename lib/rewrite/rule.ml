@@ -117,10 +117,15 @@ let check_preconditions schema t subst =
    every window of consecutive elements of the target's chain, and the
    instantiated right-hand side is spliced back in.  This mirrors the
    paper's reading of f1 ∘ f2 ∘ ... ∘ fn "without parentheses (exploiting
-   associativity)". *)
+   associativity)".
+
+   A match sends every non-hole pattern node to a target node with the
+   same head, so a pattern whose head bitmask has a bit the target's
+   lacks is refused before any walk. *)
 let apply_func ?(schema = Schema.paper) t (f : Hc.fnode) =
   match patterns t with
   | Pred_pats _ | Query_pats _ -> None
+  | Fun_pats (lhs, _) when lhs.Hc.fheads land lnot f.Hc.fheads <> 0 -> None
   | Fun_pats (lhs, rhs) -> (
     match lhs.Hc.fshape, f.Hc.fshape with
     | Hc.HCompose _, Hc.HCompose _ ->
@@ -134,22 +139,32 @@ let apply_func ?(schema = Schema.paper) t (f : Hc.fnode) =
         if n = 0 then xs
         else match xs with [] -> [] | _ :: rest -> drop (n - 1) rest
       in
-      (* Try every window of ≥ 2 consecutive chain elements, leftmost and
-         shortest first, matched as element lists (no window node is
-         built); Match.chain_match handles absorption within the window. *)
-      let rec try_at i len =
-        if i + 2 > n then None
-        else if i + len > n then try_at (i + 1) 2
+      (* Every pattern element matches one target element and a bare hole
+         one or more, so a window is never shorter than the pattern chain,
+         and longer only when a hole can absorb the difference. *)
+      let shortest = List.length lparts in
+      let absorbs =
+        List.exists
+          (fun p -> match p.Hc.fshape with Hc.HFhole _ -> true | _ -> false)
+          lparts
+      in
+      (* Try every window that can match, leftmost and shortest first,
+         matched as element lists (no window node is built);
+         Match.chain_match handles absorption within the window.
+         [suffix] is [tparts] from element [i] on. *)
+      let rec try_at i suffix len =
+        if i + shortest > n then None
+        else if i + len > n || (len > shortest && not absorbs) then
+          try_at (i + 1) (List.tl suffix) shortest
         else
-          let window = take len (drop i tparts) in
-          match Match.chain_match Subst.empty lparts window with
+          match Match.chain_match Subst.empty lparts (take len suffix) with
           | Some subst when check_preconditions schema t subst ->
             let rhs' = Hc.unchain (Subst.apply_func subst rhs) in
-            let parts' = take i tparts @ rhs' @ drop (i + len) tparts in
+            let parts' = take i tparts @ rhs' @ drop len suffix in
             Some (Hc.chain parts')
-          | _ -> try_at i (len + 1)
+          | _ -> try_at i suffix (len + 1)
       in
-      try_at 0 2
+      try_at 0 tparts shortest
     | _ -> (
       match Match.func Subst.empty lhs f with
       | Some subst when check_preconditions schema t subst ->
@@ -159,6 +174,7 @@ let apply_func ?(schema = Schema.paper) t (f : Hc.fnode) =
 (* Apply [t] at the root of a predicate term. *)
 let apply_pred ?(schema = Schema.paper) t (p : Hc.pnode) =
   match patterns t with
+  | Pred_pats (lhs, _) when lhs.Hc.pheads land lnot p.Hc.pheads <> 0 -> None
   | Pred_pats (lhs, rhs) -> (
     match Match.pred Subst.empty lhs p with
     | Some subst when check_preconditions schema t subst ->

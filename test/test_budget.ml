@@ -233,7 +233,7 @@ let same_cost (a : Cost.t) (b : Cost.t) =
 
 let same_run a b =
   match (a, b) with
-  | Done (v, c), Done (v', c') -> deep_equal v v' && same_cost c c'
+  | Done (v, c), Done (v', c') -> Value.deep_equal v v' && same_cost c c'
   | Cut c, Cut c' -> same_cost c c'
   | Failed, Failed -> true
   | (Done _ | Cut _ | Failed), _ -> false
@@ -361,6 +361,8 @@ let memo_tests =
         Alcotest.(check bool) "rows, then copies, through every successor" true
           (Option.is_some (memo_agrees stale_db (candidates q))));
     case "sub-plan memo: KG1's BFS session counts at jobs 1" (fun () ->
+        (* the enumeration memo's counts sit beside the sub-plan memo's:
+           rule tries run, and nodes whose rule results were remembered *)
         let config =
           {
             Search.default_config with
@@ -371,7 +373,9 @@ let memo_tests =
         let o = Search.explore ~config Paper.kg1 in
         Alcotest.(check (float 0.)) "best cost" 3040.1 (Float.round (o.Search.best.Search.cost *. 10.) /. 10.);
         Alcotest.(check (pair int int)) "memo hits and stored entries"
-          (61_767, 7_567) (o.Search.memo_hits, o.Search.memo_stored));
+          (61_767, 7_567) (o.Search.memo_hits, o.Search.memo_stored);
+        Alcotest.(check (pair int int)) "rule tries and enumeration memo hits"
+          (26_825, 9_677) (o.Search.rule_tries, o.Search.rule_memo_hits));
   ]
 
 let tests =

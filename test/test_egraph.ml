@@ -44,6 +44,28 @@ let masked_chain =
        ])
     (Value.Named "P")
 
+(* Every node shape with children, with rule r2 (id ∘ f → f) firing in
+   each child, so a walk that visits one shape's children out of order
+   lists some of r2's positions out of order. *)
+let every_shape =
+  let open Term in
+  let l = Compose (Id, Pi1) and r = Compose (Id, Pi2) in
+  let pl = Oplus (Eq, l) and pr = Oplus (Leq, r) in
+  Term.query
+    (Term.chain
+       [
+         Con (Andp (Kp true, pl), l, r);
+         Iterate (Orp (Inv pl, pr), l);
+         Iter (Andp (pl, Cp (Conv pr, Value.Int 3)), r);
+         Join (Oplus (pl, r), l);
+         Nest (l, r);
+         Unnest (l, r);
+         Times (l, r);
+         Cf (l, Value.Int 1);
+         Pairf (l, r);
+       ])
+    (Value.Named "P")
+
 (* The unpruned oracle for [Search.successors]: query rules first, then
    every function and predicate rule at each of its first [max_positions]
    positions, found by an unmasked [once_topdown] with a skip counter — no
@@ -544,6 +566,61 @@ let tests =
         List.iter
           (fun (name, q) -> check name 64 q)
           [ ("T1K", Paper.t1k_source); ("K4", Paper.k4); ("KG1", Paper.kg1) ]);
+    case
+      "one-walk successors match the skip-counter oracle on 200 seeds, cold \
+       and warm"
+      (fun () ->
+        (* Each seed's plan (and [every_shape], as seed -1) and every one
+           of its successors, at each cap: once through a fresh
+           enumerator, once through one whose memo the seed's earlier
+           states (at every cap) have filled. *)
+        let printed = List.map (fun (r, q) -> (r, Pretty.query_to_string q)) in
+        let caps = [ 0; 1; 2; 3; 64 ] in
+        for seed = -1 to 199 do
+          let q0 =
+            if seed < 0 then every_shape
+            else Translate.Compile.query (Datagen.Queries.query ~seed ~depth:2)
+          in
+          let warm = Search.enumerator Rules.Catalog.all in
+          List.iter
+            (fun q ->
+              List.iter
+                (fun mp ->
+                  let at what = Fmt.str "seed %d, cap %d: %s" seed mp what in
+                  let oracle =
+                    printed
+                      (unpruned_successors ~max_positions:mp Rules.Catalog.all q)
+                  in
+                  Alcotest.(check (list (pair string string)))
+                    (at "cold memo") oracle
+                    (printed
+                       (Search.successors ~max_positions:mp Rules.Catalog.all
+                          q));
+                  Alcotest.(check (list (pair string string)))
+                    (at "warm memo") oracle
+                    (printed (Search.successors_with ~max_positions:mp warm q)))
+                caps)
+            (q0 :: List.map snd (Search.successors Rules.Catalog.all q0))
+        done);
+    case "validate_path accepts K4's 222-step e-graph derivation" (fun () ->
+        (* [validate_path] enumerates uncapped ([max_positions = max_int]),
+           which an enumerator computing the cap plus one would wrap to a
+           negative cap that finds no firing *)
+        let o = Search.explore ~config:(ecfg ()) Paper.k4 in
+        let sp = saturate ~rules:Rules.Catalog.all Paper.k4 in
+        match
+          Saturate.path_to sp
+            (Saturate.wterm_of_query
+               (Term.Hc.of_query o.Search.best.Search.query))
+        with
+        | None -> Alcotest.fail "K4's best plan is not in the source's class"
+        | Some steps ->
+          Alcotest.(check int) "the explored derivation" 222
+            (List.length steps);
+          Alcotest.(check (list string)) "the outcome's path"
+            o.Search.best.Search.path (List.map fst steps);
+          Alcotest.(check bool) "every step validates" true
+            (Search.validate_path Paper.k4 steps));
   ]
 
 let props =

@@ -577,7 +577,27 @@ let qcheck_props =
   in
   [ random_plan; frontier_plan ]
 
+(* [Exec.agree] is the oracle equivalence every differential above
+   relies on. *)
+let agree_tests =
+  [
+    case "agree rejects a stale copy that Value.equal accepts" (fun () ->
+        let person name =
+          Value.obj ~cls:"Person" ~oid:1 [ ("name", Value.str name) ]
+        in
+        let row = Value.set [ Value.pair (person "p1") (Value.int 3) ]
+        and stale = Value.set [ Value.pair (person "stale") (Value.int 3) ] in
+        Alcotest.(check bool) "Value.equal sees one identity" true
+          (Value.equal row stale);
+        Alcotest.(check bool) "agree compares the fields" false
+          (Exec.agree ~db:tiny_db row stale);
+        Alcotest.(check bool) "agree accepts the same copy" true
+          (Exec.agree ~db:tiny_db row
+             (Value.set [ Value.pair (person "p1") (Value.int 3) ])))
+  ]
+
 let tests =
   stage_tests @ nested_tests @ paper_tests @ membership_tests @ company_tests
   @ fallback_tests
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) qcheck_props
+  @ agree_tests

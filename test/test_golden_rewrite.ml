@@ -451,4 +451,38 @@ let tests =
               Rules.Catalog.all)
           nodes;
         Alcotest.(check bool) "some rule fires somewhere" true (!fired > 0));
+    case "the dispatch table lists exactly the rules offered at each node"
+      (fun () ->
+        (* the catalog, a query rule among them, plus r1 read backwards
+           (?f → ?f ∘ id): a hole-rooted rule offered at every function
+           node, holes included *)
+        let rules =
+          Rules.Catalog.all
+          @ [ Rewrite.Rule.flip (List.hd (Rules.Catalog.rules [ "r1" ])) ]
+        in
+        let d = Engine.dispatch rules in
+        let nodes =
+          Strategy.F (Hc.fhole "f")
+          :: Strategy.P (Hc.phole "p")
+          :: List.concat_map
+               (fun q -> subterms (Hc.of_query q).Hc.hbody)
+               (List.map snd paper_queries
+               @ List.map (fun seed -> random_query seed 3) seeds)
+        in
+        List.iter
+          (fun tgt ->
+            let want =
+              List.concat
+                (List.mapi
+                   (fun i r -> if Engine.offered r tgt then [ i ] else [])
+                   rules)
+            in
+            let got =
+              match tgt with
+              | Strategy.F f -> Engine.offered_func d f
+              | Strategy.P p -> Engine.offered_pred d p
+            in
+            Alcotest.(check (list int)) "the offered rules, in order" want
+              (Array.to_list got))
+          nodes);
   ]

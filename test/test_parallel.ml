@@ -308,4 +308,46 @@ let props =
         && seq.Search.stop = par.Search.stop);
   ]
 
-let tests = tests @ List.map (QCheck_alcotest.to_alcotest ~long:false) props
+(* The daemon runs jobs-1 searches on two workers at once. *)
+let concurrency_tests =
+  [
+    case "jobs-1 searches on two domains at once keep their outcomes"
+      (fun () ->
+        (* as the daemon's two workers run them: each search owns its
+           successor enumerator and sub-plan memo, and here its cost
+           cache, so neither moves the other *)
+        let run q =
+          Search.explore
+            ~config:
+              {
+                Search.default_config with
+                sample_db = cli_db;
+                cost_cache = Some (Cost.cache ());
+              }
+            q
+        in
+        let workloads = [ ("KG1", Paper.kg1); ("K4", Paper.k4) ] in
+        let sequential = List.map (fun (_, q) -> run q) workloads in
+        let concurrent =
+          List.map
+            (fun (_, q) -> Domain.spawn (fun () -> List.init 3 (fun _ -> run q)))
+            workloads
+          |> List.map Domain.join
+        in
+        List.iter2
+          (fun ((name, _), seq) runs ->
+            List.iteri
+              (fun i o ->
+                let name = Fmt.str "%s, concurrent run %d" name i in
+                check_same_outcome name seq o;
+                Alcotest.(check int) (name ^ ": cost evaluations")
+                  seq.Search.cache_misses o.Search.cache_misses)
+              runs)
+          (List.combine workloads sequential)
+          concurrent)
+  ]
+
+let tests =
+  tests
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) props
+  @ concurrency_tests

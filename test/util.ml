@@ -19,24 +19,6 @@ let cli_db = store ~people:40 ~vehicles:30 ~seed:42
 (* a small store on which generated queries cost in the tens to hundreds *)
 let seed_db = store ~people:12 ~vehicles:8 ~seed:7
 
-(* Field-by-field equality.  [Value.equal] (and so [Exec.agree])
-   compares objects by (cls, oid) only, so it cannot see an emitted object
-   that is the wrong copy: a column kernel that read the extent row where
-   the row path reads an embedded copy. *)
-let rec deep_equal (a : Value.t) (b : Value.t) =
-  match (a, b) with
-  | Value.Obj x, Value.Obj y ->
-    String.equal x.cls y.cls && x.oid = y.oid
-    && List.equal
-         (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && deep_equal v1 v2)
-         x.fields y.fields
-  | Value.Pair (a1, b1), Value.Pair (a2, b2) -> deep_equal a1 a2 && deep_equal b1 b2
-  | Value.Set xs, Value.Set ys
-  | Value.Bag xs, Value.Bag ys
-  | Value.List xs, Value.List ys ->
-    List.equal deep_equal xs ys
-  | _ -> Value.equal a b
-
 (* A paper-schema store whose set elements are stale copies (same
    identity, other fields than the extent row) or lie outside every
    extent.  Each stale object has one copy, used everywhere, so dedup
