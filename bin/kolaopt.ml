@@ -349,29 +349,6 @@ let search_cmd =
   let states =
     Arg.(value & opt int 2000 & info [ "states" ] ~doc:"State budget.")
   in
-  let jobs =
-    (* Validated at the cmdliner layer: negative counts are a usage error
-       rather than being silently resolved like 0 is.  The validator is
-       the daemon's (lib/server/protocol.ml), so CLI and wire requests
-       reject the same inputs with the same messages. *)
-    let nonneg =
-      let parse s =
-        match Arg.conv_parser Arg.int s with
-        | Ok n ->
-          Result.map_error
-            (fun m -> `Msg m)
-            (Kola_server.Protocol.nonneg_int ~what:"--jobs" n)
-        | Error _ as e -> e
-      in
-      Arg.conv ~docv:"JOBS" (parse, Arg.conv_printer Arg.int)
-    in
-    Arg.(
-      value & opt nonneg 1
-      & info [ "jobs" ] ~docv:"JOBS"
-          ~doc:
-            "Domains exploring each BFS level (1 = sequential; 0 = one per \
-             recommended core).  Outcomes are identical at every setting.")
-  in
   let engine =
     (* Validated at the cmdliner layer: an unknown engine is a usage error
        listing the accepted names, not a silent default. *)
@@ -444,7 +421,7 @@ let search_cmd =
              stop reason $(b,deadline).")
   in
   (* E-graph budget overrides.  Validated at the cmdliner layer like
-     --jobs: a non-positive budget is a usage error, not an instantly
+     --deadline: a non-positive budget is a usage error, not an instantly
      exhausted saturation.  Same validator as the daemon's
      "node_budget"/"iter_budget" request fields. *)
   let pos_int flag =
@@ -535,7 +512,7 @@ let search_cmd =
              by rule fingerprint and certifier version, so re-admitting an \
              unchanged pack is O(1).")
   in
-  let run src store depth states jobs engine trace stats deadline node_budget iter_budget paper rules_pack cert_cache =
+  let run src store depth states engine trace stats deadline node_budget iter_budget paper rules_pack cert_cache =
     handle_errors (fun () ->
         let { db; extents; _ } = store () in
         let q =
@@ -585,7 +562,6 @@ let search_cmd =
             max_depth = depth;
             max_states = states;
             sample_db = db;
-            jobs;
             deadline;
             egraph_budgets;
           }
@@ -596,9 +572,6 @@ let search_cmd =
         let tr =
           if collect then Some (Kola_telemetry.Telemetry.stop ()) else None
         in
-        (* Both engines fan work out over --jobs domains now: BFS its
-           level expansion, the e-graph its match phase. *)
-        Fmt.pr "domains: %d@." (Optimizer.Search.resolved_jobs config);
         (match o.Optimizer.Search.saturation with
         | Some s -> Fmt.pr "saturation: %a@." Kola_egraph.Saturate.pp_stats s
         | None -> ());
@@ -655,7 +628,7 @@ let search_cmd =
     (Cmd.info "search"
        ~doc:"Optimize by bounded exploration of the rewrite space.")
     Term.(
-      const run $ query_opt $ schema_store_term $ depth $ states $ jobs $ engine
+      const run $ query_opt $ schema_store_term $ depth $ states $ engine
       $ trace $ stats $ deadline $ node_budget $ iter_budget $ paper
       $ rules_pack $ cert_cache)
 

@@ -173,7 +173,9 @@ let request_cmd =
       value
       & opt (some (nonneg_int "--jobs")) None
       & info [ "jobs" ] ~docv:"JOBS"
-          ~doc:"Domains for intra-request parallelism (serializes requests).")
+          ~doc:
+            "With --execute: domains the columnar executor fans morsels \
+             out over (such runs serialize behind a lease).")
   in
   let deadline =
     Arg.(

@@ -76,13 +76,14 @@ exception Over_budget
    - Second-touch admission: a node's first evaluation in a session only
      records its id; entries are stored from its second on, so nodes a
      session evaluates once never hold their intermediate results.
-   - Each domain has its own table, so the hot path takes no lock; a
-     table holds at most [memo_capacity] entries and is emptied when
-     full.  Failed and cut evaluations are never stored.
+   - A session holds at most [memo_capacity] entries and is emptied
+     when full.  Failed and cut evaluations are never stored.
+   - A session is one search's, used from the domain running it, so the
+     hot path takes no lock.
 
-   A table is valid for one database (by physical identity) and emptied
-   when used against another; the backend and the dedup discipline are
-   part of every key. *)
+   A session is valid for one database (by physical identity) and
+   emptied when used against another; the backend and the dedup
+   discipline are part of every key. *)
 
 let rec same a b =
   a == b
@@ -148,51 +149,37 @@ module IH = Hashtbl.Make (Int)
    predicate). *)
 type entry = { result : Value.t; dt : int; df : int; dp : int }
 
-type table = {
+type session = {
   entries : entry KH.t;
   touched : unit IH.t;
   mutable filled_for : (string * Value.t) list option;
 }
 
-type session = { lock : Mutex.t; mutable tables : (int * table) list }
-
-let session () = { lock = Mutex.create (); tables = [] }
+(* Small at first: a session that costs a few candidates should not
+   allocate its tables on the major heap. *)
+let session () =
+  { entries = KH.create 16; touched = IH.create 16; filled_for = None }
 
 let memo_capacity = 1 lsl 16
 
-(* One evaluation's view of its domain's table, with what it took from
-   and gave to it. *)
+(* One evaluation's view of its session, with what it took from and gave
+   to it. *)
 type memo = {
-  table : table;
+  table : session;
   ftag : int;
   ptag : int;
   mutable hits : int;
   mutable stored : int;
 }
 
-(* The calling domain's table, emptied when it was filled against
-   another database.  The lock is taken once per evaluation, never per
-   node. *)
-let table_for s ~db =
-  let d = (Domain.self () :> int) in
-  let t =
-    Mutex.protect s.lock @@ fun () ->
-    match List.assoc_opt d s.tables with
-    | Some t -> t
-    | None ->
-      (* small at first: a session that costs a few candidates should
-         not allocate its tables on the major heap *)
-      let t = { entries = KH.create 16; touched = IH.create 16; filled_for = None } in
-      s.tables <- (d, t) :: s.tables;
-      t
-  in
-  (match t.filled_for with
+(* Empty the session when it was filled against another database. *)
+let use_with s ~db =
+  match s.filled_for with
   | Some filled when filled == db -> ()
   | Some _ | None ->
-    KH.reset t.entries;
-    IH.reset t.touched;
-    t.filled_for <- Some db);
-  t
+    KH.reset s.entries;
+    IH.reset s.touched;
+    s.filled_for <- Some db
 
 type ctx = {
   db : (string * Value.t) list;
@@ -212,8 +199,9 @@ let ctx ?(db = []) ?(backend = Naive) ?(dedup = Eager) ?(budget = infinity)
           (match backend with Naive -> 0 | Hashed -> 2)
           + match dedup with Eager -> 0 | Deferred -> 1
         in
+        use_with s ~db;
         {
-          table = table_for s ~db;
+          table = s;
           ftag = setting;
           ptag = 4 + setting;
           hits = 0;

@@ -60,8 +60,9 @@ exception Over_budget
     weighted blend within the context's budget, so costs, cut points and
     partial counters are those of evaluating without a session, bit for
     bit.  An entry is stored from a node's second evaluation in the
-    session on; each domain fills its own bounded table, valid for one
-    database.  Failed and cut evaluations are never stored. *)
+    session on; a session is bounded and valid for one database.  Failed
+    and cut evaluations are never stored.  A session takes no lock: use
+    it from one domain at a time (a search builds its own). *)
 
 type session
 
@@ -77,7 +78,7 @@ type ctx = {
   budget : float;
       (** checked after every tuple charge and when {!run} finishes;
           [infinity] (the default) never cuts *)
-  memo : memo option;  (** the calling domain's table of a session *)
+  memo : memo option;  (** the context's view of its session *)
 }
 
 val ctx :

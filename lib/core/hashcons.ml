@@ -126,8 +126,8 @@ module Make (N : NODE) = struct
      to the locked path and re-probes — or the new one.  No value can be
      observed half-initialized.  [hits] is a plain counter bumped without
      the lock: increments lost under contention make the reported
-     sharing statistics approximate (never the interning itself); at
-     jobs = 1 they are exact. *)
+     sharing statistics approximate (never the interning itself); with
+     one domain interning they are exact. *)
   let intern t shape =
     let h = N.hash shape in
     let s = t.stripes.(positive h land t.stripe_mask) in

@@ -253,9 +253,8 @@ type match_inst = {
   mrhs : wterm;
 }
 
-(* One rule against one class.  Reads only — safe from pool domains
-   between rebuilds (after {!Graph.canonicalize}); telemetry records into
-   the calling domain's own buffer. *)
+(* One rule against one class.  Reads only, between rebuilds (after
+   {!Graph.canonicalize}). *)
 let matches_of_rule g schema (er : erule) (cls : int) : match_inst list =
   let module Telemetry = Kola_telemetry.Telemetry in
   if er.emask <> 0 && Graph.class_mask g cls land er.emask = 0 then []

@@ -39,9 +39,9 @@ type match_inst = {
 val matches_of_rule :
   Graph.t -> Kola.Schema.t -> erule -> int -> match_inst list
 (** One rule against one class: every precondition-passing instance.
-    Reads only — safe from pool domains between rebuilds.  Call it only
-    while the graph is unchanged since the last {!Graph.canonicalize}:
-    it walks {!Graph.match_view}, which raises otherwise. *)
+    Reads only.  Call it only while the graph is unchanged since the
+    last {!Graph.canonicalize}: it walks {!Graph.match_view}, which
+    raises otherwise. *)
 
 val matches_in_class :
   Graph.t -> Kola.Schema.t -> erule list -> int -> match_inst list

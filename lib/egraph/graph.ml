@@ -11,11 +11,9 @@
    edges recursively, lifting child rewrites through the parent operator —
    yielding a step-by-step derivation replayable against the BFS engine.
 
-   Mutation is single-domain: all writes (add_term, union, rebuild) come
-   from the controlling domain.  Between [canonicalize] and the next
-   mutation the structure is read-only — [find] is a bare array read —
-   so the saturation loop may fan match queries out over a domain pool
-   during that window. *)
+   A graph belongs to the domain that saturates it.  Between
+   [canonicalize] and the next mutation the classes do not change, and
+   the matcher reads each class through its [match_view]. *)
 
 open Lang
 
@@ -111,8 +109,7 @@ let iter_classes t f = Hashtbl.iter (fun root c -> f root c) t.classes
 let parents t i = (eclass t i).parents
 
 (* Live roots in ascending id order — a stable iteration order for the
-   match phase, independent of hash-table internals and of how the work
-   is later chunked across domains. *)
+   match phase, independent of hash-table internals. *)
 let class_roots t =
   List.sort compare (Hashtbl.fold (fun root _ acc -> root :: acc) t.classes [])
 
@@ -153,7 +150,6 @@ let first_of_each_key t (ns : enode list) : enode list =
     if List.compare_lengths kept ns = 0 then ns else kept
 
 let canonicalize t =
-  Uf.compress t.uf;
   let views = Array.make (Uf.length t.uf) [] in
   Hashtbl.iter
     (fun root c -> views.(root) <- first_of_each_key t c.nodes)

@@ -4,9 +4,9 @@
     Nieuwenhuis–Oliveras proof forest so every equality is explainable as
     a concrete rewrite derivation.
 
-    Mutation is single-domain.  Between {!canonicalize} and the next
-    mutation the structure is read-only — {!find} is a bare array read —
-    so match queries may fan out over a domain pool in that window. *)
+    A graph belongs to the domain that saturates it.  Between
+    {!canonicalize} and the next mutation the classes do not change, and
+    the matcher reads each class through its {!match_view}. *)
 
 open Lang
 
@@ -61,8 +61,7 @@ val iter_classes : t -> (int -> eclass -> unit) -> unit
 
 val class_roots : t -> int list
 (** Live roots in ascending id order — a stable iteration order for the
-    match phase, independent of hash-table internals and of how the work
-    is later chunked across domains. *)
+    match phase, independent of hash-table internals. *)
 
 val take_touched : t -> int list
 (** Roots (canonical) of every class changed — created or merged into —
@@ -70,9 +69,7 @@ val take_touched : t -> int list
     saturation loop's freshness stamps. *)
 
 val canonicalize : t -> unit
-(** Fully compress the union-find and build every class's {!match_view}:
-    until the next mutation, {!find} is a write-free array read, so the
-    graph may be shared read-only across domains. *)
+(** Build every class's {!match_view}, valid until the next mutation. *)
 
 val match_view : t -> int -> enode list
 (** The class's members with every later congruent copy dropped: the

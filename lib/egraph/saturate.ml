@@ -9,13 +9,7 @@
    batch.  Budgets bound e-nodes, iterations and wall-clock; the stop
    reason is always reported, never silent.
 
-   Four throughput levers, all outcome-preserving:
-
-   - Parallel e-matching.  Between rebuilds the graph is read-only (the
-     union-find is fully compressed first, so [find] writes nothing);
-     per-class match queries fan out over an optional domain pool and
-     merge back in class order, so unions apply in the same order as the
-     sequential loop and every stat is bit-identical at any jobs count.
+   Three throughput levers, all outcome-preserving:
 
    - Incremental matching.  Each class carries the iteration at which
      its reachable subgraph last changed (change stamps propagate to
@@ -29,7 +23,7 @@
      make its eventual re-run catch up on everything it missed.  Backoff
      is driven by the deterministic fresh-fire counters, not by the
      wall-clock match-time distributions (those still flow to telemetry):
-     outcomes must not depend on timer noise or the jobs count.  An
+     outcomes must not depend on timer noise.  An
      uneventful iteration only proves saturation if no rule was deferred;
      otherwise every rule is forced back in for one full round first.
 
@@ -43,7 +37,6 @@
 open Kola
 open Lang
 module Telemetry = Kola_telemetry.Telemetry
-module Pool = Kola_parallel.Pool
 
 type budgets = { max_enodes : int; max_iterations : int; max_millis : float }
 
@@ -154,8 +147,8 @@ type rsched = {
 let backoff_gate = 3
 let backoff_cap = 4
 
-let saturate ?(schema = Schema.paper) ?(budgets = default_budgets) ?pool
-    ?target ~rules (hq : Term.Hc.hquery) : space =
+let saturate ?(schema = Schema.paper) ?(budgets = default_budgets) ?target
+    ~rules (hq : Term.Hc.hquery) : space =
   Telemetry.span "egraph.saturate" @@ fun () ->
   (* Budgets and span timings run on the monotonic clock: a wall-clock
      (NTP) jump must neither trip nor stretch the time budget. *)
@@ -209,8 +202,6 @@ let saturate ?(schema = Schema.paper) ?(budgets = default_budgets) ?pool
   let timed_rebuild () =
     let r0 = Telemetry.now () in
     Graph.rebuild g;
-    (* Full union-find compression: [find] is a bare read until the next
-       mutation, so the match fan-out below shares the graph safely. *)
     Graph.canonicalize g;
     rebuild_ms := !rebuild_ms +. ((Telemetry.now () -. r0) *. 1000.)
   in
@@ -218,10 +209,6 @@ let saturate ?(schema = Schema.paper) ?(budgets = default_budgets) ?pool
   (* The initial classes carry stamp 0 (the table's default) and every
      rule has last_run 0, so iteration 1 matches everything. *)
   ignore (Graph.take_touched g);
-  let fan_out : 'a. (int -> 'a) -> int array -> 'a array =
-   fun f arr ->
-    match pool with Some p -> Pool.map p f arr | None -> Array.map f arr
-  in
   let target_found () =
     match tcls with
     | Some c -> Graph.find g c = Graph.find g root
@@ -249,9 +236,8 @@ let saturate ?(schema = Schema.paper) ?(budgets = default_budgets) ?pool
       let deferred = n_rules - List.length scheduled in
       rules_deferred := !rules_deferred + deferred;
       (* Matches are collected against the graph as it stood at the start
-         of the iteration — sorted class order, so the later merge (and
-         hence union order) is independent of chunking — then applied in
-         one batch. *)
+         of the iteration, in sorted class order, then applied in one
+         batch. *)
       let classes = Array.of_list (Graph.class_roots g) in
       let max_stamp =
         Array.fold_left (fun acc c -> max acc (stamp_of c)) 0 classes
@@ -275,53 +261,40 @@ let saturate ?(schema = Schema.paper) ?(budgets = default_budgets) ?pool
         done;
         a
       in
-      (* The deadline is re-checked per class: one iteration over a large
-         graph can dwarf the whole budget, and a trip mid-match must not
-         stretch the run to the iteration boundary. *)
-      let deadline_hit = Atomic.make false in
-      let work cls =
-        if Atomic.get deadline_hit then ([], 0)
-        else if out_of_time () then begin
-          Atomic.set deadline_hit true;
-          ([], 0)
-        end
-        else begin
-          let stamp = stamp_of cls in
-          let skipped = ref 0 in
-          let insts =
-            List.concat_map
-              (fun sc ->
-                if stamp >= sc.last_run then
-                  Ematch.matches_of_rule g schema sc.sr cls
-                else begin
-                  incr skipped;
-                  []
-                end)
-              scheduled
-          in
-          (insts, !skipped)
-        end
-      in
-      let results = fan_out work classes in
-      (* Merge in class order; dedup against every earlier iteration.
+      (* Match class by class; dedup against every earlier iteration.
          [fresh_by_rule] feeds the scheduler: it marks rules that fired
-         at least one instance not seen before. *)
+         at least one instance not seen before.  The deadline is
+         re-checked per class: one iteration over a large graph can dwarf
+         the whole budget, and a trip mid-match must not stretch the run
+         to the iteration boundary. *)
       let fresh_by_rule = Array.make n_rules false in
       let fresh = ref [] in
+      let deadline_hit = ref false in
+      let keep (m : Ematch.match_inst) =
+        let key = (m.mrule.Ematch.ename, wkey m.mlhs, wkey m.mrhs) in
+        if not (Seen.mem seen key) then begin
+          Seen.replace seen key ();
+          fresh_by_rule.(m.mrule.Ematch.eid) <- true;
+          fresh := m :: !fresh
+        end
+      in
       Array.iter
-        (fun (insts, skipped) ->
-          instances := !instances + List.length insts;
-          matches_skipped := !matches_skipped + skipped;
-          List.iter
-            (fun (m : Ematch.match_inst) ->
-              let key = (m.mrule.Ematch.ename, wkey m.mlhs, wkey m.mrhs) in
-              if not (Seen.mem seen key) then begin
-                Seen.replace seen key ();
-                fresh_by_rule.(m.mrule.Ematch.eid) <- true;
-                fresh := m :: !fresh
-              end)
-            insts)
-        results;
+        (fun cls ->
+          if !deadline_hit then ()
+          else if out_of_time () then deadline_hit := true
+          else begin
+            let stamp = stamp_of cls in
+            List.iter
+              (fun sc ->
+                if stamp >= sc.last_run then begin
+                  let insts = Ematch.matches_of_rule g schema sc.sr cls in
+                  instances := !instances + List.length insts;
+                  List.iter keep insts
+                end
+                else incr matches_skipped)
+              scheduled
+          end)
+        classes;
       let fresh = List.rev !fresh in
       let hit_node_budget = ref false in
       List.iter
@@ -380,7 +353,7 @@ let saturate ?(schema = Schema.paper) ?(budgets = default_budgets) ?pool
               ("matches_skipped", string_of_int !matches_skipped);
             ]
           "egraph.iteration";
-      if Atomic.get deadline_hit then
+      if !deadline_hit then
         stop := Some (if target_found () then Target_found else Time_budget)
       else if !hit_node_budget then stop := Some Node_budget
       else if

@@ -3,15 +3,13 @@
     questions by extraction and equivalence questions by same-class
     checks.
 
-    Four throughput levers, all outcome-preserving: parallel e-matching
-    (per-class queries fan out over an optional domain pool and merge
-    back in class order, so every stat is bit-identical at any jobs
-    count), incremental matching (freshness stamps skip (rule, class)
-    pairs unchanged since the rule's last run), deterministic rule
-    scheduling (rules that fired before but now run fruitlessly back off
-    exponentially, capped and never excluded), and matching each
-    canonical e-node once ({!Graph.match_view} drops congruent copies,
-    which only repeat their first twin's matches). *)
+    Three throughput levers, all outcome-preserving: incremental
+    matching (freshness stamps skip (rule, class) pairs unchanged since
+    the rule's last run), deterministic rule scheduling (rules that fired
+    before but now run fruitlessly back off exponentially, capped and
+    never excluded), and matching each canonical e-node once
+    ({!Graph.match_view} drops congruent copies, which only repeat their
+    first twin's matches). *)
 
 open Kola
 open Lang
@@ -66,15 +64,12 @@ val query_of_wterm : wterm -> Term.query option
 val saturate :
   ?schema:Schema.t ->
   ?budgets:budgets ->
-  ?pool:Kola_parallel.Pool.t ->
   ?target:Term.Hc.hquery ->
   rules:Rewrite.Rule.t list ->
   Term.Hc.hquery ->
   space
-(** Saturate from the source query (and target, when posed).  With
-    [?pool] the match phase fans out across its domains; outcomes —
-    unions, stats, extraction — are bit-identical with or without a
-    pool, at any pool size.  Budgets bound e-nodes, iterations and
+(** Saturate from the source query (and target, when posed), on the
+    calling domain.  Budgets bound e-nodes, iterations and
     wall-clock on the monotonic clock; the stop reason is always
     reported, never silent. *)
 

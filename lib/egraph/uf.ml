@@ -50,16 +50,6 @@ let find t i =
 
 let same t a b = find t a = find t b
 
-(* Point every element directly at its root.  Afterwards [find] is a
-   single array read that writes nothing (the compression loop exits
-   immediately), so a read-only phase — parallel e-matching between
-   rebuilds — can call it from several domains without racing on the
-   parent array. *)
-let compress t =
-  for i = 0 to t.len - 1 do
-    ignore (find t i)
-  done
-
 (* Union by rank; returns the surviving root.  No-op (returns the shared
    root) when the classes already coincide. *)
 let union t a b =

@@ -20,8 +20,3 @@ val same : t -> int -> int -> bool
 val union : t -> int -> int -> int
 (** Merge the two classes (by rank) and return the surviving root; when
     they already coincide, the shared root is returned unchanged. *)
-
-val compress : t -> unit
-(** Point every element directly at its root.  Afterwards [find] reads
-    one array slot and writes nothing, so finds may run concurrently
-    from several domains until the next [make]/[union]. *)

@@ -312,9 +312,8 @@ let memo_stored_counter = "cost.memo_stored"
 (* Weighted cost of [hq] on [db] under the default backend and [budget],
    paired with whether it is exact (false: cut, a lower bound).  Plans
    that fail to evaluate (e.g. ill-typed intermediate states) cost an
-   exact infinity — the convention search uses to prune them.  Both
-   exceptions stop here, so none crosses a pool domain.  Sub-evaluations
-   are shared through [session] when one is given. *)
+   exact infinity — the convention search uses to prune them.
+   Sub-evaluations are shared through [session] when one is given. *)
 let measure_weighted ?session ~budget ~db (hq : Term.Hc.hquery) : measured =
   let ctx = Eval.ctx ~db ~budget ?session () in
   let weight, exact =
@@ -325,14 +324,12 @@ let measure_weighted ?session ~budget ~db (hq : Term.Hc.hquery) : measured =
   in
   { weight; exact; memo_hits = Eval.memo_hits ctx; memo_stored = Eval.memo_stored ctx }
 
-(* Batch lookup for the level-synchronous search: probe every key
-   sequentially (counting hits), evaluate the misses through [map] — the
-   only step a caller parallelizes — then insert the results sequentially
-   in item order.  The evaluations themselves never touch the cache, so
-   with distinct keys the accounting is that of costing the items one by
-   one under the same budget. *)
-let weighted_memo_batch c ~db ?(map = Array.map) ?(budget = infinity)
-    ?(tally = tally ()) ?session
+(* Batch lookup for the search: probe every key (counting hits),
+   evaluate the misses, then insert the results in item order.  With
+   distinct keys the accounting is that of costing the items one by one
+   under the same budget. *)
+let weighted_memo_batch c ~db ?(budget = infinity) ?(tally = tally ())
+    ?session
     (items : ((int * int) * Term.Hc.hquery) array) : float array =
   QueryMemo.prepare c ~db;
   let out = Array.make (Array.length items) infinity in
@@ -345,9 +342,7 @@ let weighted_memo_batch c ~db ?(map = Array.map) ?(budget = infinity)
     items;
   let missing = Array.of_list (List.rev !missing) in
   let ms =
-    map
-      (fun hq -> measure_weighted ?session ~budget ~db hq)
-      (Array.map (fun (_, _, hq) -> hq) missing)
+    Array.map (fun (_, _, hq) -> measure_weighted ?session ~budget ~db hq) missing
   in
   let hits = ref 0 and stored = ref 0 in
   Array.iteri

@@ -115,14 +115,6 @@ val measure_exec :
 
 type cache
 
-type measured = {
-  weight : float;
-  exact : bool;  (** false: cut at the budget, [weight] a lower bound *)
-  memo_hits : int;  (** sub-evaluations answered from the session memo *)
-  memo_stored : int;  (** entries this evaluation added to the session memo *)
-}
-(** One evaluation run on a cache miss. *)
-
 type tally = {
   mutable hits : int;
   mutable misses : int;  (** evaluations run *)
@@ -176,24 +168,17 @@ val weighted_memo :
 val weighted_memo_batch :
   cache ->
   db:(string * Kola.Value.t) list ->
-  ?map:
-    ((Kola.Term.Hc.hquery -> measured) ->
-    Kola.Term.Hc.hquery array ->
-    measured array) ->
   ?budget:float ->
   ?tally:tally ->
   ?session:Kola.Eval.session ->
   ((int * int) * Kola.Term.Hc.hquery) array ->
   float array
-(** [weighted_memo_batch c ~db ~map ~budget items] costs a batch of
-    interned queries under one budget, each paired with its precomputed
+(** [weighted_memo_batch c ~db ~budget items] costs a batch of interned
+    queries under one budget, each paired with its precomputed
     {!Kola.Term.Hc.query_key}: keys the cache can answer are served from
-    it, the misses are evaluated through [map] (default [Array.map] —
-    pass a parallel map to evaluate them across domains; each evaluation
-    touches only its own domain's table of [session]), and the results
-    are inserted sequentially in item order.  The evaluations never touch
-    the cache, and when the item keys are distinct the accounting is
-    identical to calling {!weighted_memo} on each item in order.
+    it, the misses are evaluated, and the results are inserted in item
+    order.  When the item keys are distinct the accounting is identical
+    to calling {!weighted_memo} on each item in order under that budget.
     Duplicate keys in one batch are evaluated once per occurrence
     instead of hitting. *)
 

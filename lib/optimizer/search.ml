@@ -10,7 +10,7 @@
    motivation for rule blocks.  The ablation bench quantifies this.
 
    One BFS engine (see DESIGN.md, "Engine internals & performance" and
-   "Parallel exploration"): states are hash-consed queries, deduplicated
+   "Concurrency"): states are hash-consed queries, deduplicated
    by [Term.Hc.query_key]; successors are enumerated by one walk of each
    state, which tries only the rules a node's head dispatches to and
    remembers their results per interned node for the whole search, so a
@@ -18,21 +18,19 @@
    costing is memoized across
    explorations by the id-keyed {!Cost.cache}, and within one exploration
    every candidate is costed through one {!Eval.session}, so a successor
-   re-runs only the sub-plans its rewrite changed.  Each level runs in three
-   phases — fan-out, stable-order merge, batch costing — inline at
-   [jobs = 1] and across a Kola_parallel.Pool at [jobs > 1], so [best],
-   [path], [explored] and [stop] are bit-identical whatever the domain
-   count.
+   re-runs only the sub-plans its rewrite changed.  A search runs on the
+   domain that calls it; concurrent searches on other domains share only
+   the intern tables and the locked cost cache, never an enumerator or a
+   session.
 
    Costing is branch and bound (DESIGN.md, "Branch-and-bound costing"):
    a state's cost is only ever compared with the best so far, so each
-   batch is costed under the best cost at the batch's start, and a state
-   that runs past it is cut.  Its cost would exceed that best, so it
+   state's fresh successors are costed as one batch under the best cost
+   at the batch's start, and a state that runs past it is cut.  Its cost would exceed that best, so it
    could never have been chosen: outcomes are those of costing every
    state to the end. *)
 
 open Kola
-module Pool = Kola_parallel.Pool
 module Saturate = Kola_egraph.Saturate
 module Telemetry = Kola_telemetry.Telemetry
 
@@ -61,9 +59,6 @@ type config = {
   cost_cache : Cost.cache option;
       (** [None] uses a cache shared by every exploration *)
   sample_db : (string * Value.t) list;  (** database used for costing *)
-  jobs : int;
-      (** domains exploring each BFS level; 1 = inline, no pool,
-          0 = [Domain.recommended_domain_count ()] *)
   deadline : float option;
       (** wall-clock budget in seconds on the monotonic clock; when it
           expires the search stops gracefully and reports the best state
@@ -81,13 +76,8 @@ let default_config =
     max_positions = 64;
     cost_cache = None;
     sample_db = Datagen.Store.db (Datagen.Store.tiny ());
-    jobs = 1;
     deadline = None;
   }
-
-let resolved_jobs config =
-  if config.jobs <= 0 then Domain.recommended_domain_count ()
-  else config.jobs
 
 (* Per-rule attribution for successor enumeration: how many successors
    each catalog rule contributed ([rule.fire.*]) or failed to ([rule.miss.*]),
@@ -95,26 +85,6 @@ let resolved_jobs config =
 let note_rule_successors (r : Rewrite.Rule.t) n =
   if n = 0 then Telemetry.count r.Rewrite.Rule.miss_counter
   else Telemetry.count ~n r.Rewrite.Rule.fire_counter
-
-(* Domain spawn costs milliseconds on some hosts while many explorations
-   finish in microseconds, so pools are created once per jobs count and
-   kept parked between calls (helpers block on a condition variable; an
-   idle pool burns no CPU).  Like the shared cost cache, this makes the
-   Search API single-submitter: concurrent [explore]/[reaches] calls from
-   different domains are not supported. *)
-let pools : (int, Pool.t) Hashtbl.t = Hashtbl.create 4
-
-let pool_for jobs =
-  match Hashtbl.find_opt pools jobs with
-  | Some pool -> pool
-  | None ->
-    let pool = Pool.create ~jobs () in
-    Hashtbl.add pools jobs pool;
-    pool
-
-(* [jobs = 1] stays pool-free: the fan-outs are plain inline maps. *)
-let pool_of config =
-  match resolved_jobs config with 1 -> None | jobs -> Some (pool_for jobs)
 
 (* The shared cost cache behind [cost_cache = None]: explorations of the
    same plans (re-runs, pipeline stages, reaches-then-explore) reuse each
@@ -155,26 +125,23 @@ module IH = Hashtbl.Make (struct
   let hash id = id
 end)
 
-(* One domain's memo: by node id, function and predicate nodes apart,
-   the (rule index, root result) pair of each offered rule that fires
-   there.  Counts are this domain's rule tries and memo answers. *)
-type memo = {
+let memo_capacity = 1 lsl 16
+
+(* The memo is by node id, function and predicate nodes apart: the (rule
+   index, root result) pair of each offered rule that fires there.
+   [tries] counts rule tries run, [hits] nodes the memo answered. *)
+type enumerator = {
+  schema : Schema.t option;
+  query_rules : Rewrite.Rule.t list;
+  dispatch : Rewrite.Engine.dispatch;  (** the function and predicate rules *)
   funcs : (int * Hc.fnode) list IH.t;
   preds : (int * Hc.pnode) list IH.t;
   mutable tries : int;
   mutable hits : int;
 }
 
-let memo_capacity = 1 lsl 16
-
-type enumerator = {
-  schema : Schema.t option;
-  query_rules : Rewrite.Rule.t list;
-  dispatch : Rewrite.Engine.dispatch;  (** the function and predicate rules *)
-  lock : Mutex.t;
-  mutable memos : (int * memo) list;  (** by domain *)
-}
-
+(* Tables start small, so a search that enumerates a few states
+   allocates little. *)
 let enumerator ?schema rules =
   let query_rules, node_rules =
     List.partition
@@ -188,40 +155,20 @@ let enumerator ?schema rules =
     schema;
     query_rules;
     dispatch = Rewrite.Engine.dispatch node_rules;
-    lock = Mutex.create ();
-    memos = [];
+    funcs = IH.create 16;
+    preds = IH.create 16;
+    tries = 0;
+    hits = 0;
   }
-
-(* The calling domain's memo, fetched once per state: the walk itself
-   takes no lock.  Tables start small, so a search that enumerates a few
-   states allocates little. *)
-let memo_of en =
-  let d = (Domain.self () :> int) in
-  Mutex.protect en.lock @@ fun () ->
-  match List.assoc_opt d en.memos with
-  | Some m -> m
-  | None ->
-    let m =
-      { funcs = IH.create 16; preds = IH.create 16; tries = 0; hits = 0 }
-    in
-    en.memos <- (d, m) :: en.memos;
-    m
-
-(* Rule tries run and memo answers, summed over the domains. *)
-let enumeration_counts en =
-  Mutex.protect en.lock @@ fun () ->
-  List.fold_left
-    (fun (tries, hits) (_, m) -> (tries + m.tries, hits + m.hits))
-    (0, 0) en.memos
 
 (* The firings at a node: remembered, or found by trying each offered
    rule at its root.  A full table is emptied before it grows further. *)
-let firings m table id offered apply =
+let firings en table id offered apply =
   if Array.length offered = 0 then []
   else
     match IH.find_opt table id with
     | Some fs ->
-      m.hits <- m.hits + 1;
+      en.hits <- en.hits + 1;
       fs
     | None ->
       let fs =
@@ -230,19 +177,18 @@ let firings m table id offered apply =
             match apply i with Some x -> (i, x) :: acc | None -> acc)
           offered []
       in
-      m.tries <- m.tries + Array.length offered;
+      en.tries <- en.tries + Array.length offered;
       if IH.length table >= memo_capacity then IH.reset table;
       IH.add table id fs;
       fs
 
 let enumerate en ~max_positions ~truncated (hq : Hc.hquery) :
     (string * Hc.hquery) list =
-  let m = memo_of en in
   let schema = en.schema in
   let from_query_rules =
     List.filter_map
       (fun r ->
-        m.tries <- m.tries + 1;
+        en.tries <- en.tries + 1;
         let res =
           Option.map
             (fun hq' -> (r.Rewrite.Rule.name, hq'))
@@ -273,7 +219,7 @@ let enumerate en ~max_positions ~truncated (hq : Hc.hquery) :
       incr visited;
       List.iter
         (fun (i, f') -> record i (fun () -> k f'))
-        (firings m m.funcs f.Hc.fid (Rewrite.Engine.offered_func d f) (fun i ->
+        (firings en en.funcs f.Hc.fid (Rewrite.Engine.offered_func d f) (fun i ->
              Rewrite.Rule.apply_func ?schema rules.(i) f));
       match f.Hc.fshape with
       | Hc.HId | Hc.HPi1 | Hc.HPi2 | Hc.HPrim _ | Hc.HFlat | Hc.HSng
@@ -314,7 +260,7 @@ let enumerate en ~max_positions ~truncated (hq : Hc.hquery) :
       incr visited;
       List.iter
         (fun (i, p') -> record i (fun () -> k p'))
-        (firings m m.preds p.Hc.pid (Rewrite.Engine.offered_pred d p) (fun i ->
+        (firings en en.preds p.Hc.pid (Rewrite.Engine.offered_pred d p) (fun i ->
              Rewrite.Rule.apply_pred ?schema rules.(i) p));
       match p.Hc.pshape with
       | Hc.HEq | Hc.HLeq | Hc.HGt | Hc.HIn | Hc.HPrimp _ | Hc.HKp _
@@ -463,82 +409,36 @@ let outcome_of ?saturation ?(enumeration = (0, 0)) ~(tally : Cost.tally)
 (* ------------------------------------------------------------------ *)
 (* Level-synchronous BFS.
 
-   Each level runs in three phases:
+   States are expanded in the order they were enqueued.  Expanding a
+   state enumerates its successors, keys each one, and keeps those whose
+   key [seen] has not recorded yet, recording them as it goes: the first
+   occurrence wins and carries its path.  The kept successors are then
+   costed as one batch under the best cost at the batch's start
+   ([Cost.weighted_memo_batch]); a state cut there costs more than that
+   best and is never chosen.  Interleaving costing with enumeration keeps
+   the peak heap at that of a one-state-at-a-time loop.  The deadline is
+   polled before each expansion, so an interrupted search still returns
+   the best state costed so far; ties are broken by first discovery. *)
 
-   1. fan-out — successor enumeration plus query-key computation for
-      every state of the level.  The [seen] table is read-only during this
-      phase (concurrent [mem] probes of an unmutated Hashtbl are safe), so
-      successors already reached at an earlier depth are filtered out in
-      place; the intern tables are striped, so workers may intern
-      concurrently (ids may differ run to run but are only ever opaque
-      identity keys);
-   2. merge — a sequential walk over the results in stable item order,
-      deduplicating intra-level collisions: the first occurrence in item
-      order wins and records its path.  This is the only place [seen] is
-      mutated;
-   3. costing — [Cost.weighted_memo_batch] probes the cache sequentially,
-      evaluates the misses through the same map, and inserts the results
-      in item order, so the cache is never mutated concurrently either.
-      The batch is costed under the best cost at its start: a state cut
-      there costs more than that best and is never chosen.
-
-   At [jobs = 1] there is no pool and the phases run per state rather
-   than per level, in the same item order.  Because every merge walks
-   results in the order their states were enqueued, [best] (ties broken
-   by first discovery), [path], [explored], and [stop] are
-   independent of the domain count and of scheduling.  A batch is one
-   parent's successors at [jobs = 1] and a whole level at [jobs > 1], so
-   which states are cut (and the bound a cut state reports) depends on
-   the domain count; the best state does not.  Cost-cache hit/miss
-   totals can also shift when a capacity sweep lands mid-level; that
-   changes accounting, never costs or outcomes. *)
-
-(* Take the first [n] elements (the level's budget slice). *)
-let rec take_n n = function
-  | x :: rest when n > 0 -> x :: take_n (n - 1) rest
-  | _ -> []
-
-(* Fan a map out across the pool, unless the batch is too small for the
-   wake-up latency to pay for itself.  Purely a scheduling choice: the
-   result is [Array.map f arr] either way. *)
-let pool_map pool f arr =
-  match pool with
-  | Some pool when Array.length arr >= 2 * Pool.size pool -> Pool.map pool f arr
-  | _ -> Array.map f arr
-
-(* Phases 1 and 2 with the deadline contract: expand every state of
-   [batch] and hand each result to [merge] in item order; [merge] returns
-   [false] to end the level early.  Without a pool each state is expanded
-   and merged in turn, so a level is never held in memory whole, and the
-   deadline is polled before each expansion; with a pool it is polled
-   once per level — mid-level interruption would make the merged frontier
-   depend on timing — and the whole level is expanded before the merge.
+(* Expand up to [take] of a level's [states] in order, polling the
+   deadline before each; [expand] returns [false] to end the level early.
    Returns the number of states expanded. *)
-let expand_level ~pool ~over ~hit_deadline ~expand ~merge batch =
-  let n = Array.length batch in
-  match pool with
-  | None ->
-    let rec go i =
-      if i = n then n
-      else if over () then begin
+let expand_level ~take ~over ~hit_deadline expand states =
+  let rec go n = function
+    | st :: rest when n < take ->
+      if over () then begin
         hit_deadline := true;
-        i
+        n
       end
-      else if merge batch.(i) (expand batch.(i)) then go (i + 1)
-      else i + 1
-    in
-    go 0
-  | Some _ when over () ->
-    hit_deadline := true;
-    0
-  | Some _ ->
-    let results = pool_map pool expand batch in
-    let rec go i = if i < n && merge batch.(i) results.(i) then go (i + 1) in
-    go 0;
-    n
+      else if expand st then go (n + 1) rest
+      else n + 1
+    | _ -> n
+  in
+  go 0 states
 
-(* Enumerate the successors of [hq] not yet recorded in [seen], each with
-   its query key; the flag reports position-cap truncation. *)
+(* The successors of [hq] whose key [seen] has not recorded, each with its
+   key, recorded as they are kept; the flag reports position-cap
+   truncation. *)
 let fresh_successors ~en ~config ~seen hq =
   let truncated = ref false in
   let fresh =
@@ -549,7 +449,10 @@ let fresh_successors ~en ~config ~seen hq =
           Telemetry.count "search.dedup_hit";
           None
         end
-        else Some (rule_name, hq', key))
+        else begin
+          Term.Hc.Qtable.replace seen key ();
+          Some (rule_name, hq', key)
+        end)
       (enumerate en ~max_positions:config.max_positions ~truncated hq)
   in
   (fresh, !truncated)
@@ -557,7 +460,6 @@ let fresh_successors ~en ~config ~seen hq =
 let explore_bfs ~config (q : Term.query) : outcome =
   let db = config.sample_db in
   let cache = cache_of config in
-  let pool = pool_of config in
   let tally = Cost.tally () in
   let session = Eval.session () in
   let istats0 = Term.Hc.intern_counters () in
@@ -578,7 +480,6 @@ let explore_bfs ~config (q : Term.query) : outcome =
   in
   let expanded = ref 0 in
   let exhausted = ref true in
-  let expand st = fresh_successors ~en ~config ~seen st.ihq in
   let rec level states depth =
     if depth < config.max_depth && states <> [] && not !hit_deadline then begin
       let n = List.length states in
@@ -592,20 +493,17 @@ let explore_bfs ~config (q : Term.query) : outcome =
       let take = min (config.max_states - !expanded) n in
       if take < n then exhausted := false;
       if take > 0 then begin
-        (* phase 3: batch costing of the states merged since the last
-           call, under the best cost so far; misses evaluate through the
-           same map *)
-        let pending = ref [] and next = ref [] in
-        let cost_pending () =
-          let fresh = Array.of_list (List.rev !pending) in
-          pending := [];
+        let next = ref [] in
+        let expand parent =
+          let fresh, tr = fresh_successors ~en ~config ~seen parent.ihq in
+          if tr then truncated := true;
           let costs =
-            Cost.weighted_memo_batch cache ~db ~map:(pool_map pool)
-              ~budget:!best.icost ~tally ~session
-              (Array.map (fun (_, _, hq', key) -> (key, hq')) fresh)
+            Cost.weighted_memo_batch cache ~db ~budget:!best.icost ~tally
+              ~session
+              (Array.of_list (List.map (fun (_, hq', key) -> (key, hq')) fresh))
           in
-          Array.iteri
-            (fun i (parent, rule_name, hq', _) ->
+          List.iteri
+            (fun i (rule_name, hq', _) ->
               let st =
                 {
                   ihq = hq';
@@ -615,39 +513,18 @@ let explore_bfs ~config (q : Term.query) : outcome =
               in
               if st.icost < !best.icost then best := st;
               next := st :: !next)
-            fresh
-        in
-        (* phases 1 and 2: enumeration and key computation, then the
-           stable-order merge — the only writer of [seen].  Inline, each
-           state's successors are costed as soon as they are merged:
-           interleaving evaluation with enumeration keeps the peak heap
-           at that of a one-state-at-a-time loop. *)
-        let merge parent (succs, tr) =
-          if tr then truncated := true;
-          List.iter
-            (fun (rule_name, hq', key) ->
-              if Term.Hc.Qtable.mem seen key then
-                Telemetry.count "search.dedup_hit"
-              else begin
-                Term.Hc.Qtable.replace seen key ();
-                pending := (parent, rule_name, hq', key) :: !pending
-              end)
-            succs;
-          if Option.is_none pool then cost_pending ();
+            fresh;
           true
         in
         expanded :=
-          !expanded
-          + expand_level ~pool ~over ~hit_deadline ~expand ~merge
-              (Array.of_list (take_n take states));
-        cost_pending ();
+          !expanded + expand_level ~take ~over ~hit_deadline expand states;
         level (List.rev !next) (depth + 1)
       end
     end
   in
   level [ !best ] 0;
   if !truncated then exhausted := false;
-  outcome_of ~tally ~istats0 ~enumeration:(enumeration_counts en)
+  outcome_of ~tally ~istats0 ~enumeration:(en.tries, en.hits)
     ~seen_states:(Term.Hc.Qtable.length seen)
     ~best:!best ~expanded:!expanded
     ~stop:(stop_of ~hit_deadline:!hit_deadline ~exhausted:!exhausted) ()
@@ -678,9 +555,6 @@ let stop_of_saturation config = function
   | Saturate.Node_budget | Saturate.Iter_budget -> Budget
   | Saturate.Time_budget -> if config.deadline <> None then Deadline else Budget
 
-(* [jobs] threads into saturation as the e-matching pool.  Saturation
-   outcomes are bit-identical at any jobs count — see the merge
-   discipline in {!Kola_egraph.Saturate}. *)
 let explore_egraph ~config (q : Term.query) : outcome =
   let db = config.sample_db in
   let cache = cache_of config in
@@ -690,7 +564,7 @@ let explore_egraph ~config (q : Term.query) : outcome =
   let hq0 = Term.Hc.of_query q in
   let sp =
     Saturate.saturate ~rules:config.rules ~budgets:(egraph_budgets_of config)
-      ?pool:(pool_of config) hq0
+      hq0
   in
   (* The extraction weights are a heuristic, so re-measure a front with
      the real cost model rather than trusting the single winner: the 2
@@ -772,12 +646,10 @@ let explore ?(config = default_config) (q : Term.query) : outcome =
   outcome
 
 (* Was [target] reached (modulo associativity) within the budget?  The
-   same level phasing as [explore_bfs], without costing.  The merge stops
-   at the first successor (in stable item order) whose key is the
-   target's — the same state and firing at every jobs count. *)
+   same level order as [explore_bfs], without costing: the search stops
+   at the first fresh successor whose key is the target's. *)
 let reaches_bfs ~config (q : Term.query) (target : Term.query) :
     string list option =
-  let pool = pool_of config in
   let en = enumerator config.rules in
   let seen = Term.Hc.Qtable.create 256 in
   let over = deadline_check config in
@@ -790,7 +662,6 @@ let reaches_bfs ~config (q : Term.query) (target : Term.query) :
   else begin
     let found = ref None in
     let expanded = ref 0 in
-    let expand (hq, _rev_path) = fst (fresh_successors ~en ~config ~seen hq) in
     let rec level states depth =
       if
         depth < config.max_depth && states <> [] && !found = None
@@ -799,28 +670,24 @@ let reaches_bfs ~config (q : Term.query) (target : Term.query) :
         let take = min (config.max_states - !expanded) (List.length states) in
         if take > 0 then begin
           let next = ref [] in
-          let rec merge_succs rev_path = function
+          let rec keep rev_path = function
             | [] -> true
             | (rule_name, hq', key) :: rest ->
-              if Term.Hc.Qtable.mem seen key then merge_succs rev_path rest
+              let rev_path' = rule_name :: rev_path in
+              if key = target_key then begin
+                found := Some (List.rev rev_path');
+                false
+              end
               else begin
-                Term.Hc.Qtable.replace seen key ();
-                let rev_path' = rule_name :: rev_path in
-                if key = target_key then begin
-                  found := Some (List.rev rev_path');
-                  false
-                end
-                else begin
-                  next := (hq', rev_path') :: !next;
-                  merge_succs rev_path rest
-                end
+                next := (hq', rev_path') :: !next;
+                keep rev_path rest
               end
           in
-          let merge (_, rev_path) succs = merge_succs rev_path succs in
+          let expand (hq, rev_path) =
+            keep rev_path (fst (fresh_successors ~en ~config ~seen hq))
+          in
           expanded :=
-            !expanded
-            + expand_level ~pool ~over ~hit_deadline ~expand ~merge
-                (Array.of_list (take_n take states));
+            !expanded + expand_level ~take ~over ~hit_deadline expand states;
           level (List.rev !next) (depth + 1)
         end
       end
@@ -838,7 +705,7 @@ let reaches_egraph ~config (q : Term.query) (target : Term.query) :
   let hq0 = Term.Hc.of_query q and ht = Term.Hc.of_query target in
   let sp =
     Saturate.saturate ~rules:config.rules ~budgets:(egraph_budgets_of config)
-      ?pool:(pool_of config) ~target:ht hq0
+      ~target:ht hq0
   in
   Saturate.path sp
 

@@ -9,26 +9,23 @@
     for COKO rule blocks, quantified.
 
     One BFS engine runs underneath (DESIGN.md, "Engine internals &
-    performance" and "Parallel exploration").  States are hash-consed
-    queries ({!Kola.Term.Hc}) deduplicated by {!Kola.Term.Hc.query_key};
+    performance" and "Concurrency").  States are hash-consed queries
+    ({!Kola.Term.Hc}) deduplicated by {!Kola.Term.Hc.query_key};
     successor enumeration walks each state once, trying at each node only
     the rules its head dispatches to and remembering their results per
     interned node ({!enumerator}); costing is memoized across
     explorations ({!Cost.cache}),
     and every candidate one exploration costs shares a sub-plan memo
     ({!Kola.Eval.session}), so a successor re-runs only what its rewrite
-    changed.
-    Each level fans out successor enumeration, merges the results in
-    stable item order, then costs the fresh states in one batch — inline
-    at [jobs = 1], across a fixed pool of OCaml 5 domains
-    ({!Kola_parallel.Pool}) at [jobs > 1].  Costing is branch and bound:
-    each batch, and each candidate of the e-graph's re-measured front,
-    is costed under the best cost known when it starts, and a state that
-    costs more is cut short ({!Cost.measure_within}).  [explore] and
-    [reaches] return bit-identical outcomes whatever the domain count;
-    only cost-cache accounting (hits, misses, cuts) may shift: which
-    states are cut depends on how states are batched, and a capacity
-    sweep may land mid-level. *)
+    changed.  States are expanded in the order they were enqueued, and
+    each state's fresh successors are costed as one batch.  Costing is
+    branch and bound: each batch, and each candidate of the e-graph's
+    re-measured front, is costed under the best cost known when it
+    starts, and a state that costs more is cut short
+    ({!Cost.measure_within}).  A search runs on the domain that calls it.
+    Searches on different domains may run at once: they share the intern
+    tables and, when they name one, a cost cache, both safe under
+    concurrency; each builds its own enumerator and session. *)
 
 (** Which engine answers [explore]/[reaches]: bounded breadth-first
     search over single firings, or equality saturation on the e-graph
@@ -62,26 +59,16 @@ type config = {
   cost_cache : Cost.cache option;
       (** [None] (the default) shares one cache across explorations *)
   sample_db : (string * Kola.Value.t) list;  (** database used for costing *)
-  jobs : int;
-      (** domains exploring each BFS level (default 1 = inline, no pool;
-          0 = [Domain.recommended_domain_count ()]) *)
   deadline : float option;
       (** wall-clock budget in seconds on the monotonic clock (default
           [None]).  When it expires, [explore] degrades gracefully: the
           best state found so far is returned with [stop = Deadline] and
           a path {!validate_path} accepts.  BFS polls it before each
-          state expansion at [jobs = 1] and between levels at [jobs > 1]
-          (so outcomes stay deterministic up to the interrupted level);
-          under [Egraph] the deadline tightens the saturation time
-          budget. *)
+          state expansion; under [Egraph] the deadline tightens the
+          saturation time budget. *)
 }
 
 val default_config : config
-
-val resolved_jobs : config -> int
-(** The domain count [explore]/[reaches] will actually use: [config.jobs],
-    with [0] (or negative) resolved to
-    [Domain.recommended_domain_count ()]. *)
 
 type enumerator
 (** One search's successor enumerator for a rule list and schema: the
@@ -90,9 +77,9 @@ type enumerator
     terms have no variables, and a match reads only the node's own
     structure (the matcher is head-strict and binds holes to the node's
     subterms), so that result depends on the node alone; the schema is
-    fixed with the enumerator.  The memo keeps one table per domain, each bounded
-    (emptied when full) and dropped with the enumerator: every search
-    builds its own, so concurrent searches share none. *)
+    fixed with the enumerator.  The memo is bounded (emptied when full)
+    and dropped with the enumerator: every search builds its own, so
+    concurrent searches share none. *)
 
 val enumerator : ?schema:Kola.Schema.t -> Rewrite.Rule.t list -> enumerator
 
@@ -139,15 +126,14 @@ type outcome = {
   memo_hits : int;
       (** sub-evaluations answered from the call's sub-plan memo
           ({!Kola.Eval.session}, shared by every candidate the call
-          costs); accounting only — at [jobs > 1] it depends on which
-          domain costed which candidate *)
+          costs) *)
   memo_stored : int;  (** entries stored in that memo *)
   rule_tries : int;
       (** rules tried at the root of a node while enumerating successors
           (query rules once per state); [0] under [Egraph] *)
   rule_memo_hits : int;
-      (** nodes whose rule results the enumeration memo answered instead;
-          like [memo_hits], accounting only at [jobs > 1] *)
+      (** nodes whose rule results the enumeration memo answered
+          instead *)
   seen_states : int;
       (** distinct states (dedup equivalence classes) recorded, including
           the start state *)

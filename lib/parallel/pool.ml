@@ -73,6 +73,14 @@ let helper_loop t =
   in
   loop ()
 
+let shutdown t =
+  Mutex.lock t.mutex;
+  t.stop <- true;
+  Condition.broadcast t.work;
+  Mutex.unlock t.mutex;
+  List.iter Domain.join t.helpers;
+  t.helpers <- []
+
 let create ?(jobs = 0) () =
   let size = resolve_jobs jobs in
   let t =
@@ -90,18 +98,20 @@ let create ?(jobs = 0) () =
       helpers = [];
     }
   in
-  t.helpers <- List.init (size - 1) (fun _ -> Domain.spawn (fun () -> helper_loop t));
+  (* One spawn at a time: when one fails (the runtime caps the domains
+     a process may run), the helpers already parked are shut down and
+     joined before the exception goes on, so none is left behind. *)
+  (try
+     for _ = 2 to size do
+       t.helpers <- Domain.spawn (fun () -> helper_loop t) :: t.helpers
+     done
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     shutdown t;
+     Printexc.raise_with_backtrace e bt);
   t
 
 let size t = t.size
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  t.stop <- true;
-  Condition.broadcast t.work;
-  Mutex.unlock t.mutex;
-  List.iter Domain.join t.helpers;
-  t.helpers <- []
 
 let run t ~chunks task =
   if t.stop then invalid_arg "Pool.run: pool is shut down";
@@ -159,8 +169,6 @@ let map t f (xs : 'a array) : 'b array =
        map means every slot was written. *)
     Array.map (function Some y -> y | None -> assert false) out
   end
-
-let map_list t f xs = Array.to_list (map t f (Array.of_list xs))
 
 let with_pool ?jobs f =
   let t = create ?jobs () in

@@ -24,7 +24,8 @@ val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns a pool of [jobs] domains in total (including
     the caller's).  [jobs <= 0] (and the default) means
     [Domain.recommended_domain_count ()].  [jobs = 1] spawns no helper
-    domains at all. *)
+    domains at all.  If a spawn fails, the helpers already spawned are
+    shut down and joined, and the exception is re-raised. *)
 
 val size : t -> int
 (** Total domains participating in each job, including the submitter. *)
@@ -39,12 +40,9 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Order-preserving parallel map: [map t f xs] is observably
     [Array.map f xs] whenever [f] is pure.  Inputs are processed in
     contiguous chunks claimed dynamically by the pool's domains.  If any
-    application raises, one of the raised exceptions is re-raised in the
-    submitting domain after the job completes (remaining items are still
-    attempted). *)
-
-val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} over lists, preserving order. *)
+    application raises, the domains start no further items, and one of
+    the raised exceptions is re-raised in the submitting domain once the
+    job completes. *)
 
 val shutdown : t -> unit
 (** Park, join, and release the helper domains.  Idempotent; using the

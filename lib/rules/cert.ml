@@ -566,8 +566,11 @@ let verdict_of_result ?(from_cache = false) (res : result) : verdict =
           @ List.map (Fmt.str "%a" (binding Value.pp Hc.to_value)) subst.Subst.values
         in
         Some
-          (Fmt.str "input %a under %s" Value.pp v
-             (String.concat ", " bindings))
+          (match bindings with
+          | [] -> Fmt.str "input %a" Value.pp v
+          | _ ->
+            Fmt.str "input %a under %s" Value.pp v
+              (String.concat ", " bindings))
       | None ->
         if res.instances = 0 then
           Some "no well-typed instantiation found (vacuous)"

@@ -343,16 +343,13 @@ let config_of ?pack t (r : Protocol.optimize) =
     max_depth = r.Protocol.depth;
     max_states = r.Protocol.states;
     sample_db = t.db;
-    jobs = r.Protocol.jobs;
     deadline = r.Protocol.deadline;
     cost_cache = Some t.cache;
   }
 
-(* Everything that makes the outcome, and nothing that doesn't: jobs is
-   excluded (outcomes are bit-identical at every jobs count — PR 2/3/6
-   invariants), and so is the deadline (a cached complete outcome is a
-   valid answer for a deadlined request; deadline-truncated outcomes are
-   never inserted). *)
+(* Everything that makes the outcome, and nothing that doesn't: the
+   deadline is excluded (a cached complete outcome is a valid answer for a
+   deadlined request; deadline-truncated outcomes are never inserted). *)
 let outcome_key ?pack ~config q =
   let body, arg = Kola.Term.Hc.query_key (Kola.Term.Hc.of_query q) in
   Printf.sprintf "%d.%d|%s|%d|%d|%d|%d|%s" body arg
@@ -373,13 +370,7 @@ let search_core ?pack t (r : Protocol.optimize) q :
   match ocache_find t.outcomes key with
   | Some core -> (core, `Hit)
   | None ->
-    let explore () = Search.explore ~config q in
-    let o =
-      (* The domain pool is single-submitter, so intra-request
-         parallelism serializes across requests behind the lease. *)
-      if r.Protocol.jobs = 1 then explore ()
-      else Mutex.protect t.pool_lease explore
-    in
+    let o = Search.explore ~config q in
     let pack_fields =
       match pack with
       | None -> []
@@ -473,9 +464,9 @@ let explain_core t (r : Protocol.optimize) :
               ~jobs:r.Protocol.jobs ?coldb ~db:t.db report
           in
           let _, st =
-            (* Like search: a request that fans out over domains takes
-               the single-submitter pool lease, serializing against other
-               parallel requests. *)
+            (* A columnar run at jobs > 1 spawns a transient morsel
+               pool; the lease lets one such run hold helper domains at
+               a time, beside the workers. *)
             if r.Protocol.jobs = 1 || coldb = None then execute ()
             else Mutex.protect t.pool_lease execute
           in

@@ -14,16 +14,18 @@
       counters atomic;
     - an {e outcome cache} memoizes whole optimize answers keyed by the
       canonical query plus every outcome-affecting knob (engine, depth,
-      states, e-graph budgets — never [jobs], outcomes are
-      jobs-independent by construction).  Deadline-truncated outcomes
-      are never cached: they depend on timing, and a later request
-      deserves the full answer.
+      states, e-graph budgets; for [explain], the execute backend,
+      layout and [jobs]).  Deadline-truncated outcomes are never cached:
+      they depend on timing, and a later request deserves the full
+      answer.
 
-    Requests run at [jobs = 1] concurrently; a request asking for
-    intra-request parallelism ([jobs <> 1]) serializes behind a pool
-    lease, because {!Kola_parallel.Pool} is single-submitter.  Traced
-    requests ([telemetry: true]) serialize behind the global telemetry
-    session and embed their own domain's spans in the response.
+    Each worker runs its request's search on its own domain, so workers
+    search concurrently.  [jobs] applies only to an [explain] request's
+    columnar execution, whose morsels fan out over a transient pool; such
+    runs serialize behind a lease, so one request's helper domains run at
+    a time.  Traced requests ([telemetry: true]) serialize behind the
+    global telemetry session and embed their own domain's spans in the
+    response.
 
     {2 Rule packs}
 

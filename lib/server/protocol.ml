@@ -118,7 +118,6 @@ let optimize_of_json json =
   let* states =
     int_field json "states" ~default:2000 (positive_int ~what:"\"states\"")
   in
-  let* jobs = int_field json "jobs" ~default:1 (nonneg_int ~what:"\"jobs\"") in
   let* deadline =
     let* v = opt_field json "deadline" Json.num "a number" in
     match v with
@@ -168,6 +167,18 @@ let optimize_of_json json =
              the chosen plan is executed)"
         else Ok (Some l)
       | Error msg -> Error msg)
+  in
+  let* jobs =
+    let* v = opt_field json "jobs" Json.int "an integer" in
+    match v with
+    | None -> Ok 1
+    | Some n ->
+      let* n = nonneg_int ~what:"\"jobs\"" n in
+      if execute = None then
+        Error
+          "field \"jobs\" requires \"execute\" (jobs is the columnar \
+           executor's morsel fan-out; a search runs on one domain)"
+      else Ok n
   in
   let* rules =
     let* v = opt_field json "rules" Json.str "a string" in

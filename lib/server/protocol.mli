@@ -44,7 +44,10 @@ type optimize = {
   engine : Optimizer.Search.engine;
   depth : int;  (** default 6, positive *)
   states : int;  (** default 2000, positive *)
-  jobs : int;  (** default 1, non-negative *)
+  jobs : int;
+      (** with [execute]: domains the columnar executor fans morsels out
+          over (default 1, non-negative; 0 = one per recommended core).
+          Rejected without [execute]: a search runs on one domain *)
   deadline : float option;  (** seconds, strictly positive *)
   node_budget : int option;  (** e-graph, strictly positive *)
   iter_budget : int option;  (** e-graph, strictly positive *)

@@ -346,43 +346,26 @@ let tests =
           o.Search.best.Search.query;
         Alcotest.(check bool) "derivation replayed from the proof forest" true
           (o.Search.best.Search.path <> []));
-    (* ---------------- parallel determinism & scheduling ---------------- *)
-    case "saturation outcomes are bit-identical at jobs 1, 2 and 4" (fun () ->
-        (* Time never stops these runs (max_millis = 1e9), so every stat,
-           the stop reason and the extracted front must agree exactly
-           with the sequential baseline at any pool size. *)
-        let budgets =
-          { Saturate.max_enodes = 60_000; max_iterations = 5; max_millis = 1e9 }
-        in
-        let fingerprint sp =
-          let s = sp.Saturate.stats in
-          Fmt.str "it=%d nodes=%d classes=%d unions=%d skipped=%d deferred=%d stop=%s front=%s"
-            s.Saturate.iterations s.Saturate.e_nodes s.Saturate.e_classes
-            s.Saturate.unions s.Saturate.matches_skipped
-            s.Saturate.rules_deferred (stop_label sp)
-            (String.concat " ; "
-               (List.filter_map
-                  (fun w ->
-                    Option.map Kola.Pretty.query_to_string
-                      (Saturate.query_of_wterm w))
-                  (Saturate.best_terms ~k:3 sp)))
-        in
-        let run pool =
-          Saturate.saturate ?pool ~budgets ~rules:Rules.Catalog.all
-            (Term.Hc.of_query Paper.k4)
-        in
-        let base = run None in
-        Alcotest.(check bool) "incremental matching skipped stale pairs" true
-          (base.Saturate.stats.Saturate.matches_skipped > 0);
-        let expected = fingerprint base in
-        List.iter
-          (fun jobs ->
-            Kola_parallel.Pool.with_pool ~jobs (fun pool ->
-                Alcotest.(check string)
-                  (Fmt.str "jobs=%d matches the sequential run" jobs)
-                  expected
-                  (fingerprint (run (Some pool)))))
-          [ 2; 4 ]);
+    case "validate_path accepts K4's 222-step e-graph derivation" (fun () ->
+        (* [validate_path] enumerates uncapped ([max_positions = max_int]),
+           which an enumerator computing the cap plus one would wrap to a
+           negative cap that finds no firing *)
+        let o = Search.explore ~config:(ecfg ()) Paper.k4 in
+        let sp = saturate ~rules:Rules.Catalog.all Paper.k4 in
+        match
+          Saturate.path_to sp
+            (Saturate.wterm_of_query
+               (Term.Hc.of_query o.Search.best.Search.query))
+        with
+        | None -> Alcotest.fail "K4's best plan is not in the source's class"
+        | Some steps ->
+          Alcotest.(check int) "the explored derivation" 222
+            (List.length steps);
+          Alcotest.(check (list string)) "the outcome's path"
+            o.Search.best.Search.path (List.map fst steps);
+          Alcotest.(check bool) "every step validates" true
+            (Search.validate_path Paper.k4 steps));
+    (* ---------------- determinism & scheduling ---------------- *)
     case "2 000-node saturation pins: K4 and KG1 counts and instances"
       (fun () ->
         (* The paper_search budget.  [instances] counts matches before
@@ -405,17 +388,7 @@ let tests =
           (counts Paper.k4);
         pin "KG1: nodes, classes, unions, iterations, instances, skipped, deferred"
           [ 2_000; 464; 1_536; 6; 2_231; 5_487; 0 ]
-          (counts Paper.kg1);
-        (* Under a pool every work item's instances are summed in class
-           order, like its skipped pairs. *)
-        Kola_parallel.Pool.with_pool ~jobs:2 (fun pool ->
-            let s =
-              (Saturate.saturate ~pool ~budgets ~rules:Rules.Catalog.all
-                 (Term.Hc.of_query Paper.k4))
-                .Saturate.stats
-            in
-            Alcotest.(check int) "K4 at jobs 2: the same instances" 4_638
-              s.Saturate.instances));
+          (counts Paper.kg1));
     case "matcher view: first member of each canonical key, nodes keep copies"
       (fun () ->
         (* E-matching reads [Graph.match_view]; precondition scans and
@@ -602,25 +575,6 @@ let tests =
                 caps)
             (q0 :: List.map snd (Search.successors Rules.Catalog.all q0))
         done);
-    case "validate_path accepts K4's 222-step e-graph derivation" (fun () ->
-        (* [validate_path] enumerates uncapped ([max_positions = max_int]),
-           which an enumerator computing the cap plus one would wrap to a
-           negative cap that finds no firing *)
-        let o = Search.explore ~config:(ecfg ()) Paper.k4 in
-        let sp = saturate ~rules:Rules.Catalog.all Paper.k4 in
-        match
-          Saturate.path_to sp
-            (Saturate.wterm_of_query
-               (Term.Hc.of_query o.Search.best.Search.query))
-        with
-        | None -> Alcotest.fail "K4's best plan is not in the source's class"
-        | Some steps ->
-          Alcotest.(check int) "the explored derivation" 222
-            (List.length steps);
-          Alcotest.(check (list string)) "the outcome's path"
-            o.Search.best.Search.path (List.map fst steps);
-          Alcotest.(check bool) "every step validates" true
-            (Search.validate_path Paper.k4 steps));
   ]
 
 let props =

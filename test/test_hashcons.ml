@@ -4,7 +4,7 @@
    interned fields must agree with the plain recursive functions, and
    id-pair dedup must partition queries exactly like [equal_query_assoc].  The
    search built on them is pinned by golden outcomes (test_golden_search)
-   and by jobs-count equivalence (test_parallel). *)
+   and by searches run on two domains at once (test_parallel). *)
 
 open Kola
 open Util

@@ -1,45 +1,20 @@
-(* The parallel exploration layer: a fixed-size domain pool
-   (Kola_parallel.Pool), level-synchronous explore/reaches, and the
-   capacity-bounded cost cache.  Correctness is equivalence again: at any
-   domain count the engine must return the *identical* outcome — best
-   query, derivation, explored count, frontier flag — as the sequential
-   baseline, run after run. *)
+(* The domain pool (Kola_parallel.Pool), the capacity-bounded cost
+   cache, and searches running on several domains at once, as the
+   daemon's workers run them: each must return the *identical* outcome —
+   best query, derivation, cost, explored count, stop reason — as the
+   same search run alone. *)
 
 open Kola
 open Util
 module Search = Optimizer.Search
 module Cost = Optimizer.Cost
 module Pool = Kola_parallel.Pool
-
-let with_flips =
-  Rules.Catalog.all
-  @ List.map Rewrite.Rule.flip (Rules.Catalog.rules [ "r14"; "r12" ])
-
-(* Fresh cost cache per run: equivalence must not depend on what an
-   earlier exploration happened to leave in the shared cache. *)
-let explore_at ?(rules = Rules.Catalog.all) ~max_depth ~max_states jobs q =
-  Search.explore
-    ~config:
-      {
-        Search.default_config with
-        rules;
-        max_depth;
-        max_states;
-        jobs;
-        cost_cache = Some (Cost.cache ());
-      }
-    q
-
-let reaches_at ?(rules = with_flips) ~max_depth ~max_states jobs q target =
-  Search.reaches
-    ~config:
-      { Search.default_config with rules; max_depth; max_states; jobs }
-    q target
+module Saturate = Kola_egraph.Saturate
 
 (* The determinism contract: best query, derivation, cost, explored
    count, stop reason and distinct-state count all agree.  (Cost-cache
    accounting is deliberately excluded: hit/miss totals may legally shift
-   when a capacity sweep lands mid-level.) *)
+   when a capacity sweep lands mid-search.) *)
 let check_same_outcome name (a : Search.outcome) (b : Search.outcome) =
   Alcotest.check query (name ^ ": best query") a.Search.best.Search.query
     b.Search.best.Search.query;
@@ -55,81 +30,11 @@ let check_same_outcome name (a : Search.outcome) (b : Search.outcome) =
   Alcotest.(check int)
     (name ^ ": distinct states") a.Search.seen_states b.Search.seen_states
 
-let fig_workloads =
-  (* Figure 4 sources, the Figure 6 code-motion source, and the Garage
-     Query — budgets sized so each explores a few hundred states *)
-  [
-    ("T1K", Paper.t1k_source, 4, 200);
-    ("T2K", Paper.t2k_source, 4, 150);
-    ("K4", Paper.k4, 3, 120);
-    ("KG1", Paper.kg1, 2, 60);
-  ]
-
 let random_query i depth =
   Translate.Compile.query (Datagen.Queries.query ~seed:i ~depth)
 
 let tests =
   [
-    case "explore at jobs = 2 and 4 equals the sequential engine" (fun () ->
-        List.iter
-          (fun (name, q, max_depth, max_states) ->
-            let seq = explore_at ~max_depth ~max_states 1 q in
-            List.iter
-              (fun jobs ->
-                let par = explore_at ~max_depth ~max_states jobs q in
-                check_same_outcome (Fmt.str "%s @ jobs=%d" name jobs) seq par)
-              [ 2; 4 ])
-          fig_workloads);
-    case "reaches at jobs = 2 and 4 finds the identical derivation" (fun () ->
-        let attempts =
-          [
-            ("T1K", Paper.t1k_source, Paper.t1k_target, 6, 2_000);
-            ("T2K", Paper.t2k_source, Paper.t2k_target, 8, 4_000);
-          ]
-        in
-        List.iter
-          (fun (name, src, tgt, max_depth, max_states) ->
-            let seq = reaches_at ~max_depth ~max_states 1 src tgt in
-            Alcotest.(check bool) (name ^ " discovered") true (seq <> None);
-            List.iter
-              (fun jobs ->
-                let par = reaches_at ~max_depth ~max_states jobs src tgt in
-                Alcotest.(check (option (list string)))
-                  (Fmt.str "%s @ jobs=%d" name jobs)
-                  seq par)
-              [ 2; 4 ])
-          attempts);
-    case "reaches misses identically when the target is out of reach"
-      (fun () ->
-        List.iter
-          (fun jobs ->
-            Alcotest.(check (option (list string)))
-              (Fmt.str "KG1->KG2 @ jobs=%d" jobs)
-              None
-              (reaches_at ~max_depth:4 ~max_states:300 jobs Paper.kg1
-                 Paper.kg2))
-          [ 1; 2; 4 ]);
-    case "repeated parallel runs are deterministic" (fun () ->
-        let run () = explore_at ~max_depth:4 ~max_states:150 4 Paper.t2k_source in
-        let first = run () in
-        for i = 2 to 3 do
-          check_same_outcome (Fmt.str "run %d" i) first (run ())
-        done;
-        let reach () =
-          reaches_at ~max_depth:6 ~max_states:2_000 4 Paper.t1k_source
-            Paper.t1k_target
-        in
-        Alcotest.(check (option (list string))) "reaches rerun" (reach ())
-          (reach ()));
-    case "jobs = 0 resolves to the recommended domain count" (fun () ->
-        let config = { Search.default_config with jobs = 0 } in
-        Alcotest.(check bool) "at least one domain" true
-          (Search.resolved_jobs config >= 1);
-        Alcotest.(check int) "explicit jobs pass through" 3
-          (Search.resolved_jobs { Search.default_config with jobs = 3 });
-        let seq = explore_at ~max_depth:3 ~max_states:80 1 Paper.t1k_source in
-        let auto = explore_at ~max_depth:3 ~max_states:80 0 Paper.t1k_source in
-        check_same_outcome "auto jobs" seq auto);
     (* ---------------- pool unit tests ---------------- *)
     case "pool map preserves order at every size" (fun () ->
         let xs = Array.init 100 (fun i -> i) in
@@ -144,10 +49,10 @@ let tests =
     case "pool is reusable across jobs and sizes it reports" (fun () ->
         Pool.with_pool ~jobs:3 (fun pool ->
             Alcotest.(check int) "size" 3 (Pool.size pool);
-            Alcotest.(check (list int)) "first job" [ 2; 4; 6 ]
-              (Pool.map_list pool (fun x -> 2 * x) [ 1; 2; 3 ]);
-            Alcotest.(check (list int)) "second job" [ 1; 8; 27 ]
-              (Pool.map_list pool (fun x -> x * x * x) [ 1; 2; 3 ]);
+            Alcotest.(check (array int)) "first job" [| 2; 4; 6 |]
+              (Pool.map pool (fun x -> 2 * x) [| 1; 2; 3 |]);
+            Alcotest.(check (array int)) "second job" [| 1; 8; 27 |]
+              (Pool.map pool (fun x -> x * x * x) [| 1; 2; 3 |]);
             Alcotest.(check (array int)) "empty input" [||]
               (Pool.map pool (fun x -> x) [||])));
     case "pool run covers every chunk exactly once" (fun () ->
@@ -173,13 +78,13 @@ let tests =
           [ 1; 2 ]);
     case "shutdown is idempotent and later use is refused" (fun () ->
         let pool = Pool.create ~jobs:2 () in
-        Alcotest.(check (list int)) "works" [ 2 ]
-          (Pool.map_list pool (fun x -> x + 1) [ 1 ]);
+        Alcotest.(check (array int)) "works" [| 2 |]
+          (Pool.map pool (fun x -> x + 1) [| 1 |]);
         Pool.shutdown pool;
         Pool.shutdown pool;
         Alcotest.check_raises "refused"
           (Invalid_argument "Pool.run: pool is shut down") (fun () ->
-            ignore (Pool.map_list pool (fun x -> x) [ 1 ])));
+            ignore (Pool.map pool (fun x -> x) [| 1 |])));
     (* ---------------- cost-cache capacity ---------------- *)
     case "cost cache capacity is a hard bound with counted evictions"
       (fun () ->
@@ -239,13 +144,8 @@ let tests =
         let cold = Cost.weighted_memo_batch batch_cache ~db:tiny_db items in
         Alcotest.(check (list (float 0.))) "cold costs" expected
           (Array.to_list cold);
-        (* warm batch through a parallel map = all hits, same costs *)
-        let warm =
-          Pool.with_pool ~jobs:2 (fun pool ->
-              Cost.weighted_memo_batch batch_cache ~db:tiny_db
-                ~map:(fun f arr -> Pool.map pool f arr)
-                items)
-        in
+        (* warm batch = all hits, same costs *)
+        let warm = Cost.weighted_memo_batch batch_cache ~db:tiny_db items in
         Alcotest.(check (list (float 0.))) "warm costs" expected
           (Array.to_list warm);
         let sb = Cost.cache_stats batch_cache in
@@ -292,58 +192,99 @@ let props =
       ~print:(fun i -> Kola.Pretty.query_to_string (random_query i depth))
       QCheck.Gen.(int_bound 1_000_000)
   in
+  let explore q =
+    Search.explore
+      ~config:
+        {
+          Search.default_config with
+          max_depth = 2;
+          max_states = 40;
+          cost_cache = Some (Cost.cache ());
+        }
+      q
+  in
   [
     Test.make ~count:25
       ~name:"parallel explore equals sequential explore on random queries"
       (arb 2)
       (fun i ->
+        (* one query searched on two domains at once, as two daemon
+           workers answer it *)
         let q = random_query i 2 in
-        let seq = explore_at ~max_depth:2 ~max_states:40 1 q in
-        let par = explore_at ~max_depth:2 ~max_states:40 3 q in
-        Term.equal_query seq.Search.best.Search.query
-          par.Search.best.Search.query
-        && seq.Search.best.Search.path = par.Search.best.Search.path
-        && seq.Search.best.Search.cost = par.Search.best.Search.cost
-        && seq.Search.explored = par.Search.explored
-        && seq.Search.stop = par.Search.stop);
+        let seq = explore q in
+        List.init 2 (fun _ -> Domain.spawn (fun () -> explore q))
+        |> List.map Domain.join
+        |> List.for_all (fun par ->
+               Term.equal_query seq.Search.best.Search.query
+                 par.Search.best.Search.query
+               && seq.Search.best.Search.path = par.Search.best.Search.path
+               && seq.Search.best.Search.cost = par.Search.best.Search.cost
+               && seq.Search.explored = par.Search.explored
+               && seq.Search.stop = par.Search.stop));
   ]
 
-(* The daemon runs jobs-1 searches on two workers at once. *)
+(* The daemon's workers run whole searches on their own domains at
+   once. *)
 let concurrency_tests =
   [
-    case "jobs-1 searches on two domains at once keep their outcomes"
+    case "searches on two domains at once keep their outcomes"
       (fun () ->
         (* as the daemon's two workers run them: each search owns its
-           successor enumerator and sub-plan memo, and here its cost
-           cache, so neither moves the other *)
-        let run q =
+           successor enumerator, sub-plan memo and e-graph, and here its
+           cost cache, so none moves another.  The e-graph runs at the
+           ledger's 2 000 e-nodes. *)
+        let run (engine, q) =
+          let b = Search.default_config.Search.egraph_budgets in
           Search.explore
             ~config:
               {
                 Search.default_config with
+                engine;
                 sample_db = cli_db;
                 cost_cache = Some (Cost.cache ());
+                egraph_budgets = { b with Saturate.max_enodes = 2_000 };
               }
             q
         in
-        let workloads = [ ("KG1", Paper.kg1); ("K4", Paper.k4) ] in
-        let sequential = List.map (fun (_, q) -> run q) workloads in
+        let workloads =
+          [
+            ("KG1", (Search.Bfs, Paper.kg1));
+            ("K4", (Search.Bfs, Paper.k4));
+            ("K4 e-graph", (Search.Egraph, Paper.k4));
+          ]
+        in
+        let sequential = List.map (fun (name, w) -> (name, run w)) workloads in
+        (* each domain runs every workload three times, the two in
+           opposite orders, so BFS and saturation overlap each other *)
+        let rounds ws = List.concat (List.init 3 (fun _ -> ws)) in
         let concurrent =
           List.map
-            (fun (_, q) -> Domain.spawn (fun () -> List.init 3 (fun _ -> run q)))
-            workloads
-          |> List.map Domain.join
+            (fun ws ->
+              Domain.spawn (fun () ->
+                  List.map (fun (name, w) -> (name, run w)) (rounds ws)))
+            [ workloads; List.rev workloads ]
+          |> List.concat_map Domain.join
         in
-        List.iter2
-          (fun ((name, _), seq) runs ->
-            List.iteri
-              (fun i o ->
-                let name = Fmt.str "%s, concurrent run %d" name i in
-                check_same_outcome name seq o;
-                Alcotest.(check int) (name ^ ": cost evaluations")
-                  seq.Search.cache_misses o.Search.cache_misses)
-              runs)
-          (List.combine workloads sequential)
+        let saturation (o : Search.outcome) =
+          Option.map
+            (fun (s : Saturate.stats) ->
+              Saturate.
+                ( [
+                    s.e_nodes; s.e_classes; s.unions; s.iterations;
+                    s.instances; s.matches_skipped; s.rules_deferred;
+                  ],
+                  stop_reason_label s.stop ))
+            o.Search.saturation
+        in
+        List.iteri
+          (fun i (name, o) ->
+            let seq = List.assoc name sequential in
+            let name = Fmt.str "%s, concurrent run %d" name i in
+            check_same_outcome name seq o;
+            Alcotest.(check int) (name ^ ": cost evaluations")
+              seq.Search.cache_misses o.Search.cache_misses;
+            Alcotest.(check (option (pair (list int) string)))
+              (name ^ ": saturation counts") (saturation seq) (saturation o))
           concurrent)
   ]
 

@@ -191,4 +191,30 @@ let tests =
           (List.map
              (fun r -> (r.Rewrite.Rule.name, Rules.Cert.fingerprint r))
              Rules.Catalog.all));
+    case "ground instances that erase a failing max are refuted" (fun () ->
+        (* coko/unsound/partial_holes.coko: max of {} fails, so each left
+           side fails where its right side returns; a ground rule's
+           counterexample names the input alone *)
+        let rules =
+          Coko.Pack.rules
+            (Coko.Pack.load (coko_file "unsound/partial_holes.coko"))
+        in
+        Alcotest.(check (list (pair string (option string))))
+          "rule, rendered counterexample"
+          [
+            ("partial-r8", Some "input {}");
+            ("partial-r6t", Some "input {}");
+            ("partial-r9", Some "input {}");
+            ("partial-r10", Some "input {}");
+            ("partial-hk-con-same", Some "input {}");
+            ("partial-hk-pi1-times", Some "input [0, {}]");
+          ]
+          (List.map
+             (fun (r : Rewrite.Rule.t) ->
+               let v =
+                 Rules.Cert.verdict_of_result
+                   (Rules.Cert.certify ~strategy:`Auto r)
+               in
+               (r.Rewrite.Rule.name, v.Rules.Cert.reason))
+             rules));
   ]

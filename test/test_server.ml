@@ -308,18 +308,21 @@ let behaviour_tests =
           (str_field full "outcome_cache");
         Alcotest.(check bool) "full answer ran to completion" true
           (str_field full "stop" <> Some "deadline"));
-    case "jobs > 1 answers identically through the pool lease" (fun () ->
-        let serial = handle_json (Json.Obj [ ("paper", Json.Str "t1k") ]) in
-        ignore (handle_json (Json.Obj [ ("cmd", Json.Str "flush") ]));
-        let parallel =
-          handle_json
-            (Json.Obj [ ("paper", Json.Str "t1k"); ("jobs", Json.Num 2.) ])
-        in
-        check_ok "parallel" parallel;
-        Alcotest.(check (option string)) "plan" (str_field serial "plan")
-          (str_field parallel "plan");
-        Alcotest.(check (option (float 0.))) "cost" (num_field serial "cost")
-          (num_field parallel "cost"));
+    case "jobs without execute answers a structured error naming execute"
+      (fun () ->
+        (* a search runs on the worker's domain: jobs is only the columnar
+           executor's morsel fan-out *)
+        check_error "search with jobs" "\"execute\""
+          (handle_json
+             (Json.Obj [ ("paper", Json.Str "t1k"); ("jobs", Json.Num 2.) ]));
+        check_error "explain with jobs" "\"execute\""
+          (handle_json
+             (Json.Obj
+                [
+                  ("query", Json.Str "select p.age from p in P");
+                  ("explain", Json.Bool true);
+                  ("jobs", Json.Num 1.);
+                ])));
     case "explain runs the pipeline over the shared plan cache" (fun () ->
         let req =
           Json.Obj
