@@ -185,27 +185,28 @@ let run_cmd =
              the stats).  Results are identical across layouts.")
   in
   let jobs =
-    (* Validated at the cmdliner layer: negative counts are a usage error
-       rather than being silently resolved like 0 is.  Same validator as
-       the daemon's "jobs" request field. *)
-    let nonneg =
+    (* Validated at the cmdliner layer: negative counts, and counts past
+       [Protocol.max_domains], are a usage error rather than being
+       silently resolved like 0 is.  Same validator as the daemon's
+       "jobs" request field. *)
+    let domains =
       let parse s =
         match Arg.conv_parser Arg.int s with
         | Ok n ->
           Result.map_error
             (fun m -> `Msg m)
-            (Kola_server.Protocol.nonneg_int ~what:"--jobs" n)
+            (Kola_server.Protocol.domains ~what:"--jobs" n)
         | Error _ as e -> e
       in
       Arg.conv ~docv:"JOBS" (parse, Arg.conv_printer Arg.int)
     in
     Arg.(
-      value & opt nonneg 1
+      value & opt domains 1
       & info [ "jobs" ] ~docv:"JOBS"
           ~doc:
             "Domains the columnar layout may fan pure kernels out to over \
              fixed-size morsels (1 = sequential; 0 = one per recommended \
-             core).  Morsel boundaries and merge order never depend on the \
+             core; at most 32).  Morsel boundaries and merge order never depend on the \
              setting, so results are bit-identical at every value.")
   in
   let run src store execute verify stats exec_stats layout jobs =

@@ -38,8 +38,7 @@ let validated ~docv base validate =
 let pos_int what = validated ~docv:"N" Arg.int (Protocol.positive_int ~what)
 let pos_float what =
   validated ~docv:"SECONDS" Arg.float (Protocol.positive_float ~what)
-let nonneg_int what =
-  validated ~docv:"N" Arg.int (Protocol.nonneg_int ~what)
+let domains what = validated ~docv:"N" Arg.int (Protocol.domains ~what)
 
 (* ------------------------------------------------------------------ *)
 (* serve *)
@@ -48,9 +47,10 @@ let serve_cmd =
   let workers =
     Arg.(
       value
-      & opt (nonneg_int "--workers") 0
+      & opt (domains "--workers") 0
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Worker domains (0 = one per recommended core).")
+          ~doc:
+            "Worker domains (0 = one per recommended core; at most 32).")
   in
   let queue =
     Arg.(
@@ -171,7 +171,7 @@ let request_cmd =
   let jobs =
     Arg.(
       value
-      & opt (some (nonneg_int "--jobs")) None
+      & opt (some (domains "--jobs")) None
       & info [ "jobs" ] ~docv:"JOBS"
           ~doc:
             "With --execute: domains the columnar executor fans morsels \

@@ -24,17 +24,17 @@ let resolve ctx v =
 let as_set ctx v =
   match resolve ctx v with
   | Value.Set xs -> xs
-  | v -> error "expected a set, got %a" Value.pp v
+  | v -> error "expected a set, got %a" Value.pp_brief v
 
 let as_bool ctx v =
   match resolve ctx v with
   | Value.Bool b -> b
-  | v -> error "expected a bool, got %a" Value.pp v
+  | v -> error "expected a bool, got %a" Value.pp_brief v
 
 let as_int ctx v =
   match resolve ctx v with
   | Value.Int i -> i
-  | v -> error "expected an int, got %a" Value.pp v
+  | v -> error "expected an int, got %a" Value.pp_brief v
 
 module VH = Hashtbl.Make (struct
   type t = Value.t
@@ -67,7 +67,7 @@ let rec eval ctx e : Value.t =
     let v = eval ctx e in
     match Value.field attr v with
     | Some x -> x
-    | None -> error "no attribute %s on %a" attr Value.pp v)
+    | None -> error "no attribute %s on %a" attr Value.pp_brief v)
   | Pair (a, b) -> Value.Pair (eval ctx a, eval ctx b)
   | App (l, set) ->
     let xs = as_set ctx (eval ctx set) in

@@ -105,11 +105,16 @@ type slot = {
   build : unit -> relation;
 }
 
+type ranks = { rank : int array; values : Value.t array }
+
 type db = {
   source : (string * Value.t) list;
   rels : (string * relation) list;
   slots : ((string * string) * slot) list;  (** (relation, attribute) *)
   element_cols : int Atomic.t;
+  rank_lock : Mutex.t;
+  ranked : ((string * string) * ranks option) list Atomic.t;
+      (** the string ranks built so far, by (relation, attribute) *)
 }
 
 let source t = t.source
@@ -148,6 +153,39 @@ let elements t (r : relation) attr =
           Atomic.set s.elems (Some e);
           e))
     (List.assoc_opt (r.name, attr) t.slots)
+
+(* Each cell's rank among the distinct cells of [arr] in [cmp] order,
+   and those cells boxed: one sort of the row indexes. *)
+let rank_cells cmp box arr =
+  let n = Array.length arr in
+  let perm = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> cmp arr.(i) arr.(j)) perm;
+  let rank = Array.make n 0 and values = ref [] and d = ref (-1) in
+  Array.iteri
+    (fun p i ->
+      if p = 0 || cmp arr.(perm.(p - 1)) arr.(i) <> 0 then begin
+        incr d;
+        values := box arr.(i) :: !values
+      end;
+      rank.(i) <- !d)
+    perm;
+  { rank; values = Array.of_list (List.rev !values) }
+
+let ranks t (r : relation) attr =
+  let key = (r.name, attr) in
+  once t.rank_lock
+    (fun () -> List.assoc_opt key (Atomic.get t.ranked))
+    (fun () ->
+      let ranks =
+        match column r attr with
+        | Some (Column.Ints arr) ->
+          Some (rank_cells Int.compare (fun i -> Value.Int i) arr)
+        | Some (Column.Strs arr) ->
+          Some (rank_cells String.compare (fun s -> Value.Str s) arr)
+        | _ -> None
+      in
+      Atomic.set t.ranked ((key, ranks) :: Atomic.get t.ranked);
+      ranks)
 
 (* ------------------------------------------------------------------ *)
 (* Materialization. *)
@@ -441,7 +479,14 @@ let of_db (source : (string * Value.t) list) : db =
           r.cols)
       rels
   in
-  { source; rels; slots; element_cols }
+  {
+    source;
+    rels;
+    slots;
+    element_cols;
+    rank_lock = Mutex.create ();
+    ranked = Atomic.make [];
+  }
 
 (* ------------------------------------------------------------------ *)
 

@@ -104,6 +104,21 @@ val elements : db -> relation -> string -> relation option
     what the row path sees even where the copy differs from its target
     row.  Built on first use and memoized, domain-safe like {!column}. *)
 
+type ranks = {
+  rank : int array;
+      (** each row's rank among the column's distinct values: rows [i]
+          and [j] hold equal values iff [rank.(i) = rank.(j)], and
+          [rank.(i) < rank.(j)] iff row [i]'s value comes first *)
+  values : Value.t array;  (** the distinct values, boxed, by rank *)
+}
+
+val ranks : db -> relation -> string -> ranks option
+(** [ranks db r a]: the value ranks of [r]'s [Ints] or [Strs] column [a]
+    ([None] for any other column), so that a kernel can sort and
+    deduplicate its values as small ints and box each once.  Built on
+    first use (one sort of the rows) and memoized per store, domain-safe
+    like {!column}. *)
+
 type stats = {
   relations : int;
   rows : int;

@@ -105,42 +105,18 @@ and same_list xs ys =
   | x :: xs, y :: ys -> same x y && same_list xs ys
   | _ -> false
 
-(* A hash of the input's first few levels and elements: inputs are often
-   whole extents or intermediate sets, and [same] settles the rest.
-   Consistent with [same]: objects hash by oid. *)
-let rec shallow_hash depth v =
-  match v with
-  | Value.Unit -> 17
-  | Value.Bool b -> if b then 31 else 37
-  | Value.Int i -> i
-  | Value.Str s | Value.Named s | Value.Hole s -> Hashtbl.hash s
-  | Value.Obj o -> (o.oid * 65599) + 41
-  | Value.Pair (a, b) ->
-    if depth = 0 then 43
-    else (shallow_hash (depth - 1) a * 65599) + shallow_hash (depth - 1) b
-  | Value.Set xs -> elements_hash depth 3 xs
-  | Value.Bag xs -> elements_hash depth 5 xs
-  | Value.List xs -> elements_hash depth 7 xs
-
-and elements_hash depth seed xs =
-  if depth = 0 then seed
-  else
-    let rec go n acc = function
-      | x :: rest when n > 0 -> go (n - 1) ((acc * 131) + shallow_hash (depth - 1) x) rest
-      | _ -> acc
-    in
-    go 4 seed xs
-
 (* [node] packs the node's id with its sort and the evaluation setting. *)
 type key = { node : int; input : Value.t }
 
+(* Inputs are often whole extents or intermediate sets: the key hashes
+   their first few levels and elements, and [same] settles the rest. *)
 module KH = Hashtbl.Make (struct
   type t = key
 
   let equal k1 k2 = k1.node = k2.node && same k1.input k2.input
 
   let hash k =
-    ((k.node * 0x01000193) lxor shallow_hash 3 k.input) land max_int
+    ((k.node * 0x01000193) lxor Value.shallow_hash 3 k.input) land max_int
 end)
 
 module IH = Hashtbl.Make (Int)
@@ -304,19 +280,19 @@ let rec resolve ctx v =
 let as_pair ctx v =
   match resolve ctx v with
   | Value.Pair (a, b) -> (a, b)
-  | v -> error "expected a pair, got %a" Value.pp v
+  | v -> error "expected a pair, got %a" Value.pp_brief v
 
 let as_set ctx v =
   match resolve ctx v with
   | Value.Set xs -> xs
   | Value.Bag xs -> xs
   | Value.List xs -> xs
-  | v -> error "expected a set, got %a" Value.pp v
+  | v -> error "expected a set, got %a" Value.pp_brief v
 
 let as_int ctx v =
   match resolve ctx v with
   | Value.Int i -> i
-  | v -> error "expected an int, got %a" Value.pp v
+  | v -> error "expected an int, got %a" Value.pp_brief v
 
 
 module VH = Hashtbl.Make (struct
@@ -433,8 +409,8 @@ and eval_func ctx (f : H.fnode) v =
     | Value.Obj _ as o -> (
       match Value.field name o with
       | Some x -> x
-      | None -> error "object %a has no attribute %s" Value.pp o name)
-    | v -> error "attribute %s applied to non-object %a" name Value.pp v)
+      | None -> error "object %a has no attribute %s" Value.pp_brief o name)
+    | v -> error "attribute %s applied to non-object %a" name Value.pp_brief v)
   | HCompose (f, g) -> hfunc ctx f (hfunc ctx g v)
   | HPairf (f, g) -> Value.Pair (hfunc ctx f v, hfunc ctx g v)
   | HTimes (f, g) ->
@@ -534,9 +510,9 @@ and eval_pred ctx (p : H.pnode) v =
     | Value.Obj _ as o -> (
       match Value.field name o with
       | Some (Value.Bool b) -> b
-      | Some x -> error "predicate attribute %s is not boolean: %a" name Value.pp x
-      | None -> error "object %a has no attribute %s" Value.pp o name)
-    | v -> error "predicate %s applied to non-object %a" name Value.pp v)
+      | Some x -> error "predicate attribute %s is not boolean: %a" name Value.pp_brief x
+      | None -> error "object %a has no attribute %s" Value.pp_brief o name)
+    | v -> error "predicate %s applied to non-object %a" name Value.pp_brief v)
   | HOplus (p, f) -> hpred ctx p (hfunc ctx f v)
   | HAndp (p, q) -> hpred ctx p v && hpred ctx q v
   | HOrp (p, q) -> hpred ctx p v || hpred ctx q v

@@ -37,6 +37,12 @@ val deep_equal : t -> t -> bool
 (** Hash consistent with {!equal}. *)
 val hash : t -> int
 
+val shallow_hash : int -> t -> int
+(** [shallow_hash depth v]: a hash of [v]'s first [depth] levels, and of
+    at most four elements of each collection, so its work is bounded
+    however large [v] is.  Consistent with {!equal} (objects hash by
+    oid); values that differ only deeper collide. *)
+
 (** {1 Smart constructors} *)
 
 val set : t list -> t
@@ -70,4 +76,12 @@ val size : t -> int
     elements; object internals are opaque). *)
 
 val pp : t Fmt.t
+
+val pp_brief : t Fmt.t
+(** {!pp} showing at most 16 collection elements in all; each collection
+    cut short ends with [... (n more)].  A value with at most 16
+    collection elements prints exactly as {!pp} prints it.  Error
+    messages use it, so a failure on a large set formats a short
+    prefix. *)
+
 val to_string : t -> string

@@ -103,6 +103,9 @@ let protocol_tests =
         expect_err "must be positive" {|{"paper": "t1k", "deadline": -1}|};
         expect_err "must be positive" {|{"paper": "t1k", "deadline": 0}|};
         expect_err "must be non-negative" {|{"paper": "t1k", "jobs": -2}|};
+        expect_err "\"jobs\" must be at most 32, got 200"
+          {|{"query": "select p from p in P", "explain": true,
+             "execute": "compiled", "jobs": 200}|};
         expect_err "must be positive" {|{"paper": "t1k", "depth": 0}|};
         expect_err "must be an integer" {|{"paper": "t1k", "depth": "deep"}|};
         expect_err "unknown paper query" {|{"paper": "t9k"}|};
@@ -119,6 +122,12 @@ let protocol_tests =
           (Protocol.positive_int ~what:"--depth" 0);
         Alcotest.(check (result int string)) "nonneg ok" (Ok 0)
           (Protocol.nonneg_int ~what:"--jobs" 0);
+        Alcotest.(check (result int string)) "domains at the bound"
+          (Ok Protocol.max_domains)
+          (Protocol.domains ~what:"--workers" Protocol.max_domains);
+        Alcotest.(check (result int string)) "domains past the bound"
+          (Error "--workers must be at most 32, got 33")
+          (Protocol.domains ~what:"--workers" 33);
         Alcotest.(check bool) "float err" true
           (Result.is_error (Protocol.positive_float ~what:"--deadline" (-0.5))));
   ]
