@@ -20,12 +20,21 @@
 
 type t
 
+val max_domains : int
+(** 32: the most domains a count of domains resolves to when it is left
+    to the host ([<= 0] below), and the bound the command line and the
+    daemon's protocol put on counts they are given.  A daemon's workers
+    and one columnar run's domains at the bound, with the main domain,
+    stay well under the OCaml runtime's limit of 128 domains per
+    process. *)
+
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns a pool of [jobs] domains in total (including
     the caller's).  [jobs <= 0] (and the default) means
-    [Domain.recommended_domain_count ()].  [jobs = 1] spawns no helper
-    domains at all.  If a spawn fails, the helpers already spawned are
-    shut down and joined, and the exception is re-raised. *)
+    [Domain.recommended_domain_count ()], at most {!max_domains}.
+    [jobs = 1] spawns no helper domains at all.  If a spawn fails, the
+    helpers already spawned are shut down and joined, and the exception
+    is re-raised. *)
 
 val size : t -> int
 (** Total domains participating in each job, including the submitter. *)
@@ -77,8 +86,9 @@ module Service : sig
 
   val create : ?workers:int -> ?queue:int -> unit -> t
   (** [create ~workers ~queue ()] spawns [workers] domains (default:
-      [Domain.recommended_domain_count ()]; [<= 0] likewise) parked on a
-      queue bounded at [queue] pending tasks (default 64). *)
+      [Domain.recommended_domain_count ()], at most {!max_domains};
+      [<= 0] likewise) parked on a queue bounded at [queue] pending tasks
+      (default 64). *)
 
   val submit : t -> (unit -> unit) -> (int, int) result
   (** [submit t task] enqueues [task] and returns [Ok depth] (the
